@@ -18,8 +18,9 @@ from .data import (
     standardize,
 )
 from .estimators import (
-    CandidateMatrix,
+    METHODS,
     CdrBasis,
+    candidate_matrix,
     cdr_basis,
     correction_coefficients,
     csave_matrix,
@@ -28,18 +29,14 @@ from .estimators import (
     negative_eigenvalue_count,
     save_matrix,
     sir_matrix,
-    v_n,
 )
 from .linalg import (
     EigenResult,
     eigen_perturb_first_order,
     ensure_symmetric,
     inv_sqrt,
-    mat_square,
     sym_eig,
     sym_sqrt,
-    unvech,
-    vech,
 )
 from .metrics import SubspaceMetrics, r2_single, trace_correlation
 from .simulation import (
@@ -66,12 +63,12 @@ from .slicing import (
 
 __all__ = [
     "__version__",
-    "CandidateMatrix",
     "CdrBasis",
     "Dataset",
     "DEFAULT_METHODS",
     "DEFAULT_SEED",
     "EigenResult",
+    "METHODS",
     "McReport",
     "MethodSummary",
     "ModelSpec",
@@ -83,6 +80,7 @@ __all__ = [
     "SubspaceMetrics",
     "SweepRow",
     "bias_sweep",
+    "candidate_matrix",
     "cdr_basis",
     "correction_coefficients",
     "csave_matrix",
@@ -94,7 +92,6 @@ __all__ = [
     "lambda_corrected",
     "lambda_n",
     "load_csv",
-    "mat_square",
     "model_streams",
     "negative_eigenvalue_count",
     "r2_single",
@@ -108,7 +105,4 @@ __all__ = [
     "sym_eig",
     "sym_sqrt",
     "trace_correlation",
-    "unvech",
-    "v_n",
-    "vech",
 ]

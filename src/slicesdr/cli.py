@@ -13,7 +13,7 @@ Every command accepts ``--out {human,csv,json}`` and an optional
 ``--output FILE``.  JSON documents always have top-level keys ``meta``
 (command, version, seed and the fully resolved config) and ``results``.
 All randomness flows from ``--seed`` (fixed default, never time-derived),
-so reruns are byte-identical; SDR_THREADS only changes wall time.
+so reruns are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
 """
@@ -45,12 +45,10 @@ from .errors import (
     TooManySlices,
 )
 from .estimators import (
-    METHOD_CSAVE,
+    METHODS,
+    candidate_matrix,
     cdr_basis,
-    csave_matrix,
     negative_eigenvalue_count,
-    save_matrix,
-    sir_matrix,
 )
 from .linalg import sym_eig
 from .simulation import (
@@ -132,19 +130,10 @@ def _cmd_estimate(args) -> int:
             f"--slices {H} leaves fewer than 2 points per slice for n={dataset.n}"
         )
     sd = standardize(dataset, rel_floor=args.rel_floor)
-    assignment = slice_equal_count(sd.y, H)
-    if args.method == "csave" and args.divisor != "c-1":
-        raise InvalidSliceSize('csave requires --divisor c-1')
-    stats = slice_stats(sd.z, assignment, divisor=args.divisor)
-    if args.method == "sir":
-        cand = sir_matrix(stats)
-    elif args.method == "save":
-        cand = save_matrix(stats)
-    else:
-        cand = csave_matrix(stats, sd.z, assignment)
-    eig = sym_eig(cand.matrix)
-    basis = cdr_basis(cand, args.k, sd)
-    negative = negative_eigenvalue_count(cand) if args.method == "csave" else None
+    stats = slice_stats(sd.z, slice_equal_count(sd.y, H), divisor=args.divisor)
+    eig = sym_eig(candidate_matrix(args.method, stats))
+    basis = cdr_basis(eig, args.k, sd)
+    negative = negative_eigenvalue_count(eig) if args.method == "csave" else None
 
     meta = {
         "command": "estimate",
@@ -415,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--y", required=True, help="response column name or 0-based index")
     est.add_argument("--slices", type=int, default=None,
                      help="slice count H (default: max(2, round(n/20)))")
-    est.add_argument("--method", choices=("sir", "save", "csave"), default="save")
+    est.add_argument("--method", choices=METHODS, default="save")
     est.add_argument("--k", type=int, default=1, help="directions to keep (default 1)")
     est.add_argument("--divisor", choices=("c-1", "c"), default="c-1",
                      help="within-slice covariance divisor (default c-1)")

@@ -1,15 +1,18 @@
 """Kernel-matrix estimators for slicing-based dimension reduction.
 
 Given per-slice statistics of standardized predictors, these build the
-candidate p x p matrices whose leading eigenvectors estimate the central
-dimension-reduction subspace:
+candidate p x p symmetric matrices whose leading eigenvectors estimate the
+central dimension-reduction subspace:
 
 * ``sir_matrix``   -- between-slice means,  sum_h p_h m_h m_h^T
 * ``save_matrix``  -- sum_h p_h (I - cov_h)^2
 * ``lambda_n``     -- sum_h p_h cov_h^2, the bias-carrying SAVE component
-* ``v_n``          -- the within-slice fourth-moment matrix driving that bias
-* ``lambda_corrected`` -- the debiased combination of the two
+* ``lambda_corrected`` -- its debiased combination with the fourth-moment
+  matrix V carried by the slice stats
 * ``csave_matrix`` -- bias-corrected SAVE: I - 2 sum_h p_h cov_h + corrected
+
+``candidate_matrix`` maps a method name from ``METHODS`` to its matrix; the
+CLI and the Monte Carlo harness both dispatch through it.
 
 Slice averages use the observed weights p_h = c_h / n; the correction
 coefficients use the global slice size c = floor(n / H), since they come
@@ -26,27 +29,13 @@ import numpy as np
 from . import linalg
 from .data import StandardizedDataset, directions_to_x_scale
 from .errors import AmbiguousDimensionWarning, InvalidSliceSize
-from .slicing import SliceAssignment, SliceStats, slice_stats
+from .slicing import SliceStats
 
-METHOD_SIR = "sir"
-METHOD_SAVE = "save"
-METHOD_CSAVE = "csave"
-METHOD_LAMBDA_RAW = "lambda_raw"
-METHOD_LAMBDA_CORRECTED = "lambda_corrected"
-METHOD_V_HAT = "v_hat"
+#: Method names in canonical reporting order.
+METHODS = ("save", "sir", "csave")
 
 #: Tie tolerance for flagging an ambiguous cut-off dimension.
 EIGENGAP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CandidateMatrix:
-    """A symmetric candidate kernel matrix with its provenance."""
-
-    matrix: np.ndarray
-    method: str
-    H: int
-    divisor: str
 
 
 @dataclass(frozen=True)
@@ -59,72 +48,24 @@ class CdrBasis:
     ambiguous: bool          # k-th and (k+1)-th eigenvalues tied
 
 
-def sir_matrix(stats: SliceStats, form: str = "means") -> CandidateMatrix:
-    """Estimated Cov(E(z|Y)).
-
-    ``form="means"`` (default) returns the exactly-PSD weighted-means
-    matrix sum_h p_h m_h m_h^T.  ``form="identity-minus"`` returns the
-    equivalent-target variant I - sum_h p_h cov_h for cross-checking; the
-    two agree up to O(1/n) on standardized data and share eigenvectors
-    when slice sizes are equal.
-    """
-    if form == "means":
-        m = np.einsum("h,hi,hj->ij", stats.weights, stats.means, stats.means)
-    elif form == "identity-minus":
-        m = np.eye(stats.p) - np.einsum("h,hij->ij", stats.weights, stats.covs)
-    else:
-        raise ValueError(f"unknown SIR form {form!r}")
-    return CandidateMatrix(
-        matrix=linalg.ensure_symmetric(m),
-        method=METHOD_SIR,
-        H=stats.H,
-        divisor=stats.divisor,
-    )
+def sir_matrix(stats: SliceStats) -> np.ndarray:
+    """Estimated Cov(E(z|Y)): the exactly-PSD sum_h p_h m_h m_h^T."""
+    m = np.einsum("h,hi,hj->ij", stats.weights, stats.means, stats.means)
+    return linalg.ensure_symmetric(m)
 
 
-def save_matrix(stats: SliceStats) -> CandidateMatrix:
+def save_matrix(stats: SliceStats) -> np.ndarray:
     """Estimated E[(I - Cov(z|Y))^2]: sum_h p_h (I - cov_h)^2."""
     eye = np.eye(stats.p)
     resid = eye[None, :, :] - stats.covs
     m = np.einsum("h,hij,hkj->ik", stats.weights, resid, resid)
-    return CandidateMatrix(
-        matrix=linalg.ensure_symmetric(m),
-        method=METHOD_SAVE,
-        H=stats.H,
-        divisor=stats.divisor,
-    )
+    return linalg.ensure_symmetric(m)
 
 
-def lambda_n(stats: SliceStats) -> CandidateMatrix:
+def lambda_n(stats: SliceStats) -> np.ndarray:
     """Slice average of squared within-slice covariances, sum_h p_h cov_h^2."""
     m = np.einsum("h,hij,hkj->ik", stats.weights, stats.covs, stats.covs)
-    return CandidateMatrix(
-        matrix=linalg.ensure_symmetric(m),
-        method=METHOD_LAMBDA_RAW,
-        H=stats.H,
-        divisor=stats.divisor,
-    )
-
-
-def v_n(z, assignment: SliceAssignment) -> CandidateMatrix:
-    """Within-slice fourth-moment matrix.
-
-    Averages ((z_hj - mean_h)(z_hj - mean_h)^T)^2 over all observations;
-    for a deviation d this summand equals ||d||^2 d d^T.  With equal slice
-    sizes the normalizer 1/n coincides with 1/(H c).
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    stats = slice_stats(z, assignment, divisor="c-1")  # only means are used
-    zs = z[assignment.flat_order()]
-    dev = zs - np.repeat(stats.means, stats.counts, axis=0)
-    sq = np.einsum("ij,ij->i", dev, dev)
-    m = dev.T @ (dev * sq[:, None]) / zs.shape[0]
-    return CandidateMatrix(
-        matrix=linalg.ensure_symmetric(m),
-        method=METHOD_V_HAT,
-        H=assignment.H,
-        divisor="c-1",
-    )
+    return linalg.ensure_symmetric(m)
 
 
 def correction_coefficients(c: int) -> tuple[float, float]:
@@ -135,63 +76,55 @@ def correction_coefficients(c: int) -> tuple[float, float]:
     return c * (c - 1) / denom, (c - 1) / denom
 
 
-def lambda_corrected(
-    lam: CandidateMatrix, v: CandidateMatrix, c: int
-) -> CandidateMatrix:
-    """Debiased slice-covariance square: a(c) * Lambda_n - b(c) * V_n."""
-    if lam.method != METHOD_LAMBDA_RAW:
-        raise ValueError(f"expected a {METHOD_LAMBDA_RAW} matrix, got {lam.method}")
-    if v.method != METHOD_V_HAT:
-        raise ValueError(f"expected a {METHOD_V_HAT} matrix, got {v.method}")
-    if lam.H != v.H:
-        raise ValueError(f"slice counts differ: {lam.H} vs {v.H}")
-    a, b = correction_coefficients(c)
-    m = a * lam.matrix - b * v.matrix
-    return CandidateMatrix(
-        matrix=linalg.ensure_symmetric(m),
-        method=METHOD_LAMBDA_CORRECTED,
-        H=lam.H,
-        divisor=lam.divisor,
-    )
+def lambda_corrected(stats: SliceStats) -> np.ndarray:
+    """Debiased slice-covariance square a(c) * Lambda_n - b(c) * V_n.
+
+    c = floor(n / H) is the global slice size of the stats.
+    """
+    a, b = correction_coefficients(stats.n // stats.H)
+    return linalg.ensure_symmetric(a * lambda_n(stats) - b * stats.fourth)
 
 
-def csave_matrix(stats: SliceStats, z, assignment: SliceAssignment) -> CandidateMatrix:
+def csave_matrix(stats: SliceStats) -> np.ndarray:
     """Bias-corrected SAVE: I - 2 sum_h p_h cov_h + corrected Lambda.
 
-    Assembled from the "c-1" covariance convention throughout; the
-    correction coefficients use the global c = floor(n / H).  The result is
-    symmetric but can be indefinite in finite samples: directions are
+    Assembled from the "c-1" covariance convention throughout.  The result
+    is symmetric but can be indefinite in finite samples: directions are
     ranked later by algebraically largest eigenvalue, and negative tail
     eigenvalues are surfaced as a diagnostic, not clipped.
     """
     if stats.divisor != "c-1":
-        raise ValueError('csave_matrix requires slice stats with divisor "c-1"')
-    n = int(stats.counts.sum())
-    c = n // stats.H
-    lam = lambda_n(stats)
-    v = v_n(z, assignment)
-    corrected = lambda_corrected(lam, v, c)
+        raise InvalidSliceSize("csave requires --divisor c-1")
+    corrected = lambda_corrected(stats)
     mean_cov = np.einsum("h,hij->ij", stats.weights, stats.covs)
-    m = np.eye(stats.p) - 2.0 * mean_cov + corrected.matrix
-    return CandidateMatrix(
-        matrix=linalg.ensure_symmetric(m),
-        method=METHOD_CSAVE,
-        H=stats.H,
-        divisor=stats.divisor,
-    )
+    m = np.eye(stats.p) - 2.0 * mean_cov + corrected
+    return linalg.ensure_symmetric(m)
 
 
-def cdr_basis(m: CandidateMatrix, k: int, sd: StandardizedDataset) -> CdrBasis:
+def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:
+    """The candidate matrix of ``method``, one of METHODS."""
+    # Resolve the estimator by module-global name on every call, so a
+    # profiler that rebinds these names (perfbench's tracer) sees the call.
+    if method == "sir":
+        return sir_matrix(stats)
+    if method == "save":
+        return save_matrix(stats)
+    if method == "csave":
+        return csave_matrix(stats)
+    raise ValueError(f"unknown method {method!r}; valid: {METHODS}")
+
+
+def cdr_basis(eig: linalg.EigenResult, k: int, sd: StandardizedDataset) -> CdrBasis:
     """Top-k eigenvectors of a candidate matrix, also mapped to the x scale.
 
-    Eigenvalues are ranked algebraically (largest first).  If the k-th and
-    (k+1)-th eigenvalues are tied within EIGENGAP_TOL, the basis is still
-    returned but flagged ambiguous and a warning is issued.
+    ``eig`` is the candidate's ``sym_eig`` decomposition, so eigenvalues are
+    ranked algebraically (largest first).  If the k-th and (k+1)-th
+    eigenvalues are tied within EIGENGAP_TOL, the basis is still returned
+    but flagged ambiguous and a warning is issued.
     """
-    p = m.matrix.shape[0]
+    p = eig.values.size
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p={p}, got k={k}")
-    eig = linalg.sym_eig(m.matrix)
     ambiguous = False
     if k < p and abs(eig.values[k - 1] - eig.values[k]) <= EIGENGAP_TOL:
         ambiguous = True
@@ -211,8 +144,10 @@ def cdr_basis(m: CandidateMatrix, k: int, sd: StandardizedDataset) -> CdrBasis:
     )
 
 
-def negative_eigenvalue_count(m: CandidateMatrix, tol_scale: float = 1e-12) -> int:
-    """Diagnostic: eigenvalues below -tol_scale * trace (CSAVE indefiniteness)."""
-    eig = linalg.sym_eig(m.matrix)
-    thresh = -tol_scale * max(abs(float(np.trace(m.matrix))), 1.0)
+def negative_eigenvalue_count(eig: linalg.EigenResult, tol_scale: float = 1e-12) -> int:
+    """Diagnostic: eigenvalues below -tol_scale * trace (CSAVE indefiniteness).
+
+    The trace is taken as the sum of the eigenvalues in ``eig``.
+    """
+    thresh = -tol_scale * max(abs(float(eig.values.sum())), 1.0)
     return int(np.sum(eig.values < thresh))

@@ -1,9 +1,9 @@
 """Dense symmetric-matrix helpers.
 
 Everything here operates on small (p <= ~50) real symmetric matrices:
-eigendecomposition with a deterministic sign convention, inverse square
-root, half-vectorization, matrix squaring, and a first-order eigenvalue /
-eigenvector perturbation expansion.
+eigendecomposition with a deterministic sign convention, inverse and
+plain square roots, and a first-order eigenvalue / eigenvector
+perturbation expansion.
 
 All functions are pure; inputs are never mutated.
 """
@@ -110,42 +110,6 @@ def sym_sqrt(m, rel_floor: float = 0.0) -> np.ndarray:
     vals = np.clip(eig.values, 0.0, None)
     root = (eig.vectors * vals ** 0.5) @ eig.vectors.T
     return (root + root.T) / 2.0
-
-
-def vech(m) -> np.ndarray:
-    """Column-stacked lower triangle of a symmetric matrix.
-
-    Order: (m11, ..., mp1, m22, ..., mp2, ..., mpp), length p(p+1)/2.
-    """
-    a = ensure_symmetric(m)
-    p = a.shape[0]
-    return np.concatenate([a[j:, j] for j in range(p)])
-
-
-def unvech(v) -> np.ndarray:
-    """Inverse of :func:`vech`; rebuilds the full symmetric matrix."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise InvalidMatrix("unvech expects a 1-d vector")
-    # length p(p+1)/2 -> p
-    p = int((np.sqrt(8 * v.size + 1) - 1) / 2 + 0.5)
-    if p * (p + 1) // 2 != v.size:
-        raise InvalidMatrix(f"length {v.size} is not a triangular number")
-    out = np.zeros((p, p))
-    pos = 0
-    for j in range(p):
-        run = p - j
-        out[j:, j] = v[pos:pos + run]
-        out[j, j:] = v[pos:pos + run]
-        pos += run
-    return out
-
-
-def mat_square(m) -> np.ndarray:
-    """``m @ m.T`` (equals m @ m for symmetric m); always symmetric PSD."""
-    a = ensure_symmetric(m)
-    out = a @ a.T
-    return (out + out.T) / 2.0
 
 
 def eigen_perturb_first_order(base, delta, i: int, gap_tol: float = 1e-8):

@@ -3,9 +3,8 @@
 Five single-index generators (cubic, quadratic, multiplicative noise,
 cubic with multiplicative noise, cosine) with standard normal predictors
 and noise.  Replicate r of a run draws from counter-based substreams keyed
-by (seed, r, role), so results are bit-identical regardless of execution
-order or thread count, and replicate r sees the same data whether or not
-other replicates run.
+by (seed, r, role), so replicate r sees the same data whether or not other
+replicates run.
 
 ``run_mc`` scores each method's leading direction against the true index
 direction and reports the replicate medians; ``bias_sweep`` tracks the raw
@@ -15,31 +14,19 @@ where the estimand is known exactly.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, standardize
 from .errors import DegenerateDesign, SimulationError
-from .estimators import (
-    METHOD_CSAVE,
-    METHOD_SAVE,
-    METHOD_SIR,
-    csave_matrix,
-    lambda_corrected,
-    lambda_n,
-    sir_matrix,
-    save_matrix,
-    v_n,
-)
+from .estimators import METHODS, candidate_matrix, lambda_corrected, lambda_n
 from .linalg import sym_eig
 from .metrics import r2_single
 from .slicing import slice_equal_count, slice_stats
 
-#: Method identifiers in canonical reporting order.
-DEFAULT_METHODS = (METHOD_SAVE, METHOD_SIR, METHOD_CSAVE)
+#: Methods a run scores when none are named: all of them, in reporting order.
+DEFAULT_METHODS = METHODS
 
 #: Fixed default master seed for every CLI entry point (never time-derived).
 DEFAULT_SEED = 1729
@@ -136,7 +123,6 @@ class SimConfig:
     seed: int = DEFAULT_SEED
     methods: tuple = DEFAULT_METHODS
     standardize: bool = False
-    divisor: str = "c-1"
 
     def __post_init__(self):
         if self.n < 2 * self.H:
@@ -145,9 +131,9 @@ class SimConfig:
             raise ValueError("reps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        bad = [m for m in self.methods if m not in DEFAULT_METHODS]
+        bad = [m for m in self.methods if m not in METHODS]
         if bad:
-            raise ValueError(f"unknown methods {bad}; valid: {DEFAULT_METHODS}")
+            raise ValueError(f"unknown methods {bad}; valid: {METHODS}")
         if not self.methods:
             raise ValueError("need at least one method")
 
@@ -189,24 +175,6 @@ class McReport:
         return self.summaries[method].median
 
 
-def resolve_thread_count(reps: int, env: str | None = None) -> int:
-    """Worker count from the SDR_THREADS environment variable.
-
-    Unset or "1" means single-threaded; "0" means one worker per CPU.
-    Results never depend on this value, only wall time does.
-    """
-    raw = env if env is not None else os.environ.get("SDR_THREADS", "1")
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(f"SDR_THREADS must be an integer, got {raw!r}") from None
-    if requested < 0:
-        raise ValueError(f"SDR_THREADS must be >= 0, got {requested}")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, reps))
-
-
 def _replicate_scores(cfg: SimConfig, rep: int) -> dict:
     """R^2 of each requested method's leading direction for one replicate."""
     data = gen_model(cfg.model, cfg.n, model_streams(cfg.seed, rep))
@@ -215,18 +183,11 @@ def _replicate_scores(cfg: SimConfig, rep: int) -> dict:
         z, back = sd.z, sd.cov_inv_sqrt
     else:
         z, back = data.x, None
-    assignment = slice_equal_count(data.y, cfg.H)
-    stats = slice_stats(z, assignment, divisor=cfg.divisor)
+    stats = slice_stats(z, slice_equal_count(data.y, cfg.H))
     true_basis = cfg.model.beta[:, None]
     scores = {}
     for method in cfg.methods:
-        if method == METHOD_SIR:
-            cand = sir_matrix(stats)
-        elif method == METHOD_SAVE:
-            cand = save_matrix(stats)
-        else:
-            cand = csave_matrix(stats, z, assignment)
-        lead = sym_eig(cand.matrix).vectors[:, 0]
+        lead = sym_eig(candidate_matrix(method, stats)).vectors[:, 0]
         if back is not None:
             lead = back @ lead  # back to the x scale before scoring
         scores[method] = r2_single(lead, true_basis)
@@ -234,26 +195,18 @@ def _replicate_scores(cfg: SimConfig, rep: int) -> dict:
 
 
 def run_mc(cfg: SimConfig) -> McReport:
-    """Run all replicates and summarize each method's R^2 scores.
+    """Run all replicates in index order and summarize each method's R^2.
 
-    Replicates execute serially or on a thread pool (SDR_THREADS); results
-    are keyed by replicate index and reduced in index order, so the report
-    is a pure function of the config.  A failing replicate aborts the whole
-    run with its index attached; nothing is skipped silently.
+    The report is a pure function of the config.  A failing replicate
+    aborts the whole run with its index attached; nothing is skipped
+    silently.
     """
-    workers = resolve_thread_count(cfg.reps)
-
-    def task(rep: int) -> dict:
+    results = []
+    for rep in range(cfg.reps):
         try:
-            return _replicate_scores(cfg, rep)
+            results.append(_replicate_scores(cfg, rep))
         except Exception as e:
             raise SimulationError(f"replicate {rep} failed: {e}") from e
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, range(cfg.reps)))
-    else:
-        results = [task(rep) for rep in range(cfg.reps)]
     summaries = {}
     for method in cfg.methods:
         values = np.array([r[method] for r in results])
@@ -282,12 +235,8 @@ def _null_replicate(n: int, c: int, p: int, seed: int, rep: int):
     streams = model_streams(seed, rep)
     z = streams.x.standard_normal((n, p))
     y = streams.eps.standard_normal(n)
-    H = n // c
-    assignment = slice_equal_count(y, H)
-    stats = slice_stats(z, assignment, divisor="c-1")
-    lam = lambda_n(stats)
-    corrected = lambda_corrected(lam, v_n(z, assignment), c)
-    return lam.matrix, corrected.matrix
+    stats = slice_stats(z, slice_equal_count(y, n // c))
+    return lambda_n(stats), lambda_corrected(stats)
 
 
 def bias_sweep(
@@ -302,8 +251,9 @@ def bias_sweep(
     For each (n, c) the pure-noise model (z independent of y) is replicated
     ``reps`` times; the estimand is exactly I_p, so the rows report the
     scalar level (trace / p) of each estimator plus the mean and median
-    Frobenius-norm errors.  Degenerate designs with fewer than two slices
-    are rejected.
+    Frobenius-norm errors.  Degenerate designs are rejected: fewer than two
+    slices, or H = n // c slices that hold n // H != c points (possible only
+    when n < c^2), to which the c-point correction would not apply.
     """
     n_grid = [int(v) for v in n_grid]
     c_grid = [int(v) for v in c_grid]
@@ -322,6 +272,10 @@ def bias_sweep(
             H = n // c
             if H < 2:
                 raise DegenerateDesign(f"n={n}, c={c} gives H={H} < 2 slices")
+            if n // H != c:
+                raise DegenerateDesign(
+                    f"n={n}, c={c} gives H={H} slices of {n // H} points, not {c}"
+                )
             raw_level, cor_level, raw_err, cor_err = [], [], [], []
             for rep in range(reps):
                 lam, cor = _null_replicate(n, c, p, seed, rep)

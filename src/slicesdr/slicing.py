@@ -1,15 +1,19 @@
-"""Partition observations into slices by the response.
+"""Partition observations into slices by the response, and slice moments.
 
 Continuous responses get equal-count slices over the sorted order (the last
 slice absorbs any remainder); discrete responses get one slice per distinct
-value.  Per-slice means and covariances are computed with a selectable
-divisor ("c-1" unbiased, "c" maximum-likelihood), since downstream
-estimators need both conventions.
+value.  A slice assignment is a permutation of the observations in slice
+order plus the offsets where each slice starts.
+
+``slice_stats`` gathers the rows into slice order once and returns every
+moment the estimators use: per-slice means and covariances with a
+selectable divisor ("c-1" unbiased, "c" maximum-likelihood) and the pooled
+within-slice fourth-moment matrix V.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,36 +25,47 @@ DIVISORS = ("c-1", "c")
 
 @dataclass(frozen=True)
 class SliceAssignment:
-    """A partition of observation indices into H response-ordered slices."""
+    """A partition of observation indices into H response-ordered slices.
 
-    H: int
-    slices: tuple  # tuple of 1-d integer index arrays, slice order = y order
-    mode: str      # "equal-count" | "discrete"
+    Slice h holds the observations ``order[bounds[h]:bounds[h + 1]]``.
+    """
+
+    order: np.ndarray   # (n,) permutation of 0..n-1, in slice order
+    bounds: np.ndarray  # (H + 1,) offsets into order, from 0 to n
 
     def __post_init__(self):
-        if self.H != len(self.slices):
-            raise ValueError("H does not match the number of slices")
-        for idx in self.slices:
-            if len(idx) < 2:
-                raise SingletonSlice("every slice needs at least 2 members")
-        flat = np.concatenate(self.slices)
-        covered = np.sort(flat)
-        if covered.size != np.unique(covered).size or not np.array_equal(
-            covered, np.arange(covered.size)
+        order = np.asarray(self.order)
+        bounds = np.asarray(self.bounds)
+        if order.ndim != 1 or bounds.ndim != 1 or not (
+            np.issubdtype(order.dtype, np.integer)
+            and np.issubdtype(bounds.dtype, np.integer)
         ):
-            raise ValueError("slices must partition 0..n-1 without overlap")
+            raise ValueError("order and bounds must be 1-d integer arrays")
+        n = order.size
+        if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n:
+            raise ValueError("bounds must run from 0 to len(order)")
+        if np.diff(bounds).min() < 2:
+            raise SingletonSlice("every slice needs at least 2 members")
+        if order.min() < 0 or order.max() >= n:
+            raise ValueError("order must be a permutation of 0..n-1")
+        seen = np.zeros(n, dtype=bool)
+        seen[order] = True
+        if not seen.all():
+            raise ValueError("order must be a permutation of 0..n-1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "bounds", bounds)
+
+    @property
+    def H(self) -> int:
+        return int(self.bounds.size - 1)
 
     @property
     def counts(self) -> np.ndarray:
-        return np.array([len(s) for s in self.slices])
+        return np.diff(self.bounds)
 
     @property
     def n(self) -> int:
-        return int(self.counts.sum())
-
-    def flat_order(self) -> np.ndarray:
-        """All indices concatenated in slice order."""
-        return np.concatenate(self.slices)
+        return int(self.order.size)
 
 
 def slice_equal_count(y, H: int) -> SliceAssignment:
@@ -67,10 +82,8 @@ def slice_equal_count(y, H: int) -> SliceAssignment:
     if n < 2 * H:
         raise TooManySlices(f"n={n} too small for H={H} slices of >= 2 points")
     order = np.argsort(y, kind="stable")
-    c = n // H
-    bounds = [h * c for h in range(H)] + [n]
-    slices = tuple(order[bounds[h]:bounds[h + 1]] for h in range(H))
-    return SliceAssignment(H=H, slices=slices, mode="equal-count")
+    bounds = np.append(np.arange(H) * (n // H), n)
+    return SliceAssignment(order=order, bounds=bounds)
 
 
 def slice_discrete(y) -> SliceAssignment:
@@ -86,20 +99,20 @@ def slice_discrete(y) -> SliceAssignment:
         raise SingletonSlice(f"response value {thin[0]!r} appears only once")
     order = np.argsort(inverse, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(counts)])
-    slices = tuple(order[bounds[k]:bounds[k + 1]] for k in range(values.size))
-    return SliceAssignment(H=int(values.size), slices=slices, mode="discrete")
+    return SliceAssignment(order=order, bounds=bounds)
 
 
 @dataclass(frozen=True)
 class SliceStats:
-    """Per-slice counts, means, covariances and weights p_h = c_h / n."""
+    """Per-slice counts, means, covariances and weights p_h = c_h / n, plus
+    the pooled within-slice fourth-moment matrix V."""
 
     counts: np.ndarray    # (H,)
     means: np.ndarray     # (H, p)
     covs: np.ndarray      # (H, p, p), each symmetric
     weights: np.ndarray   # (H,), sums to 1
     divisor: str          # "c-1" | "c"
-    assignment: SliceAssignment = field(repr=False)
+    fourth: np.ndarray    # (p, p), symmetric
 
     @property
     def H(self) -> int:
@@ -109,24 +122,30 @@ class SliceStats:
     def p(self) -> int:
         return int(self.means.shape[1])
 
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
 
 def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceStats:
-    """Means and covariances of the rows of z within each slice.
+    """Slice moments of the rows of z, from one gather into slice order.
 
     cov(h) = sum_j (z_hj - mean_h)(z_hj - mean_h)^T / d(c_h) with
-    d(c) = c - 1 or c according to ``divisor``.
+    d(c) = c - 1 or c according to ``divisor``.  The fourth-moment matrix
+    averages ((z_hj - mean_h)(z_hj - mean_h)^T)^2 over all n observations;
+    for a deviation d that summand equals ||d||^2 d d^T.  It does not
+    depend on the divisor.
     """
     if divisor not in DIVISORS:
         raise ValueError(f"divisor must be one of {DIVISORS}, got {divisor!r}")
     z = np.atleast_2d(np.asarray(z, dtype=float))
+    if z.shape[0] != assignment.n:
+        raise ValueError(
+            f"assignment covers {assignment.n} rows but z has {z.shape[0]}"
+        )
     counts = assignment.counts
-    if counts.min() < 2:
-        raise SingletonSlice("every slice needs at least 2 members")
-    flat = assignment.flat_order()
-    if flat.max() >= z.shape[0]:
-        raise ValueError("assignment indices exceed the number of rows")
-    zs = z[flat]
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    zs = z[assignment.order]
+    starts = assignment.bounds[:-1]
     sums = np.add.reduceat(zs, starts, axis=0)
     means = sums / counts[:, None]
     outer_sums = np.add.reduceat(zs[:, :, None] * zs[:, None, :], starts, axis=0)
@@ -134,6 +153,9 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
     denom = counts - 1 if divisor == "c-1" else counts
     covs = centered / denom[:, None, None]
     covs = (covs + covs.transpose(0, 2, 1)) / 2.0
+    dev = zs - np.repeat(means, counts, axis=0)
+    sq = np.einsum("ij,ij->i", dev, dev)
+    fourth = dev.T @ (dev * sq[:, None]) / zs.shape[0]
     n = counts.sum()
     return SliceStats(
         counts=counts,
@@ -141,5 +163,5 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         covs=covs,
         weights=counts / n,
         divisor=divisor,
-        assignment=assignment,
+        fourth=(fourth + fourth.T) / 2.0,
     )

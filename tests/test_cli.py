@@ -280,6 +280,18 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_slices_not_of_size_c_is_usage_error(self, capsys):
+        # n=10, c=4 gives H=2 slices of 5 points: the c=4 correction would
+        # be applied to 5-point slices
+        code = main(
+            ["sweep", "--mode", "bias", "--n-grid", "10", "--c-grid", "4",
+             "--reps", "2", "--out", "json"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "slices of 5 points, not 4" in captured.err
+
     def test_csv_header(self, capsys):
         code = main(
             ["sweep", "--mode", "bias", "--n-grid", "200", "--c-grid", "2",

@@ -23,6 +23,7 @@ from slicesdr import (
     Dataset,
     cdr_basis,
     correction_coefficients,
+    ensure_symmetric,
     csave_matrix,
     lambda_corrected,
     lambda_n,
@@ -33,9 +34,9 @@ from slicesdr import (
     slice_stats,
     standardize,
     sym_eig,
-    v_n,
 )
 from slicesdr.errors import AmbiguousDimensionWarning, InvalidSliceSize
+from slicesdr.slicing import SliceAssignment
 
 
 def sorted_stats(z, y, H, divisor="c-1"):
@@ -51,12 +52,17 @@ def exact_corrected_mean(c):
     return (c ** 3 * (c + 1) - 3.0 * (c - 1) ** 3) / (c ** 2 * ((c - 1) ** 2 + 1))
 
 
+def sir_identity_minus(st):
+    """The SIR variant I - sum_h p_h cov_h, which targets the same matrix."""
+    return np.eye(st.p) - np.einsum("h,hij->ij", st.weights, st.covs)
+
+
 class TestSir:
     def test_zero_between_slice_signal(self):
         # every slice is (v, -v): slice means vanish
         z = np.array([[1.0], [-1.0], [2.0], [-2.0]])
         _, st = sorted_stats(z, np.array([0.0, 0.1, 1.0, 1.1]), 2)
-        m = sir_matrix(st).matrix
+        m = sir_matrix(st)
         np.testing.assert_allclose(m, np.zeros((1, 1)), atol=1e-14)
 
     def test_scalar_closed_form(self):
@@ -64,7 +70,7 @@ class TestSir:
         a = 0.7
         z = np.array([[-a - 0.1], [-a + 0.1], [a - 0.1], [a + 0.1]])
         _, st = sorted_stats(z, np.arange(4.0), 2)
-        assert sir_matrix(st).matrix[0, 0] == pytest.approx(a * a, abs=1e-12)
+        assert sir_matrix(st)[0, 0] == pytest.approx(a * a, abs=1e-12)
 
     def test_form_agreement_tightens_with_n(self):
         # the two SIR forms differ by O(1/n) at fixed H on standardized data
@@ -77,9 +83,7 @@ class TestSir:
                 y = x[:, 0] + 0.5 * rng.standard_normal(n)
                 z = standardize(Dataset(x=x, y=y)).z
                 _, st = sorted_stats(z, y, H)
-                diff = sir_matrix(st, form="means").matrix - sir_matrix(
-                    st, form="identity-minus"
-                ).matrix
+                diff = sir_matrix(st) - sir_identity_minus(st)
                 gaps[n].append(np.linalg.norm(diff))
         assert np.mean(gaps[200]) / np.mean(gaps[2000]) >= 5.0
 
@@ -89,8 +93,8 @@ class TestSir:
         y = x[:, 0] + 0.1 * rng.standard_normal(120)
         z = standardize(Dataset(x=x, y=y)).z
         _, st = sorted_stats(z, y, 6)
-        b1 = sym_eig(sir_matrix(st, form="means").matrix).vectors[:, 0]
-        b2 = sym_eig(sir_matrix(st, form="identity-minus").matrix).vectors[:, 0]
+        b1 = sym_eig(sir_matrix(st)).vectors[:, 0]
+        b2 = sym_eig(sir_identity_minus(st)).vectors[:, 0]
         assert abs(b1 @ b2) == pytest.approx(1.0, abs=1e-8)
 
     def test_psd_and_slice_relabel_invariance(self):
@@ -98,13 +102,15 @@ class TestSir:
         z = rng.standard_normal((60, 3))
         y = rng.standard_normal(60)
         a, st = sorted_stats(z, y, 5)
-        m = sir_matrix(st).matrix
+        m = sir_matrix(st)
         assert sym_eig(m).values[-1] >= -1e-8 * np.trace(m)
         # permuting slice labels leaves the weighted sum unchanged
-        from slicesdr.slicing import SliceAssignment, slice_stats as ss
-
-        perm = SliceAssignment(H=5, slices=tuple(a.slices[::-1]), mode="equal-count")
-        m2 = sir_matrix(ss(z, perm)).matrix
+        slices = [a.order[a.bounds[h]:a.bounds[h + 1]] for h in range(a.H)][::-1]
+        perm = SliceAssignment(
+            order=np.concatenate(slices),
+            bounds=np.concatenate([[0], np.cumsum([len(s) for s in slices])]),
+        )
+        m2 = sir_matrix(slice_stats(z, perm))
         np.testing.assert_allclose(m, m2, atol=1e-12)
 
 
@@ -114,13 +120,13 @@ class TestSave:
         step = np.sqrt(2.0)
         z = np.array([[0.0], [step], [5.0], [5.0 + step]])
         _, st = sorted_stats(z, np.arange(4.0), 2)
-        np.testing.assert_allclose(save_matrix(st).matrix, [[0.0]], atol=1e-12)
+        np.testing.assert_allclose(save_matrix(st), [[0.0]], atol=1e-12)
 
     def test_scalar_two_slice_value(self):
         # slice variances 0 and 2 with equal weights -> (1 + 1)/2 = 1
         z = np.array([[1.0], [1.0], [0.0], [2.0]])
         _, st = sorted_stats(z, np.arange(4.0), 2)
-        assert save_matrix(st).matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert save_matrix(st)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_expansion_identity(self):
         # sum_h p_h (I - S_h)^2 = I - 2 mean(S) + mean(S^2), same divisor
@@ -129,16 +135,16 @@ class TestSave:
             z = rng.standard_normal((36, 3))
             y = rng.standard_normal(36)
             _, st = sorted_stats(z, y, 4)
-            lhs = save_matrix(st).matrix
+            lhs = save_matrix(st)
             mean_cov = np.einsum("h,hij->ij", st.weights, st.covs)
-            rhs = np.eye(3) - 2 * mean_cov + lambda_n(st).matrix
+            rhs = np.eye(3) - 2 * mean_cov + lambda_n(st)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_psd(self):
         rng = np.random.default_rng(12)
         z = rng.standard_normal((48, 4))
         _, st = sorted_stats(z, rng.standard_normal(48), 6)
-        m = save_matrix(st).matrix
+        m = save_matrix(st)
         assert sym_eig(m).values[-1] >= -1e-8 * np.trace(m)
 
 
@@ -147,14 +153,14 @@ class TestLambdaN:
         step = np.sqrt(2.0)
         z = np.array([[0.0], [step], [3.0], [3.0 + step]])
         _, st = sorted_stats(z, np.arange(4.0), 2)
-        np.testing.assert_allclose(lambda_n(st).matrix, [[1.0]], atol=1e-12)
+        np.testing.assert_allclose(lambda_n(st), [[1.0]], atol=1e-12)
 
     def test_scalar_average_of_squares(self):
         # variances 1 and 3, equal weights -> (1 + 9)/2 = 5
         r = np.sqrt(2.0) / 2
         z = np.array([[-r], [r], [-r * np.sqrt(3)], [r * np.sqrt(3)]])
         _, st = sorted_stats(z, np.arange(4.0), 2)
-        assert lambda_n(st).matrix[0, 0] == pytest.approx(5.0, abs=1e-12)
+        assert lambda_n(st)[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_quadruple_sum_oracle(self):
         # literal four-index sum with normalizer 1/(n c (c-1)^2)
@@ -171,7 +177,7 @@ class TestLambdaN:
             z = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
             a, st = sorted_stats(z, y, H)
-            zs = z[a.flat_order()]
+            zs = z[a.order]
             acc = np.zeros((p, p))
             for h in range(H):
                 rows = zs[h * c : (h + 1) * c]
@@ -183,7 +189,7 @@ class TestLambdaN:
                                 dvu = np.outer(rows[v] - rows[u], rows[v] - rows[u])
                                 acc += dlj @ dvu
             oracle = acc / (n * c * (c - 1) ** 2)
-            got = lambda_n(st).matrix
+            got = lambda_n(st)
             assert np.linalg.norm(got - oracle) <= 1e-9 * max(
                 np.linalg.norm(oracle), 1e-12
             )
@@ -193,12 +199,12 @@ class TestVn:
     def test_single_slice_unit_fourth_powers(self):
         z = np.array([[-1.0], [1.0]])
         a = slice_equal_count(np.array([0.0, 1.0]), 1)
-        assert v_n(z, a).matrix[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert slice_stats(z, a).fourth[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_degenerate_spread(self):
         z = np.ones((6, 2))
         a = slice_equal_count(np.arange(6.0), 3)
-        np.testing.assert_allclose(v_n(z, a).matrix, np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(slice_stats(z, a).fourth, np.zeros((2, 2)), atol=1e-14)
 
     def test_gaussian_fourth_moment_level(self):
         # pure noise, c = 10: slice deviations are N(0, (c-1)/c), so the
@@ -211,7 +217,7 @@ class TestVn:
             z = rng.standard_normal((n, 1))
             y = rng.standard_normal(n)
             a = slice_equal_count(y, n // c)
-            vals.append(v_n(z, a).matrix[0, 0])
+            vals.append(slice_stats(z, a).fourth[0, 0])
         assert np.mean(vals) == pytest.approx(3.0 * ((c - 1) / c) ** 2, abs=0.1)
 
 
@@ -223,10 +229,8 @@ class TestLambdaCorrected:
     def test_zero_inputs(self):
         rng = np.random.default_rng(14)
         y = rng.standard_normal(8)
-        asg, st = sorted_stats(np.zeros((8, 2)), y, 4)
-        lam = lambda_n(st)
-        v = v_n(np.zeros((8, 2)), asg)
-        out = lambda_corrected(lam, v, 2).matrix
+        _, st = sorted_stats(np.zeros((8, 2)), y, 4)
+        out = lambda_corrected(st)
         np.testing.assert_allclose(out, np.zeros((2, 2)), atol=1e-14)
 
     def test_exact_debias_scalar_identity(self):
@@ -245,23 +249,18 @@ class TestLambdaCorrected:
                 assert recovered == pytest.approx(lam_target, abs=1e-12)
 
     def test_small_c_rejected(self):
-        rng = np.random.default_rng(16)
-        z = rng.standard_normal((8, 1))
-        y = rng.standard_normal(8)
-        asg, st = sorted_stats(z, y, 4)
         with pytest.raises(InvalidSliceSize):
-            lambda_corrected(lambda_n(st), v_n(z, asg), 1)
+            correction_coefficients(1)
 
-    def test_method_tags_enforced(self):
-        rng = np.random.default_rng(17)
-        z = rng.standard_normal((8, 1))
-        y = rng.standard_normal(8)
-        asg, st = sorted_stats(z, y, 4)
-        lam, v = lambda_n(st), v_n(z, asg)
-        with pytest.raises(ValueError):
-            lambda_corrected(v, v, 2)
-        with pytest.raises(ValueError):
-            lambda_corrected(lam, lam, 2)
+    def test_uses_global_slice_size(self):
+        # n = 23, H = 4: slices of 5, 5, 5, 8 take the c = 23 // 4 = 5 weights
+        rng = np.random.default_rng(16)
+        _, st = sorted_stats(rng.standard_normal((23, 2)), rng.standard_normal(23), 4)
+        a, b = correction_coefficients(5)
+        np.testing.assert_array_equal(
+            lambda_corrected(st),
+            ensure_symmetric(a * lambda_n(st) - b * st.fourth),
+        )
 
 
 class TestCsave:
@@ -270,36 +269,36 @@ class TestCsave:
         step = np.sqrt(2.0)
         z = np.array([[0.0], [step], [4.0], [4.0 + step], [9.0], [9.0 + step]])
         y = np.arange(6.0)
-        a, st = sorted_stats(z, y, 3)
-        expected = -0.5 * v_n(z, a).matrix
-        np.testing.assert_allclose(csave_matrix(st, z, a).matrix, expected, atol=1e-12)
+        _, st = sorted_stats(z, y, 3)
+        expected = -0.5 * st.fourth
+        np.testing.assert_allclose(csave_matrix(st), expected, atol=1e-12)
 
     def test_assembly_identity(self):
         rng = np.random.default_rng(18)
         z = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
-        a, st = sorted_stats(z, y, 5)
+        _, st = sorted_stats(z, y, 5)
         c = 40 // 5
         coeff_a, coeff_b = correction_coefficients(c)
         mean_cov = np.einsum("h,hij->ij", st.weights, st.covs)
         manual = (
             np.eye(3)
             - 2 * mean_cov
-            + coeff_a * lambda_n(st).matrix
-            - coeff_b * v_n(z, a).matrix
+            + coeff_a * lambda_n(st)
+            - coeff_b * st.fourth
         )
-        np.testing.assert_allclose(csave_matrix(st, z, a).matrix, manual, atol=1e-13)
+        np.testing.assert_allclose(csave_matrix(st), manual, atol=1e-13)
 
     def test_large_c_limit_bound(self):
         rng = np.random.default_rng(19)
         n, c = 2000, 1000
         z = rng.standard_normal((n, 2))
         y = rng.standard_normal(n)
-        a, st = sorted_stats(z, y, n // c)
-        cs = csave_matrix(st, z, a).matrix
-        sv = save_matrix(st).matrix
-        lam = np.linalg.norm(lambda_n(st).matrix)
-        v = np.linalg.norm(v_n(z, a).matrix)
+        _, st = sorted_stats(z, y, n // c)
+        cs = csave_matrix(st)
+        sv = save_matrix(st)
+        lam = np.linalg.norm(lambda_n(st))
+        v = np.linalg.norm(st.fourth)
         coeff_a, _ = correction_coefficients(c)
         bound = 2 * v / c + lam * abs(coeff_a - 1.0)
         assert np.linalg.norm(cs - sv) <= bound + 1e-12
@@ -308,9 +307,9 @@ class TestCsave:
         rng = np.random.default_rng(20)
         z = rng.standard_normal((12, 2))
         y = rng.standard_normal(12)
-        a, st = sorted_stats(z, y, 3, divisor="c")
-        with pytest.raises(ValueError):
-            csave_matrix(st, z, a)
+        _, st = sorted_stats(z, y, 3, divisor="c")
+        with pytest.raises(InvalidSliceSize, match="c-1"):
+            csave_matrix(st)
 
 
 class TestNullCalibration:
@@ -327,9 +326,9 @@ class TestNullCalibration:
             rng = np.random.default_rng(31000 + seed)
             z = rng.standard_normal((n, 1))
             y = rng.standard_normal(n)
-            a, st = sorted_stats(z, y, n // c)
-            raw.append(lambda_n(st).matrix[0, 0])
-            cor.append(lambda_corrected(lambda_n(st), v_n(z, a), c).matrix[0, 0])
+            _, st = sorted_stats(z, y, n // c)
+            raw.append(lambda_n(st)[0, 0])
+            cor.append(lambda_corrected(st)[0, 0])
         return np.array(raw), np.array(cor)
 
     def test_c2_levels(self):
@@ -359,11 +358,7 @@ class TestCdrBasis:
         return standardize(Dataset(x=x, y=np.zeros(50)))
 
     def make(self, matrix):
-        from slicesdr.estimators import CandidateMatrix
-
-        return CandidateMatrix(
-            matrix=np.asarray(matrix, dtype=float), method="save", H=2, divisor="c-1"
-        )
+        return sym_eig(np.asarray(matrix, dtype=float))
 
     def test_diagonal_top_direction(self):
         basis = cdr_basis(self.make(np.diag([5.0, 1.0, 0.0])), 1, self.sd())
@@ -395,9 +390,4 @@ class TestCdrBasis:
 
 
 def test_negative_eigenvalue_count():
-    from slicesdr.estimators import CandidateMatrix
-
-    m = CandidateMatrix(
-        matrix=np.diag([2.0, -0.5, -0.1]), method="csave", H=2, divisor="c-1"
-    )
-    assert negative_eigenvalue_count(m) == 2
+    assert negative_eigenvalue_count(sym_eig(np.diag([2.0, -0.5, -0.1]))) == 2

@@ -1,9 +1,8 @@
 """Symmetric-matrix kernel tests.
 
 Oracles: hand-expanded 2x2 characteristic polynomial for eigenvalues, the
-defining identity R m R = I for the inverse square root, explicit lower
-triangle enumeration for vech, and eigenvalue differences of perturbed
-matrices for the first-order expansion.
+defining identity R m R = I for the inverse square root, and eigenvalue
+differences of perturbed matrices for the first-order expansion.
 """
 
 import numpy as np
@@ -13,10 +12,7 @@ from slicesdr import (
     eigen_perturb_first_order,
     ensure_symmetric,
     inv_sqrt,
-    mat_square,
     sym_eig,
-    unvech,
-    vech,
 )
 from slicesdr.errors import (
     DegenerateEigenvalue,
@@ -111,54 +107,6 @@ class TestInvSqrt:
     def test_refuses_negative_eigenvalue(self):
         with pytest.raises(SingularCovariance):
             inv_sqrt(np.diag([1.0, -0.5]))
-
-
-class TestVech:
-    def test_two_by_two(self):
-        np.testing.assert_array_equal(vech([[1.0, 2.0], [2.0, 3.0]]), [1, 2, 3])
-
-    def test_identity_three(self):
-        np.testing.assert_array_equal(vech(np.eye(3)), [1, 0, 0, 1, 0, 1])
-
-    def test_enumerated_lower_triangle(self):
-        # entries m[i][j] = (i+1) + (j+1); lower triangle by columns:
-        # (2,3,4), (4,5), (6)
-        m = np.add.outer(np.arange(1, 4), np.arange(1, 4)).astype(float)
-        np.testing.assert_array_equal(vech(m), [2, 3, 4, 4, 5, 6])
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(5)
-        for p in (1, 2, 3, 6):
-            a = rng.standard_normal((p, p))
-            m = (a + a.T) / 2
-            np.testing.assert_array_equal(unvech(vech(m)), m)
-
-    def test_unvech_rejects_bad_length(self):
-        with pytest.raises(InvalidMatrix):
-            unvech(np.arange(4.0))
-
-
-class TestMatSquare:
-    def test_identity(self):
-        np.testing.assert_array_equal(mat_square(np.eye(2)), np.eye(2))
-
-    def test_diagonal(self):
-        np.testing.assert_array_equal(
-            mat_square(np.diag([2.0, -1.0])), np.diag([4.0, 1.0])
-        )
-
-    def test_swap_matrix(self):
-        np.testing.assert_array_equal(
-            mat_square([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
-        )
-
-    def test_output_psd(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            a = rng.standard_normal((5, 5))
-            m = (a + a.T) / 2
-            vals = sym_eig(mat_square(m)).values
-            assert vals[-1] >= -1e-10 * abs(np.trace(mat_square(m)))
 
 
 class TestEigenPerturbation:

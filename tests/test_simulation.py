@@ -14,7 +14,6 @@ from slicesdr import (
     run_mc,
 )
 from slicesdr.errors import DegenerateDesign, SimulationError
-from slicesdr.simulation import resolve_thread_count
 
 
 class _ZeroStream:
@@ -124,16 +123,6 @@ class TestRunMc:
                 r_small.summaries[m].values, r_big.summaries[m].values[:3]
             )
 
-    def test_thread_count_invariance(self, monkeypatch):
-        monkeypatch.setenv("SDR_THREADS", "1")
-        serial = run_mc(self.cfg())
-        monkeypatch.setenv("SDR_THREADS", "8")
-        threaded = run_mc(self.cfg())
-        for m in DEFAULT_METHODS:
-            np.testing.assert_array_equal(
-                serial.summaries[m].values, threaded.summaries[m].values
-            )
-
     def test_reps_one(self):
         r = run_mc(self.cfg(reps=1))
         s = r.summaries["save"]
@@ -174,23 +163,6 @@ class TestRunMc:
             self.cfg(methods=("save", "pca"))
         with pytest.raises(ValueError):
             self.cfg(seed=-1)
-
-
-class TestThreadResolution:
-    def test_default_single(self):
-        assert resolve_thread_count(10, env="1") == 1
-
-    def test_auto(self):
-        assert resolve_thread_count(10_000, env="0") >= 1
-
-    def test_capped_by_reps(self):
-        assert resolve_thread_count(3, env="16") == 3
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            resolve_thread_count(4, env="lots")
-        with pytest.raises(ValueError):
-            resolve_thread_count(4, env="-2")
 
 
 class TestBiasSweep:

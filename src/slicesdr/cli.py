@@ -15,7 +15,9 @@ Every command accepts ``--out {human,csv,json}`` and an optional
 All randomness flows from ``--seed`` (fixed default, never time-derived),
 so reruns are byte-identical.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
+Exit codes: 0 success, 2 usage error, 3 data error (or an unreadable or
+unwritable file), 4 numerical error, by the family base of the error in
+``errors``.  Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -29,20 +31,12 @@ import numpy as np
 from . import __version__
 from .data import load_csv, standardize
 from .errors import (
-    CsvFormatError,
+    DataError,
     DegenerateDesign,
-    DegenerateDirection,
-    DegenerateEigenvalue,
-    DegenerateResponse,
-    DegenerateSubspace,
-    InsufficientData,
-    InvalidMatrix,
-    InvalidSliceSize,
-    NumericalFailure,
-    SimulationError,
-    SingletonSlice,
-    SingularCovariance,
+    InvalidArgument,
+    NumericalError,
     TooManySlices,
+    UsageError,
 )
 from .estimators import (
     METHODS,
@@ -66,25 +60,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-_USAGE_ERRORS = (TooManySlices, InvalidSliceSize, DegenerateDesign, ValueError)
-_DATA_ERRORS = (
-    CsvFormatError,
-    InsufficientData,
-    DegenerateResponse,
-    SingletonSlice,
-    OSError,
-)
-_NUMERICAL_ERRORS = (
-    SingularCovariance,
-    NumericalFailure,
-    DegenerateEigenvalue,
-    DegenerateSubspace,
-    DegenerateDirection,
-    InvalidMatrix,
-    SimulationError,
-)
-
 
 def _fmt(value: float) -> str:
     """17-significant-digit float formatting for lossless CSV round trips."""
@@ -112,7 +87,12 @@ def _json_document(meta: dict, results) -> str:
 
 def _int_list(text: str):
     items = [t for t in (s.strip() for s in text.split(",")) if t]
-    return [int(t) for t in items]
+    try:
+        return [int(t) for t in items]
+    except ValueError:
+        raise InvalidArgument(
+            f"expected a comma list of integers, got {text!r}"
+        ) from None
 
 
 # -- estimate ---------------------------------------------------------------
@@ -462,13 +442,13 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except _NUMERICAL_ERRORS as e:
+    except NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -11,6 +11,7 @@ standardized coordinates are mapped back to the original scale with
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,11 @@ def load_csv(path, y_column) -> Dataset:
     index; every other column becomes a predictor, in file order.  Parse
     problems raise CsvFormatError naming the offending row and column;
     non-finite cells (NaN/inf) are rejected, not imputed.
+
+    The data rows are parsed in one vectorized pass.  Input that pass
+    rejects, or that holds a non-finite cell, is scanned again cell by cell
+    with ``float``: the scan either accepts it (whitespace-only lines and
+    underscore digit separators) or names the offending row and column.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -123,38 +129,60 @@ def load_csv(path, y_column) -> Dataset:
             raise CsvFormatError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
         y_idx = _resolve_column(header, y_column, path)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue  # ignore trailing blank lines
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
-                )
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: row {lineno}, column {header[j]!r}: "
-                        f"non-numeric value {cell.strip()!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise CsvFormatError(
-                        f"{path}: row {lineno}, column {header[j]!r}: "
-                        f"non-finite value {cell.strip()!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if len(rows) < 2:
-        raise CsvFormatError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    table = np.array(rows, dtype=float)
+        # blank lines before the first data row are skipped, as the scan does
+        first = next((line for line in fh if line.strip()), None)
+        try:
+            table = None if first is None else np.loadtxt(
+                itertools.chain([first], fh),
+                delimiter=",", quotechar='"', comments=None, ndmin=2,
+            )
+        except ValueError:
+            table = None
+        if (
+            table is None
+            or table.shape[1] != len(header)
+            or not np.isfinite(table).all()
+        ):
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            table = _scan_rows(reader, header, path)
+    if table.shape[0] < 2:
+        raise CsvFormatError(f"{path}: need at least 2 data rows, got {table.shape[0]}")
     y = table[:, y_idx]
     x = np.delete(table, y_idx, axis=1)
     if x.shape[1] < 1:
         raise CsvFormatError(f"{path}: no predictor columns besides {header[y_idx]!r}")
     return Dataset(x=x, y=y)
+
+
+def _scan_rows(reader, header, path) -> np.ndarray:
+    """Parse data rows cell by cell; raise CsvFormatError at the first bad cell."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and row[0].strip() == ""):
+            continue  # ignore blank lines
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
+            )
+        parsed = []
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: row {lineno}, column {header[j]!r}: "
+                    f"non-numeric value {cell.strip()!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise CsvFormatError(
+                    f"{path}: row {lineno}, column {header[j]!r}: "
+                    f"non-finite value {cell.strip()!r}"
+                )
+            parsed.append(value)
+        rows.append(parsed)
+    return np.array(rows, dtype=float)
 
 
 def _resolve_column(header, y_column, path) -> int:

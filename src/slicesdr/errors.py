@@ -1,8 +1,15 @@
 """Exception types raised by the slicesdr library.
 
-Every failure mode that callers are expected to handle gets its own class so
-the CLI can map families of errors onto exit codes (usage / data / numerical)
-without string matching.
+Every failure mode that callers are expected to handle gets its own class,
+grouped under three family bases so the CLI maps families onto exit codes
+without string matching:
+
+* ``UsageError``     -- the request itself is invalid (exit 2)
+* ``DataError``      -- the input data cannot be used (exit 3)
+* ``NumericalError`` -- a computation failed on valid input (exit 4)
+
+Anything else, including a bare ``ValueError`` from inside the library, is a
+bug and is not mapped to an exit code.
 """
 
 
@@ -10,67 +17,81 @@ class SlicesdrError(Exception):
     """Base class for all slicesdr errors."""
 
 
-# -- numerical / linear algebra -------------------------------------------
-
-class InvalidMatrix(SlicesdrError):
-    """Input is not a finite symmetric matrix within tolerance."""
+class UsageError(SlicesdrError):
+    """The requested operation or configuration is invalid."""
 
 
-class NumericalFailure(SlicesdrError):
-    """An iterative numerical routine failed to converge."""
+class DataError(SlicesdrError):
+    """The input data cannot be used for the requested operation."""
 
 
-class SingularCovariance(SlicesdrError):
-    """A covariance matrix is singular or too ill-conditioned to invert."""
+class NumericalError(SlicesdrError):
+    """A numerical computation failed on valid input."""
 
 
-class DegenerateEigenvalue(SlicesdrError):
-    """An eigenvalue gap is too small for a perturbation expansion."""
+# -- usage -------------------------------------------------------------------
+
+class InvalidArgument(UsageError, ValueError):
+    """An argument or configuration value is out of range or unknown."""
 
 
-class DegenerateSubspace(SlicesdrError):
-    """A basis matrix is rank deficient."""
+class TooManySlices(UsageError):
+    """Requested slice count leaves fewer than two points per slice."""
 
 
-class DegenerateDirection(SlicesdrError):
-    """A direction collapsed to (numerically) zero under a transform."""
+class InvalidSliceSize(UsageError):
+    """Per-slice count incompatible with the bias correction (c < 2)."""
+
+
+class DegenerateDesign(UsageError):
+    """A sweep configuration that cannot estimate anything (e.g. H < 2)."""
 
 
 # -- data ------------------------------------------------------------------
 
-class InsufficientData(SlicesdrError):
+class InsufficientData(DataError):
     """Too few observations for the requested operation (e.g. n <= p)."""
 
 
-class CsvFormatError(SlicesdrError):
+class CsvFormatError(DataError):
     """A CSV file could not be parsed; message carries row/column location."""
 
 
-# -- slicing ---------------------------------------------------------------
-
-class TooManySlices(SlicesdrError):
-    """Requested slice count leaves fewer than two points per slice."""
-
-
-class SingletonSlice(SlicesdrError):
+class SingletonSlice(DataError):
     """A slice contains fewer than two observations."""
 
 
-class DegenerateResponse(SlicesdrError):
+class DegenerateResponse(DataError):
     """A discrete response with fewer than two distinct values."""
 
 
-class InvalidSliceSize(SlicesdrError):
-    """Per-slice count incompatible with the bias correction (c < 2)."""
+# -- numerical / linear algebra -------------------------------------------
+
+class InvalidMatrix(NumericalError):
+    """Input is not a finite symmetric matrix within tolerance."""
 
 
-class DegenerateDesign(SlicesdrError):
-    """A sweep configuration that cannot estimate anything (e.g. H < 2)."""
+class NumericalFailure(NumericalError):
+    """An iterative numerical routine failed to converge."""
 
 
-# -- simulation ------------------------------------------------------------
+class SingularCovariance(NumericalError):
+    """A covariance matrix is singular or too ill-conditioned to invert."""
 
-class SimulationError(SlicesdrError):
+
+class DegenerateEigenvalue(NumericalError):
+    """An eigenvalue gap is too small for a perturbation expansion."""
+
+
+class DegenerateSubspace(NumericalError):
+    """A basis matrix is rank deficient."""
+
+
+class DegenerateDirection(NumericalError):
+    """A direction collapsed to (numerically) zero under a transform."""
+
+
+class SimulationError(NumericalError):
     """A Monte Carlo replicate failed; message carries the replicate index."""
 
 

@@ -17,6 +17,9 @@ CLI and the Monte Carlo harness both dispatch through it.
 Slice averages use the observed weights p_h = c_h / n; the correction
 coefficients use the global slice size c = floor(n / H), since they come
 from within-slice pair counts.
+
+Every estimator broadcasts over the leading batch axes of batched slice
+stats: stats of R replicates give an (R, p, p) stack of candidates.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .data import StandardizedDataset, directions_to_x_scale
-from .errors import AmbiguousDimensionWarning, InvalidSliceSize
+from .errors import AmbiguousDimensionWarning, InvalidArgument, InvalidSliceSize
 from .slicing import SliceStats
 
 #: Method names in canonical reporting order.
@@ -50,21 +53,20 @@ class CdrBasis:
 
 def sir_matrix(stats: SliceStats) -> np.ndarray:
     """Estimated Cov(E(z|Y)): the exactly-PSD sum_h p_h m_h m_h^T."""
-    m = np.einsum("h,hi,hj->ij", stats.weights, stats.means, stats.means)
+    m = np.einsum("h,...hi,...hj->...ij", stats.weights, stats.means, stats.means)
     return linalg.ensure_symmetric(m)
 
 
 def save_matrix(stats: SliceStats) -> np.ndarray:
     """Estimated E[(I - Cov(z|Y))^2]: sum_h p_h (I - cov_h)^2."""
-    eye = np.eye(stats.p)
-    resid = eye[None, :, :] - stats.covs
-    m = np.einsum("h,hij,hkj->ik", stats.weights, resid, resid)
+    resid = np.eye(stats.p) - stats.covs
+    m = np.einsum("h,...hij,...hkj->...ik", stats.weights, resid, resid)
     return linalg.ensure_symmetric(m)
 
 
 def lambda_n(stats: SliceStats) -> np.ndarray:
     """Slice average of squared within-slice covariances, sum_h p_h cov_h^2."""
-    m = np.einsum("h,hij,hkj->ik", stats.weights, stats.covs, stats.covs)
+    m = np.einsum("h,...hij,...hkj->...ik", stats.weights, stats.covs, stats.covs)
     return linalg.ensure_symmetric(m)
 
 
@@ -96,7 +98,7 @@ def csave_matrix(stats: SliceStats) -> np.ndarray:
     if stats.divisor != "c-1":
         raise InvalidSliceSize("csave requires --divisor c-1")
     corrected = lambda_corrected(stats)
-    mean_cov = np.einsum("h,hij->ij", stats.weights, stats.covs)
+    mean_cov = np.einsum("h,...hij->...ij", stats.weights, stats.covs)
     m = np.eye(stats.p) - 2.0 * mean_cov + corrected
     return linalg.ensure_symmetric(m)
 
@@ -111,7 +113,7 @@ def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:
         return save_matrix(stats)
     if method == "csave":
         return csave_matrix(stats)
-    raise ValueError(f"unknown method {method!r}; valid: {METHODS}")
+    raise InvalidArgument(f"unknown method {method!r}; valid: {METHODS}")
 
 
 def cdr_basis(eig: linalg.EigenResult, k: int, sd: StandardizedDataset) -> CdrBasis:
@@ -124,7 +126,7 @@ def cdr_basis(eig: linalg.EigenResult, k: int, sd: StandardizedDataset) -> CdrBa
     """
     p = eig.values.size
     if not 1 <= k <= p:
-        raise ValueError(f"need 1 <= k <= p={p}, got k={k}")
+        raise InvalidArgument(f"need 1 <= k <= p={p}, got k={k}")
     ambiguous = False
     if k < p and abs(eig.values[k - 1] - eig.values[k]) <= EIGENGAP_TOL:
         ambiguous = True

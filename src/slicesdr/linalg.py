@@ -28,49 +28,42 @@ SIGN_EPS = 1e-12
 
 
 def ensure_symmetric(m, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Validate and symmetrize a matrix.
+    """Validate and symmetrize a matrix or a stack of matrices.
 
-    Accepts anything array-like, checks it is square, finite and symmetric
-    within ``tol * (1 + max|entry|)``, and returns the exactly symmetric
-    average (m + m.T) / 2.  Raises InvalidMatrix otherwise.
+    Accepts anything array-like of shape (..., p, p), checks that each
+    matrix is finite and symmetric within ``tol * (1 + max|entry|)`` of
+    that matrix, and returns the exactly symmetric average (m + m^T) / 2.
+    Raises InvalidMatrix if any matrix fails.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         raise InvalidMatrix("empty matrix")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix has non-finite entries")
-    scale = 1.0 + np.abs(a).max()
-    if np.abs(a - a.T).max() > tol * scale:
+    at = a.swapaxes(-1, -2)
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1))
+    if np.any(np.abs(a - at).max(axis=(-2, -1)) > tol * scale):
         raise InvalidMatrix("matrix is not symmetric within tolerance")
-    return (a + a.T) / 2.0
+    return (a + at) / 2.0
 
 
 @dataclass(frozen=True)
 class EigenResult:
     """Eigenvalues sorted descending with matching orthonormal columns."""
 
-    values: np.ndarray   # (p,), descending
-    vectors: np.ndarray  # (p, p), column i pairs with values[i]
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first entry above SIGN_EPS is positive."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        big = np.nonzero(np.abs(col) > SIGN_EPS)[0]
-        if big.size and col[big[0]] < 0:
-            v[:, j] = -col
-    return v
+    values: np.ndarray   # (..., p), descending
+    vectors: np.ndarray  # (..., p, p), column i pairs with values[..., i]
 
 
 def sym_eig(m) -> EigenResult:
-    """Full eigendecomposition of a symmetric matrix.
+    """Full eigendecomposition of a symmetric matrix or a stack of them.
 
     Deterministic for identical input: LAPACK's symmetric solver plus a
-    fixed descending order and the positive-leading-entry sign convention.
+    fixed descending order and the positive-leading-entry sign convention
+    (each column's first entry above SIGN_EPS in magnitude is positive).
+    A stack of shape (..., p, p) is decomposed matrix by matrix in one call.
     """
     a = ensure_symmetric(m)
     try:
@@ -78,8 +71,13 @@ def sym_eig(m) -> EigenResult:
     except np.linalg.LinAlgError as e:  # pragma: no cover - eigh is robust
         raise NumericalFailure(f"symmetric eigendecomposition failed: {e}") from e
     # stable descending order keeps the solver's basis for tied eigenvalues
-    order = np.argsort(-vals, kind="stable")
-    return EigenResult(values=vals[order], vectors=_fix_signs(vecs[:, order]))
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    big = np.abs(vecs) > SIGN_EPS
+    lead = np.take_along_axis(vecs, big.argmax(axis=-2)[..., None, :], axis=-2)
+    flip = (lead < 0) & big.any(axis=-2, keepdims=True)
+    return EigenResult(values=vals, vectors=np.where(flip, -vecs, vecs))
 
 
 def inv_sqrt(m, rel_floor: float = 1e-10) -> np.ndarray:

@@ -32,7 +32,7 @@ def _orthonormalize(basis) -> np.ndarray:
     return q
 
 
-def r2_single(beta_hat, true_basis, sigma_z=None) -> float:
+def r2_single(beta_hat, true_basis, sigma_z=None):
     """Squared multiple correlation of one direction with a subspace.
 
     With sigma_z omitted (identity covariance), this is the squared norm of
@@ -41,20 +41,26 @@ def r2_single(beta_hat, true_basis, sigma_z=None) -> float:
     span.  With a covariance supplied, the displayed ratio
     (b'Σβ)² / (b'Σb · β'Σβ) is maximized over the span via the whitened
     projection.
+
+    A vector beta_hat gives a float; a stack of shape (..., p) gives an
+    array of scores, one per row, each row scored on its own.
     """
-    b = np.asarray(beta_hat, dtype=float).reshape(-1)
-    if not np.any(b != 0.0):
+    b = np.asarray(beta_hat, dtype=float)
+    if b.ndim < 2:
+        b = b.reshape(-1)
+    if not np.all(np.any(b != 0.0, axis=-1)):
         raise DegenerateSubspace("beta_hat is the zero vector")
     basis = np.asarray(true_basis, dtype=float)
     if basis.ndim == 1:
         basis = basis[:, None]
     if sigma_z is not None:
         root = linalg.sym_sqrt(sigma_z, rel_floor=1e-12)
-        b = root @ b
+        b = np.einsum("ij,...j->...i", root, b)
         basis = root @ basis
     q = _orthonormalize(basis)
-    proj = q.T @ b
-    return float((proj @ proj) / (b @ b))
+    proj = np.einsum("ik,...i->...k", q, b)
+    r2 = np.einsum("...k,...k->...", proj, proj) / np.einsum("...i,...i->...", b, b)
+    return float(r2) if r2.ndim == 0 else r2
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ replicates run.
 ``run_mc`` scores each method's leading direction against the true index
 direction and reports the replicate medians; ``bias_sweep`` tracks the raw
 and corrected slice-covariance-square estimators on a pure-noise model
-where the estimand is known exactly.
+where the estimand is known exactly.  Both draw replicates one by one,
+stack them into chunks and run each chunk through the batched slicing,
+estimator, eigen and scoring calls in one pass.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, standardize
-from .errors import DegenerateDesign, SimulationError
+from .errors import DegenerateDesign, InvalidArgument, SimulationError
 from .estimators import METHODS, candidate_matrix, lambda_corrected, lambda_n
 from .linalg import sym_eig
 from .metrics import r2_single
@@ -48,7 +50,7 @@ def _model_response(model_id: int, u: np.ndarray, eps: np.ndarray) -> np.ndarray
         return u ** 3 + u * eps
     if model_id == 5:
         return np.cos(u) + eps
-    raise ValueError(f"model id must be in {MODEL_IDS}, got {model_id}")
+    raise InvalidArgument(f"model id must be in {MODEL_IDS}, got {model_id}")
 
 
 @dataclass(frozen=True)
@@ -61,18 +63,18 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.id not in MODEL_IDS:
-            raise ValueError(f"model id must be in {MODEL_IDS}, got {self.id}")
+            raise InvalidArgument(f"model id must be in {MODEL_IDS}, got {self.id}")
         if self.p < 1:
-            raise ValueError("p must be >= 1")
+            raise InvalidArgument("p must be >= 1")
         if self.beta is None:
             b = np.zeros(self.p)
             b[0] = 1.0
         else:
             b = np.asarray(self.beta, dtype=float).reshape(-1)
             if b.size != self.p:
-                raise ValueError(f"beta has length {b.size}, expected p={self.p}")
+                raise InvalidArgument(f"beta has length {b.size}, expected p={self.p}")
             if abs(np.linalg.norm(b) - 1.0) > 1e-10:
-                raise ValueError("beta must have unit length")
+                raise InvalidArgument("beta must have unit length")
         object.__setattr__(self, "beta", b)
 
 
@@ -91,7 +93,7 @@ def model_streams(seed: int, replicate: int) -> RngStreams:
     draws of one replicate never depend on which other replicates run.
     """
     if seed < 0 or replicate < 0:
-        raise ValueError("seed and replicate index must be non-negative")
+        raise InvalidArgument("seed and replicate index must be non-negative")
     return RngStreams(
         x=np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed, replicate, _ROLE_X]))
@@ -105,7 +107,7 @@ def model_streams(seed: int, replicate: int) -> RngStreams:
 def gen_model(spec: ModelSpec, n: int, streams: RngStreams) -> Dataset:
     """Draw one dataset: x rows i.i.d. N(0, I_p), eps i.i.d. N(0, 1)."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InvalidArgument("need n >= 2")
     x = streams.x.standard_normal((n, spec.p))
     eps = streams.eps.standard_normal(n)
     y = _model_response(spec.id, x @ spec.beta, eps)
@@ -125,17 +127,19 @@ class SimConfig:
     standardize: bool = False
 
     def __post_init__(self):
+        if self.H < 1:
+            raise InvalidArgument(f"H must be >= 1, got {self.H}")
         if self.n < 2 * self.H:
-            raise ValueError(f"n={self.n} too small for H={self.H}")
+            raise InvalidArgument(f"n={self.n} too small for H={self.H}")
         if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+            raise InvalidArgument("reps must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise InvalidArgument("seed must be non-negative")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
-            raise ValueError(f"unknown methods {bad}; valid: {METHODS}")
+            raise InvalidArgument(f"unknown methods {bad}; valid: {METHODS}")
         if not self.methods:
-            raise ValueError("need at least one method")
+            raise InvalidArgument("need at least one method")
 
 
 @dataclass(frozen=True)
@@ -175,42 +179,88 @@ class McReport:
         return self.summaries[method].median
 
 
-def _replicate_scores(cfg: SimConfig, rep: int) -> dict:
-    """R^2 of each requested method's leading direction for one replicate."""
-    data = gen_model(cfg.model, cfg.n, model_streams(cfg.seed, rep))
-    if cfg.standardize:
-        sd = standardize(data)
-        z, back = sd.z, sd.cov_inv_sqrt
-    else:
-        z, back = data.x, None
-    stats = slice_stats(z, slice_equal_count(data.y, cfg.H))
-    true_basis = cfg.model.beta[:, None]
-    scores = {}
-    for method in cfg.methods:
-        lead = sym_eig(candidate_matrix(method, stats)).vectors[:, 0]
-        if back is not None:
-            lead = back @ lead  # back to the x scale before scoring
-        scores[method] = r2_single(lead, true_basis)
-    return scores
+def _chunk_size(n: int, p: int, H: int) -> int:
+    """Replicates per stacked pass.
+
+    Keeps the (chunk, n, p) data and (chunk, H, p, p) covariance stacks no
+    larger than one replicate's (n, p, p) array of outer products.
+    """
+    return max(1, min(p, n // H))
+
+
+def _stack_draws(reps: range, draw) -> list:
+    """Draw each replicate in ``reps`` and stack each returned array."""
+    draws = []
+    for rep in reps:
+        try:
+            draws.append(draw(rep))
+        except Exception as e:
+            raise SimulationError(f"replicate {rep} failed: {e}") from e
+    return [np.stack(field) for field in zip(*draws)]
+
+
+def _run_chunks(reps: int, chunk: int, draw, stacked_pass) -> list:
+    """Per-replicate results of replicates 0..reps-1, ``chunk`` at a time.
+
+    ``draw(rep)`` returns one replicate's arrays; ``stacked_pass`` takes
+    them stacked along a new leading axis and returns a tuple of
+    per-replicate result arrays.  Each result is concatenated over the
+    chunks in replicate order.  A failing chunk is rerun one replicate at a
+    time, so the error names the first replicate that fails on its own.
+    """
+    results = []
+    for lo in range(0, reps, chunk):
+        block = range(lo, min(lo + chunk, reps))
+        arrays = _stack_draws(block, draw)
+        try:
+            results.append(stacked_pass(*arrays))
+        except Exception as e:
+            for i, rep in enumerate(block):
+                try:
+                    stacked_pass(*(a[i:i + 1] for a in arrays))
+                except Exception as e_rep:
+                    raise SimulationError(f"replicate {rep} failed: {e_rep}") from e_rep
+            raise SimulationError(
+                f"replicates {block[0]}..{block[-1]} failed: {e}"
+            ) from e
+    return [np.concatenate(column) for column in zip(*results)]
 
 
 def run_mc(cfg: SimConfig) -> McReport:
-    """Run all replicates in index order and summarize each method's R^2.
+    """Score every replicate and summarize each method's R^2.
 
-    The report is a pure function of the config.  A failing replicate
-    aborts the whole run with its index attached; nothing is skipped
-    silently.
+    Replicate r draws from ``model_streams(cfg.seed, r)``; replicates are
+    stacked into chunks and each chunk is sliced, decomposed and scored in
+    one pass.  The report is a pure function of the config, whatever the
+    chunk size.  A failing replicate aborts the whole run with its index
+    attached; nothing is skipped silently.
     """
-    results = []
-    for rep in range(cfg.reps):
-        try:
-            results.append(_replicate_scores(cfg, rep))
-        except Exception as e:
-            raise SimulationError(f"replicate {rep} failed: {e}") from e
-    summaries = {}
-    for method in cfg.methods:
-        values = np.array([r[method] for r in results])
-        summaries[method] = MethodSummary.from_values(method, values)
+    true_basis = cfg.model.beta[:, None]
+
+    def draw(rep):
+        data = gen_model(cfg.model, cfg.n, model_streams(cfg.seed, rep))
+        if not cfg.standardize:
+            return data.x, data.y
+        sd = standardize(data)
+        return sd.z, sd.y, sd.cov_inv_sqrt
+
+    def scores(z, y, back=None):
+        stats = slice_stats(z, slice_equal_count(y, cfg.H))
+        out = []
+        for method in cfg.methods:
+            lead = sym_eig(candidate_matrix(method, stats)).vectors[..., 0]
+            if back is not None:
+                # back to the x scale before scoring
+                lead = np.einsum("...ij,...j->...i", back, lead)
+            out.append(r2_single(lead, true_basis))
+        return out
+
+    chunk = _chunk_size(cfg.n, cfg.model.p, cfg.H)
+    values = _run_chunks(cfg.reps, chunk, draw, scores)
+    summaries = {
+        method: MethodSummary.from_values(method, v)
+        for method, v in zip(cfg.methods, values)
+    }
     return McReport(config=cfg, summaries=summaries)
 
 
@@ -230,13 +280,26 @@ class SweepRow:
     median_abs_err_corrected: float
 
 
-def _null_replicate(n: int, c: int, p: int, seed: int, rep: int):
-    """Raw and corrected estimates on pure noise (true target I_p)."""
-    streams = model_streams(seed, rep)
-    z = streams.x.standard_normal((n, p))
-    y = streams.eps.standard_normal(n)
-    stats = slice_stats(z, slice_equal_count(y, n // c))
-    return lambda_n(stats), lambda_corrected(stats)
+def _null_levels(n: int, H: int, p: int, reps: int, seed: int) -> list:
+    """Per-replicate trace levels and Frobenius errors of the raw and
+    corrected estimators on pure noise, where the true target is I_p."""
+    eye = np.eye(p)
+
+    def draw(rep):
+        streams = model_streams(seed, rep)
+        return streams.x.standard_normal((n, p)), streams.eps.standard_normal(n)
+
+    def levels(z, y):
+        stats = slice_stats(z, slice_equal_count(y, H))
+        lam, cor = lambda_n(stats), lambda_corrected(stats)
+        return (
+            np.trace(lam, axis1=-2, axis2=-1) / p,
+            np.trace(cor, axis1=-2, axis2=-1) / p,
+            np.linalg.norm(lam - eye, axis=(-2, -1)),
+            np.linalg.norm(cor - eye, axis=(-2, -1)),
+        )
+
+    return _run_chunks(reps, _chunk_size(n, p, H), draw, levels)
 
 
 def bias_sweep(
@@ -260,11 +323,12 @@ def bias_sweep(
     if not n_grid or not c_grid:
         raise DegenerateDesign("empty sweep grid")
     if reps < 1:
-        raise ValueError("reps must be >= 1")
+        raise InvalidArgument("reps must be >= 1")
+    if seed < 0:
+        raise InvalidArgument("seed must be non-negative")
     if not 1 <= p <= 3:
-        raise ValueError("null-model sweep supports p in 1..3")
+        raise InvalidArgument("null-model sweep supports p in 1..3")
     rows = []
-    eye = np.eye(p)
     for n in n_grid:
         for c in c_grid:
             if c < 2:
@@ -276,13 +340,7 @@ def bias_sweep(
                 raise DegenerateDesign(
                     f"n={n}, c={c} gives H={H} slices of {n // H} points, not {c}"
                 )
-            raw_level, cor_level, raw_err, cor_err = [], [], [], []
-            for rep in range(reps):
-                lam, cor = _null_replicate(n, c, p, seed, rep)
-                raw_level.append(float(np.trace(lam)) / p)
-                cor_level.append(float(np.trace(cor)) / p)
-                raw_err.append(float(np.linalg.norm(lam - eye)))
-                cor_err.append(float(np.linalg.norm(cor - eye)))
+            raw_level, cor_level, raw_err, cor_err = _null_levels(n, H, p, reps, seed)
             rows.append(
                 SweepRow(
                     n=n,

@@ -9,6 +9,10 @@ order plus the offsets where each slice starts.
 moment the estimators use: per-slice means and covariances with a
 selectable divisor ("c-1" unbiased, "c" maximum-likelihood) and the pooled
 within-slice fourth-moment matrix V.
+
+Both take a leading batch axis: a stack of R responses of shape (R, n)
+gives R orders over shared slice bounds, and a stack z of shape (R, n, p)
+gives stats whose means, covs and fourth carry the same leading axis.
 """
 
 from __future__ import annotations
@@ -27,29 +31,31 @@ DIVISORS = ("c-1", "c")
 class SliceAssignment:
     """A partition of observation indices into H response-ordered slices.
 
-    Slice h holds the observations ``order[bounds[h]:bounds[h + 1]]``.
+    Slice h holds the observations ``order[..., bounds[h]:bounds[h + 1]]``;
+    a batched order of shape (..., n) holds one permutation per row, all
+    sharing the bounds.
     """
 
-    order: np.ndarray   # (n,) permutation of 0..n-1, in slice order
+    order: np.ndarray   # (..., n) permutations of 0..n-1, in slice order
     bounds: np.ndarray  # (H + 1,) offsets into order, from 0 to n
 
     def __post_init__(self):
         order = np.asarray(self.order)
         bounds = np.asarray(self.bounds)
-        if order.ndim != 1 or bounds.ndim != 1 or not (
+        if order.ndim < 1 or bounds.ndim != 1 or not (
             np.issubdtype(order.dtype, np.integer)
             and np.issubdtype(bounds.dtype, np.integer)
         ):
-            raise ValueError("order and bounds must be 1-d integer arrays")
-        n = order.size
+            raise ValueError("order and bounds must be integer arrays, bounds 1-d")
+        n = order.shape[-1]
         if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n:
             raise ValueError("bounds must run from 0 to len(order)")
         if np.diff(bounds).min() < 2:
             raise SingletonSlice("every slice needs at least 2 members")
         if order.min() < 0 or order.max() >= n:
             raise ValueError("order must be a permutation of 0..n-1")
-        seen = np.zeros(n, dtype=bool)
-        seen[order] = True
+        seen = np.zeros(order.shape, dtype=bool)
+        np.put_along_axis(seen, order, True, axis=-1)
         if not seen.all():
             raise ValueError("order must be a permutation of 0..n-1")
         object.__setattr__(self, "order", order)
@@ -65,23 +71,24 @@ class SliceAssignment:
 
     @property
     def n(self) -> int:
-        return int(self.order.size)
+        return int(self.order.shape[-1])
 
 
 def slice_equal_count(y, H: int) -> SliceAssignment:
     """Assign sorted observations to H slices of c = floor(n/H) points.
 
-    Sorting is stable, so ties keep their original order.  Slices 1..H-1
-    hold exactly c points; the last slice absorbs the remainder (it can be
-    larger than c, never smaller).
+    ``y`` has shape (n,) or (..., n); each row is sorted on its own along
+    the last axis.  Sorting is stable, so ties keep their original order.
+    Slices 1..H-1 hold exactly c points; the last slice absorbs the
+    remainder (it can be larger than c, never smaller).
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    n = y.shape[-1]
     if H < 1:
         raise TooManySlices(f"H must be >= 1, got {H}")
     if n < 2 * H:
         raise TooManySlices(f"n={n} too small for H={H} slices of >= 2 points")
-    order = np.argsort(y, kind="stable")
+    order = np.argsort(y, axis=-1, kind="stable")
     bounds = np.append(np.arange(H) * (n // H), n)
     return SliceAssignment(order=order, bounds=bounds)
 
@@ -105,14 +112,18 @@ def slice_discrete(y) -> SliceAssignment:
 @dataclass(frozen=True)
 class SliceStats:
     """Per-slice counts, means, covariances and weights p_h = c_h / n, plus
-    the pooled within-slice fourth-moment matrix V."""
+    the pooled within-slice fourth-moment matrix V.
+
+    Counts and weights are shared by the whole batch; the moments carry the
+    leading batch axes of the z they came from.
+    """
 
     counts: np.ndarray    # (H,)
-    means: np.ndarray     # (H, p)
-    covs: np.ndarray      # (H, p, p), each symmetric
+    means: np.ndarray     # (..., H, p)
+    covs: np.ndarray      # (..., H, p, p), each symmetric
     weights: np.ndarray   # (H,), sums to 1
     divisor: str          # "c-1" | "c"
-    fourth: np.ndarray    # (p, p), symmetric
+    fourth: np.ndarray    # (..., p, p), symmetric
 
     @property
     def H(self) -> int:
@@ -120,48 +131,78 @@ class SliceStats:
 
     @property
     def p(self) -> int:
-        return int(self.means.shape[1])
+        return int(self.means.shape[-1])
 
     @property
     def n(self) -> int:
         return int(self.counts.sum())
 
 
+def _runs(counts: np.ndarray):
+    """(first, stop) slice indices of each run of adjacent equal-size slices.
+
+    Equal-count slicing gives at most two runs: H - 1 slices of c points
+    and the last slice with the remainder.
+    """
+    cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
+    return zip(cuts[:-1], cuts[1:])
+
+
 def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceStats:
     """Slice moments of the rows of z, from one gather into slice order.
 
-    cov(h) = sum_j (z_hj - mean_h)(z_hj - mean_h)^T / d(c_h) with
-    d(c) = c - 1 or c according to ``divisor``.  The fourth-moment matrix
-    averages ((z_hj - mean_h)(z_hj - mean_h)^T)^2 over all n observations;
-    for a deviation d that summand equals ||d||^2 d d^T.  It does not
-    depend on the divisor.
+    ``z`` has shape (n, p) or (..., n, p); a 1-d order in ``assignment`` is
+    shared by every row of the batch.  cov(h) = sum_j (z_hj - mean_h)
+    (z_hj - mean_h)^T / d(c_h) with d(c) = c - 1 or c according to
+    ``divisor``, from raw second moments centred by c_h mean_h mean_h^T.
+    A run of k adjacent slices of m points is one (..., k, m, p) block whose
+    raw moments come from one stacked product, so the (n, p, p) outer
+    products are never formed.  The fourth-moment matrix averages
+    ((z_hj - mean_h)(z_hj - mean_h)^T)^2 over all n observations; for a
+    deviation d that summand equals ||d||^2 d d^T.  It does not depend on
+    the divisor.
     """
     if divisor not in DIVISORS:
         raise ValueError(f"divisor must be one of {DIVISORS}, got {divisor!r}")
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if z.shape[0] != assignment.n:
+    z = np.asarray(z, dtype=float)
+    if z.ndim < 2:
+        raise ValueError(f"z must have shape (..., n, p), got {z.shape}")
+    if z.shape[-2] != assignment.n:
         raise ValueError(
-            f"assignment covers {assignment.n} rows but z has {z.shape[0]}"
+            f"assignment covers {assignment.n} rows but z has {z.shape[-2]}"
         )
-    counts = assignment.counts
-    zs = z[assignment.order]
-    starts = assignment.bounds[:-1]
-    sums = np.add.reduceat(zs, starts, axis=0)
-    means = sums / counts[:, None]
-    outer_sums = np.add.reduceat(zs[:, :, None] * zs[:, None, :], starts, axis=0)
-    centered = outer_sums - counts[:, None, None] * means[:, :, None] * means[:, None, :]
-    denom = counts - 1 if divisor == "c-1" else counts
-    covs = centered / denom[:, None, None]
-    covs = (covs + covs.transpose(0, 2, 1)) / 2.0
-    dev = zs - np.repeat(means, counts, axis=0)
-    sq = np.einsum("ij,ij->i", dev, dev)
-    fourth = dev.T @ (dev * sq[:, None]) / zs.shape[0]
-    n = counts.sum()
+    batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
+    order = np.broadcast_to(assignment.order, z.shape[:-1])
+    rows = tuple(i[..., None] for i in np.ix_(*(np.arange(b) for b in batch)))
+    zs = z[rows + (order,)]  # each batch row gathered into slice order
+    counts, bounds = assignment.counts, assignment.bounds
+    means = np.add.reduceat(zs, bounds[:-1], axis=-2) / counts[:, None]
+    covs = np.empty(batch + (counts.size, p, p))
+    for lo, hi in _runs(counts):
+        run = zs[..., bounds[lo]:bounds[hi], :]
+        block = run.reshape(batch + (hi - lo, int(counts[lo]), p))
+        np.matmul(block.swapaxes(-1, -2), block, out=covs[..., lo:hi, :, :])
+        block -= means[..., lo:hi, None, :]  # deviations, in place
+    # Centre, divide and symmetrize one row at a time, so that no temporary
+    # as large as covs is formed.
+    scaled = counts[:, None] * means
+    denom = (counts - 1 if divisor == "c-1" else counts)[:, None]
+    for i in range(p):
+        covs[..., i, :] -= scaled[..., i, None] * means
+        covs[..., i, :] /= denom
+    for i in range(p):
+        sym = (covs[..., i, i:] + covs[..., i:, i]) / 2.0
+        covs[..., i, i:] = sym
+        covs[..., i:, i] = sym
+    # Scale each deviation d by ||d|| in place: the sum of ||d||^2 d d^T is
+    # then one product of the scaled deviations with themselves.
+    zs *= np.sqrt(np.einsum("...i,...i->...", zs, zs))[..., None]
+    fourth = zs.swapaxes(-1, -2) @ zs / n
     return SliceStats(
         counts=counts,
         means=means,
         covs=covs,
         weights=counts / n,
         divisor=divisor,
-        fourth=(fourth + fourth.T) / 2.0,
+        fourth=(fourth + fourth.swapaxes(-1, -2)) / 2.0,
     )

@@ -309,3 +309,37 @@ class TestParser:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "slicesdr" in capsys.readouterr().out
+
+
+class TestExitCodeFamilies:
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        # a bare ValueError from inside the library is a bug: it propagates
+        # instead of being reported as a bad command line (exit 2)
+        def broken(cfg):
+            raise ValueError("internal invariant violated")
+
+        monkeypatch.setattr("slicesdr.cli.run_mc", broken)
+        with pytest.raises(ValueError, match="internal invariant"):
+            main(["simulate", "--model", "1", "--n", "40", "--reps", "1"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "1", "--slices", "0", "--reps", "1"],
+            ["simulate", "--model", "1", "--reps", "0"],
+            ["simulate", "--model", "1", "--p", "0", "--reps", "1"],
+            ["simulate", "--model", "1", "--methods", "pca", "--reps", "1"],
+            ["table1", "--models", "7", "--reps", "1"],
+            ["table1", "--H", "2,x", "--reps", "1"],
+            ["sweep", "--mode", "bias", "--n-grid", "100", "--seed", "-1"],
+        ],
+    )
+    def test_invalid_configuration_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_k_out_of_range_is_usage_error(self, tmp_path, capsys):
+        path = write_model_csv(tmp_path, model_id=1, n=100)
+        code = main(["estimate", "--input", path, "--y", "y", "--k", "11"])
+        assert code == 2
+        assert "1 <= k <= p=10" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from slicesdr import (
     sym_sqrt,
     trace_correlation,
 )
+from slicesdr import data
 from slicesdr.errors import (
     CsvFormatError,
     DegenerateDirection,
@@ -153,3 +154,69 @@ class TestLoadCsv:
         path = self.write(tmp_path, "y,x1,x2\n1,2,3\n4,5\n")
         with pytest.raises(CsvFormatError, match="row 3"):
             load_csv(path, "y")
+
+
+class TestLoadCsvFormats:
+    """The vectorized parse against a per-cell ``float`` oracle."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return str(path)
+
+    def vectorized_only(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the per-cell scan ran")
+
+        monkeypatch.setattr(data, "_scan_rows", no_scan)
+
+    def test_bitwise_equal_to_float_per_cell(self, tmp_path, monkeypatch):
+        self.vectorized_only(monkeypatch)
+        rng = np.random.default_rng(13)
+        scales = 10.0 ** rng.integers(-300, 300, (200, 4))
+        values = rng.standard_normal((200, 4)) * scales
+        formats = ("{!r}", "{:.17g}", "{:.3e}", "{:.6f}", "{:.0f}")
+        cells = [
+            [formats[(i + j) % 5].format(float(v)) for j, v in enumerate(row)]
+            for i, row in enumerate(values)
+        ]
+        text = "y,a,b,c\n" + "".join(",".join(row) + "\n" for row in cells)
+        d = load_csv(self.write(tmp_path, text), "y")
+        want = np.array([[float(c) for c in row] for row in cells])
+        np.testing.assert_array_equal(d.y, want[:, 0])
+        np.testing.assert_array_equal(d.x, want[:, 1:])
+
+    def test_quoted_padded_and_crlf_cells(self, tmp_path, monkeypatch):
+        self.vectorized_only(monkeypatch)
+        text = 'y,x1,x2\r\n"1.5", 2 ,"-3e2"\r\n  4,5.25 ,6\r\n7,"8", 9\r\n'
+        d = load_csv(self.write(tmp_path, text), "y")
+        np.testing.assert_array_equal(d.y, [1.5, 4.0, 7.0])
+        np.testing.assert_array_equal(d.x, [[2.0, -300.0], [5.25, 6.0], [8.0, 9.0]])
+
+    def test_whitespace_only_line_is_skipped(self, tmp_path):
+        d = load_csv(self.write(tmp_path, "y,x1\n1,2\n   \n3,4\n\n5,6\n"), "y")
+        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.0, 6.0])
+
+    def test_underscore_literal_accepted_as_float_does(self, tmp_path):
+        d = load_csv(self.write(tmp_path, "y,x1\n1_0,2\n3,4_000.5\n"), "y")
+        np.testing.assert_array_equal(d.y, [10.0, 3.0])
+        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4000.5])
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = self.write(tmp_path, "y,x1\n1,2\n#3,4\n5,6\n")
+        with pytest.raises(CsvFormatError, match=r"row 3.*'y'.*'#3'"):
+            load_csv(path, "y")
+
+    def test_infinite_cell_names_location(self, tmp_path):
+        path = self.write(tmp_path, "y,x1\n1,2\n3,4\n5,-inf\n")
+        with pytest.raises(CsvFormatError, match=r"row 4.*'x1'.*non-finite"):
+            load_csv(path, "y")
+
+    def test_rows_narrower_than_header(self, tmp_path):
+        path = self.write(tmp_path, "y,x1,x2\n1,2\n3,4\n")
+        with pytest.raises(CsvFormatError, match="row 2 has 2 fields, expected 3"):
+            load_csv(path, "y")
+
+    def test_header_only(self, tmp_path):
+        with pytest.raises(CsvFormatError, match="got 0"):
+            load_csv(self.write(tmp_path, "y,x1\n"), "y")

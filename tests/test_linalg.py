@@ -83,6 +83,61 @@ class TestSymEig:
         np.testing.assert_array_equal(out, out.T)
 
 
+class TestBatched:
+    def stack(self, rng, R=6, p=5):
+        a = rng.standard_normal((R, p, p))
+        m = (a + a.swapaxes(-1, -2)) / 2
+        m[1] = np.eye(p)  # tied eigenvalues
+        m[2] = np.diag(np.arange(p, 0.0, -1.0))  # zero entries in every vector
+        return m
+
+    def test_sym_eig_equals_unbatched_calls(self):
+        m = self.stack(np.random.default_rng(31))
+        res = sym_eig(m)
+        assert res.values.shape == (6, 5) and res.vectors.shape == (6, 5, 5)
+        for r in range(m.shape[0]):
+            one = sym_eig(m[r])
+            np.testing.assert_array_equal(res.values[r], one.values)
+            np.testing.assert_array_equal(res.vectors[r], one.vectors)
+
+    def test_sign_convention_per_column(self):
+        res = sym_eig(self.stack(np.random.default_rng(37)))
+        for vectors in res.vectors:
+            for col in vectors.T:
+                assert col[np.abs(col) > 1e-12][0] > 0
+
+    def test_ensure_symmetric_equals_unbatched_calls(self):
+        rng = np.random.default_rng(41)
+        m = self.stack(rng)
+        m[0, 0, 1] += 1e-13  # asymmetric within tolerance
+        out = ensure_symmetric(m)
+        for r in range(m.shape[0]):
+            np.testing.assert_array_equal(out[r], ensure_symmetric(m[r]))
+
+    def test_one_bad_matrix_rejects_the_stack(self):
+        m = self.stack(np.random.default_rng(43))
+        nonfinite = m.copy()
+        nonfinite[4, 2, 3] = np.nan
+        asymmetric = m.copy()
+        asymmetric[5, 0, 1] += 1e-3
+        for bad in (nonfinite, asymmetric):
+            with pytest.raises(InvalidMatrix):
+                ensure_symmetric(bad)
+            with pytest.raises(InvalidMatrix):
+                sym_eig(bad)
+
+    def test_tolerance_scales_per_matrix(self):
+        # an asymmetry allowed next to large entries in one matrix is not
+        # allowed in a small matrix of the same stack
+        big = np.eye(2) * 1e6
+        big[0, 1] += 1e-5
+        small = np.eye(2)
+        small[0, 1] += 1e-5
+        ensure_symmetric(big)
+        with pytest.raises(InvalidMatrix):
+            ensure_symmetric(np.stack([big, small]))
+
+
 class TestInvSqrt:
     def test_identity(self):
         np.testing.assert_allclose(inv_sqrt(np.eye(2)), np.eye(2))

@@ -77,6 +77,25 @@ class TestR2Single:
             r2_single(e(1), basis)
 
 
+class TestR2SingleBatched:
+    def test_rows_equal_unbatched_calls(self):
+        rng = np.random.default_rng(3)
+        betas = rng.standard_normal((7, 4))
+        basis = rng.standard_normal((4, 2))
+        a = rng.standard_normal((4, 4))
+        sigma = a @ a.T + np.eye(4)
+        for sigma_z in (None, sigma):
+            got = r2_single(betas, basis, sigma_z=sigma_z)
+            assert got.shape == (7,)
+            want = [r2_single(b, basis, sigma_z=sigma_z) for b in betas]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_one_zero_row_rejected(self):
+        betas = np.array([e(0), np.zeros(3), e(2)])
+        with pytest.raises(DegenerateSubspace):
+            r2_single(betas, e(0))
+
+
 class TestTraceCorrelation:
     def test_identical_subspaces(self):
         rng = np.random.default_rng(4)

@@ -1,4 +1,8 @@
-"""Monte Carlo harness tests: determinism, substreams, model generators."""
+"""Monte Carlo harness tests: determinism, substreams, model generators,
+and the chunked replicate engine against a per-replicate oracle."""
+
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +13,17 @@ from slicesdr import (
     RngStreams,
     SimConfig,
     bias_sweep,
+    candidate_matrix,
     gen_model,
     model_streams,
+    r2_single,
     run_mc,
+    slice_equal_count,
+    slice_stats,
+    standardize,
+    sym_eig,
 )
+from slicesdr import simulation
 from slicesdr.errors import DegenerateDesign, SimulationError
 
 
@@ -195,3 +206,116 @@ class TestBiasSweep:
             bias_sweep([100], [4], reps=2, p=4)
         rows = bias_sweep([120], [4], reps=2, p=2)
         assert rows[0].H == 30
+
+
+def oracle_scores(cfg):
+    """R^2 of each method's leading direction, one replicate at a time,
+    through the unbatched (2-d) calls of every stage."""
+    scores = {m: [] for m in cfg.methods}
+    for rep in range(cfg.reps):
+        data = gen_model(cfg.model, cfg.n, model_streams(cfg.seed, rep))
+        if cfg.standardize:
+            sd = standardize(data)
+            z, back = sd.z, sd.cov_inv_sqrt
+        else:
+            z, back = data.x, None
+        stats = slice_stats(z, slice_equal_count(data.y, cfg.H))
+        for method in cfg.methods:
+            lead = sym_eig(candidate_matrix(method, stats)).vectors[:, 0]
+            if back is not None:
+                lead = back @ lead
+            scores[method].append(r2_single(lead, cfg.model.beta[:, None]))
+    return scores
+
+
+def fixed_chunk(monkeypatch, size):
+    monkeypatch.setattr(simulation, "_chunk_size", lambda n, p, H: size)
+
+
+class TestChunkedEngine:
+    @pytest.mark.parametrize("model_id", simulation.MODEL_IDS)
+    @pytest.mark.parametrize(
+        "n, H, standardize",
+        [(480, 24, False), (203, 7, False), (487, 96, True)],
+    )
+    def test_matches_per_replicate_oracle(self, model_id, n, H, standardize):
+        cfg = SimConfig(
+            model=ModelSpec(id=model_id), n=n, H=H, reps=7, seed=model_id,
+            standardize=standardize,
+        )
+        report = run_mc(cfg)
+        for method, want in oracle_scores(cfg).items():
+            np.testing.assert_allclose(
+                report.summaries[method].values, want, rtol=0, atol=1e-12
+            )
+
+    def test_chunk_size_follows_the_shapes(self):
+        assert simulation._chunk_size(480, 10, 96) == 5
+        assert simulation._chunk_size(480, 10, 24) == 10
+        assert simulation._chunk_size(20000, 1, 10000) == 1
+        assert simulation._chunk_size(3, 10, 2) == 1
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_scores_bitwise_equal_across_chunk_sizes(self, monkeypatch, standardize):
+        cfg = SimConfig(
+            model=ModelSpec(id=4), n=203, H=6, reps=9, seed=5,
+            standardize=standardize,
+        )
+        runs = []
+        for size in (1, cfg.reps):
+            fixed_chunk(monkeypatch, size)
+            report = run_mc(cfg)
+            runs.append(np.stack([report.summaries[m].values for m in cfg.methods]))
+        np.testing.assert_array_equal(runs[0], runs[1])
+        monkeypatch.undo()
+        report = run_mc(cfg)  # derived chunk size, 6 here
+        np.testing.assert_array_equal(
+            runs[0], np.stack([report.summaries[m].values for m in cfg.methods])
+        )
+
+    def test_sweep_rows_bitwise_equal_across_chunk_sizes(self, monkeypatch):
+        rows = []
+        for size in (1, 7):
+            fixed_chunk(monkeypatch, size)
+            rows.append(bias_sweep([401, 1000], [2, 4], reps=7, seed=3, p=3))
+        assert rows[0] == rows[1]
+
+    def test_poisoned_replicate_in_later_chunk_is_named(self, monkeypatch):
+        # replicate 7 sits in the third chunk of 3; its x carries a NaN
+        fixed_chunk(monkeypatch, 3)
+        real = simulation.gen_model
+        drawn = []
+
+        def poisoned(spec, n, streams):
+            data = real(spec, n, streams)
+            drawn.append(len(drawn))
+            if drawn[-1] == 7:
+                x = data.x.copy()
+                x[11, 2] = np.nan
+                return SimpleNamespace(x=x, y=data.y)
+            return data
+
+        monkeypatch.setattr(simulation, "gen_model", poisoned)
+        cfg = SimConfig(model=ModelSpec(id=1), n=120, H=6, reps=10, seed=2)
+        with pytest.raises(SimulationError, match=r"^replicate 7 failed"):
+            run_mc(cfg)
+
+    @pytest.mark.parametrize("H", [24, 96])
+    def test_traced_peak_of_one_cell_is_bounded(self, H):
+        # One chunk holds two (chunk, n, p) stacks, the drawn data and its
+        # slice-order copy, and two (chunk, H, p, p) stacks, the slice
+        # covariances and one temporary of their size.  Materializing the
+        # (n, p, p) outer products of a chunk, or keeping several covariance
+        # stacks alive, goes past 1.25 times that budget.
+        n, p, reps = 480, 10, 10
+        chunk = simulation._chunk_size(n, p, H)
+        budget = 8 * chunk * (2 * n * p + 2 * H * p * p)
+        cfg = SimConfig(model=ModelSpec(id=1, p=p), n=n, H=H, reps=reps, seed=3)
+        run_mc(cfg)  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            run_mc(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * budget, (peak, budget)

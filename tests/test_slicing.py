@@ -229,3 +229,70 @@ class TestSliceStatsProperties:
             SliceAssignment(order=a.order, bounds=short)
         with pytest.raises(SingletonSlice):
             SliceAssignment(order=a.order, bounds=np.array([0, 1, n]))
+
+
+@st_.composite
+def batched_cases(draw):
+    """(z, assignment) with z of shape (R, n, p): R independent orders over
+    shared bounds, from equal-count slicing (often with an n % H remainder)
+    or from discrete slice counts."""
+    seed = draw(st_.integers(0, 2**32 - 1))
+    R = draw(st_.integers(1, 5))
+    p = draw(st_.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    if draw(st_.booleans()):
+        n = draw(st_.integers(4, 60))
+        H = draw(st_.integers(1, n // 2))
+        a = slice_equal_count(rng.standard_normal((R, n)), H)
+    else:
+        counts = draw(st_.lists(st_.integers(2, 9), min_size=2, max_size=8))
+        n = sum(counts)
+        order = np.argsort(rng.standard_normal((R, n)), axis=-1)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        a = SliceAssignment(order=order, bounds=bounds)
+    return rng.standard_normal((R, n, p)), a
+
+
+class TestBatchedSliceStats:
+    @settings(max_examples=80, deadline=None)
+    @given(batched_cases(), st_.sampled_from(("c-1", "c")))
+    def test_rows_match_unbatched_calls_and_loop(self, case, divisor):
+        z, a = case
+        st = slice_stats(z, a, divisor=divisor)
+        for r in range(z.shape[0]):
+            row = SliceAssignment(order=a.order[r], bounds=a.bounds)
+            one = slice_stats(z[r], row, divisor=divisor)
+            counts, means, covs, fourth = loop_oracle(z[r], row, divisor)
+            for got, want_2d, want_loop in (
+                (st.means[r], one.means, means),
+                (st.covs[r], one.covs, covs),
+                (st.fourth[r], one.fourth, fourth),
+            ):
+                np.testing.assert_allclose(got, want_2d, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got, want_loop, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(one.counts, counts)
+        np.testing.assert_array_equal(st.covs, st.covs.swapaxes(-1, -2))
+
+    def test_equal_count_sorts_each_row(self):
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((3, 23))
+        a = slice_equal_count(y, 4)
+        assert a.order.shape == (3, 23) and a.n == 23
+        np.testing.assert_array_equal(a.bounds, [0, 5, 10, 15, 23])
+        for r in range(3):
+            np.testing.assert_array_equal(a.order[r], slice_equal_count(y[r], 4).order)
+
+    def test_shared_order_broadcasts_over_the_batch(self):
+        rng = np.random.default_rng(9)
+        z = rng.standard_normal((2, 30, 3))
+        a = slice_equal_count(rng.standard_normal(30), 5)
+        st = slice_stats(z, a)
+        assert st.covs.shape == (2, 5, 3, 3) and st.fourth.shape == (2, 3, 3)
+        for r in range(2):
+            np.testing.assert_array_equal(st.covs[r], slice_stats(z[r], a).covs)
+
+    def test_one_bad_row_rejects_the_batch(self):
+        order = np.argsort(np.random.default_rng(10).standard_normal((3, 8)), axis=-1)
+        order[2, 0] = order[2, 1]
+        with pytest.raises(ValueError, match="permutation"):
+            SliceAssignment(order=order, bounds=np.array([0, 4, 8]))

@@ -25,7 +25,6 @@ from .estimators import (
     correction_coefficients,
     csave_matrix,
     lambda_corrected,
-    lambda_n,
     negative_eigenvalue_count,
     save_matrix,
     sir_matrix,
@@ -40,7 +39,6 @@ from .linalg import (
 )
 from .metrics import SubspaceMetrics, r2_single, trace_correlation
 from .simulation import (
-    DEFAULT_METHODS,
     DEFAULT_SEED,
     McReport,
     MethodSummary,
@@ -65,7 +63,6 @@ __all__ = [
     "__version__",
     "CdrBasis",
     "Dataset",
-    "DEFAULT_METHODS",
     "DEFAULT_SEED",
     "EigenResult",
     "METHODS",
@@ -90,7 +87,6 @@ __all__ = [
     "gen_model",
     "inv_sqrt",
     "lambda_corrected",
-    "lambda_n",
     "load_csv",
     "model_streams",
     "negative_eigenvalue_count",

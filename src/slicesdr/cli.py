@@ -23,6 +23,7 @@ unwritable file), 4 numerical error, by the family base of the error in
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -46,11 +47,11 @@ from .estimators import (
 )
 from .linalg import sym_eig
 from .simulation import (
-    DEFAULT_METHODS,
     DEFAULT_SEED,
     McReport,
     ModelSpec,
     SimConfig,
+    SweepRow,
     bias_sweep,
     run_mc,
 )
@@ -98,7 +99,7 @@ def _int_list(text: str):
 # -- estimate ---------------------------------------------------------------
 
 def _default_slices(n: int) -> int:
-    # practical default: about n/20 observationsworth of slices
+    # practical default: about 20 observations per slice
     return max(2, int(n / 20 + 0.5))
 
 
@@ -250,7 +251,7 @@ def _cmd_table1(args) -> int:
         "H": h_grid,
         "n": args.n,
         "reps": args.reps,
-        "methods": list(DEFAULT_METHODS),
+        "methods": list(METHODS),
         "standardize": args.standardize,
     }
     rows = []
@@ -268,27 +269,18 @@ def _cmd_table1(args) -> int:
             new_rows, _ = _report_rows(report, with_quantiles=True)
             rows.extend(new_rows)
     # mirror the reference layout: per-model blocks, method rows, H columns
-    rows.sort(key=lambda r: (r["model"], DEFAULT_METHODS.index(r["method"]), r["H"]))
+    rows.sort(key=lambda r: (r["model"], METHODS.index(r["method"]), r["H"]))
     fields = ("model", "method", "H", "min", "q1", "median", "q3", "max", "reps")
     if args.out == "human":
+        medians = {(r["model"], r["method"], r["H"]): r["median"] for r in rows}
         lines = []
         for model_id in models:
             lines.append(f"model {model_id} (n={args.n}, reps={args.reps})")
             lines.append("  method " + "".join(f"   H={H:<6d}" for H in h_grid))
-            for method in DEFAULT_METHODS:
-                vals = [
-                    next(
-                        r["median"]
-                        for r in rows
-                        if r["model"] == model_id
-                        and r["method"] == method
-                        and r["H"] == H
-                    )
-                    for H in h_grid
-                ]
-                lines.append(
-                    f"  {method:<7s}" + "".join(f" {v:9.4f}" for v in vals)
-                )
+            for method in METHODS:
+                lines.append(f"  {method:<7s}" + "".join(
+                    f" {medians[model_id, method, H]:9.4f}" for H in h_grid
+                ))
         _emit("\n".join(lines) + "\n", args.output)
     else:
         _emit_rows(args, meta, rows, fields)
@@ -325,8 +317,6 @@ def _cmd_sweep(args) -> int:
     n_grid = _int_list(args.n_grid if args.n_grid is not None else defaults["n"])
     c_grid = _int_list(args.c_grid if args.c_grid is not None else defaults["c"])
     reps = args.reps if args.reps is not None else defaults["reps"]
-    if not n_grid or not c_grid:
-        raise DegenerateDesign("empty sweep grid")
     rows = bias_sweep(n_grid, c_grid, reps, seed=args.seed, p=args.p)
     meta = {
         "command": "sweep",
@@ -338,19 +328,8 @@ def _cmd_sweep(args) -> int:
         "reps": reps,
         "p": args.p,
     }
-    fields = (
-        "n",
-        "c",
-        "H",
-        "reps",
-        "mean_lambda_raw",
-        "mean_lambda_corrected",
-        "mean_abs_err_raw",
-        "median_abs_err_raw",
-        "mean_abs_err_corrected",
-        "median_abs_err_corrected",
-    )
-    out_rows = [{f: getattr(r, f) for f in fields} for r in rows]
+    fields = tuple(f.name for f in dataclasses.fields(SweepRow))
+    out_rows = [dataclasses.asdict(r) for r in rows]
     _emit_rows(args, meta, out_rows, fields)
     return EXIT_OK
 
@@ -400,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--slices", type=int, default=10, help="slice count H")
     sim.add_argument("--reps", type=int, default=200)
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sim.add_argument("--methods", default=",".join(DEFAULT_METHODS),
+    sim.add_argument("--methods", default=",".join(METHODS),
                      help="comma list from save,sir,csave")
     sim.add_argument("--quantiles", action="store_true",
                      help="include min/q1/q3/max columns in csv/human output")

@@ -2,21 +2,22 @@
 
 Given per-slice statistics of standardized predictors, these build the
 candidate p x p symmetric matrices whose leading eigenvectors estimate the
-central dimension-reduction subspace:
+central dimension-reduction subspace.  Each is a closed form in the pooled
+moments of the slice stats, M = sum_h p_h S_h, L = sum_h p_h S_h^2 and the
+fourth-moment matrix V:
 
 * ``sir_matrix``   -- between-slice means,  sum_h p_h m_h m_h^T
-* ``save_matrix``  -- sum_h p_h (I - cov_h)^2
-* ``lambda_n``     -- sum_h p_h cov_h^2, the bias-carrying SAVE component
-* ``lambda_corrected`` -- its debiased combination with the fourth-moment
-  matrix V carried by the slice stats
-* ``csave_matrix`` -- bias-corrected SAVE: I - 2 sum_h p_h cov_h + corrected
+* ``save_matrix``  -- sum_h p_h (I - S_h)^2 = I - 2 M + L
+* ``lambda_corrected`` -- the debiased slice-covariance square a L - b V
+* ``csave_matrix`` -- bias-corrected SAVE: I - 2 M + (a L - b V)
 
 ``candidate_matrix`` maps a method name from ``METHODS`` to its matrix; the
 CLI and the Monte Carlo harness both dispatch through it.
 
 Slice averages use the observed weights p_h = c_h / n; the correction
-coefficients use the global slice size c = floor(n / H), since they come
-from within-slice pair counts.
+coefficients (a, b) use the global slice size c = floor(n / H), since they
+come from within-slice pair counts.  M, L and V are exactly symmetric, so
+the SAVE and CSAVE sums of them are too.
 
 Every estimator broadcasts over the leading batch axes of batched slice
 stats: stats of R replicates give an (R, p, p) stack of candidates.
@@ -53,25 +54,17 @@ class CdrBasis:
 
 def sir_matrix(stats: SliceStats) -> np.ndarray:
     """Estimated Cov(E(z|Y)): the exactly-PSD sum_h p_h m_h m_h^T."""
-    m = np.einsum("h,...hi,...hj->...ij", stats.weights, stats.means, stats.means)
+    m = stats.means.swapaxes(-1, -2) @ (stats.weights[:, None] * stats.means)
     return linalg.ensure_symmetric(m)
 
 
 def save_matrix(stats: SliceStats) -> np.ndarray:
-    """Estimated E[(I - Cov(z|Y))^2]: sum_h p_h (I - cov_h)^2."""
-    resid = np.eye(stats.p) - stats.covs
-    m = np.einsum("h,...hij,...hkj->...ik", stats.weights, resid, resid)
-    return linalg.ensure_symmetric(m)
-
-
-def lambda_n(stats: SliceStats) -> np.ndarray:
-    """Slice average of squared within-slice covariances, sum_h p_h cov_h^2."""
-    m = np.einsum("h,...hij,...hkj->...ik", stats.weights, stats.covs, stats.covs)
-    return linalg.ensure_symmetric(m)
+    """Estimated E[(I - Cov(z|Y))^2]: sum_h p_h (I - S_h)^2 = I - 2 M + L."""
+    return np.eye(stats.p) - 2.0 * stats.mean_cov + stats.cov_square
 
 
 def correction_coefficients(c: int) -> tuple[float, float]:
-    """Scalar weights (a, b) of the debiased combination a*Lambda - b*V."""
+    """Scalar weights (a, b) of the debiased combination a*L - b*V."""
     if c < 2:
         raise InvalidSliceSize(f"bias correction needs c >= 2, got c={c}")
     denom = (c - 1) ** 2 + 1
@@ -79,16 +72,16 @@ def correction_coefficients(c: int) -> tuple[float, float]:
 
 
 def lambda_corrected(stats: SliceStats) -> np.ndarray:
-    """Debiased slice-covariance square a(c) * Lambda_n - b(c) * V_n.
+    """Debiased slice-covariance square a(c) L - b(c) V.
 
     c = floor(n / H) is the global slice size of the stats.
     """
     a, b = correction_coefficients(stats.n // stats.H)
-    return linalg.ensure_symmetric(a * lambda_n(stats) - b * stats.fourth)
+    return a * stats.cov_square - b * stats.fourth
 
 
 def csave_matrix(stats: SliceStats) -> np.ndarray:
-    """Bias-corrected SAVE: I - 2 sum_h p_h cov_h + corrected Lambda.
+    """Bias-corrected SAVE: I - 2 M + (a L - b V).
 
     Assembled from the "c-1" covariance convention throughout.  The result
     is symmetric but can be indefinite in finite samples: directions are
@@ -97,10 +90,7 @@ def csave_matrix(stats: SliceStats) -> np.ndarray:
     """
     if stats.divisor != "c-1":
         raise InvalidSliceSize("csave requires --divisor c-1")
-    corrected = lambda_corrected(stats)
-    mean_cov = np.einsum("h,...hij->...ij", stats.weights, stats.covs)
-    m = np.eye(stats.p) - 2.0 * mean_cov + corrected
-    return linalg.ensure_symmetric(m)
+    return np.eye(stats.p) - 2.0 * stats.mean_cov + lambda_corrected(stats)
 
 
 def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:

@@ -22,13 +22,10 @@ import numpy as np
 
 from .data import Dataset, standardize
 from .errors import DegenerateDesign, InvalidArgument, SimulationError
-from .estimators import METHODS, candidate_matrix, lambda_corrected, lambda_n
+from .estimators import METHODS, candidate_matrix, lambda_corrected
 from .linalg import sym_eig
 from .metrics import r2_single
 from .slicing import slice_equal_count, slice_stats
-
-#: Methods a run scores when none are named: all of them, in reporting order.
-DEFAULT_METHODS = METHODS
 
 #: Fixed default master seed for every CLI entry point (never time-derived).
 DEFAULT_SEED = 1729
@@ -123,7 +120,7 @@ class SimConfig:
     H: int
     reps: int
     seed: int = DEFAULT_SEED
-    methods: tuple = DEFAULT_METHODS
+    methods: tuple = METHODS
     standardize: bool = False
 
     def __post_init__(self):
@@ -291,7 +288,7 @@ def _null_levels(n: int, H: int, p: int, reps: int, seed: int) -> list:
 
     def levels(z, y):
         stats = slice_stats(z, slice_equal_count(y, H))
-        lam, cor = lambda_n(stats), lambda_corrected(stats)
+        lam, cor = stats.cov_square, lambda_corrected(stats)
         return (
             np.trace(lam, axis1=-2, axis2=-1) / p,
             np.trace(cor, axis1=-2, axis2=-1) / p,

@@ -6,13 +6,14 @@ value.  A slice assignment is a permutation of the observations in slice
 order plus the offsets where each slice starts.
 
 ``slice_stats`` gathers the rows into slice order once and returns every
-moment the estimators use: per-slice means and covariances with a
-selectable divisor ("c-1" unbiased, "c" maximum-likelihood) and the pooled
+moment the estimators use: per-slice means and covariances S_h with a
+selectable divisor ("c-1" unbiased, "c" maximum-likelihood), the pooled
+moments M = sum_h p_h S_h and L = sum_h p_h S_h^2, and the pooled
 within-slice fourth-moment matrix V.
 
 Both take a leading batch axis: a stack of R responses of shape (R, n)
 gives R orders over shared slice bounds, and a stack z of shape (R, n, p)
-gives stats whose means, covs and fourth carry the same leading axis.
+gives stats whose moments carry the same leading axis.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResponse, SingletonSlice, TooManySlices
+from .errors import DegenerateResponse, InvalidMatrix, SingletonSlice, TooManySlices
 
 #: Valid within-slice covariance divisors.
 DIVISORS = ("c-1", "c")
@@ -111,19 +112,23 @@ def slice_discrete(y) -> SliceAssignment:
 
 @dataclass(frozen=True)
 class SliceStats:
-    """Per-slice counts, means, covariances and weights p_h = c_h / n, plus
-    the pooled within-slice fourth-moment matrix V.
+    """Per-slice counts, means, covariances S_h and weights p_h = c_h / n,
+    plus the pooled moments M = sum_h p_h S_h, L = sum_h p_h S_h^2 and the
+    within-slice fourth-moment matrix V.
 
     Counts and weights are shared by the whole batch; the moments carry the
-    leading batch axes of the z they came from.
+    leading batch axes of the z they came from.  Every matrix is exactly
+    symmetric.
     """
 
-    counts: np.ndarray    # (H,)
-    means: np.ndarray     # (..., H, p)
-    covs: np.ndarray      # (..., H, p, p), each symmetric
-    weights: np.ndarray   # (H,), sums to 1
-    divisor: str          # "c-1" | "c"
-    fourth: np.ndarray    # (..., p, p), symmetric
+    counts: np.ndarray      # (H,)
+    means: np.ndarray       # (..., H, p)
+    covs: np.ndarray        # (..., H, p, p)
+    weights: np.ndarray     # (H,), sums to 1
+    divisor: str            # "c-1" | "c"
+    fourth: np.ndarray      # (..., p, p), V
+    mean_cov: np.ndarray    # (..., p, p), M
+    cov_square: np.ndarray  # (..., p, p), L
 
     @property
     def H(self) -> int:
@@ -151,16 +156,18 @@ def _runs(counts: np.ndarray):
 def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceStats:
     """Slice moments of the rows of z, from one gather into slice order.
 
-    ``z`` has shape (n, p) or (..., n, p); a 1-d order in ``assignment`` is
-    shared by every row of the batch.  cov(h) = sum_j (z_hj - mean_h)
-    (z_hj - mean_h)^T / d(c_h) with d(c) = c - 1 or c according to
-    ``divisor``, from raw second moments centred by c_h mean_h mean_h^T.
+    ``z`` has shape (n, p) or (..., n, p) and must be finite; a 1-d order
+    in ``assignment`` is shared by every row of the batch.  Two passes over
+    each slice: the first forms the mean, the second the covariance
+    S_h = sum_j d_hj d_hj^T / d(c_h) from the deviations
+    d_hj = z_hj - mean_h, with d(c) = c - 1 or c according to ``divisor``.
+    Summing deviations rather than raw products keeps S_h accurate when
+    the data sit far from the origin (Chan, Golub & LeVeque 1983).
     A run of k adjacent slices of m points is one (..., k, m, p) block whose
-    raw moments come from one stacked product, so the (n, p, p) outer
-    products are never formed.  The fourth-moment matrix averages
-    ((z_hj - mean_h)(z_hj - mean_h)^T)^2 over all n observations; for a
-    deviation d that summand equals ||d||^2 d d^T.  It does not depend on
-    the divisor.
+    covariances come from one stacked product, so the (n, p, p) outer
+    products are never formed; the same block viewed as (..., k p, p) gives
+    the run's share of L = sum_h p_h S_h^2 in one more product.  V averages
+    ||d||^2 d d^T over all n deviations and does not depend on the divisor.
     """
     if divisor not in DIVISORS:
         raise ValueError(f"divisor must be one of {DIVISORS}, got {divisor!r}")
@@ -171,29 +178,37 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         raise ValueError(
             f"assignment covers {assignment.n} rows but z has {z.shape[-2]}"
         )
+    if not np.isfinite(z).all():
+        raise InvalidMatrix("z has non-finite entries")
     batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
     order = np.broadcast_to(assignment.order, z.shape[:-1])
     rows = tuple(i[..., None] for i in np.ix_(*(np.arange(b) for b in batch)))
     zs = z[rows + (order,)]  # each batch row gathered into slice order
     counts, bounds = assignment.counts, assignment.bounds
     means = np.add.reduceat(zs, bounds[:-1], axis=-2) / counts[:, None]
+    denom = counts - 1 if divisor == "c-1" else counts
     covs = np.empty(batch + (counts.size, p, p))
+    mean_cov = np.zeros(batch + (p, p))
+    cov_square = np.zeros(batch + (p, p))
     for lo, hi in _runs(counts):
         run = zs[..., bounds[lo]:bounds[hi], :]
         block = run.reshape(batch + (hi - lo, int(counts[lo]), p))
-        np.matmul(block.swapaxes(-1, -2), block, out=covs[..., lo:hi, :, :])
         block -= means[..., lo:hi, None, :]  # deviations, in place
-    # Centre, divide and symmetrize one row at a time, so that no temporary
-    # as large as covs is formed.
-    scaled = counts[:, None] * means
-    denom = (counts - 1 if divisor == "c-1" else counts)[:, None]
-    for i in range(p):
-        covs[..., i, :] -= scaled[..., i, None] * means
-        covs[..., i, :] /= denom
-    for i in range(p):
-        sym = (covs[..., i, i:] + covs[..., i:, i]) / 2.0
-        covs[..., i, i:] = sym
-        covs[..., i:, i] = sym
+        out = covs[..., lo:hi, :, :]
+        np.matmul(block.swapaxes(-1, -2), block, out=out)
+        out /= denom[lo:hi, None, None]
+        # Symmetrize one row at a time, so that no temporary as large as
+        # the run's covariances is formed.
+        for i in range(p):
+            sym = (out[..., i, i:] + out[..., i:, i]) / 2.0
+            out[..., i, i:] = sym
+            out[..., i:, i] = sym
+        weight = counts[lo] / n
+        mean_cov += weight * out.sum(axis=-3)
+        # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B;
+        # numpy forms A^T A as a symmetric rank-k update, exactly symmetric.
+        stacked = out.reshape(batch + ((hi - lo) * p, p))
+        cov_square += weight * (stacked.swapaxes(-1, -2) @ stacked)
     # Scale each deviation d by ||d|| in place: the sum of ||d||^2 d d^T is
     # then one product of the scaled deviations with themselves.
     zs *= np.sqrt(np.einsum("...i,...i->...", zs, zs))[..., None]
@@ -205,4 +220,6 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         weights=counts / n,
         divisor=divisor,
         fourth=(fourth + fourth.swapaxes(-1, -2)) / 2.0,
+        mean_cov=mean_cov,
+        cov_square=cov_square,
     )

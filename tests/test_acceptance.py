@@ -29,7 +29,6 @@ from slicesdr import (
     correction_coefficients,
     eigen_perturb_first_order,
     inv_sqrt,
-    lambda_n,
     r2_single,
     run_mc,
     save_matrix,
@@ -228,7 +227,7 @@ def test_acceptance_5_exact_identities():
                 for dvu in pairs:
                     acc += dlj @ dvu
         oracle = acc / (n * c * (c - 1) ** 2)
-        got = lambda_n(st)
+        got = st.cov_square
         assert np.linalg.norm(got - oracle) <= 1e-9 * max(np.linalg.norm(oracle), 1e-12)
 
     # expansion identity: save = I - 2 mean(cov) + mean(cov^2)
@@ -236,7 +235,7 @@ def test_acceptance_5_exact_identities():
     y = rng.standard_normal(36)
     st = slice_stats(z, slice_equal_count(y, 6), divisor="c-1")
     mean_cov = np.einsum("h,hij->ij", st.weights, st.covs)
-    expanded = np.eye(3) - 2 * mean_cov + lambda_n(st)
+    expanded = np.eye(3) - 2 * mean_cov + st.cov_square
     assert np.abs(save_matrix(st) - expanded).max() <= 1e-12
 
     # pairwise-difference covariance identity

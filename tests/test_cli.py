@@ -246,6 +246,25 @@ class TestTable1:
         for method in ("save", "sir", "csave"):
             assert method in out
 
+    def test_human_grid_bytes(self, capsys):
+        # the exact rendered grid, header padding included
+        expected = (
+            "model 1 (n=192, reps=3)\n"
+            "  method    H=2        H=96    \n"
+            "  save       0.1664    0.0012\n"
+            "  sir        0.9198    0.7030\n"
+            "  csave      0.3229    0.0013\n"
+            "model 3 (n=192, reps=3)\n"
+            "  method    H=2        H=96    \n"
+            "  save       0.0654    0.0764\n"
+            "  sir        0.3887    0.1255\n"
+            "  csave      0.0169    0.0779\n"
+        )
+        code = main(["table1", "--models", "1,3", "--H", "2,96", "--n", "192",
+                     "--reps", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == expected
+
     def test_empty_model_grid_is_usage_error(self, capsys):
         assert main(["table1", "--models", "", "--reps", "1"]) == 2
 
@@ -270,8 +289,25 @@ class TestSweep:
         )
         assert [r["n"] for r in doc["results"]] == [200, 400]
 
+    def test_human_rows_bytes(self, capsys):
+        expected = (
+            "n=400  c=2  H=200  reps=4  mean_lambda_raw=3.2118  "
+            "mean_lambda_corrected=2.8103  mean_abs_err_raw=2.2118  "
+            "median_abs_err_raw=1.8251  mean_abs_err_corrected=1.8103  "
+            "median_abs_err_corrected=1.4720\n"
+            "n=400  c=3  H=133  reps=4  mean_lambda_raw=1.8918  "
+            "mean_lambda_corrected=1.7639  mean_abs_err_raw=0.8918  "
+            "median_abs_err_raw=0.8512  mean_abs_err_corrected=0.7639  "
+            "median_abs_err_corrected=0.7246\n"
+        )
+        code = main(["sweep", "--mode", "bias", "--n-grid", "400",
+                     "--c-grid", "2,3", "--reps", "4"])
+        assert code == 0
+        assert capsys.readouterr().out == expected
+
     def test_empty_grid_is_usage_error(self, capsys):
         assert main(["sweep", "--mode", "bias", "--n-grid", ","]) == 2
+        assert "empty sweep grid" in capsys.readouterr().err
 
     def test_degenerate_design_is_usage_error(self, capsys):
         code = main(

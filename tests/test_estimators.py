@@ -23,10 +23,8 @@ from slicesdr import (
     Dataset,
     cdr_basis,
     correction_coefficients,
-    ensure_symmetric,
     csave_matrix,
     lambda_corrected,
-    lambda_n,
     negative_eigenvalue_count,
     save_matrix,
     sir_matrix,
@@ -135,9 +133,11 @@ class TestSave:
             z = rng.standard_normal((36, 3))
             y = rng.standard_normal(36)
             _, st = sorted_stats(z, y, 4)
-            lhs = save_matrix(st)
+            resid = np.eye(3) - st.covs
+            lhs = sum(w * r @ r for w, r in zip(st.weights, resid))
             mean_cov = np.einsum("h,hij->ij", st.weights, st.covs)
-            rhs = np.eye(3) - 2 * mean_cov + lambda_n(st)
+            rhs = np.eye(3) - 2 * mean_cov + st.cov_square
+            np.testing.assert_allclose(save_matrix(st), lhs, atol=1e-12)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_psd(self):
@@ -153,14 +153,14 @@ class TestLambdaN:
         step = np.sqrt(2.0)
         z = np.array([[0.0], [step], [3.0], [3.0 + step]])
         _, st = sorted_stats(z, np.arange(4.0), 2)
-        np.testing.assert_allclose(lambda_n(st), [[1.0]], atol=1e-12)
+        np.testing.assert_allclose(st.cov_square, [[1.0]], atol=1e-12)
 
     def test_scalar_average_of_squares(self):
         # variances 1 and 3, equal weights -> (1 + 9)/2 = 5
         r = np.sqrt(2.0) / 2
         z = np.array([[-r], [r], [-r * np.sqrt(3)], [r * np.sqrt(3)]])
         _, st = sorted_stats(z, np.arange(4.0), 2)
-        assert lambda_n(st)[0, 0] == pytest.approx(5.0, abs=1e-12)
+        assert st.cov_square[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_quadruple_sum_oracle(self):
         # literal four-index sum with normalizer 1/(n c (c-1)^2)
@@ -189,7 +189,7 @@ class TestLambdaN:
                                 dvu = np.outer(rows[v] - rows[u], rows[v] - rows[u])
                                 acc += dlj @ dvu
             oracle = acc / (n * c * (c - 1) ** 2)
-            got = lambda_n(st)
+            got = st.cov_square
             assert np.linalg.norm(got - oracle) <= 1e-9 * max(
                 np.linalg.norm(oracle), 1e-12
             )
@@ -259,7 +259,7 @@ class TestLambdaCorrected:
         a, b = correction_coefficients(5)
         np.testing.assert_array_equal(
             lambda_corrected(st),
-            ensure_symmetric(a * lambda_n(st) - b * st.fourth),
+            a * st.cov_square - b * st.fourth,
         )
 
 
@@ -284,7 +284,7 @@ class TestCsave:
         manual = (
             np.eye(3)
             - 2 * mean_cov
-            + coeff_a * lambda_n(st)
+            + coeff_a * st.cov_square
             - coeff_b * st.fourth
         )
         np.testing.assert_allclose(csave_matrix(st), manual, atol=1e-13)
@@ -297,11 +297,20 @@ class TestCsave:
         _, st = sorted_stats(z, y, n // c)
         cs = csave_matrix(st)
         sv = save_matrix(st)
-        lam = np.linalg.norm(lambda_n(st))
+        lam = np.linalg.norm(st.cov_square)
         v = np.linalg.norm(st.fourth)
         coeff_a, _ = correction_coefficients(c)
         bound = 2 * v / c + lam * abs(coeff_a - 1.0)
         assert np.linalg.norm(cs - sv) <= bound + 1e-12
+
+    def test_closed_forms_exactly_symmetric_on_batched_stats(self):
+        rng = np.random.default_rng(23)
+        for R, n, p, H in ((4, 50, 3, 6), (3, 97, 5, 24), (2, 40, 1, 20)):
+            a = slice_equal_count(rng.standard_normal((R, n)), H)
+            st = slice_stats(3.0 * rng.standard_normal((R, n, p)) + 2.0, a)
+            for m in (save_matrix(st), csave_matrix(st), lambda_corrected(st)):
+                assert m.shape == (R, p, p)
+                assert np.array_equal(m, m.swapaxes(-1, -2))
 
     def test_requires_unbiased_divisor(self):
         rng = np.random.default_rng(20)
@@ -327,7 +336,7 @@ class TestNullCalibration:
             z = rng.standard_normal((n, 1))
             y = rng.standard_normal(n)
             _, st = sorted_stats(z, y, n // c)
-            raw.append(lambda_n(st)[0, 0])
+            raw.append(st.cov_square[0, 0])
             cor.append(lambda_corrected(st)[0, 0])
         return np.array(raw), np.array(cor)
 

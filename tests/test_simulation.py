@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slicesdr import (
-    DEFAULT_METHODS,
+    METHODS,
     ModelSpec,
     RngStreams,
     SimConfig,
@@ -119,7 +119,7 @@ class TestRunMc:
     def test_report_determinism(self):
         r1 = run_mc(self.cfg())
         r2 = run_mc(self.cfg())
-        for m in DEFAULT_METHODS:
+        for m in METHODS:
             np.testing.assert_array_equal(
                 r1.summaries[m].values, r2.summaries[m].values
             )
@@ -129,7 +129,7 @@ class TestRunMc:
         # replicate r's score is the same whether reps=3 or reps=6 run
         r_small = run_mc(self.cfg(reps=3))
         r_big = run_mc(self.cfg(reps=6))
-        for m in DEFAULT_METHODS:
+        for m in METHODS:
             np.testing.assert_array_equal(
                 r_small.summaries[m].values, r_big.summaries[m].values[:3]
             )
@@ -147,12 +147,12 @@ class TestRunMc:
     def test_standardized_and_raw_paths_close(self):
         raw = run_mc(self.cfg(n=400, reps=4, standardize=False))
         std = run_mc(self.cfg(n=400, reps=4, standardize=True))
-        for m in DEFAULT_METHODS:
+        for m in METHODS:
             assert abs(raw.summaries[m].median - std.summaries[m].median) < 0.5
 
     def test_scores_in_unit_interval(self):
         r = run_mc(self.cfg())
-        for m in DEFAULT_METHODS:
+        for m in METHODS:
             v = r.summaries[m].values
             assert np.all(v >= -1e-12) and np.all(v <= 1.0 + 1e-12)
 

@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from slicesdr import SliceAssignment, slice_discrete, slice_equal_count, slice_stats
-from slicesdr.errors import DegenerateResponse, SingletonSlice, TooManySlices
+from slicesdr.errors import (
+    DegenerateResponse,
+    InvalidMatrix,
+    SingletonSlice,
+    TooManySlices,
+)
 
 
 def members(a):
@@ -144,6 +149,28 @@ class TestSliceStats:
         np.testing.assert_allclose(st.means, st_p.means, atol=1e-12)
         np.testing.assert_allclose(st.covs, st_p.covs, atol=1e-12)
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_shift_invariance(self, offset):
+        # moments of deviations do not see a common shift of the data;
+        # centring raw second moments loses every digit near 1e8
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((200, 3))
+        a = slice_equal_count(rng.standard_normal(200), 20)
+        st, shifted = slice_stats(z, a), slice_stats(z + offset, a)
+        for name in ("covs", "mean_cov", "cov_square"):
+            np.testing.assert_allclose(
+                getattr(shifted, name), getattr(st, name), rtol=0, atol=1e-7
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_z_rejected(self, bad):
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((2, 20, 3))
+        z[1, 7, 2] = bad
+        a = slice_equal_count(rng.standard_normal((2, 20)), 4)
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            slice_stats(z, a)
+
     def test_singleton_assignment_rejected(self):
         with pytest.raises(SingletonSlice):
             SliceAssignment(order=np.arange(3), bounds=np.array([0, 2, 3]))
@@ -159,21 +186,26 @@ class TestSliceStats:
 
 
 def loop_oracle(z, a, divisor):
-    """Counts, means, covs and pooled fourth-moment matrix, slice by slice."""
+    """Counts, means, covs and the pooled moments V, M = sum_h p_h S_h and
+    L = sum_h p_h S_h^2, slice by slice."""
     n, p = z.shape
     counts, means, covs = [], [], []
-    fourth = np.zeros((p, p))
+    fourth, mean_cov, cov_square = np.zeros((3, p, p))
     for idx in members(a):
         rows = z[idx]
         c = len(idx)
         mean = rows.mean(axis=0)
         dev = rows - mean
+        cov = dev.T @ dev / (c - 1 if divisor == "c-1" else c)
         counts.append(c)
         means.append(mean)
-        covs.append(dev.T @ dev / (c - 1 if divisor == "c-1" else c))
+        covs.append(cov)
+        mean_cov += c / n * cov
+        cov_square += c / n * cov @ cov
         for d in dev:
             fourth += (d @ d) * np.outer(d, d)
-    return np.array(counts), np.array(means), np.array(covs), fourth / n
+    return (np.array(counts), np.array(means), np.array(covs), fourth / n,
+            mean_cov, cov_square)
 
 
 @st_.composite
@@ -203,11 +235,13 @@ class TestSliceStatsProperties:
         seed, n, p, a = case
         z = np.random.default_rng(seed + 1).standard_normal((n, p))
         st = slice_stats(z, a, divisor=divisor)
-        counts, means, covs, fourth = loop_oracle(z, a, divisor)
+        counts, means, covs, fourth, mean_cov, cov_square = loop_oracle(z, a, divisor)
         np.testing.assert_array_equal(st.counts, counts)
         np.testing.assert_allclose(st.means, means, rtol=0, atol=1e-12)
         np.testing.assert_allclose(st.covs, covs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(st.fourth, fourth, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(st.mean_cov, mean_cov, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(st.cov_square, cov_square, rtol=0, atol=1e-12)
         np.testing.assert_allclose(st.weights, counts / n, rtol=0, atol=1e-15)
 
     @settings(max_examples=40, deadline=None)
@@ -262,16 +296,21 @@ class TestBatchedSliceStats:
         for r in range(z.shape[0]):
             row = SliceAssignment(order=a.order[r], bounds=a.bounds)
             one = slice_stats(z[r], row, divisor=divisor)
-            counts, means, covs, fourth = loop_oracle(z[r], row, divisor)
+            counts, means, covs, fourth, mean_cov, cov_square = loop_oracle(
+                z[r], row, divisor
+            )
             for got, want_2d, want_loop in (
                 (st.means[r], one.means, means),
                 (st.covs[r], one.covs, covs),
                 (st.fourth[r], one.fourth, fourth),
+                (st.mean_cov[r], one.mean_cov, mean_cov),
+                (st.cov_square[r], one.cov_square, cov_square),
             ):
                 np.testing.assert_allclose(got, want_2d, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(got, want_loop, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(one.counts, counts)
-        np.testing.assert_array_equal(st.covs, st.covs.swapaxes(-1, -2))
+        for m in (st.covs, st.fourth, st.mean_cov, st.cov_square):
+            np.testing.assert_array_equal(m, m.swapaxes(-1, -2))
 
     def test_equal_count_sorts_each_row(self):
         rng = np.random.default_rng(8)

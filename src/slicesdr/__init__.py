@@ -35,7 +35,6 @@ from .linalg import (
     ensure_symmetric,
     inv_sqrt,
     sym_eig,
-    sym_sqrt,
 )
 from .metrics import SubspaceMetrics, r2_single, trace_correlation
 from .simulation import (
@@ -99,6 +98,5 @@ __all__ = [
     "slice_stats",
     "standardize",
     "sym_eig",
-    "sym_sqrt",
     "trace_correlation",
 ]

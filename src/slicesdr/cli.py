@@ -48,6 +48,7 @@ from .estimators import (
 from .linalg import sym_eig
 from .simulation import (
     DEFAULT_SEED,
+    MODEL_IDS,
     McReport,
     ModelSpec,
     SimConfig,
@@ -55,7 +56,7 @@ from .simulation import (
     bias_sweep,
     run_mc,
 )
-from .slicing import slice_equal_count, slice_stats
+from .slicing import DIVISORS, slice_equal_count, slice_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="slice count H (default: max(2, round(n/20)))")
     est.add_argument("--method", choices=METHODS, default="save")
     est.add_argument("--k", type=int, default=1, help="directions to keep (default 1)")
-    est.add_argument("--divisor", choices=("c-1", "c"), default="c-1",
+    est.add_argument("--divisor", choices=DIVISORS, default="c-1",
                      help="within-slice covariance divisor (default c-1)")
     est.add_argument("--rel-floor", type=float, default=1e-10,
                      help="relative eigenvalue floor for the covariance inverse root")
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=_cmd_estimate)
 
     sim = sub.add_parser("simulate", help="one Monte Carlo run of a benchmark model")
-    sim.add_argument("--model", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    sim.add_argument("--model", type=int, required=True, choices=MODEL_IDS)
     sim.add_argument("--n", type=int, default=200)
     sim.add_argument("--p", type=int, default=10)
     sim.add_argument("--slices", type=int, default=10, help="slice count H")
@@ -391,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("table1", help="full benchmark median grid")
     tab.add_argument("--reps", type=int, default=200)
     tab.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    tab.add_argument("--models", default="1,2,3,4,5", help="comma list of model ids")
+    tab.add_argument("--models", default=",".join(map(str, MODEL_IDS)),
+                     help="comma list of model ids")
     tab.add_argument("--H", default="2,6,24,96", help="comma list of slice counts")
     tab.add_argument("--n", type=int, default=480)
     tab.add_argument("--standardize", action="store_true",

@@ -21,6 +21,7 @@ from .errors import (
     CsvFormatError,
     DegenerateDirection,
     InsufficientData,
+    InvalidArgument,
 )
 
 
@@ -35,13 +36,13 @@ class Dataset:
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 2:
-            raise ValueError("x must be a 2-d array")
+            raise InvalidArgument("x must be a 2-d array")
         if y.ndim != 1 or y.size != x.shape[0]:
-            raise ValueError("y must be 1-d with one entry per row of x")
+            raise InvalidArgument("y must be 1-d with one entry per row of x")
         if x.shape[0] < 2 or x.shape[1] < 1:
-            raise ValueError("need n >= 2 observations and p >= 1 predictors")
+            raise InvalidArgument("need n >= 2 observations and p >= 1 predictors")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("dataset contains non-finite values")
+            raise InvalidArgument("dataset contains non-finite values")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

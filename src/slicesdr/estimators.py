@@ -41,6 +41,9 @@ METHODS = ("save", "sir", "csave")
 #: Tie tolerance for flagging an ambiguous cut-off dimension.
 EIGENGAP_TOL = 1e-10
 
+#: Eigenvalues below -NEGATIVE_EIG_TOL * |trace| count as negative.
+NEGATIVE_EIG_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CdrBasis:
@@ -55,7 +58,7 @@ class CdrBasis:
 def sir_matrix(stats: SliceStats) -> np.ndarray:
     """Estimated Cov(E(z|Y)): the exactly-PSD sum_h p_h m_h m_h^T."""
     m = stats.means.swapaxes(-1, -2) @ (stats.weights[:, None] * stats.means)
-    return linalg.ensure_symmetric(m)
+    return (m + m.swapaxes(-1, -2)) / 2.0  # the product is symmetric to rounding only
 
 
 def save_matrix(stats: SliceStats) -> np.ndarray:
@@ -136,10 +139,11 @@ def cdr_basis(eig: linalg.EigenResult, k: int, sd: StandardizedDataset) -> CdrBa
     )
 
 
-def negative_eigenvalue_count(eig: linalg.EigenResult, tol_scale: float = 1e-12) -> int:
-    """Diagnostic: eigenvalues below -tol_scale * trace (CSAVE indefiniteness).
+def negative_eigenvalue_count(eig: linalg.EigenResult) -> int:
+    """Diagnostic: eigenvalues below -NEGATIVE_EIG_TOL * trace (CSAVE
+    indefiniteness).
 
     The trace is taken as the sum of the eigenvalues in ``eig``.
     """
-    thresh = -tol_scale * max(abs(float(eig.values.sum())), 1.0)
+    thresh = -NEGATIVE_EIG_TOL * max(abs(float(eig.values.sum())), 1.0)
     return int(np.sum(eig.values < thresh))

@@ -1,9 +1,9 @@
 """Dense symmetric-matrix helpers.
 
 Everything here operates on small (p <= ~50) real symmetric matrices:
-eigendecomposition with a deterministic sign convention, inverse and
-plain square roots, and a first-order eigenvalue / eigenvector
-perturbation expansion.
+eigendecomposition with a deterministic sign convention, the inverse
+square root, and a first-order eigenvalue / eigenvector perturbation
+expansion.
 
 All functions are pure; inputs are never mutated.
 """
@@ -25,14 +25,16 @@ from .errors import (
 SYMMETRY_TOL = 1e-10
 # Entries smaller than this are ignored when fixing eigenvector signs.
 SIGN_EPS = 1e-12
+# Smallest eigenvalue gap a first-order perturbation expansion accepts.
+GAP_TOL = 1e-8
 
 
-def ensure_symmetric(m, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def ensure_symmetric(m) -> np.ndarray:
     """Validate and symmetrize a matrix or a stack of matrices.
 
     Accepts anything array-like of shape (..., p, p), checks that each
-    matrix is finite and symmetric within ``tol * (1 + max|entry|)`` of
-    that matrix, and returns the exactly symmetric average (m + m^T) / 2.
+    matrix is finite and symmetric within ``SYMMETRY_TOL * (1 + max|entry|)``
+    of that matrix, and returns the exactly symmetric average (m + m^T) / 2.
     Raises InvalidMatrix if any matrix fails.
     """
     a = np.asarray(m, dtype=float)
@@ -44,7 +46,7 @@ def ensure_symmetric(m, tol: float = SYMMETRY_TOL) -> np.ndarray:
         raise InvalidMatrix("matrix has non-finite entries")
     at = a.swapaxes(-1, -2)
     scale = 1.0 + np.abs(a).max(axis=(-2, -1))
-    if np.any(np.abs(a - at).max(axis=(-2, -1)) > tol * scale):
+    if np.any(np.abs(a - at).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise InvalidMatrix("matrix is not symmetric within tolerance")
     return (a + at) / 2.0
 
@@ -68,7 +70,7 @@ def sym_eig(m) -> EigenResult:
     a = ensure_symmetric(m)
     try:
         vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as e:  # pragma: no cover - eigh is robust
+    except np.linalg.LinAlgError as e:
         raise NumericalFailure(f"symmetric eigendecomposition failed: {e}") from e
     # stable descending order keeps the solver's basis for tied eigenvalues
     order = np.argsort(-vals, axis=-1, kind="stable")
@@ -100,17 +102,7 @@ def inv_sqrt(m, rel_floor: float = 1e-10) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def sym_sqrt(m, rel_floor: float = 0.0) -> np.ndarray:
-    """Symmetric square root; eigenvalues must be >= -rel_floor * max."""
-    eig = sym_eig(m)
-    if eig.values[-1] < -abs(rel_floor) * max(eig.values[0], 1.0):
-        raise SingularCovariance("matrix is not positive semidefinite")
-    vals = np.clip(eig.values, 0.0, None)
-    root = (eig.vectors * vals ** 0.5) @ eig.vectors.T
-    return (root + root.T) / 2.0
-
-
-def eigen_perturb_first_order(base, delta, i: int, gap_tol: float = 1e-8):
+def eigen_perturb_first_order(base, delta, i: int):
     """First-order response of eigenvalue/eigenvector i to a perturbation.
 
     For base matrix A with eigenpairs (lambda_l, b_l) and symmetric
@@ -121,7 +113,7 @@ def eigen_perturb_first_order(base, delta, i: int, gap_tol: float = 1e-8):
 
     so that eig(A + t D) ~ (lambda_i + t * value_shift,
     b_i + t * vector_shift) + O(t^2).  Requires lambda_i separated from
-    every other eigenvalue by more than ``gap_tol``.
+    every other eigenvalue by more than ``GAP_TOL``.
     """
     eig = sym_eig(base)
     d = ensure_symmetric(delta)
@@ -131,9 +123,9 @@ def eigen_perturb_first_order(base, delta, i: int, gap_tol: float = 1e-8):
     lam = eig.values
     gaps = np.abs(lam - lam[i])
     gaps[i] = np.inf
-    if gaps.min() <= gap_tol:
+    if gaps.min() <= GAP_TOL:
         raise DegenerateEigenvalue(
-            f"eigenvalue {i} gap {gaps.min():.3e} below {gap_tol:.1e}"
+            f"eigenvalue {i} gap {gaps.min():.3e} below {GAP_TOL:.1e}"
         )
     b = eig.vectors
     bi = b[:, i]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import DegenerateSubspace
 
 _RANK_TOL = 1e-10
@@ -32,15 +31,12 @@ def _orthonormalize(basis) -> np.ndarray:
     return q
 
 
-def r2_single(beta_hat, true_basis, sigma_z=None):
+def r2_single(beta_hat, true_basis):
     """Squared multiple correlation of one direction with a subspace.
 
-    With sigma_z omitted (identity covariance), this is the squared norm of
-    the projection of the unit vector beta_hat onto span(true_basis):
-    the closed-form maximum of (beta_hat . beta)^2 over unit beta in the
-    span.  With a covariance supplied, the displayed ratio
-    (b'Σβ)² / (b'Σb · β'Σβ) is maximized over the span via the whitened
-    projection.
+    The squared norm of the projection of the unit vector beta_hat onto
+    span(true_basis): the closed-form maximum of (beta_hat . beta)^2 over
+    unit beta in the span.
 
     A vector beta_hat gives a float; a stack of shape (..., p) gives an
     array of scores, one per row, each row scored on its own.
@@ -53,10 +49,6 @@ def r2_single(beta_hat, true_basis, sigma_z=None):
     basis = np.asarray(true_basis, dtype=float)
     if basis.ndim == 1:
         basis = basis[:, None]
-    if sigma_z is not None:
-        root = linalg.sym_sqrt(sigma_z, rel_floor=1e-12)
-        b = np.einsum("ij,...j->...i", root, b)
-        basis = root @ basis
     q = _orthonormalize(basis)
     proj = np.einsum("ik,...i->...k", q, b)
     r2 = np.einsum("...k,...k->...", proj, proj) / np.einsum("...i,...i->...", b, b)
@@ -77,7 +69,7 @@ def trace_correlation(basis_hat, true_basis) -> SubspaceMetrics:
 
     Computed as trace(P_hat P_true) / k from orthonormalized bases, which
     equals the average squared canonical correlation; for k = 1 it reduces
-    to :func:`r2_single` with identity covariance.
+    to :func:`r2_single`.
     """
     qh = _orthonormalize(basis_hat)
     qt = _orthonormalize(true_basis)

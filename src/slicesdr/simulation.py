@@ -16,7 +16,7 @@ estimator, eigen and scoring calls in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +33,16 @@ DEFAULT_SEED = 1729
 _ROLE_X = 0
 _ROLE_EPS = 1
 
-MODEL_IDS = (1, 2, 3, 4, 5)
+#: Response y = f(u, eps) of each benchmark model, keyed by model id.
+_RESPONSES = {
+    1: lambda u, eps: u ** 3 + eps,
+    2: lambda u, eps: u ** 2 + eps,
+    3: lambda u, eps: u * eps,
+    4: lambda u, eps: u ** 3 + u * eps,
+    5: lambda u, eps: np.cos(u) + eps,
+}
 
-
-def _model_response(model_id: int, u: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    if model_id == 1:
-        return u ** 3 + eps
-    if model_id == 2:
-        return u ** 2 + eps
-    if model_id == 3:
-        return u * eps
-    if model_id == 4:
-        return u ** 3 + u * eps
-    if model_id == 5:
-        return np.cos(u) + eps
-    raise InvalidArgument(f"model id must be in {MODEL_IDS}, got {model_id}")
+MODEL_IDS = tuple(_RESPONSES)
 
 
 @dataclass(frozen=True)
@@ -56,23 +51,19 @@ class ModelSpec:
 
     id: int
     p: int = 10
-    beta: np.ndarray | None = None
 
     def __post_init__(self):
         if self.id not in MODEL_IDS:
             raise InvalidArgument(f"model id must be in {MODEL_IDS}, got {self.id}")
         if self.p < 1:
             raise InvalidArgument("p must be >= 1")
-        if self.beta is None:
-            b = np.zeros(self.p)
-            b[0] = 1.0
-        else:
-            b = np.asarray(self.beta, dtype=float).reshape(-1)
-            if b.size != self.p:
-                raise InvalidArgument(f"beta has length {b.size}, expected p={self.p}")
-            if abs(np.linalg.norm(b) - 1.0) > 1e-10:
-                raise InvalidArgument("beta must have unit length")
-        object.__setattr__(self, "beta", b)
+
+    @property
+    def beta(self) -> np.ndarray:
+        """The index direction e_1: the response depends on x[0] only."""
+        b = np.zeros(self.p)
+        b[0] = 1.0
+        return b
 
 
 @dataclass(frozen=True)
@@ -107,7 +98,7 @@ def gen_model(spec: ModelSpec, n: int, streams: RngStreams) -> Dataset:
         raise InvalidArgument("need n >= 2")
     x = streams.x.standard_normal((n, spec.p))
     eps = streams.eps.standard_normal(n)
-    y = _model_response(spec.id, x @ spec.beta, eps)
+    y = _RESPONSES[spec.id](x @ spec.beta, eps)
     return Dataset(x=x, y=y)
 
 
@@ -137,6 +128,10 @@ class SimConfig:
             raise InvalidArgument(f"unknown methods {bad}; valid: {METHODS}")
         if not self.methods:
             raise InvalidArgument("need at least one method")
+        if self.standardize and self.n <= self.model.p:
+            raise InvalidArgument(
+                f"need n > p to standardize, got n={self.n}, p={self.model.p}"
+            )
 
 
 @dataclass(frozen=True)
@@ -170,10 +165,7 @@ class McReport:
     """Per-method replicate scores keyed to the config that produced them."""
 
     config: SimConfig
-    summaries: dict = field(default_factory=dict)  # method -> MethodSummary
-
-    def median(self, method: str) -> float:
-        return self.summaries[method].median
+    summaries: dict  # method -> MethodSummary
 
 
 def _chunk_size(n: int, p: int, H: int) -> int:

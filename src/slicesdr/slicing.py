@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResponse, InvalidMatrix, SingletonSlice, TooManySlices
+from .errors import (
+    DegenerateResponse,
+    InvalidArgument,
+    InvalidMatrix,
+    SingletonSlice,
+    TooManySlices,
+)
 
 #: Valid within-slice covariance divisors.
 DIVISORS = ("c-1", "c")
@@ -47,18 +53,18 @@ class SliceAssignment:
             np.issubdtype(order.dtype, np.integer)
             and np.issubdtype(bounds.dtype, np.integer)
         ):
-            raise ValueError("order and bounds must be integer arrays, bounds 1-d")
+            raise InvalidArgument("order and bounds must be integer arrays, bounds 1-d")
         n = order.shape[-1]
         if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n:
-            raise ValueError("bounds must run from 0 to len(order)")
+            raise InvalidArgument("bounds must run from 0 to len(order)")
         if np.diff(bounds).min() < 2:
             raise SingletonSlice("every slice needs at least 2 members")
         if order.min() < 0 or order.max() >= n:
-            raise ValueError("order must be a permutation of 0..n-1")
+            raise InvalidArgument("order must be a permutation of 0..n-1")
         seen = np.zeros(order.shape, dtype=bool)
         np.put_along_axis(seen, order, True, axis=-1)
         if not seen.all():
-            raise ValueError("order must be a permutation of 0..n-1")
+            raise InvalidArgument("order must be a permutation of 0..n-1")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "bounds", bounds)
 
@@ -170,12 +176,12 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
     ||d||^2 d d^T over all n deviations and does not depend on the divisor.
     """
     if divisor not in DIVISORS:
-        raise ValueError(f"divisor must be one of {DIVISORS}, got {divisor!r}")
+        raise InvalidArgument(f"divisor must be one of {DIVISORS}, got {divisor!r}")
     z = np.asarray(z, dtype=float)
     if z.ndim < 2:
-        raise ValueError(f"z must have shape (..., n, p), got {z.shape}")
+        raise InvalidArgument(f"z must have shape (..., n, p), got {z.shape}")
     if z.shape[-2] != assignment.n:
-        raise ValueError(
+        raise InvalidArgument(
             f"assignment covers {assignment.n} rows but z has {z.shape[-2]}"
         )
     if not np.isfinite(z).all():

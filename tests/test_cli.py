@@ -22,6 +22,10 @@ def write_model_csv(tmp_path, model_id, n=480, seed=314, name="data.csv"):
     return str(path)
 
 
+def failing_eigh(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -368,10 +372,21 @@ class TestExitCodeFamilies:
             ["table1", "--models", "7", "--reps", "1"],
             ["table1", "--H", "2,x", "--reps", "1"],
             ["sweep", "--mode", "bias", "--n-grid", "100", "--seed", "-1"],
+            # n <= p: standardization fails on every replicate
+            ["simulate", "--model", "1", "--p", "20", "--n", "20", "--slices", "2",
+             "--reps", "3", "--standardize"],
+            ["table1", "--models", "1", "--H", "2", "--n", "10", "--reps", "2",
+             "--standardize"],
         ],
     )
     def test_invalid_configuration_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_eigh_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        path = write_model_csv(tmp_path, model_id=1, n=100)
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        assert main(["estimate", "--input", path, "--y", "y"]) == 4
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_k_out_of_range_is_usage_error(self, tmp_path, capsys):

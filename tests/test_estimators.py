@@ -33,7 +33,7 @@ from slicesdr import (
     standardize,
     sym_eig,
 )
-from slicesdr.errors import AmbiguousDimensionWarning, InvalidSliceSize
+from slicesdr.errors import AmbiguousDimensionWarning, InvalidArgument, InvalidSliceSize
 from slicesdr.slicing import SliceAssignment
 
 
@@ -392,9 +392,9 @@ class TestCdrBasis:
         )
 
     def test_k_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             cdr_basis(self.make(np.eye(3)), 0, self.sd())
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             cdr_basis(self.make(np.eye(3)), 4, self.sd())
 
 

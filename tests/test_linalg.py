@@ -17,6 +17,7 @@ from slicesdr import (
 from slicesdr.errors import (
     DegenerateEigenvalue,
     InvalidMatrix,
+    NumericalFailure,
     SingularCovariance,
 )
 
@@ -76,6 +77,14 @@ class TestSymEig:
             sym_eig([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidMatrix):
             sym_eig([[1.0, 0.5], [0.0, 1.0]])
+
+    def test_eigh_failure_is_numerical_failure(self, monkeypatch):
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            sym_eig(np.eye(3))
 
     def test_symmetrizes_roundoff(self):
         m = np.array([[1.0, 1e-13], [0.0, 1.0]])

@@ -42,31 +42,6 @@ class TestR2Single:
             r2_single(beta, basis), abs=1e-12
         )
 
-    def test_general_sigma_matches_identity_when_white(self):
-        rng = np.random.default_rng(2)
-        basis = rng.standard_normal((4, 2))
-        beta = rng.standard_normal(4)
-        assert r2_single(beta, basis, sigma_z=np.eye(4)) == pytest.approx(
-            r2_single(beta, basis), abs=1e-12
-        )
-
-    def test_general_sigma_ratio_maximum(self):
-        # brute maximum of the displayed ratio over a dense grid of the span
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 3))
-        sigma = a @ a.T + 3 * np.eye(3)
-        basis = rng.standard_normal((3, 2))
-        beta = rng.standard_normal(3)
-        got = r2_single(beta, basis, sigma_z=sigma)
-        ts = np.linspace(0.0, np.pi, 20001)
-        best = 0.0
-        for t in ts:
-            v = np.cos(t) * basis[:, 0] + np.sin(t) * basis[:, 1]
-            num = (beta @ sigma @ v) ** 2
-            den = (beta @ sigma @ beta) * (v @ sigma @ v)
-            best = max(best, num / den)
-        assert got == pytest.approx(best, abs=1e-6)
-
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateSubspace):
             r2_single(np.zeros(3), np.eye(3))
@@ -82,13 +57,10 @@ class TestR2SingleBatched:
         rng = np.random.default_rng(3)
         betas = rng.standard_normal((7, 4))
         basis = rng.standard_normal((4, 2))
-        a = rng.standard_normal((4, 4))
-        sigma = a @ a.T + np.eye(4)
-        for sigma_z in (None, sigma):
-            got = r2_single(betas, basis, sigma_z=sigma_z)
-            assert got.shape == (7,)
-            want = [r2_single(b, basis, sigma_z=sigma_z) for b in betas]
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        got = r2_single(betas, basis)
+        assert got.shape == (7,)
+        want = [r2_single(b, basis) for b in betas]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_one_zero_row_rejected(self):
         betas = np.array([e(0), np.zeros(3), e(2)])

@@ -9,6 +9,7 @@ import pytest
 
 from slicesdr import (
     METHODS,
+    Dataset,
     ModelSpec,
     RngStreams,
     SimConfig,
@@ -24,7 +25,7 @@ from slicesdr import (
     sym_eig,
 )
 from slicesdr import simulation
-from slicesdr.errors import DegenerateDesign, SimulationError
+from slicesdr.errors import DegenerateDesign, InvalidArgument, SimulationError
 
 
 class _ZeroStream:
@@ -88,10 +89,8 @@ class TestGenerators:
             np.testing.assert_allclose(d.y, want, atol=0)
 
     def test_model_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             ModelSpec(id=6)
-        with pytest.raises(ValueError):
-            ModelSpec(id=1, p=3, beta=np.array([1.0, 1.0, 0.0]))
 
 
 class _Replay:
@@ -156,23 +155,35 @@ class TestRunMc:
             v = r.summaries[m].values
             assert np.all(v >= -1e-12) and np.all(v <= 1.0 + 1e-12)
 
-    def test_replicate_failure_carries_index(self):
-        # p > n makes standardization impossible; the error names replicate 0
+    def test_replicate_failure_carries_index(self, monkeypatch):
+        # collinear predictors make standardization fail inside the draw;
+        # the error names replicate 0
+        real = simulation.gen_model
+
+        def collinear(spec, n, streams):
+            data = real(spec, n, streams)
+            x = data.x.copy()
+            x[:, 1] = x[:, 0]
+            return Dataset(x=x, y=data.y)
+
+        monkeypatch.setattr(simulation, "gen_model", collinear)
         cfg = SimConfig(
-            model=ModelSpec(id=1, p=70), n=62, H=31, reps=2, seed=1,
+            model=ModelSpec(id=1, p=4), n=62, H=31, reps=2, seed=1,
             standardize=True,
         )
-        with pytest.raises(SimulationError, match="replicate 0"):
+        with pytest.raises(SimulationError, match="^replicate 0 failed"):
             run_mc(cfg)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument, match="need n > p to standardize"):
+            self.cfg(model=ModelSpec(id=1, p=70), n=62, H=31, standardize=True)
+        with pytest.raises(InvalidArgument):
             self.cfg(n=6, H=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             self.cfg(reps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             self.cfg(methods=("save", "pca"))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             self.cfg(seed=-1)
 
 
@@ -202,7 +213,7 @@ class TestBiasSweep:
             bias_sweep([100], [1], reps=2)
 
     def test_p_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             bias_sweep([100], [4], reps=2, p=4)
         rows = bias_sweep([120], [4], reps=2, p=2)
         assert rows[0].H == 30

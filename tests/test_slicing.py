@@ -15,6 +15,7 @@ from hypothesis import strategies as st_
 from slicesdr import SliceAssignment, slice_discrete, slice_equal_count, slice_stats
 from slicesdr.errors import (
     DegenerateResponse,
+    InvalidArgument,
     InvalidMatrix,
     SingletonSlice,
     TooManySlices,
@@ -181,7 +182,7 @@ class TestSliceStats:
         rng = np.random.default_rng(6)
         a = slice_equal_count(rng.standard_normal(50), 5)
         for rows in (100, 40):
-            with pytest.raises(ValueError, match="assignment covers 50 rows"):
+            with pytest.raises(InvalidArgument, match="assignment covers 50 rows"):
                 slice_stats(rng.standard_normal((rows, 2)), a)
 
 
@@ -251,15 +252,15 @@ class TestSliceStatsProperties:
         SliceAssignment(order=a.order.copy(), bounds=a.bounds.copy())  # valid
         dup = a.order.copy()
         dup[0] = dup[-1]  # one index twice, another missing
-        with pytest.raises(ValueError, match="permutation"):
+        with pytest.raises(InvalidArgument, match="permutation"):
             SliceAssignment(order=dup, bounds=a.bounds)
         out_of_range = a.order.copy()
         out_of_range[out_of_range.argmax()] = n
-        with pytest.raises(ValueError, match="permutation"):
+        with pytest.raises(InvalidArgument, match="permutation"):
             SliceAssignment(order=out_of_range, bounds=a.bounds)
         short = a.bounds.copy()
         short[-1] = n - 1
-        with pytest.raises(ValueError, match="from 0 to"):
+        with pytest.raises(InvalidArgument, match="from 0 to"):
             SliceAssignment(order=a.order, bounds=short)
         with pytest.raises(SingletonSlice):
             SliceAssignment(order=a.order, bounds=np.array([0, 1, n]))
@@ -333,5 +334,5 @@ class TestBatchedSliceStats:
     def test_one_bad_row_rejects_the_batch(self):
         order = np.argsort(np.random.default_rng(10).standard_normal((3, 8)), axis=-1)
         order[2, 0] = order[2, 1]
-        with pytest.raises(ValueError, match="permutation"):
+        with pytest.raises(InvalidArgument, match="permutation"):
             SliceAssignment(order=order, bounds=np.array([0, 4, 8]))

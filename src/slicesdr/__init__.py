@@ -48,6 +48,7 @@ from .simulation import (
     bias_sweep,
     gen_model,
     model_streams,
+    run_grid,
     run_mc,
 )
 from .slicing import (
@@ -90,6 +91,7 @@ __all__ = [
     "model_streams",
     "negative_eigenvalue_count",
     "r2_single",
+    "run_grid",
     "run_mc",
     "save_matrix",
     "sir_matrix",

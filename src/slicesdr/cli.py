@@ -33,7 +33,6 @@ from . import __version__
 from .data import load_csv, standardize
 from .errors import (
     DataError,
-    DegenerateDesign,
     InvalidArgument,
     NumericalError,
     TooManySlices,
@@ -52,8 +51,10 @@ from .simulation import (
     McReport,
     ModelSpec,
     SimConfig,
+    SWEEP_P,
     SweepRow,
     bias_sweep,
+    run_grid,
     run_mc,
 )
 from .slicing import DIVISORS, slice_equal_count, slice_stats
@@ -242,8 +243,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_table1(args) -> int:
     models = _int_list(args.models)
     h_grid = _int_list(args.H)
-    if not models or not h_grid:
-        raise DegenerateDesign("empty model or H grid")
     meta = {
         "command": "table1",
         "version": __version__,
@@ -255,20 +254,11 @@ def _cmd_table1(args) -> int:
         "methods": list(METHODS),
         "standardize": args.standardize,
     }
-    rows = []
-    for model_id in models:
-        for H in h_grid:
-            cfg = SimConfig(
-                model=ModelSpec(id=model_id),
-                n=args.n,
-                H=H,
-                reps=args.reps,
-                seed=args.seed,
-                standardize=args.standardize,
-            )
-            report = run_mc(cfg)
-            new_rows, _ = _report_rows(report, with_quantiles=True)
-            rows.extend(new_rows)
+    reports = run_grid(
+        [ModelSpec(id=model_id) for model_id in models], h_grid, args.n, args.reps,
+        seed=args.seed, standardize=args.standardize,
+    )
+    rows = [row for r in reports for row in _report_rows(r, with_quantiles=True)[0]]
     # mirror the reference layout: per-model blocks, method rows, H columns
     rows.sort(key=lambda r: (r["model"], METHODS.index(r["method"]), r["H"]))
     fields = ("model", "method", "H", "min", "q1", "median", "q3", "max", "reps")
@@ -407,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--c-grid", default=None, help="comma list of per-slice counts")
     swp.add_argument("--reps", type=int, default=None)
     swp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    swp.add_argument("--p", type=int, default=1, choices=(1, 2, 3),
+    swp.add_argument("--p", type=int, default=1, choices=SWEEP_P,
                      help="null-model dimension")
     add_output_flags(swp)
     swp.set_defaults(func=_cmd_sweep)

@@ -6,12 +6,20 @@ and noise.  Replicate r of a run draws from counter-based substreams keyed
 by (seed, r, role), so replicate r sees the same data whether or not other
 replicates run.
 
-``run_mc`` scores each method's leading direction against the true index
-direction and reports the replicate medians; ``bias_sweep`` tracks the raw
-and corrected slice-covariance-square estimators on a pure-noise model
-where the estimand is known exactly.  Both draw replicates one by one,
-stack them into chunks and run each chunk through the batched slicing,
-estimator, eigen and scoring calls in one pass.
+``run_grid`` scores each method's leading direction against the true index
+direction over a grid of (model, H) cells and reports the replicate
+medians of each cell; ``run_mc`` is its one-cell case.  ``bias_sweep``
+tracks the raw and corrected slice-covariance-square estimators on a
+pure-noise model where the estimand is known exactly.
+
+Both draw replicates one by one and stack them into chunks.  The grid
+draws x and eps of replicate r once for all its cells, since they depend
+only on (seed, r, n, p), and whitens x once under ``standardize``.  Each
+model's response is then formed from the shared u = x beta and eps and
+sorted once, because the slice order does not depend on H; every H slices
+that order in sub-chunks of its own chunk size, and each model's
+candidates over all H and methods go through one eigen and one scoring
+call.
 """
 
 from __future__ import annotations
@@ -20,12 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, standardize
+from .data import Dataset
+from .data import standardize as _standardize
 from .errors import DegenerateDesign, InvalidArgument, SimulationError
 from .estimators import METHODS, candidate_matrix, lambda_corrected
 from .linalg import sym_eig
 from .metrics import r2_single
-from .slicing import slice_equal_count, slice_stats
+from .slicing import (
+    SliceAssignment,
+    equal_count_bounds,
+    slice_equal_count,
+    slice_stats,
+)
 
 #: Fixed default master seed for every CLI entry point (never time-derived).
 DEFAULT_SEED = 1729
@@ -43,6 +57,9 @@ _RESPONSES = {
 }
 
 MODEL_IDS = tuple(_RESPONSES)
+
+#: Dimensions p of the null-model sweep.
+SWEEP_P = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -92,14 +109,17 @@ def model_streams(seed: int, replicate: int) -> RngStreams:
     )
 
 
+def _draw(n: int, p: int, streams: RngStreams):
+    """Predictors x (n, p) and noise eps (n,) of one replicate, i.i.d. N(0, 1)."""
+    return streams.x.standard_normal((n, p)), streams.eps.standard_normal(n)
+
+
 def gen_model(spec: ModelSpec, n: int, streams: RngStreams) -> Dataset:
     """Draw one dataset: x rows i.i.d. N(0, I_p), eps i.i.d. N(0, 1)."""
     if n < 2:
         raise InvalidArgument("need n >= 2")
-    x = streams.x.standard_normal((n, spec.p))
-    eps = streams.eps.standard_normal(n)
-    y = _RESPONSES[spec.id](x @ spec.beta, eps)
-    return Dataset(x=x, y=y)
+    x, eps = _draw(n, spec.p, streams)
+    return Dataset(x=x, y=_RESPONSES[spec.id](x @ spec.beta, eps))
 
 
 @dataclass(frozen=True)
@@ -215,42 +235,97 @@ def _run_chunks(reps: int, chunk: int, draw, stacked_pass) -> list:
     return [np.concatenate(column) for column in zip(*results)]
 
 
-def run_mc(cfg: SimConfig) -> McReport:
-    """Score every replicate and summarize each method's R^2.
+def run_grid(
+    models,
+    h_grid,
+    n: int,
+    reps: int,
+    seed: int = DEFAULT_SEED,
+    methods: tuple = METHODS,
+    standardize: bool = False,
+) -> list:
+    """One report per (model, H) cell, models outer and H inner, in the
+    order given (repeats included).
 
-    Replicate r draws from ``model_streams(cfg.seed, r)``; replicates are
-    stacked into chunks and each chunk is sliced, decomposed and scored in
-    one pass.  The report is a pure function of the config, whatever the
-    chunk size.  A failing replicate aborts the whole run with its index
-    attached; nothing is skipped silently.
+    ``models`` are ModelSpecs of one dimension p.  Replicate r of every
+    cell is drawn once from ``model_streams(seed, r)``, so each cell's
+    report is the same as a run of that cell alone.  Replicates are scored
+    in chunks of the largest chunk size over ``h_grid``; each H slices a
+    chunk in sub-chunks of its own size.  A failing replicate aborts the
+    whole run with its index attached; nothing is skipped silently.
     """
-    true_basis = cfg.model.beta[:, None]
+    models, h_grid = list(models), list(h_grid)
+    if not models or not h_grid:
+        raise DegenerateDesign("empty model or H grid")
+    if len({m.p for m in models}) > 1:
+        raise InvalidArgument("grid models must share one dimension p")
+    cells = [
+        SimConfig(model=m, n=n, H=H, reps=reps, seed=seed, methods=methods,
+                  standardize=standardize)
+        for m in models
+        for H in h_grid
+    ]
+    p = models[0].p
+    beta = models[0].beta
+    true_basis = beta[:, None]
+    slicings = [(equal_count_bounds(n, H), _chunk_size(n, p, H)) for H in h_grid]
+    chunk = max(size for _, size in slicings)
 
     def draw(rep):
-        data = gen_model(cfg.model, cfg.n, model_streams(cfg.seed, rep))
-        if not cfg.standardize:
-            return data.x, data.y
-        sd = standardize(data)
-        return sd.z, sd.y, sd.cov_inv_sqrt
+        x, eps = _draw(n, p, model_streams(seed, rep))
+        u = x @ beta
+        if not standardize:
+            return x, u, eps
+        sd = _standardize(Dataset(x=x, y=u))
+        return sd.z, u, eps, sd.cov_inv_sqrt
 
-    def scores(z, y, back=None):
-        stats = slice_stats(z, slice_equal_count(y, cfg.H))
+    def scores(z, u, eps, back=None):
         out = []
-        for method in cfg.methods:
-            lead = sym_eig(candidate_matrix(method, stats)).vectors[..., 0]
+        cands = np.empty((len(h_grid), len(methods)) + z.shape[:1] + (p, p))
+        for model in models:
+            order = np.argsort(_RESPONSES[model.id](u, eps), axis=-1, kind="stable")
+            # Each H slices the chunk in sub-chunks of its own size, so its
+            # slice stacks stay within that H's _chunk_size bound.
+            for i, (bounds, size) in enumerate(slicings):
+                for lo in range(0, z.shape[0], size):
+                    part = slice(lo, lo + size)
+                    stats = slice_stats(z[part], SliceAssignment(order[part], bounds))
+                    for j, method in enumerate(methods):
+                        cands[i, j, part] = candidate_matrix(method, stats)
+            # One eigen call per model, not per grid: sym_eig copies its
+            # whole input stack several times.
+            lead = sym_eig(cands.reshape(-1, p, p)).vectors[..., 0]
             if back is not None:
                 # back to the x scale before scoring
-                lead = np.einsum("...ij,...j->...i", back, lead)
-            out.append(r2_single(lead, true_basis))
+                lead = np.einsum(
+                    "...ij,...j->...i",
+                    np.broadcast_to(back, cands.shape).reshape(-1, p, p),
+                    lead,
+                )
+            out.extend(r2_single(lead, true_basis).reshape(-1, z.shape[0]))
         return out
 
-    chunk = _chunk_size(cfg.n, cfg.model.p, cfg.H)
-    values = _run_chunks(cfg.reps, chunk, draw, scores)
-    summaries = {
-        method: MethodSummary.from_values(method, v)
-        for method, v in zip(cfg.methods, values)
-    }
-    return McReport(config=cfg, summaries=summaries)
+    values = _run_chunks(reps, chunk, draw, scores)
+    k = len(methods)
+    return [
+        McReport(
+            config=cfg,
+            summaries={
+                method: MethodSummary.from_values(method, v)
+                for method, v in zip(methods, values[c * k:(c + 1) * k])
+            },
+        )
+        for c, cfg in enumerate(cells)
+    ]
+
+
+def run_mc(cfg: SimConfig) -> McReport:
+    """Score every replicate of one cell and summarize each method's R^2:
+    the one-cell case of ``run_grid``."""
+    return run_grid(
+        [cfg.model], [cfg.H], cfg.n, cfg.reps, seed=cfg.seed,
+        methods=cfg.methods, standardize=cfg.standardize,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -275,8 +350,7 @@ def _null_levels(n: int, H: int, p: int, reps: int, seed: int) -> list:
     eye = np.eye(p)
 
     def draw(rep):
-        streams = model_streams(seed, rep)
-        return streams.x.standard_normal((n, p)), streams.eps.standard_normal(n)
+        return _draw(n, p, model_streams(seed, rep))
 
     def levels(z, y):
         stats = slice_stats(z, slice_equal_count(y, H))
@@ -315,8 +389,10 @@ def bias_sweep(
         raise InvalidArgument("reps must be >= 1")
     if seed < 0:
         raise InvalidArgument("seed must be non-negative")
-    if not 1 <= p <= 3:
-        raise InvalidArgument("null-model sweep supports p in 1..3")
+    if p not in SWEEP_P:
+        raise InvalidArgument(
+            f"null-model sweep supports p in {SWEEP_P[0]}..{SWEEP_P[-1]}"
+        )
     rows = []
     for n in n_grid:
         for c in c_grid:

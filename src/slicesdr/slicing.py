@@ -90,14 +90,18 @@ def slice_equal_count(y, H: int) -> SliceAssignment:
     remainder (it can be larger than c, never smaller).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = y.shape[-1]
+    bounds = equal_count_bounds(y.shape[-1], H)
+    return SliceAssignment(order=np.argsort(y, axis=-1, kind="stable"), bounds=bounds)
+
+
+def equal_count_bounds(n: int, H: int) -> np.ndarray:
+    """Offsets of H equal-count slices of n sorted points: slices 1..H-1
+    hold c = floor(n/H) points and the last slice the remainder."""
     if H < 1:
         raise TooManySlices(f"H must be >= 1, got {H}")
     if n < 2 * H:
         raise TooManySlices(f"n={n} too small for H={H} slices of >= 2 points")
-    order = np.argsort(y, axis=-1, kind="stable")
-    bounds = np.append(np.arange(H) * (n // H), n)
-    return SliceAssignment(order=order, bounds=bounds)
+    return np.append(np.arange(H) * (n // H), n)
 
 
 def slice_discrete(y) -> SliceAssignment:
@@ -159,6 +163,20 @@ def _runs(counts: np.ndarray):
     return zip(cuts[:-1], cuts[1:])
 
 
+def _gram(a: np.ndarray, out=None) -> np.ndarray:
+    """a^T a over the last two axes, for a of shape (..., k, p).
+
+    At p = 1 the product is one dot product of length k, which a threaded
+    BLAS splits across threads, so its summation order (and its last bits)
+    would depend on the thread count; einsum sums it in one fixed order.
+    At p > 1 the BLAS product is many times faster than einsum, and bias
+    sweeps at p = 2 and 3 give the same bytes at 1 and 2 threads with it.
+    """
+    if a.shape[-1] == 1:
+        return np.einsum("...ki,...kj->...ij", a, a, out=out)
+    return np.matmul(a.swapaxes(-1, -2), a, out=out)
+
+
 def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceStats:
     """Slice moments of the rows of z, from one gather into slice order.
 
@@ -201,7 +219,7 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         block = run.reshape(batch + (hi - lo, int(counts[lo]), p))
         block -= means[..., lo:hi, None, :]  # deviations, in place
         out = covs[..., lo:hi, :, :]
-        np.matmul(block.swapaxes(-1, -2), block, out=out)
+        _gram(block, out=out)
         out /= denom[lo:hi, None, None]
         # Symmetrize one row at a time, so that no temporary as large as
         # the run's covariances is formed.
@@ -213,12 +231,11 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         mean_cov += weight * out.sum(axis=-3)
         # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B;
         # numpy forms A^T A as a symmetric rank-k update, exactly symmetric.
-        stacked = out.reshape(batch + ((hi - lo) * p, p))
-        cov_square += weight * (stacked.swapaxes(-1, -2) @ stacked)
+        cov_square += weight * _gram(out.reshape(batch + ((hi - lo) * p, p)))
     # Scale each deviation d by ||d|| in place: the sum of ||d||^2 d d^T is
     # then one product of the scaled deviations with themselves.
     zs *= np.sqrt(np.einsum("...i,...i->...", zs, zs))[..., None]
-    fourth = zs.swapaxes(-1, -2) @ zs / n
+    fourth = _gram(zs) / n
     return SliceStats(
         counts=counts,
         means=means,

@@ -24,13 +24,12 @@ import slicesdr
 from slicesdr import (
     DEFAULT_SEED,
     ModelSpec,
-    SimConfig,
     bias_sweep,
     correction_coefficients,
     eigen_perturb_first_order,
     inv_sqrt,
     r2_single,
-    run_mc,
+    run_grid,
     save_matrix,
     slice_equal_count,
     slice_stats,
@@ -74,15 +73,10 @@ def _verdict(criterion: str, ok: bool, detail: str = "") -> None:
 def grid_medians():
     """Full benchmark grid, 200 replicates per cell, fixed default seed."""
     out = {}
-    for model_id in REFERENCE_MEDIANS:
-        for H in H_GRID:
-            cfg = SimConfig(
-                model=ModelSpec(id=model_id), n=480, H=H, reps=200,
-                seed=DEFAULT_SEED,
-            )
-            report = run_mc(cfg)
-            for method, summary in report.summaries.items():
-                out[(model_id, method, H)] = summary.median
+    models = [ModelSpec(id=model_id) for model_id in REFERENCE_MEDIANS]
+    for report in run_grid(models, H_GRID, 480, 200, seed=DEFAULT_SEED):
+        for method, summary in report.summaries.items():
+            out[(report.config.model.id, method, report.config.H)] = summary.median
     return out
 
 
@@ -327,7 +321,18 @@ def test_acceptance_7_metric_properties():
 
 
 def test_acceptance_8_json_determinism(tmp_path):
-    """Criterion 8: byte-identical JSON under thread counts 1 and 8."""
+    """Criterion 8: byte-identical JSON across reruns and BLAS thread counts.
+
+    Each command runs four times, with OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS at 1, then the usable CPU count (at least 2), then
+    again.  The p = 1 sweep reduces whole slices and the whole sample to
+    single dot products, which a threaded BLAS would split across threads.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        nproc = len(os.sched_getaffinity(0))  # what nproc prints
+    else:
+        nproc = os.cpu_count() or 1
+    many = str(max(2, nproc))
     commands = {
         "simulate": [
             "simulate", "--model", "2", "--n", "200", "--slices", "10",
@@ -336,6 +341,10 @@ def test_acceptance_8_json_determinism(tmp_path):
         "table1": [
             "table1", "--models", "1,3", "--H", "2,6", "--n", "120",
             "--reps", "8", "--seed", str(DEFAULT_SEED), "--out", "json",
+        ],
+        "sweep": [
+            "sweep", "--mode", "bias", "--n-grid", "20000", "--c-grid", "2,3",
+            "--reps", "10", "--seed", str(DEFAULT_SEED), "--out", "json",
         ],
     }
     # the child imports the same slicesdr as this process, whether it was
@@ -347,11 +356,11 @@ def test_acceptance_8_json_determinism(tmp_path):
     )
     for name, argv in commands.items():
         outputs = []
-        for threads in ("1", "8", "1", "8"):
+        for threads in ("1", many, "1", many):
             out = tmp_path / f"{name}-{threads}-{len(outputs)}.json"
             proc = subprocess.run(
                 [sys.executable, "-m", "slicesdr.cli", *argv, "--output", str(out)],
-                env={**env, "SDR_THREADS": threads},
+                env={**env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
                 capture_output=True,
                 text=True,
             )

@@ -269,6 +269,19 @@ class TestTable1:
         assert code == 0
         assert capsys.readouterr().out == expected
 
+    def test_repeated_cells_keep_their_rows(self, capsys):
+        doc = run_json(
+            capsys,
+            ["table1", "--models", "1,1", "--H", "2,2", "--n", "40",
+             "--reps", "3", "--out", "json"],
+        )
+        rows = doc["results"]
+        assert [(r["model"], r["method"], r["H"]) for r in rows] == [
+            (1, method, 2) for method in ("save", "sir", "csave") for _ in range(4)
+        ]
+        for i in range(0, 12, 4):
+            assert rows[i:i + 4] == [rows[i]] * 4
+
     def test_empty_model_grid_is_usage_error(self, capsys):
         assert main(["table1", "--models", "", "--reps", "1"]) == 2
 

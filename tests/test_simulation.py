@@ -2,14 +2,12 @@
 and the chunked replicate engine against a per-replicate oracle."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from slicesdr import (
     METHODS,
-    Dataset,
     ModelSpec,
     RngStreams,
     SimConfig,
@@ -18,6 +16,7 @@ from slicesdr import (
     gen_model,
     model_streams,
     r2_single,
+    run_grid,
     run_mc,
     slice_equal_count,
     slice_stats,
@@ -158,15 +157,15 @@ class TestRunMc:
     def test_replicate_failure_carries_index(self, monkeypatch):
         # collinear predictors make standardization fail inside the draw;
         # the error names replicate 0
-        real = simulation.gen_model
+        real = simulation._draw
 
-        def collinear(spec, n, streams):
-            data = real(spec, n, streams)
-            x = data.x.copy()
+        def collinear(n, p, streams):
+            x, eps = real(n, p, streams)
+            x = x.copy()
             x[:, 1] = x[:, 0]
-            return Dataset(x=x, y=data.y)
+            return x, eps
 
-        monkeypatch.setattr(simulation, "gen_model", collinear)
+        monkeypatch.setattr(simulation, "_draw", collinear)
         cfg = SimConfig(
             model=ModelSpec(id=1, p=4), n=62, H=31, reps=2, seed=1,
             standardize=True,
@@ -243,6 +242,22 @@ def fixed_chunk(monkeypatch, size):
     monkeypatch.setattr(simulation, "_chunk_size", lambda n, p, H: size)
 
 
+def poison_replicate(monkeypatch, rep):
+    """Make the rep-th draw carry a NaN predictor."""
+    real = simulation._draw
+    drawn = []
+
+    def poisoned(n, p, streams):
+        x, eps = real(n, p, streams)
+        drawn.append(len(drawn))
+        if drawn[-1] == rep:
+            x = x.copy()
+            x[11, 2] = np.nan
+        return x, eps
+
+    monkeypatch.setattr(simulation, "_draw", poisoned)
+
+
 class TestChunkedEngine:
     @pytest.mark.parametrize("model_id", simulation.MODEL_IDS)
     @pytest.mark.parametrize(
@@ -294,19 +309,7 @@ class TestChunkedEngine:
     def test_poisoned_replicate_in_later_chunk_is_named(self, monkeypatch):
         # replicate 7 sits in the third chunk of 3; its x carries a NaN
         fixed_chunk(monkeypatch, 3)
-        real = simulation.gen_model
-        drawn = []
-
-        def poisoned(spec, n, streams):
-            data = real(spec, n, streams)
-            drawn.append(len(drawn))
-            if drawn[-1] == 7:
-                x = data.x.copy()
-                x[11, 2] = np.nan
-                return SimpleNamespace(x=x, y=data.y)
-            return data
-
-        monkeypatch.setattr(simulation, "gen_model", poisoned)
+        poison_replicate(monkeypatch, 7)
         cfg = SimConfig(model=ModelSpec(id=1), n=120, H=6, reps=10, seed=2)
         with pytest.raises(SimulationError, match=r"^replicate 7 failed"):
             run_mc(cfg)
@@ -326,6 +329,102 @@ class TestChunkedEngine:
         tracemalloc.start()
         try:
             run_mc(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * budget, (peak, budget)
+
+
+def grid_values(reports):
+    """(cell, method, replicate) scores of a list of reports."""
+    return np.stack([
+        [r.summaries[m].values for m in r.config.methods] for r in reports
+    ])
+
+
+class TestGridEngine:
+    MODELS = [ModelSpec(id=m) for m in simulation.MODEL_IDS]
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_cells_bitwise_equal_standalone_runs(self, standardize):
+        # n=487 leaves a remainder in the last slice at every H; 12
+        # replicates make a full chunk of 10 and a short one, and H=96
+        # slices each in sub-chunks of 5
+        h_grid = (2, 7, 96)
+        reports = run_grid(self.MODELS, h_grid, 487, 12, seed=4,
+                           standardize=standardize)
+        cells = [(m, H) for m in self.MODELS for H in h_grid]
+        assert [(r.config.model, r.config.H) for r in reports] == cells
+        for report, (model, H) in zip(reports, cells):
+            alone = run_mc(SimConfig(model=model, n=487, H=H, reps=12, seed=4,
+                                     standardize=standardize))
+            assert report.config == alone.config
+            for m in METHODS:
+                np.testing.assert_array_equal(
+                    report.summaries[m].values, alone.summaries[m].values
+                )
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_scores_bitwise_equal_across_chunk_sizes(self, monkeypatch, standardize):
+        args = (self.MODELS[2:4], (2, 24, 96), 480, 11)
+        want = grid_values(run_grid(*args, seed=6, standardize=standardize))
+        for size in (1, 11):
+            fixed_chunk(monkeypatch, size)
+            got = grid_values(run_grid(*args, seed=6, standardize=standardize))
+            np.testing.assert_array_equal(got, want)
+
+    def test_repeated_and_reordered_cells_are_kept(self):
+        one = ModelSpec(id=1)
+        reports = run_grid([one, one], (2, 2), 120, 4, seed=9)
+        assert [(r.config.model.id, r.config.H) for r in reports] == [(1, 2)] * 4
+        values = grid_values(reports)
+        for v in values[1:]:
+            np.testing.assert_array_equal(v, values[0])
+        three = ModelSpec(id=3)
+        swapped = run_grid([three, one], (96, 2), 480, 3, seed=9)
+        ordered = run_grid([one, three], (2, 96), 480, 3, seed=9)
+        assert [(r.config.model.id, r.config.H) for r in swapped] == [
+            (3, 96), (3, 2), (1, 96), (1, 2)
+        ]
+        np.testing.assert_array_equal(
+            grid_values(swapped), grid_values(ordered)[[3, 2, 1, 0]]
+        )
+
+    def test_invalid_grids_rejected(self):
+        with pytest.raises(InvalidArgument, match="share one dimension"):
+            run_grid([ModelSpec(id=1, p=4), ModelSpec(id=2, p=5)], (2,), 40, 2)
+        with pytest.raises(DegenerateDesign, match="empty model or H grid"):
+            run_grid([], (2,), 40, 2)
+        with pytest.raises(DegenerateDesign, match="empty model or H grid"):
+            run_grid(self.MODELS, (), 40, 2)
+        with pytest.raises(InvalidArgument, match="n=40 too small for H=21"):
+            run_grid(self.MODELS, (2, 21), 40, 2)
+
+    def test_poisoned_replicate_in_later_grid_chunk_is_named(self, monkeypatch):
+        # chunks of 10 at n=480; replicate 13 sits in the second, and its
+        # sub-chunks of 5 at H=96 put it in the third H=96 stack
+        poison_replicate(monkeypatch, 13)
+        with pytest.raises(SimulationError, match=r"^replicate 13 failed"):
+            run_grid(self.MODELS[:2], (2, 96), 480, 20, seed=2)
+
+    def test_traced_peak_of_one_grid_chunk_is_bounded(self):
+        # One chunk of the default grid holds the drawn (chunk, n, p) data
+        # and, while one H is sliced, the slice-order copy of its sub-chunk
+        # and two covariance stacks of that sub-chunk; then one model's
+        # (H, methods, chunk, p, p) candidate stack and the eigen
+        # temporaries of about four copies of it.  Stacking every model's
+        # candidates into one eigen call goes past 1.25 times that budget.
+        n, p, h_grid = 480, 10, (2, 6, 24, 96)
+        sizes = [simulation._chunk_size(n, p, H) for H in h_grid]
+        chunk = max(sizes)
+        slice_bytes = max(s * (n * p + 2 * H * p * p) for s, H in zip(sizes, h_grid))
+        cand_bytes = len(h_grid) * len(METHODS) * chunk * p * p
+        budget = 8 * (chunk * n * p + slice_bytes + 5 * cand_bytes)
+        args = (self.MODELS, h_grid, n, chunk)
+        run_grid(*args, seed=3)  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            run_grid(*args, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

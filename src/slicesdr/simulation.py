@@ -19,7 +19,8 @@ model's response is then formed from the shared u = x beta and eps and
 sorted once, because the slice order does not depend on H; every H slices
 that order in sub-chunks of its own chunk size, and each model's
 candidates over all H and methods go through one eigen and one scoring
-call.
+call.  The sweep likewise draws and sorts replicate r once per n for
+every c of the row.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from .errors import DegenerateDesign, InvalidArgument, SimulationError
 from .estimators import METHODS, candidate_matrix, lambda_corrected
 from .linalg import sym_eig
 from .metrics import r2_single
-from .slicing import (
-    SliceAssignment,
-    equal_count_bounds,
-    slice_equal_count,
-    slice_stats,
-)
+from .slicing import SliceAssignment, equal_count_bounds, slice_stats, stable_order
 
 #: Fixed default master seed for every CLI entry point (never time-derived).
 DEFAULT_SEED = 1729
@@ -166,18 +162,29 @@ class MethodSummary:
     min: float
     max: float
 
-    @classmethod
-    def from_values(cls, method: str, values: np.ndarray) -> "MethodSummary":
-        v = np.asarray(values, dtype=float)
-        return cls(
-            method=method,
+
+def _summaries(methods: tuple, values: np.ndarray) -> list:
+    """One MethodSummary per row of ``values`` (rows, reps), row i scored
+    by ``methods[i % len(methods)]``.
+
+    Each statistic is one call over all rows; a row's result is bitwise
+    that of the same call on the row alone.
+    """
+    median = np.median(values, axis=-1)
+    q1, q3 = np.quantile(values, [0.25, 0.75], axis=-1)
+    lo, hi = values.min(axis=-1), values.max(axis=-1)
+    return [
+        MethodSummary(
+            method=methods[i % len(methods)],
             values=v,
-            median=float(np.median(v)),
-            q1=float(np.quantile(v, 0.25)),
-            q3=float(np.quantile(v, 0.75)),
-            min=float(v.min()),
-            max=float(v.max()),
+            median=float(median[i]),
+            q1=float(q1[i]),
+            q3=float(q3[i]),
+            min=float(lo[i]),
+            max=float(hi[i]),
         )
+        for i, v in enumerate(values)
+    ]
 
 
 @dataclass(frozen=True)
@@ -235,6 +242,19 @@ def _run_chunks(reps: int, chunk: int, draw, stacked_pass) -> list:
     return [np.concatenate(column) for column in zip(*results)]
 
 
+def _sliced(z, order, bounds, size: int):
+    """(part, stats) of each sub-chunk of ``size`` replicates of a chunk.
+
+    ``z`` (chunk, n, p) is sliced by the sorted ``order`` (chunk, n) over
+    the shared ``bounds``, a sub-chunk at a time, so the slice stacks of
+    one H stay within that H's ``_chunk_size`` bound however large the
+    chunk is.
+    """
+    for lo in range(0, z.shape[0], size):
+        part = slice(lo, lo + size)
+        yield part, slice_stats(z[part], SliceAssignment(order[part], bounds))
+
+
 def run_grid(
     models,
     h_grid,
@@ -283,13 +303,9 @@ def run_grid(
         out = []
         cands = np.empty((len(h_grid), len(methods)) + z.shape[:1] + (p, p))
         for model in models:
-            order = np.argsort(_RESPONSES[model.id](u, eps), axis=-1, kind="stable")
-            # Each H slices the chunk in sub-chunks of its own size, so its
-            # slice stacks stay within that H's _chunk_size bound.
+            order = stable_order(_RESPONSES[model.id](u, eps))
             for i, (bounds, size) in enumerate(slicings):
-                for lo in range(0, z.shape[0], size):
-                    part = slice(lo, lo + size)
-                    stats = slice_stats(z[part], SliceAssignment(order[part], bounds))
+                for part, stats in _sliced(z, order, bounds, size):
                     for j, method in enumerate(methods):
                         cands[i, j, part] = candidate_matrix(method, stats)
             # One eigen call per model, not per grid: sym_eig copies its
@@ -305,15 +321,12 @@ def run_grid(
             out.extend(r2_single(lead, true_basis).reshape(-1, z.shape[0]))
         return out
 
-    values = _run_chunks(reps, chunk, draw, scores)
+    summaries = _summaries(methods, np.stack(_run_chunks(reps, chunk, draw, scores)))
     k = len(methods)
     return [
         McReport(
             config=cfg,
-            summaries={
-                method: MethodSummary.from_values(method, v)
-                for method, v in zip(methods, values[c * k:(c + 1) * k])
-            },
+            summaries={s.method: s for s in summaries[c * k:(c + 1) * k]},
         )
         for c, cfg in enumerate(cells)
     ]
@@ -344,25 +357,37 @@ class SweepRow:
     median_abs_err_corrected: float
 
 
-def _null_levels(n: int, H: int, p: int, reps: int, seed: int) -> list:
+def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
     """Per-replicate trace levels and Frobenius errors of the raw and
-    corrected estimators on pure noise, where the true target is I_p."""
+    corrected estimators on pure noise, where the true target is I_p: four
+    rows per H of ``h_grid``, in order.
+
+    Replicate r is drawn and its y sorted once for every H.  Replicates are
+    scored in chunks of the largest chunk size over ``h_grid``; each H
+    slices a chunk in sub-chunks of its own size.
+    """
     eye = np.eye(p)
+    slicings = [(equal_count_bounds(n, H), _chunk_size(n, p, H)) for H in h_grid]
+    chunk = max(size for _, size in slicings)
 
     def draw(rep):
         return _draw(n, p, model_streams(seed, rep))
 
     def levels(z, y):
-        stats = slice_stats(z, slice_equal_count(y, H))
-        lam, cor = stats.cov_square, lambda_corrected(stats)
-        return (
-            np.trace(lam, axis1=-2, axis2=-1) / p,
-            np.trace(cor, axis1=-2, axis2=-1) / p,
-            np.linalg.norm(lam - eye, axis=(-2, -1)),
-            np.linalg.norm(cor - eye, axis=(-2, -1)),
-        )
+        order = stable_order(y)
+        out = np.empty((len(h_grid), 4, z.shape[0]))
+        for i, (bounds, size) in enumerate(slicings):
+            for part, stats in _sliced(z, order, bounds, size):
+                lam, cor = stats.cov_square, lambda_corrected(stats)
+                out[i, :, part] = (
+                    np.trace(lam, axis1=-2, axis2=-1) / p,
+                    np.trace(cor, axis1=-2, axis2=-1) / p,
+                    np.linalg.norm(lam - eye, axis=(-2, -1)),
+                    np.linalg.norm(cor - eye, axis=(-2, -1)),
+                )
+        return tuple(out.reshape(-1, z.shape[0]))
 
-    return _run_chunks(reps, _chunk_size(n, p, H), draw, levels)
+    return _run_chunks(reps, chunk, draw, levels)
 
 
 def bias_sweep(
@@ -393,7 +418,8 @@ def bias_sweep(
         raise InvalidArgument(
             f"null-model sweep supports p in {SWEEP_P[0]}..{SWEEP_P[-1]}"
         )
-    rows = []
+    # Every (n, c) is checked before any replicate is drawn, so a
+    # degenerate pair late in the grid fails at once.
     for n in n_grid:
         for c in c_grid:
             if c < 2:
@@ -405,7 +431,12 @@ def bias_sweep(
                 raise DegenerateDesign(
                     f"n={n}, c={c} gives H={H} slices of {n // H} points, not {c}"
                 )
-            raw_level, cor_level, raw_err, cor_err = _null_levels(n, H, p, reps, seed)
+    rows = []
+    for n in n_grid:
+        h_grid = [n // c for c in c_grid]
+        levels = _null_levels(n, h_grid, p, reps, seed)
+        for i, (c, H) in enumerate(zip(c_grid, h_grid)):
+            raw_level, cor_level, raw_err, cor_err = levels[4 * i:4 * i + 4]
             rows.append(
                 SweepRow(
                     n=n,

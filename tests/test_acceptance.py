@@ -346,6 +346,11 @@ def test_acceptance_8_json_determinism(tmp_path):
             "sweep", "--mode", "bias", "--n-grid", "20000", "--c-grid", "2,3",
             "--reps", "10", "--seed", str(DEFAULT_SEED), "--out", "json",
         ],
+        # both c slice one shared sort of each replicate, in chunks of 2
+        "sweep-p2": [
+            "sweep", "--mode", "bias", "--n-grid", "20000", "--c-grid", "2,3",
+            "--reps", "10", "--p", "2", "--seed", str(DEFAULT_SEED), "--out", "json",
+        ],
     }
     # the child imports the same slicesdr as this process, whether it was
     # found through PYTHONPATH or an installed package

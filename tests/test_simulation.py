@@ -218,6 +218,73 @@ class TestBiasSweep:
         assert rows[0].H == 30
 
 
+class TestSweepEngine:
+    """One draw and one sort per replicate and n, shared by every c."""
+
+    @pytest.mark.parametrize("p", simulation.SWEEP_P)
+    @pytest.mark.parametrize("n", [600, 401])  # 401 % 2 and 401 % 3 != 0
+    def test_row_of_cs_bitwise_equal_separate_sweeps(self, p, n):
+        # at p = 3 the chunk is 3 replicates and c = 2 slices it in
+        # sub-chunks of 2; 7 replicates leave a short last chunk
+        rows = bias_sweep([n], [2, 3], reps=7, seed=5, p=p)
+        alone = bias_sweep([n], [2], reps=7, seed=5, p=p) + bias_sweep(
+            [n], [3], reps=7, seed=5, p=p
+        )
+        assert rows == alone
+        assert [(r.n, r.c, r.H) for r in rows] == [(n, 2, n // 2), (n, 3, n // 3)]
+
+    @pytest.mark.parametrize("p", simulation.SWEEP_P)
+    def test_repeated_and_reordered_cs_are_kept(self, p):
+        rows = bias_sweep([401, 1000], [3, 2, 3], reps=5, seed=8, p=p)
+        assert [(r.n, r.c) for r in rows] == [
+            (401, 3), (401, 2), (401, 3), (1000, 3), (1000, 2), (1000, 3)
+        ]
+        assert rows[0] == rows[2] and rows[3] == rows[5]
+        assert rows[:3] == bias_sweep([401], [3, 2, 3], reps=5, seed=8, p=p)
+        assert rows[1] == bias_sweep([401], [2], reps=5, seed=8, p=p)[0]
+
+    @pytest.mark.parametrize("p", simulation.SWEEP_P)
+    def test_later_degenerate_pair_fails_before_any_draw(self, monkeypatch, p):
+        drawn = []
+        real = simulation._draw
+
+        def counted(n, p, streams):
+            drawn.append(n)
+            return real(n, p, streams)
+
+        monkeypatch.setattr(simulation, "_draw", counted)
+        with pytest.raises(
+            DegenerateDesign, match=r"^n=10, c=4 gives H=2 slices of 5 points, not 4$"
+        ):
+            bias_sweep([400, 10], [2, 4], reps=3, p=p)
+        with pytest.raises(DegenerateDesign, match=r"^c=1 leaves no within-slice pairs$"):
+            bias_sweep([400], [2, 1], reps=3, p=p)
+        assert drawn == []
+        bias_sweep([400], [2, 4], reps=3, p=p)
+        assert drawn == [400] * 3  # one draw per replicate for both c
+
+    def test_failing_draw_is_named(self, monkeypatch):
+        real = simulation._draw
+        drawn = []
+
+        def failing(n, p, streams):
+            drawn.append(n)
+            if len(drawn) == 5:
+                raise RuntimeError("stream exhausted")
+            return real(n, p, streams)
+
+        monkeypatch.setattr(simulation, "_draw", failing)
+        with pytest.raises(SimulationError, match=r"^replicate 4 failed: stream exhausted"):
+            bias_sweep([401], [2, 3], reps=8, seed=1, p=3)
+
+    def test_poisoned_replicate_is_named(self, monkeypatch):
+        # chunks of 3 at p = 3, which c = 2 slices in sub-chunks of 2 and 1;
+        # replicate 7 sits in the third chunk
+        poison_replicate(monkeypatch, 7)
+        with pytest.raises(SimulationError, match=r"^replicate 7 failed"):
+            bias_sweep([401], [3, 2], reps=10, seed=1, p=3)
+
+
 def oracle_scores(cfg):
     """R^2 of each method's leading direction, one replicate at a time,
     through the unbatched (2-d) calls of every stage."""
@@ -389,6 +456,20 @@ class TestGridEngine:
         np.testing.assert_array_equal(
             grid_values(swapped), grid_values(ordered)[[3, 2, 1, 0]]
         )
+
+    @pytest.mark.parametrize("reps", [1, 2, 3, 7, 10, 11])
+    def test_summaries_equal_per_cell_statistics(self, reps):
+        # medians and quartiles come from one call over all cells; each must
+        # be bitwise what the same call gives on the cell's own values
+        reports = run_grid(self.MODELS, (2, 24), 120, reps, seed=reps)
+        for report in reports:
+            for m in METHODS:
+                s = report.summaries[m]
+                assert s.method == m and s.values.shape == (reps,)
+                assert s.median == float(np.median(s.values))
+                assert s.q1 == float(np.quantile(s.values, 0.25))
+                assert s.q3 == float(np.quantile(s.values, 0.75))
+                assert (s.min, s.max) == (s.values.min(), s.values.max())
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(InvalidArgument, match="share one dimension"):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from slicesdr import SliceAssignment, slice_discrete, slice_equal_count, slice_stats
+from slicesdr.slicing import stable_order
 from slicesdr.errors import (
     DegenerateResponse,
     InvalidArgument,
@@ -58,6 +59,86 @@ class TestEqualCount:
     def test_too_many_slices(self):
         with pytest.raises(TooManySlices):
             slice_equal_count(np.arange(9.0), 5)
+
+
+#: Few distinct values, so that drawn rows often tie; -0.0 and 0.0 compare
+#: equal, and NaN sorts last but fails every comparison.
+TIE_POOL = (-1.5, -0.0, 0.0, 0.25, 1.0, 3.0, np.inf, np.nan)
+
+
+def assert_stable(y):
+    want = np.argsort(y, axis=-1, kind="stable")
+    got = stable_order(y)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+class TestStableOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(st_.lists(st_.sampled_from(TIE_POOL), min_size=0, max_size=80))
+    def test_matches_stable_argsort_1d(self, values):
+        assert_stable(np.array(values, dtype=float))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st_.integers(1, 5).flatmap(
+            lambda n: st_.lists(
+                st_.lists(st_.sampled_from(TIE_POOL), min_size=n, max_size=n),
+                min_size=1, max_size=4,
+            )
+        )
+    )
+    def test_matches_stable_argsort_batched(self, rows):
+        assert_stable(np.array(rows, dtype=float))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st_.integers(0, 2**32 - 1),
+        st_.integers(1, 6),
+        st_.integers(2, 70),
+        st_.data(),
+    )
+    def test_one_tied_row_in_a_batch(self, seed, R, n, data):
+        # every other row is continuous, so only the tied row forces the
+        # stable sort, and the whole batch must still match it
+        y = np.random.default_rng(seed).standard_normal((R, n))
+        r = data.draw(st_.integers(0, R - 1))
+        y[r] = data.draw(
+            st_.lists(st_.sampled_from(TIE_POOL), min_size=n, max_size=n)
+        )
+        assert_stable(y)
+        assert_stable(y[::-1])
+
+    def test_continuous_rows_take_the_default_sort(self):
+        y = np.random.default_rng(13).standard_normal((3, 500))
+        np.testing.assert_array_equal(stable_order(y), np.argsort(y, axis=-1))
+        assert_stable(y)
+
+    def test_ties_where_the_default_sort_is_not_stable(self):
+        # the default sort may put the later of two equal values first
+        y = np.tile([1.0, 0.0], 32)
+        assert not np.array_equal(np.argsort(y), np.argsort(y, kind="stable"))
+        np.testing.assert_array_equal(
+            stable_order(y), np.concatenate([np.arange(1, 64, 2), np.arange(0, 64, 2)])
+        )
+        np.testing.assert_array_equal(stable_order(np.zeros(64)), np.arange(64))
+
+    def test_signed_zeros_and_nan_keep_row_order(self):
+        y = np.array([np.nan, 0.0, -0.0, 1.0, np.nan, -0.0])
+        np.testing.assert_array_equal(stable_order(y), [1, 2, 5, 3, 0, 4])
+
+    def test_ties_straddling_a_slice_boundary_follow_row_order(self):
+        # the two 1.0s straddle the boundary between the 2-point slices:
+        # the earlier row goes to the lower slice, so swapping the tied rows
+        # of z (y is unchanged) moves a different row into each slice
+        y = np.array([5.0, 1.0, 1.0, 0.0])
+        a = slice_equal_count(y, 2)
+        np.testing.assert_array_equal(members(a)[0], [3, 1])
+        np.testing.assert_array_equal(members(a)[1], [2, 0])
+        z = np.array([[0.0], [1.0], [2.0], [3.0]])
+        swapped = z[[0, 2, 1, 3]]
+        np.testing.assert_array_equal(slice_stats(z, a).means, [[2.0], [1.0]])
+        np.testing.assert_array_equal(slice_stats(swapped, a).means, [[2.5], [0.5]])
 
 
 class TestDiscrete:

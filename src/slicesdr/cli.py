@@ -106,7 +106,7 @@ def _default_slices(n: int) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    dataset = load_csv(args.input, _name_or_index(args.y))
+    dataset = load_csv(args.input, args.y)
     H = args.slices if args.slices is not None else _default_slices(dataset.n)
     if H < 2 or dataset.n < 2 * H:
         raise TooManySlices(
@@ -177,13 +177,6 @@ def _cmd_estimate(args) -> int:
             lines.append("warning: tie at the k-th eigenvalue; basis not unique")
         _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
-
-
-def _name_or_index(y: str):
-    try:
-        return int(y)
-    except ValueError:
-        return y
 
 
 # -- simulate / table1 ------------------------------------------------------
@@ -351,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate directions from a CSV file")
     est.add_argument("--input", required=True, help="CSV path (header row required)")
-    est.add_argument("--y", required=True, help="response column name or 0-based index")
+    est.add_argument("--y", required=True, help="response column: header name, else 0-based index")
     est.add_argument("--slices", type=int, default=None,
                      help="slice count H (default: max(2, round(n/20)))")
     est.add_argument("--method", choices=METHODS, default="save")

@@ -24,6 +24,9 @@ from .errors import (
     InvalidArgument,
 )
 
+# OpenBLAS runs a gemm on one thread while m*n*k stays under 65536*4.
+_WHITEN_BLOCK = 2**18
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -86,7 +89,13 @@ def standardize(d: Dataset, rel_floor: float = 1e-10) -> StandardizedDataset:
     xc = d.x - mean
     cov = linalg.ensure_symmetric(xc.T @ xc / (d.n - 1))
     root = linalg.inv_sqrt(cov, rel_floor=rel_floor)
-    z = xc @ root  # root is symmetric, so row-wise R (x - mean)
+    # root is symmetric, so row-wise R (x - mean); even row blocks leave no
+    # 1-row tail, which numpy would send to gemv, whose bits differ from gemm's
+    z = np.empty_like(xc)
+    blocks = -(-d.n // max(1, _WHITEN_BLOCK // d.p**2))
+    for k in range(blocks):
+        rows = slice(d.n * k // blocks, d.n * (k + 1) // blocks)
+        np.matmul(xc[rows], root, out=z[rows])
     return StandardizedDataset(z=z, mean=mean, cov=cov, cov_inv_sqrt=root, y=d.y)
 
 
@@ -108,10 +117,12 @@ def directions_to_x_scale(betas_z, cov_inv_sqrt) -> np.ndarray:
 def load_csv(path, y_column) -> Dataset:
     """Read a numeric CSV (header row required) into a Dataset.
 
-    ``y_column`` selects the response by header name or zero-based column
-    index; every other column becomes a predictor, in file order.  Parse
-    problems raise CsvFormatError naming the offending row and column;
-    non-finite cells (NaN/inf) are rejected, not imputed.
+    ``y_column`` selects the response by header name; when no header name
+    matches, an integer (or integer string) is the zero-based column index.
+    Every other column becomes a predictor, in file order.  A leading UTF-8
+    byte-order mark is skipped.  Parse problems raise CsvFormatError naming
+    the offending row and column; non-finite cells (NaN/inf) are rejected,
+    not imputed.
 
     The data rows are parsed in one vectorized pass.  Input that pass
     rejects, or that holds a non-finite cell, is scanned again cell by cell
@@ -119,7 +130,7 @@ def load_csv(path, y_column) -> Dataset:
     underscore digit separators) or names the offending row and column.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as e:
         raise CsvFormatError(f"cannot open {path}: {e}") from e
     with fh:

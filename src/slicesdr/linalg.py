@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateEigenvalue,
+    InvalidArgument,
     InvalidMatrix,
     NumericalFailure,
     SingularCovariance,
@@ -86,9 +87,12 @@ def inv_sqrt(m, rel_floor: float = 1e-10) -> np.ndarray:
     """Inverse symmetric square root ``V diag(values^-1/2) V^T``.
 
     Refuses near-singular input: any eigenvalue below ``rel_floor`` times
-    the largest eigenvalue raises SingularCovariance.  No regularization is
-    applied silently.
+    the largest eigenvalue, or not positive, raises SingularCovariance.
+    ``rel_floor`` must be finite and non-negative (InvalidArgument).  No
+    regularization is applied silently.
     """
+    if not 0.0 <= rel_floor < np.inf:  # NaN fails every comparison
+        raise InvalidArgument(f"rel_floor must be finite and >= 0, got {rel_floor!r}")
     eig = sym_eig(m)
     top = eig.values[0]
     if top <= 0.0:
@@ -98,6 +102,8 @@ def inv_sqrt(m, rel_floor: float = 1e-10) -> np.ndarray:
             f"eigenvalue {eig.values[-1]:.3e} below rel_floor * max "
             f"({rel_floor:.1e} * {top:.3e})"
         )
+    if eig.values[-1] <= 0.0:  # reached only at rel_floor = 0
+        raise SingularCovariance(f"eigenvalue {eig.values[-1]:.3e} is not positive")
     root = (eig.vectors * eig.values ** -0.5) @ eig.vectors.T
     return (root + root.T) / 2.0
 

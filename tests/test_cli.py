@@ -1,10 +1,19 @@
 """CLI behavior: flags, output schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import slicesdr
 from slicesdr import ModelSpec, gen_model, model_streams, r2_single
 from slicesdr.cli import main
 
@@ -138,6 +147,158 @@ class TestEstimate:
              "--method", "csave", "--divisor", "c"]
         )
         assert code == 2
+
+    def test_y_header_name_wins_over_index(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((60, 4))
+        body = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+        numeric = tmp_path / "numeric.csv"
+        numeric.write_text("1,0,y,2\n" + body, encoding="utf-8")
+        plain = tmp_path / "plain.csv"
+        plain.write_text("a,b,c,d\n" + body, encoding="utf-8")
+
+        def results(path, y):
+            argv = ["estimate", "--input", str(path), "--y", y, "--slices", "3",
+                    "--out", "json"]
+            return run_json(capsys, argv)["results"]
+
+        # "1" names column 0; "3" names no column, so it is index 3
+        assert results(numeric, "1") == results(plain, "a")
+        assert results(numeric, "0") == results(plain, "b")
+        assert results(numeric, "3") == results(plain, "d")
+
+    @pytest.mark.parametrize("rel_floor", ["nan", "inf", "-1", "-1e-300"])
+    def test_invalid_rel_floor_is_usage_error(self, tmp_path, capsys, rel_floor):
+        path = write_model_csv(tmp_path, model_id=1, n=100)
+        argv = ["estimate", "--input", path, "--y", "y", f"--rel-floor={rel_floor}"]
+        code = main(argv)
+        assert code == 2
+        assert "rel_floor must be finite and >= 0" in capsys.readouterr().err
+
+    def test_constant_predictor_is_numerical_error_at_zero_rel_floor(
+        self, tmp_path, capsys
+    ):
+        rows = ["y,x1,x2"] + [f"{i},{i % 7},1.0" for i in range(40)]
+        path = tmp_path / "flat.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero on the way
+            code = main(["estimate", "--input", str(path), "--y", "y",
+                         "--slices", "4", "--rel-floor", "0"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: eigenvalue ")
+
+    def test_json_identical_across_blas_threads(self, tmp_path):
+        """Whitening 10007 rows, in blocks, gives the same bytes at any
+        OPENBLAS_NUM_THREADS / OMP_NUM_THREADS; the child runs the code
+        under test, as in acceptance 8."""
+        if hasattr(os, "sched_getaffinity"):
+            nproc = len(os.sched_getaffinity(0))
+        else:
+            nproc = os.cpu_count() or 1
+        path = write_model_csv(tmp_path, model_id=1, n=10007)
+        package_root = str(Path(slicesdr.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")])
+        )
+        outputs = []
+        for threads in ("1", str(max(2, nproc))):
+            out = tmp_path / f"est-{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "slicesdr.cli", "estimate", "--input", path,
+                 "--y", "y", "--method", "csave", "--out", "json",
+                 "--output", str(out)],
+                env={**env, "OPENBLAS_NUM_THREADS": threads,
+                     "OMP_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["meta"]["n"] == 10007
+
+
+def fit_direction(x, y, method):
+    """``estimate --k 1`` on (x, y) through a CSV: the x-scale direction and
+    the eigenvalues."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "data.csv"
+        table = np.column_stack([y, x])
+        header = ",".join(["y"] + [f"x{j}" for j in range(x.shape[1])])
+        body = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+        path.write_text(header + "\n" + body, encoding="utf-8")
+        out = Path(work) / "fit.json"
+        code = main(["estimate", "--input", str(path), "--y", "y", "--slices", "8",
+                     "--method", method, "--k", "1", "--out", "json",
+                     "--output", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))["results"]
+    return np.array(doc["betas_x"])[:, 0], doc["eigenvalues"]
+
+
+def single_index_data(seed):
+    """y = u + u^3 / 4 + noise with u = (x1 + x2) / sqrt(2), correlated x."""
+    rng = np.random.default_rng(seed)
+    n, p = 240, 4
+    x = rng.standard_normal((n, p)) @ (np.eye(p) + 0.3) + [1.0, -2.0, 0.5, 3.0]
+    u = (x[:, 0] + x[:, 1]) / np.sqrt(2)
+    u = (u - u.mean()) / u.std()
+    y = u + u**3 / 4 + 0.2 * rng.standard_normal(n)
+    assume(np.unique(y).size == n)
+    return x, y
+
+
+def assert_same_direction(got, want):
+    np.testing.assert_allclose(got * np.sign(got @ want), want, rtol=0, atol=1e-8)
+
+
+METHOD = st.sampled_from(["sir", "save", "csave"])
+SEED = st.integers(0, 2**32 - 1)
+
+
+class TestEstimateInvariance:
+    """Properties of ``estimate`` on a single-index model with a clear
+    eigengap at k = 1, directions compared up to sign."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEED, method=METHOD, perm_seed=SEED)
+    def test_row_permutation(self, seed, method, perm_seed):
+        x, y = single_index_data(seed)
+        beta, eigenvalues = fit_direction(x, y, method)
+        assert eigenvalues[0] - eigenvalues[1] > 0.05
+        order = np.random.default_rng(perm_seed).permutation(len(y))
+        assert_same_direction(fit_direction(x[order], y[order], method)[0], beta)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEED, method=METHOD, scale=st.floats(0.1, 10.0),
+           transform=st.sampled_from(["affine", "exp", "cube"]))
+    def test_increasing_transform_of_y(self, seed, method, transform, scale):
+        x, y = single_index_data(seed)
+        beta, eigenvalues = fit_direction(x, y, method)
+        assert eigenvalues[0] - eigenvalues[1] > 0.05
+        g = {
+            "affine": lambda t: scale * t - 7.0,
+            "exp": lambda t: np.exp(t / scale),
+            "cube": lambda t: t**3 + scale * t,
+        }[transform](y)
+        assume(np.all(np.diff(g[np.argsort(y)]) > 0))  # still strictly increasing
+        assert_same_direction(fit_direction(x, g, method)[0], beta)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEED, method=METHOD, a_seed=SEED)
+    def test_affine_map_of_x(self, seed, method, a_seed):
+        x, y = single_index_data(seed)
+        beta, eigenvalues = fit_direction(x, y, method)
+        assert eigenvalues[0] - eigenvalues[1] > 0.05
+        rng = np.random.default_rng(a_seed)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = q * rng.uniform(0.5, 2.0, 4)  # singular values in [0.5, 2]
+        b = rng.uniform(-5.0, 5.0, 4)
+        want = np.linalg.solve(a.T, beta)
+        want /= np.linalg.norm(want)
+        assert_same_direction(fit_direction(x @ a.T + b, y, method)[0], want)
 
 
 class TestSimulate:

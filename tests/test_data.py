@@ -67,6 +67,21 @@ class TestStandardize:
         with pytest.raises(SingularCovariance):
             standardize(Dataset(x=x, y=np.zeros(10)))
 
+    @pytest.mark.parametrize("p", [1, 3, 10, 40])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_row_blocks_bitwise_equal_one_product(self, p, offset):
+        # z is formed in row blocks small enough for one BLAS thread; the
+        # blocks must give the bits of the single product, at the first
+        # split (block size + 1 rows) and at the benchmark's 10007 rows
+        block = max(1, data._WHITEN_BLOCK // p**2)
+        n = 10007 if offset is None else block + offset
+        if n <= p:
+            pytest.skip("standardizing needs n > p")
+        rng = np.random.default_rng(p * 100 + n)
+        x = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p) + 2.0
+        sd = standardize(Dataset(x=x, y=np.zeros(n)))
+        np.testing.assert_array_equal(sd.z, (x - sd.mean) @ sd.cov_inv_sqrt)
+
 
 class TestDirectionsToXScale:
     def test_identity_covariance(self):
@@ -153,6 +168,32 @@ class TestLoadCsv:
         path = self.write(tmp_path, "y,x1,x2\n1,2,3\n4,5\n")
         with pytest.raises(CsvFormatError, match="row 3"):
             load_csv(path, "y")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "y,x1,x2\r\n1,2,3\r\n4,5,6.5\r\n7,8,9\r\n",
+            # a whitespace-only line sends the file through the per-cell scan
+            "y,x1,x2\n1,2,3\n   \n4,5,6.5\n7,8,9\n",
+        ],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want = load_csv(str(plain), "y")
+        for y_column in ("y", 0):
+            got = load_csv(str(marked), y_column)
+            np.testing.assert_array_equal(got.x, want.x)
+            np.testing.assert_array_equal(got.y, want.y)
+
+    def test_header_name_wins_over_index(self, tmp_path):
+        path = self.write(tmp_path, "1,0,y,2\n10,20,30,40\n11,21,31,41\n")
+        np.testing.assert_array_equal(load_csv(path, "1").y, [10, 11])
+        np.testing.assert_array_equal(load_csv(path, "0").y, [20, 21])
+        np.testing.assert_array_equal(load_csv(path, 1).y, [20, 21])
+        np.testing.assert_array_equal(load_csv(path, "3").y, [40, 41])
 
 
 class TestLoadCsvFormats:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -353,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="within-slice covariance divisor (default c-1)")
     est.add_argument("--rel-floor", type=float, default=1e-10,
                      help="relative eigenvalue floor for the covariance inverse root")
+    # argparse's own pattern reads "-1e-3" and "-inf" as unknown options
+    est._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     add_output_flags(est)
     est.set_defaults(func=_cmd_estimate)
 

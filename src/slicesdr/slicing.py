@@ -18,6 +18,7 @@ gives stats whose moments carry the same leading axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,8 @@ class SliceAssignment:
             raise SingletonSlice("every slice needs at least 2 members")
         if order.min() < 0 or order.max() >= n:
             raise InvalidArgument("order must be a permutation of 0..n-1")
-        seen = np.zeros(order.shape, dtype=bool)
-        np.put_along_axis(seen, order, True, axis=-1)
+        seen = np.zeros(order.size, dtype=bool)
+        seen[_flat_index(order)] = True
         if not seen.all():
             raise InvalidArgument("order must be a permutation of 0..n-1")
         object.__setattr__(self, "order", order)
@@ -81,6 +82,12 @@ class SliceAssignment:
         return int(self.order.shape[-1])
 
 
+def _flat_index(order: np.ndarray) -> np.ndarray:
+    """Row r's index i of a (..., n) order as r * n + i, its flat index."""
+    offsets = np.arange(math.prod(order.shape[:-1])) * order.shape[-1]
+    return np.add(order, offsets.reshape(*order.shape[:-1], 1), dtype=np.intp)
+
+
 def stable_order(y: np.ndarray) -> np.ndarray:
     """``np.argsort(y, axis=-1, kind="stable")``, bit for bit, at the cost
     of the default sort when no row of y has ties.
@@ -92,7 +99,7 @@ def stable_order(y: np.ndarray) -> np.ndarray:
     batch is sorted again with the stable sort.
     """
     order = np.argsort(y, axis=-1)
-    ys = np.take_along_axis(y, order, axis=-1)
+    ys = np.take(y, _flat_index(order))
     if (ys[..., 1:] > ys[..., :-1]).all():
         return order
     return np.argsort(y, axis=-1, kind="stable")
@@ -182,7 +189,8 @@ def _runs(counts: np.ndarray):
 
 
 def _gram(a: np.ndarray, out=None) -> np.ndarray:
-    """a^T a over the last two axes, for a of shape (..., k, p).
+    """a^T a over the last two axes, for a of shape (..., k, p); exactly
+    symmetric, as numpy forms it as a rank-k update (syrk) and mirrors it.
 
     At p = 1 the product is one dot product of length k, which a threaded
     BLAS splits across threads, so its summation order (and its last bits)
@@ -224,8 +232,7 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         raise InvalidMatrix("z has non-finite entries")
     batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
     order = np.broadcast_to(assignment.order, z.shape[:-1])
-    rows = tuple(i[..., None] for i in np.ix_(*(np.arange(b) for b in batch)))
-    zs = z[rows + (order,)]  # each batch row gathered into slice order
+    zs = np.take(z.reshape(order.size, p), _flat_index(order), axis=0)
     counts, bounds = assignment.counts, assignment.bounds
     means = np.add.reduceat(zs, bounds[:-1], axis=-2) / counts[:, None]
     denom = counts - 1 if divisor == "c-1" else counts
@@ -239,28 +246,20 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         out = covs[..., lo:hi, :, :]
         _gram(block, out=out)
         out /= denom[lo:hi, None, None]
-        # Symmetrize one row at a time, so that no temporary as large as
-        # the run's covariances is formed.
-        for i in range(p):
-            sym = (out[..., i, i:] + out[..., i:, i]) / 2.0
-            out[..., i, i:] = sym
-            out[..., i:, i] = sym
         weight = counts[lo] / n
         mean_cov += weight * out.sum(axis=-3)
-        # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B;
-        # numpy forms A^T A as a symmetric rank-k update, exactly symmetric.
+        # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B.
         cov_square += weight * _gram(out.reshape(batch + ((hi - lo) * p, p)))
     # Scale each deviation d by ||d|| in place: the sum of ||d||^2 d d^T is
     # then one product of the scaled deviations with themselves.
     zs *= np.sqrt(np.einsum("...i,...i->...", zs, zs))[..., None]
-    fourth = _gram(zs) / n
     return SliceStats(
         counts=counts,
         means=means,
         covs=covs,
         weights=counts / n,
         divisor=divisor,
-        fourth=(fourth + fourth.swapaxes(-1, -2)) / 2.0,
+        fourth=_gram(zs) / n,
         mean_cov=mean_cov,
         cov_square=cov_square,
     )

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import slicesdr
 from slicesdr import ModelSpec, gen_model, model_streams, r2_single
 from slicesdr.cli import main
+from slicesdr.errors import AmbiguousDimensionWarning
 
 
 def write_model_csv(tmp_path, model_id, n=480, seed=314, name="data.csv"):
@@ -28,6 +29,15 @@ def write_model_csv(tmp_path, model_id, n=480, seed=314, name="data.csv"):
             ",".join([repr(float(d.y[i]))] + [repr(float(v)) for v in d.x[i]])
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def write_xy_csv(path, x, y):
+    """A CSV with header y, x0, x1, ... and the rows of (y, x)."""
+    header = ",".join(["y"] + [f"x{j}" for j in range(x.shape[1])])
+    body = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in np.column_stack([y, x]))
+    Path(path).write_text(header + "\n" + body, encoding="utf-8")
     return str(path)
 
 
@@ -167,11 +177,17 @@ class TestEstimate:
         assert results(numeric, "0") == results(plain, "b")
         assert results(numeric, "3") == results(plain, "d")
 
-    @pytest.mark.parametrize("rel_floor", ["nan", "inf", "-1", "-1e-300"])
-    def test_invalid_rel_floor_is_usage_error(self, tmp_path, capsys, rel_floor):
+    @pytest.mark.parametrize(
+        "flag",
+        [pytest.param([f"--rel-floor={v}"], id=v)
+         for v in ("nan", "inf", "-1", "-1e-300")]
+        # a negative value in exponent form as its own token is a value too
+        + [pytest.param(["--rel-floor", v], id=f"separate{v}")
+           for v in ("-1e-3", "-1E-3", "-.5e-2", "-1e-300", "-1", "-inf", "-NaN")],
+    )
+    def test_invalid_rel_floor_is_usage_error(self, tmp_path, capsys, flag):
         path = write_model_csv(tmp_path, model_id=1, n=100)
-        argv = ["estimate", "--input", path, "--y", "y", f"--rel-floor={rel_floor}"]
-        code = main(argv)
+        code = main(["estimate", "--input", path, "--y", "y", *flag])
         assert code == 2
         assert "rel_floor must be finite and >= 0" in capsys.readouterr().err
 
@@ -187,6 +203,39 @@ class TestEstimate:
                          "--slices", "4", "--rel-floor", "0"])
         assert code == 4
         assert capsys.readouterr().err.startswith("error: eigenvalue ")
+
+    @pytest.mark.parametrize("method", ["sir", "save", "csave"])
+    @pytest.mark.parametrize("slices", ["2", "3"])
+    def test_p_close_to_n(self, tmp_path, capsys, slices, method):
+        # n = 12, p = 11: slice covariances of rank < p leave SAVE with a
+        # tied leading eigenvalue, which the fit reports and survives
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((12, 11))
+        y = x[:, 0] + 0.1 * rng.standard_normal(12)
+        path = write_xy_csv(tmp_path / "pn.csv", x, y)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            doc = run_json(capsys, ["estimate", "--input", path, "--y", "y",
+                                    "--slices", slices, "--method", method,
+                                    "--out", "json"])
+        results = doc["results"]
+        assert np.isfinite(results["eigenvalues"]).all()
+        betas = np.array(results["betas_x"])
+        np.testing.assert_allclose(
+            np.linalg.norm(betas, axis=0), 1.0, rtol=0, atol=1e-12
+        )
+        warned = any(w.category is AmbiguousDimensionWarning for w in caught)
+        assert results["ambiguous_dimension"] is warned
+        assert warned or method != "save"
+
+    def test_near_singular_covariance_is_numerical_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((200, 4))
+        x[:, 3] = x[:, 1] + 1e-7 * rng.standard_normal(200)
+        y = x[:, 0] + rng.standard_normal(200)
+        path = write_xy_csv(tmp_path / "ns.csv", x, y)
+        assert main(["estimate", "--input", path, "--y", "y"]) == 4
+        assert "below rel_floor" in capsys.readouterr().err
 
     def test_json_identical_across_blas_threads(self, tmp_path):
         """Whitening 10007 rows, in blocks, gives the same bytes at any
@@ -224,13 +273,9 @@ def fit_direction(x, y, method):
     """``estimate --k 1`` on (x, y) through a CSV: the x-scale direction and
     the eigenvalues."""
     with tempfile.TemporaryDirectory() as work:
-        path = Path(work) / "data.csv"
-        table = np.column_stack([y, x])
-        header = ",".join(["y"] + [f"x{j}" for j in range(x.shape[1])])
-        body = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
-        path.write_text(header + "\n" + body, encoding="utf-8")
+        path = write_xy_csv(Path(work) / "data.csv", x, y)
         out = Path(work) / "fit.json"
-        code = main(["estimate", "--input", str(path), "--y", "y", "--slices", "8",
+        code = main(["estimate", "--input", path, "--y", "y", "--slices", "8",
                      "--method", method, "--k", "1", "--out", "json",
                      "--output", str(out)])
         assert code == 0

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from slicesdr import SliceAssignment, slice_discrete, slice_equal_count, slice_stats
+from slicesdr.estimators import csave_matrix, save_matrix
 from slicesdr.slicing import stable_order
 from slicesdr.errors import (
     DegenerateResponse,
@@ -417,3 +418,102 @@ class TestBatchedSliceStats:
         order[2, 0] = order[2, 1]
         with pytest.raises(InvalidArgument, match="permutation"):
             SliceAssignment(order=order, bounds=np.array([0, 4, 8]))
+
+
+@st_.composite
+def batched_orders(draw):
+    """(order, bounds): R rows of n random permutations in one of several
+    integer dtypes, with a few entries overwritten by values in 0..n, so
+    that rows lose an index, repeat one or fall out of range."""
+    R = draw(st_.integers(1, 5))
+    n = draw(st_.integers(4, 40))
+    dtype = draw(st_.sampled_from((np.int64, np.int32, np.uint64, np.uint16)))
+    rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
+    order = np.argsort(rng.random((R, n)), axis=-1).astype(dtype)
+    for r, i, v in draw(st_.lists(
+        st_.tuples(st_.integers(0, R - 1), st_.integers(0, n - 1), st_.integers(0, n)),
+        max_size=3,
+    )):
+        order[r, i] = v
+    return order, np.array([0, n // 2, n])
+
+
+class TestPermutationCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(batched_orders())
+    def test_accepts_exactly_the_row_permutations(self, case):
+        order, bounds = case
+        n = order.shape[-1]
+        if all(np.array_equal(np.sort(row), np.arange(n)) for row in order):
+            np.testing.assert_array_equal(SliceAssignment(order, bounds).order, order)
+        else:
+            with pytest.raises(InvalidArgument, match="permutation"):
+                SliceAssignment(order=order, bounds=bounds)
+
+    def test_rows_are_checked_apart(self):
+        # row 0 lacks k and row 1 holds it twice: pooled over the batch,
+        # every index of 0..n-1 still appears exactly twice
+        n, k = 8, 3
+        order = np.tile(np.arange(n), (2, 1))
+        order[0, k] = k + 1
+        order[1, k + 1] = k
+        np.testing.assert_array_equal(
+            np.sort(order, axis=None), np.repeat(np.arange(n), 2)
+        )
+        with pytest.raises(InvalidArgument, match="permutation"):
+            SliceAssignment(order=order, bounds=np.array([0, 4, n]))
+
+
+def assert_exactly_symmetric(st):
+    """Every moment of the stats, and the SAVE / CSAVE candidates built
+    from them, equals its transpose bit for bit."""
+    mats = [st.covs, st.fourth, st.mean_cov, st.cov_square, save_matrix(st)]
+    if st.divisor == "c-1":
+        mats.append(csave_matrix(st))
+    for m in mats:
+        assert np.array_equal(m, m.swapaxes(-1, -2))
+
+
+@st_.composite
+def symmetry_cases(draw):
+    """(z, assignment) with z of shape (R, n, p), p up to 12, over batched
+    equal-count slices (often with an n % H remainder) or one shared ragged
+    discrete slicing, at scales from 1e-3 to 1e7 off the origin."""
+    rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
+    R = draw(st_.integers(1, 4))
+    p = draw(st_.integers(1, 12))
+    if draw(st_.booleans()):
+        n = draw(st_.integers(4, 200))
+        H = draw(st_.integers(1, n // 2))
+        a = slice_equal_count(rng.standard_normal((R, n)), H)
+    else:
+        counts = draw(st_.lists(st_.integers(2, 30), min_size=2, max_size=10))
+        y = rng.permutation(np.repeat(np.arange(len(counts), dtype=float), counts))
+        a = slice_discrete(y)
+    scale = 10.0 ** draw(st_.integers(-3, 7))
+    return scale * (rng.standard_normal((R, a.n, p)) + rng.standard_normal(p)), a
+
+
+class TestExactSymmetry:
+    """slice_stats returns exactly symmetric moments without symmetrizing
+    them, because every Gram product it forms is exactly symmetric."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetry_cases(), st_.sampled_from(("c-1", "c")))
+    def test_moments_equal_their_transpose(self, case, divisor):
+        z, a = case
+        assert_exactly_symmetric(slice_stats(z, a, divisor=divisor))
+        # a non-contiguous view of the same data
+        assert_exactly_symmetric(slice_stats(z[..., ::-1], a, divisor=divisor))
+
+    @pytest.mark.parametrize("divisor", ["c-1", "c"])
+    @pytest.mark.parametrize(
+        "shape, H",
+        [((5, 480, 10), 96), ((10007, 10), 500), ((1, 20000, 1), 10000)],
+        ids=["grid-chunk", "estimate-csv", "null-fine-c2"],
+    )
+    def test_benchmark_shapes(self, shape, H, divisor):
+        rng = np.random.default_rng(17)
+        a = slice_equal_count(rng.standard_normal(shape[:-1]), H)
+        st = slice_stats(rng.standard_normal(shape), a, divisor=divisor)
+        assert_exactly_symmetric(st)

@@ -45,7 +45,7 @@ from .estimators import (
     cdr_basis,
     negative_eigenvalue_count,
 )
-from .linalg import sym_eig
+from .linalg import check_rel_floor, sym_eig
 from .simulation import (
     DEFAULT_SEED,
     MODEL_IDS,
@@ -107,6 +107,7 @@ def _default_slices(n: int) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    check_rel_floor(args.rel_floor)  # a usage error, before the file is read
     dataset = load_csv(args.input, args.y)
     H = args.slices if args.slices is not None else _default_slices(dataset.n)
     if H < 2 or dataset.n < 2 * H:

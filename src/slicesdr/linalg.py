@@ -83,6 +83,12 @@ def sym_eig(m) -> EigenResult:
     return EigenResult(values=vals, vectors=np.where(flip, -vecs, vecs))
 
 
+def check_rel_floor(rel_floor: float) -> None:
+    """Raise InvalidArgument unless ``rel_floor`` is finite and non-negative."""
+    if not 0.0 <= rel_floor < np.inf:  # NaN fails every comparison
+        raise InvalidArgument(f"rel_floor must be finite and >= 0, got {rel_floor!r}")
+
+
 def inv_sqrt(m, rel_floor: float = 1e-10) -> np.ndarray:
     """Inverse symmetric square root ``V diag(values^-1/2) V^T``.
 
@@ -91,8 +97,7 @@ def inv_sqrt(m, rel_floor: float = 1e-10) -> np.ndarray:
     ``rel_floor`` must be finite and non-negative (InvalidArgument).  No
     regularization is applied silently.
     """
-    if not 0.0 <= rel_floor < np.inf:  # NaN fails every comparison
-        raise InvalidArgument(f"rel_floor must be finite and >= 0, got {rel_floor!r}")
+    check_rel_floor(rel_floor)
     eig = sym_eig(m)
     top = eig.values[0]
     if top <= 0.0:

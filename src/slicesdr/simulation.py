@@ -205,13 +205,16 @@ def _chunk_size(n: int, p: int, H: int) -> int:
 
 
 def _stack_draws(reps: range, draw) -> list:
-    """Draw each replicate in ``reps`` and stack each returned array."""
+    """Draw each replicate in ``reps`` and stack each returned array; one
+    replicate's arrays are returned as views with a leading axis of 1."""
     draws = []
     for rep in reps:
         try:
             draws.append(draw(rep))
         except Exception as e:
             raise SimulationError(f"replicate {rep} failed: {e}") from e
+    if len(draws) == 1:
+        return [a[None] for a in draws[0]]
     return [np.stack(field) for field in zip(*draws)]
 
 

@@ -19,7 +19,7 @@ gives stats whose moments carry the same leading axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,7 @@ class SliceAssignment:
 
     order: np.ndarray   # (..., n) permutations of 0..n-1, in slice order
     bounds: np.ndarray  # (H + 1,) offsets into order, from 0 to n
+    counts: np.ndarray = field(init=False, repr=False)  # (H,) slice sizes
 
     def __post_init__(self):
         order = np.asarray(self.order)
@@ -58,7 +59,8 @@ class SliceAssignment:
         n = order.shape[-1]
         if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n:
             raise InvalidArgument("bounds must run from 0 to len(order)")
-        if np.diff(bounds).min() < 2:
+        counts = np.diff(bounds)
+        if counts.min() < 2:
             raise SingletonSlice("every slice needs at least 2 members")
         if order.min() < 0 or order.max() >= n:
             raise InvalidArgument("order must be a permutation of 0..n-1")
@@ -68,14 +70,11 @@ class SliceAssignment:
             raise InvalidArgument("order must be a permutation of 0..n-1")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def H(self) -> int:
         return int(self.bounds.size - 1)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.bounds)
 
     @property
     def n(self) -> int:
@@ -83,22 +82,52 @@ class SliceAssignment:
 
 
 def _flat_index(order: np.ndarray) -> np.ndarray:
-    """Row r's index i of a (..., n) order as r * n + i, its flat index."""
-    offsets = np.arange(math.prod(order.shape[:-1])) * order.shape[-1]
+    """Row r's index i of a (..., n) order as r * n + i, its flat index;
+    a one-row order is its own."""
+    rows = math.prod(order.shape[:-1])
+    if rows == 1:
+        return order.astype(np.intp, copy=False)
+    offsets = np.arange(rows) * order.shape[-1]
     return np.add(order, offsets.reshape(*order.shape[:-1], 1), dtype=np.intp)
+
+
+def _key_order(y: np.ndarray) -> np.ndarray:
+    """A sorting order of each row of a float64 y, ties in any order, from
+    a value sort of one packed uint64 key per entry.
+
+    The key is the order-preserving bit image of the float (every bit of a
+    negative value flipped, the sign bit of a non-negative one set) with
+    its low ceil(log2 n) bits overwritten by the column index, which the
+    sorted keys give back.  Values that agree above those bits are ordered
+    by column, so the result sorts y only where no two values of a row are
+    that close; ``stable_order`` checks it.
+    """
+    n = y.shape[-1]
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    key = (y.view(np.int64) >> 63).view(np.uint64)  # all ones where y < 0
+    key |= np.uint64(1 << 63)
+    key ^= y.view(np.uint64)
+    key &= ~low
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort(axis=-1)
+    key &= low
+    return key.view(np.intp)
 
 
 def stable_order(y: np.ndarray) -> np.ndarray:
     """``np.argsort(y, axis=-1, kind="stable")``, bit for bit, at the cost
-    of the default sort when no row of y has ties.
+    of a uint64 value sort when no row of y has ties.
 
-    The default argsort is several times faster than the stable one but
-    may order equal values either way.  When every sorted row is strictly
-    increasing the permutation is unique, so the two sorts agree; a row
-    with a tie, a -0.0 / 0.0 pair or a NaN fails that test and the whole
-    batch is sorted again with the stable sort.
+    A value sort of packed keys (``_key_order``; the default argsort for
+    other than float64 input) is several times faster than the stable
+    argsort but may order equal or nearly equal values either way.  When
+    every sorted row is strictly increasing the permutation is unique, so
+    the two sorts agree; a row with a tie, a -0.0 / 0.0 pair, a NaN or two
+    values the keys could not tell apart out of order fails that test and
+    the whole batch is sorted again with the stable sort.
     """
-    order = np.argsort(y, axis=-1)
+    y = np.asarray(y)
+    order = _key_order(y) if y.dtype == np.float64 else np.argsort(y, axis=-1)
     ys = np.take(y, _flat_index(order))
     if (ys[..., 1:] > ys[..., :-1]).all():
         return order
@@ -147,19 +176,18 @@ def slice_discrete(y) -> SliceAssignment:
 
 @dataclass(frozen=True)
 class SliceStats:
-    """Per-slice counts, means, covariances S_h and weights p_h = c_h / n,
-    plus the pooled moments M = sum_h p_h S_h, L = sum_h p_h S_h^2 and the
-    within-slice fourth-moment matrix V.
+    """Per-slice counts, means and covariances S_h, plus the pooled moments
+    M = sum_h p_h S_h, L = sum_h p_h S_h^2 with weights p_h = c_h / n and
+    the within-slice fourth-moment matrix V.
 
     Counts and weights are shared by the whole batch; the moments carry the
     leading batch axes of the z they came from.  Every matrix is exactly
-    symmetric.
+    symmetric.  The weights are computed when read.
     """
 
     counts: np.ndarray      # (H,)
     means: np.ndarray       # (..., H, p)
     covs: np.ndarray        # (..., H, p, p)
-    weights: np.ndarray     # (H,), sums to 1
     divisor: str            # "c-1" | "c"
     fourth: np.ndarray      # (..., p, p), V
     mean_cov: np.ndarray    # (..., p, p), M
@@ -177,6 +205,11 @@ class SliceStats:
     def n(self) -> int:
         return int(self.counts.sum())
 
+    @property
+    def weights(self) -> np.ndarray:
+        """(H,) slice weights p_h = c_h / n; they sum to 1."""
+        return self.counts / self.n
+
 
 def _runs(counts: np.ndarray):
     """(first, stop) slice indices of each run of adjacent equal-size slices.
@@ -184,7 +217,7 @@ def _runs(counts: np.ndarray):
     Equal-count slicing gives at most two runs: H - 1 slices of c points
     and the last slice with the remainder.
     """
-    cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
+    cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), counts.size]
     return zip(cuts[:-1], cuts[1:])
 
 
@@ -231,33 +264,42 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
     if not np.isfinite(z).all():
         raise InvalidMatrix("z has non-finite entries")
     batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
-    order = np.broadcast_to(assignment.order, z.shape[:-1])
+    try:
+        order = np.broadcast_to(assignment.order, z.shape[:-1])
+    except ValueError:
+        raise InvalidArgument(
+            f"order of shape {assignment.order.shape} does not fit z of shape {z.shape}"
+        ) from None
     zs = np.take(z.reshape(order.size, p), _flat_index(order), axis=0)
     counts, bounds = assignment.counts, assignment.bounds
-    means = np.add.reduceat(zs, bounds[:-1], axis=-2) / counts[:, None]
-    denom = counts - 1 if divisor == "c-1" else counts
+    sums = np.add.reduceat(zs, bounds[:-1], axis=-2)
+    # means go to a fresh array: dividing the sums in place measured slower
+    # on the benchmark grid, as the allocator then reused fewer pages
+    means = np.empty_like(sums)
     covs = np.empty(batch + (counts.size, p, p))
     mean_cov = np.zeros(batch + (p, p))
     cov_square = np.zeros(batch + (p, p))
     for lo, hi in _runs(counts):
+        c = counts[lo]
+        np.divide(sums[..., lo:hi, :], c, out=means[..., lo:hi, :])
         run = zs[..., bounds[lo]:bounds[hi], :]
-        block = run.reshape(batch + (hi - lo, int(counts[lo]), p))
+        block = run.reshape(batch + (hi - lo, int(c), p))
         block -= means[..., lo:hi, None, :]  # deviations, in place
         out = covs[..., lo:hi, :, :]
         _gram(block, out=out)
-        out /= denom[lo:hi, None, None]
-        weight = counts[lo] / n
+        out /= c - 1 if divisor == "c-1" else c
+        weight = c / n
         mean_cov += weight * out.sum(axis=-3)
         # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B.
         cov_square += weight * _gram(out.reshape(batch + ((hi - lo) * p, p)))
     # Scale each deviation d by ||d|| in place: the sum of ||d||^2 d d^T is
     # then one product of the scaled deviations with themselves.
-    zs *= np.sqrt(np.einsum("...i,...i->...", zs, zs))[..., None]
+    norms = np.einsum("...i,...i->...", zs, zs)
+    zs *= np.sqrt(norms, out=norms)[..., None]
     return SliceStats(
         counts=counts,
         means=means,
         covs=covs,
-        weights=counts / n,
         divisor=divisor,
         fourth=_gram(zs) / n,
         mean_cov=mean_cov,

@@ -191,6 +191,27 @@ class TestEstimate:
         assert code == 2
         assert "rel_floor must be finite and >= 0" in capsys.readouterr().err
 
+    def test_invalid_rel_floor_is_reported_before_the_file_is_opened(
+        self, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing.csv")
+        code = main(["estimate", "--input", missing, "--y", "y", "--rel-floor", "-1e-3"])
+        assert code == 2
+        assert "rel_floor must be finite and >= 0" in capsys.readouterr().err
+
+    def test_invalid_rel_floor_does_not_parse_the_csv(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write_model_csv(tmp_path, model_id=1, n=100)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("load_csv called before the rel_floor check")
+
+        monkeypatch.setattr(slicesdr.cli, "load_csv", unreachable)
+        code = main(["estimate", "--input", path, "--y", "y", "--rel-floor=nan"])
+        assert code == 2
+        assert "rel_floor must be finite and >= 0" in capsys.readouterr().err
+
     def test_constant_predictor_is_numerical_error_at_zero_rel_floor(
         self, tmp_path, capsys
     ):

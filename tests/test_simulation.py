@@ -1,6 +1,7 @@
 """Monte Carlo harness tests: determinism, substreams, model generators,
 and the chunked replicate engine against a per-replicate oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,11 @@ def fixed_chunk(monkeypatch, size):
     monkeypatch.setattr(simulation, "_chunk_size", lambda n, p, H: size)
 
 
+def row_bytes(rows) -> bytes:
+    """The fields of sweep rows as float64 bytes."""
+    return np.array([dataclasses.astuple(r) for r in rows], dtype=float).tobytes()
+
+
 def poison_replicate(monkeypatch, rep):
     """Make the rep-th draw carry a NaN predictor."""
     real = simulation._draw
@@ -367,11 +373,20 @@ class TestChunkedEngine:
         )
 
     def test_sweep_rows_bitwise_equal_across_chunk_sizes(self, monkeypatch):
-        rows = []
-        for size in (1, 7):
-            fixed_chunk(monkeypatch, size)
-            rows.append(bias_sweep([401, 1000], [2, 4], reps=7, seed=3, p=3))
-        assert rows[0] == rows[1]
+        # p = 3, and p = 1 at an n with a remainder, whose one-replicate
+        # chunks (the derived size) pass views of the draws, not stacked copies
+        for p, n_grid, c_grid in ((3, [401, 1000], [2, 4]), (1, [2003], [2, 3])):
+            rows = []
+            for size in (1, 7):
+                fixed_chunk(monkeypatch, size)
+                rows.append(bias_sweep(n_grid, c_grid, reps=7, seed=3, p=p))
+            assert rows[0] == rows[1]
+            assert row_bytes(rows[0]) == row_bytes(rows[1])
+        monkeypatch.undo()
+        assert simulation._chunk_size(2003, 1, 2003 // 3) == 1
+        assert row_bytes(bias_sweep([2003], [2, 3], reps=7, seed=3, p=1)) == row_bytes(
+            rows[0]
+        )
 
     def test_poisoned_replicate_in_later_chunk_is_named(self, monkeypatch):
         # replicate 7 sits in the third chunk of 3; its x carries a NaN

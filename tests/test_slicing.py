@@ -7,6 +7,8 @@ law-of-total-variance pooling identity at the sample level, and a
 per-slice loop over the slice members for every field of the slice stats.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st_
 
 from slicesdr import SliceAssignment, slice_discrete, slice_equal_count, slice_stats
 from slicesdr.estimators import csave_matrix, save_matrix
+from slicesdr import slicing
 from slicesdr.slicing import stable_order
 from slicesdr.errors import (
     DegenerateResponse,
@@ -63,8 +66,23 @@ class TestEqualCount:
 
 
 #: Few distinct values, so that drawn rows often tie; -0.0 and 0.0 compare
-#: equal, and NaN sorts last but fails every comparison.
-TIE_POOL = (-1.5, -0.0, 0.0, 0.25, 1.0, 3.0, np.inf, np.nan)
+#: equal, NaN sorts last but fails every comparison (a negative-signed NaN
+#: too, whose bit image sorts below -inf), and the subnormals +-5e-324 sit
+#: one step from zero.
+TIE_POOL = (
+    -np.inf, -1.5, -5e-324, -0.0, 0.0, 5e-324, 0.25, 1.0, 3.0, np.inf,
+    np.nan, float(np.copysign(np.nan, -1)),
+)
+
+#: Row lengths at the edges of the index bits of the packed sort keys.
+KEY_WIDTH_EDGES = sorted({m for k in range(1, 16) for m in (2**k, 2**k + 1)})
+
+
+def adjacent_floats(start: float, m: int) -> np.ndarray:
+    """m consecutive doubles from ``start`` away from zero, each the
+    ``np.nextafter`` of the one before."""
+    bits = np.float64(start).view(np.uint64) + np.arange(m, dtype=np.uint64)
+    return bits.view(np.float64)
 
 
 def assert_stable(y):
@@ -124,6 +142,53 @@ class TestStableOrder:
         )
         np.testing.assert_array_equal(stable_order(np.zeros(64)), np.arange(64))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st_.integers(0, 2**32 - 1),
+        st_.integers(1, 3),
+        st_.integers(2, 300),
+        st_.integers(2, 9),
+        st_.data(),
+    )
+    def test_adjacent_floats_out_of_order(self, seed, R, n, m, data):
+        # a run of consecutive doubles from a value with zero low bits
+        # differs only in the bits the column index overwrites, so the keys
+        # cannot order it and the strictly-increasing check must catch it
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((R, n))
+        m = min(m, n)
+        bits = y.view(np.uint64)
+        bits &= ~np.uint64(0xFFFF)
+        for r in range(R):
+            run = adjacent_floats(y[r, 0], m)
+            cols = data.draw(st_.permutations(range(n)))[:m]
+            y[r, cols] = data.draw(st_.permutations(run))
+        assert_stable(y)
+        assert_stable(y[:, ::-1])
+
+    @pytest.mark.parametrize("n", KEY_WIDTH_EDGES)
+    def test_row_lengths_at_key_width_edges(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((2, n))
+        assert_stable(y)
+        assert_stable(y[:, ::-1])
+        # n consecutive doubles in falling order: 1.0 has zero low bits, so
+        # they differ only in the bits the column index overwrites
+        y[1] = adjacent_floats(1.0, n)[::-1]
+        assert y[1, 0] == np.nextafter(y[1, 1], 2.0)
+        assert not (np.diff(y[1][slicing._key_order(y)[1]]) > 0).all()
+        assert_stable(y)
+        assert_stable(y[:, ::-1])
+        y[0, -1] = y[0, 0]  # a tie in the other row
+        assert_stable(y)
+
+    def test_other_dtypes_keep_the_argsort(self):
+        y = np.tile([3, 1, 2, 1], (2, 8))
+        for dtype in (np.int64, np.int32, np.float32):
+            assert_stable(y.astype(dtype))
+            assert_stable(y.astype(dtype)[:, ::-1])
+        assert_stable(np.random.default_rng(4).standard_normal(99).astype(np.float32))
+
     def test_signed_zeros_and_nan_keep_row_order(self):
         y = np.array([np.nan, 0.0, -0.0, 1.0, np.nan, -0.0])
         np.testing.assert_array_equal(stable_order(y), [1, 2, 5, 3, 0, 4])
@@ -181,6 +246,14 @@ class TestSliceStats:
         st = slice_stats(rng.standard_normal((23, 2)), a)
         assert st.weights.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(st.counts, [5, 5, 5, 8])
+
+    def test_weights_of_ragged_discrete_slices(self):
+        y = np.repeat([0.0, 1.0, 2.0, 3.0, 4.0], [2, 7, 3, 3, 11])
+        a = slice_discrete(np.random.default_rng(8).permutation(y))
+        st = slice_stats(np.random.default_rng(9).standard_normal((y.size, 2)), a)
+        np.testing.assert_array_equal(st.counts, [2, 7, 3, 3, 11])
+        np.testing.assert_array_equal(st.weights, st.counts / y.size)
+        assert st.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_pairwise_difference_identity(self):
         # cov (divisor c-1) equals the double-loop pairwise-difference form
@@ -266,6 +339,18 @@ class TestSliceStats:
         for rows in (100, 40):
             with pytest.raises(InvalidArgument, match="assignment covers 50 rows"):
                 slice_stats(rng.standard_normal((rows, 2)), a)
+
+    @pytest.mark.parametrize("z_shape", [(3, 12, 2), (12, 2)])
+    def test_order_batch_must_fit_z_batch(self, z_shape):
+        # two orders cannot be spread over three z rows, nor over one 2-d z
+        rng = np.random.default_rng(7)
+        a = slice_equal_count(rng.standard_normal((2, 12)), 3)
+        with pytest.raises(
+            InvalidArgument,
+            match=rf"order of shape \(2, 12\) does not fit z of shape "
+                  rf"{re.escape(str(z_shape))}",
+        ):
+            slice_stats(rng.standard_normal(z_shape), a)
 
 
 def loop_oracle(z, a, divisor):

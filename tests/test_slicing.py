@@ -182,12 +182,32 @@ class TestStableOrder:
         y[0, -1] = y[0, 0]  # a tie in the other row
         assert_stable(y)
 
-    def test_other_dtypes_keep_the_argsort(self):
+    def test_exact_float64_inputs_sort_as_themselves(self):
+        # y is sorted as float64; int32, small int64 and float32 convert
+        # exactly and keep their order, so their stable argsort is the same
         y = np.tile([3, 1, 2, 1], (2, 8))
         for dtype in (np.int64, np.int32, np.float32):
             assert_stable(y.astype(dtype))
             assert_stable(y.astype(dtype)[:, ::-1])
         assert_stable(np.random.default_rng(4).standard_normal(99).astype(np.float32))
+
+    @pytest.mark.parametrize("n", [slicing._KEY_SORT_MAX_N, slicing._KEY_SORT_MAX_N + 1])
+    def test_key_sort_only_up_to_its_row_length(self, n, monkeypatch):
+        # longer rows keep too few key bits and take the default argsort;
+        # either way the result is the stable argsort
+        y = np.random.default_rng(n).standard_normal((1, n))
+        y[0, 7] = y[0, 3]
+        calls = []
+        key_order = slicing._key_order
+        monkeypatch.setattr(
+            slicing, "_key_order", lambda v: calls.append(v.shape) or key_order(v)
+        )
+        for rows in (y, y[:, ::-1], np.random.default_rng(1).random((2, n))):
+            assert_stable(rows)
+        assert len(calls) == (3 if n <= slicing._KEY_SORT_MAX_N else 0)
+        adjacent = adjacent_floats(1.0, n)[::-1]
+        assert_stable(adjacent)
+        assert_stable(adjacent[::-1])
 
     def test_signed_zeros_and_nan_keep_row_order(self):
         y = np.array([np.nan, 0.0, -0.0, 1.0, np.nan, -0.0])

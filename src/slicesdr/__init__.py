@@ -46,7 +46,6 @@ from .simulation import (
     SimConfig,
     SweepRow,
     bias_sweep,
-    gen_model,
     model_streams,
     run_grid,
     run_mc,
@@ -84,7 +83,6 @@ __all__ = [
     "directions_to_x_scale",
     "eigen_perturb_first_order",
     "ensure_symmetric",
-    "gen_model",
     "inv_sqrt",
     "lambda_corrected",
     "load_csv",

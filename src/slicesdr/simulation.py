@@ -12,7 +12,7 @@ medians of each cell; ``run_mc`` is its one-cell case.  ``bias_sweep``
 tracks the raw and corrected slice-covariance-square estimators on a
 pure-noise model where the estimand is known exactly.
 
-Both draw replicates one by one and stack them into chunks.  The grid
+Both draw replicates one by one into the rows of chunk buffers.  The grid
 draws x and eps of replicate r once for all its cells, since they depend
 only on (seed, r, n, p), and whitens x once under ``standardize``.  Each
 model's response is then formed from the shared u = x beta and eps and
@@ -20,7 +20,9 @@ sorted once, because the slice order does not depend on H; every H slices
 that order in sub-chunks of its own chunk size, and each model's
 candidates over all H and methods go through one eigen and one scoring
 call.  The sweep likewise draws and sorts replicate r once per n for
-every c of the row.
+every c of the row.  Each engine call reuses one set of work buffers
+(``slicing._Buffers``) for the draws, the sort and the slice moments of
+every replicate.
 """
 
 from __future__ import annotations
@@ -35,7 +37,13 @@ from .errors import DegenerateDesign, InvalidArgument, SimulationError
 from .estimators import METHODS, candidate_matrix, lambda_corrected
 from .linalg import sym_eig
 from .metrics import r2_single
-from .slicing import SliceAssignment, equal_count_bounds, slice_stats, stable_order
+from .slicing import (
+    SliceAssignment,
+    _Buffers,
+    equal_count_bounds,
+    slice_stats,
+    stable_order,
+)
 
 #: Fixed default master seed for every CLI entry point (never time-derived).
 DEFAULT_SEED = 1729
@@ -105,17 +113,11 @@ def model_streams(seed: int, replicate: int) -> RngStreams:
     )
 
 
-def _draw(n: int, p: int, streams: RngStreams):
-    """Predictors x (n, p) and noise eps (n,) of one replicate, i.i.d. N(0, 1)."""
-    return streams.x.standard_normal((n, p)), streams.eps.standard_normal(n)
-
-
-def gen_model(spec: ModelSpec, n: int, streams: RngStreams) -> Dataset:
-    """Draw one dataset: x rows i.i.d. N(0, I_p), eps i.i.d. N(0, 1)."""
-    if n < 2:
-        raise InvalidArgument("need n >= 2")
-    x, eps = _draw(n, spec.p, streams)
-    return Dataset(x=x, y=_RESPONSES[spec.id](x @ spec.beta, eps))
+def _draw(n: int, p: int, streams: RngStreams, out=None):
+    """Predictors x (n, p) and noise eps (n,) of one replicate, i.i.d. N(0, 1),
+    drawn into ``out`` = (x, eps) when given and into fresh arrays if not."""
+    x, eps = out if out is not None else (np.empty((n, p)), np.empty(n))
+    return streams.x.standard_normal(out=x), streams.eps.standard_normal(out=eps)
 
 
 @dataclass(frozen=True)
@@ -204,33 +206,42 @@ def _chunk_size(n: int, p: int, H: int) -> int:
     return max(1, min(p, n // H))
 
 
-def _stack_draws(reps: range, draw) -> list:
-    """Draw each replicate in ``reps`` and stack each returned array; one
-    replicate's arrays are returned as views with a leading axis of 1."""
-    draws = []
-    for rep in reps:
+def _stack_draws(reps: range, shapes, draw, buffers: _Buffers) -> list:
+    """Draw each replicate in ``reps`` into row i of one chunk buffer per
+    array shape in ``shapes``, and return the buffers.
+
+    ``draw(rep, rows)`` fills the rows and returns them; an array it
+    returns in place of a row is copied into that row.
+    """
+    stacks = [
+        buffers.get(f"draw{k}", (len(reps),) + shape) for k, shape in enumerate(shapes)
+    ]
+    for i, rep in enumerate(reps):
+        rows = [stack[i] for stack in stacks]
         try:
-            draws.append(draw(rep))
+            arrays = draw(rep, rows)
         except Exception as e:
             raise SimulationError(f"replicate {rep} failed: {e}") from e
-    if len(draws) == 1:
-        return [a[None] for a in draws[0]]
-    return [np.stack(field) for field in zip(*draws)]
+        for row, a in zip(rows, arrays):
+            if a is not row:
+                row[...] = a
+    return stacks
 
 
-def _run_chunks(reps: int, chunk: int, draw, stacked_pass) -> list:
+def _run_chunks(reps: int, chunk: int, shapes, draw, stacked_pass, buffers) -> list:
     """Per-replicate results of replicates 0..reps-1, ``chunk`` at a time.
 
-    ``draw(rep)`` returns one replicate's arrays; ``stacked_pass`` takes
-    them stacked along a new leading axis and returns a tuple of
-    per-replicate result arrays.  Each result is concatenated over the
-    chunks in replicate order.  A failing chunk is rerun one replicate at a
-    time, so the error names the first replicate that fails on its own.
+    ``draw(rep, rows)`` writes one replicate's arrays, of ``shapes``, into
+    ``rows`` (see ``_stack_draws``); ``stacked_pass`` takes them stacked
+    along a new leading axis and returns a tuple of fresh per-replicate
+    result arrays.  Each result is concatenated over the chunks in
+    replicate order.  A failing chunk is rerun one replicate at a time, so
+    the error names the first replicate that fails on its own.
     """
     results = []
     for lo in range(0, reps, chunk):
         block = range(lo, min(lo + chunk, reps))
-        arrays = _stack_draws(block, draw)
+        arrays = _stack_draws(block, shapes, draw, buffers)
         try:
             results.append(stacked_pass(*arrays))
         except Exception as e:
@@ -245,17 +256,19 @@ def _run_chunks(reps: int, chunk: int, draw, stacked_pass) -> list:
     return [np.concatenate(column) for column in zip(*results)]
 
 
-def _sliced(z, order, bounds, size: int):
+def _sliced(z, order, bounds, size: int, buffers: _Buffers):
     """(part, stats) of each sub-chunk of ``size`` replicates of a chunk.
 
     ``z`` (chunk, n, p) is sliced by the sorted ``order`` (chunk, n) over
     the shared ``bounds``, a sub-chunk at a time, so the slice stacks of
     one H stay within that H's ``_chunk_size`` bound however large the
-    chunk is.
+    chunk is.  Each stats lives in ``buffers`` until the next is made.
     """
     for lo in range(0, z.shape[0], size):
         part = slice(lo, lo + size)
-        yield part, slice_stats(z[part], SliceAssignment(order[part], bounds))
+        yield part, slice_stats(
+            z[part], SliceAssignment(order[part], bounds), buffers=buffers
+        )
 
 
 def run_grid(
@@ -293,10 +306,13 @@ def run_grid(
     true_basis = beta[:, None]
     slicings = [(equal_count_bounds(n, H), _chunk_size(n, p, H)) for H in h_grid]
     chunk = max(size for _, size in slicings)
+    buffers = _Buffers()
+    # x (z under standardize), u, eps and, under standardize, cov^{-1/2}
+    shapes = [(n, p), (n,), (n,)] + ([(p, p)] if standardize else [])
 
-    def draw(rep):
-        x, eps = _draw(n, p, model_streams(seed, rep))
-        u = x @ beta
+    def draw(rep, rows):
+        x, eps = _draw(n, p, model_streams(seed, rep), (rows[0], rows[2]))
+        u = np.matmul(x, beta, out=rows[1])
         if not standardize:
             return x, u, eps
         sd = _standardize(Dataset(x=x, y=u))
@@ -306,9 +322,9 @@ def run_grid(
         out = []
         cands = np.empty((len(h_grid), len(methods)) + z.shape[:1] + (p, p))
         for model in models:
-            order = stable_order(_RESPONSES[model.id](u, eps))
+            order = stable_order(_RESPONSES[model.id](u, eps), buffers)
             for i, (bounds, size) in enumerate(slicings):
-                for part, stats in _sliced(z, order, bounds, size):
+                for part, stats in _sliced(z, order, bounds, size, buffers):
                     for j, method in enumerate(methods):
                         cands[i, j, part] = candidate_matrix(method, stats)
             # One eigen call per model, not per grid: sym_eig copies its
@@ -324,7 +340,9 @@ def run_grid(
             out.extend(r2_single(lead, true_basis).reshape(-1, z.shape[0]))
         return out
 
-    summaries = _summaries(methods, np.stack(_run_chunks(reps, chunk, draw, scores)))
+    summaries = _summaries(
+        methods, np.stack(_run_chunks(reps, chunk, shapes, draw, scores, buffers))
+    )
     k = len(methods)
     return [
         McReport(
@@ -372,15 +390,16 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
     eye = np.eye(p)
     slicings = [(equal_count_bounds(n, H), _chunk_size(n, p, H)) for H in h_grid]
     chunk = max(size for _, size in slicings)
+    buffers = _Buffers()
 
-    def draw(rep):
-        return _draw(n, p, model_streams(seed, rep))
+    def draw(rep, rows):
+        return _draw(n, p, model_streams(seed, rep), rows)
 
     def levels(z, y):
-        order = stable_order(y)
+        order = stable_order(y, buffers)
         out = np.empty((len(h_grid), 4, z.shape[0]))
         for i, (bounds, size) in enumerate(slicings):
-            for part, stats in _sliced(z, order, bounds, size):
+            for part, stats in _sliced(z, order, bounds, size, buffers):
                 lam, cor = stats.cov_square, lambda_corrected(stats)
                 out[i, :, part] = (
                     np.trace(lam, axis1=-2, axis2=-1) / p,
@@ -390,7 +409,7 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
                 )
         return tuple(out.reshape(-1, z.shape[0]))
 
-    return _run_chunks(reps, chunk, draw, levels)
+    return _run_chunks(reps, chunk, [(n, p), (n,)], draw, levels, buffers)
 
 
 def bias_sweep(

@@ -81,15 +81,42 @@ class SliceAssignment:
         return int(self.order.shape[-1])
 
 
-def _flat_index(order: np.ndarray) -> np.ndarray:
+class _Buffers:
+    """Named, grow-only work arrays that one engine call reuses for every
+    replicate, so the heap pages behind them are faulted in once.
+
+    ``get`` returns an uninitialized array of the asked shape and dtype, a
+    view of the name's buffer, which is reallocated only when it is too
+    small.  A function that takes buffers overwrites the arrays it gets from
+    them, so what it returns is valid until its next call with the same
+    buffers.  Called without buffers, it makes a new ``_Buffers``, whose
+    arrays are fresh.  The names "index" and "floats" hold scratch that no
+    result refers to, so every function here shares them.  An engine makes
+    its own per call; a module-level instance would break the purity and
+    thread safety of the engines.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._arrays[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _flat_index(order: np.ndarray, out=None) -> np.ndarray:
     """Row r's index i of a (..., n) order as r * n + i, its flat index."""
     offsets = np.arange(math.prod(order.shape[:-1])) * order.shape[-1]
-    return np.add(order, offsets.reshape(*order.shape[:-1], 1), dtype=np.intp)
+    return np.add(order, offsets.reshape(*order.shape[:-1], 1), out=out, dtype=np.intp)
 
 
-def _key_order(y: np.ndarray) -> np.ndarray:
+def _key_order(y: np.ndarray, key: np.ndarray) -> np.ndarray:
     """A sorting order of each row of a float64 y, ties in any order, from
-    a value sort of one packed uint64 key per entry.
+    a value sort of one packed uint64 key per entry, formed in ``key``
+    (uint64, y's shape), whose intp view is returned.
 
     The key is the order-preserving bit image of the float (every bit of a
     negative value flipped, the sign bit of a non-negative one set) with
@@ -100,7 +127,7 @@ def _key_order(y: np.ndarray) -> np.ndarray:
     """
     n = y.shape[-1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    key = (y.view(np.int64) >> 63).view(np.uint64)  # all ones where y < 0
+    np.right_shift(y.view(np.int64), 63, out=key.view(np.int64))  # all ones where y < 0
     key |= np.uint64(1 << 63)
     key ^= y.view(np.uint64)
     key &= ~low
@@ -119,7 +146,7 @@ def _key_order(y: np.ndarray) -> np.ndarray:
 _KEY_SORT_MAX_N = 1 << 16
 
 
-def stable_order(y: np.ndarray) -> np.ndarray:
+def stable_order(y: np.ndarray, buffers: _Buffers | None = None) -> np.ndarray:
     """``np.argsort(y, axis=-1, kind="stable")`` of y as float64, bit for
     bit, at the cost of one fast sort when no row of y has ties.
 
@@ -130,15 +157,21 @@ def stable_order(y: np.ndarray) -> np.ndarray:
     increasing the permutation is unique, so the sorts agree; a row with a
     tie, a -0.0 / 0.0 pair, a NaN or two values the keys could not tell
     apart out of order fails that test and the whole batch is sorted again
-    with the stable sort.
+    with the stable sort.  With ``buffers`` the key-sorted order lives in
+    them (see ``_Buffers``).
     """
     y = np.asarray(y, dtype=float)
+    buffers = buffers or _Buffers()
     if y.shape[-1] <= _KEY_SORT_MAX_N:
-        order = _key_order(y)
+        order = _key_order(y, buffers.get("key", y.shape, np.uint64))
     else:
         order = np.argsort(y, axis=-1)
-    ys = np.take(y, _flat_index(order))
-    if (ys[..., 1:] > ys[..., :-1]).all():
+    index = _flat_index(order, buffers.get("index", y.shape, np.intp))
+    # A sort's indexes are in range, so "clip" only skips the bounds check,
+    # which would copy the result through a temporary.
+    ys = np.take(y, index, out=buffers.get("floats", y.shape), mode="clip")
+    rising = buffers.get("rising", ys[..., 1:].shape, bool)
+    if np.greater(ys[..., 1:], ys[..., :-1], out=rising).all():
         return order
     return np.argsort(y, axis=-1, kind="stable")
 
@@ -241,7 +274,13 @@ def _gram(a: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(a.swapaxes(-1, -2), a, out=out)
 
 
-def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceStats:
+def slice_stats(
+    z,
+    assignment: SliceAssignment,
+    divisor: str = "c-1",
+    *,
+    buffers: _Buffers | None = None,
+) -> SliceStats:
     """Slice moments of the rows of z, from one gather into slice order.
 
     ``z`` has shape (n, p) or (..., n, p) and must be finite; a 1-d order
@@ -256,6 +295,8 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
     products are never formed; the same block viewed as (..., k p, p) gives
     the run's share of L = sum_h p_h S_h^2 in one more product.  V averages
     ||d||^2 d d^T over all n deviations and does not depend on the divisor.
+    With ``buffers`` the weights, means and covariances live in them (see
+    ``_Buffers``); M, L and V are always fresh.
     """
     if divisor not in DIVISORS:
         raise InvalidArgument(f"divisor must be one of {DIVISORS}, got {divisor!r}")
@@ -266,7 +307,9 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         raise InvalidArgument(
             f"assignment covers {assignment.n} rows but z has {z.shape[-2]}"
         )
-    if not np.isfinite(z).all():
+    buffers = buffers or _Buffers()
+    # NaN or infinity would show in the minimum or the maximum.
+    if not (np.isfinite(z.min(initial=0.0)) and np.isfinite(z.max(initial=0.0))):
         raise InvalidMatrix("z has non-finite entries")
     batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
     try:
@@ -275,10 +318,20 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         raise InvalidArgument(
             f"order of shape {assignment.order.shape} does not fit z of shape {z.shape}"
         ) from None
-    zs = np.take(z.reshape(order.size, p), _flat_index(order), axis=0)
+    index = _flat_index(order, buffers.get("index", order.shape, np.intp))
+    # The assignment checked its order, so "clip" only skips the bounds
+    # check, which would copy the gather through a temporary.
+    zs = np.take(
+        z.reshape(order.size, p), index, axis=0,
+        out=buffers.get("zs", order.shape + (p,)), mode="clip",
+    )
     counts, bounds = assignment.counts, assignment.bounds
-    means = np.add.reduceat(zs, bounds[:-1], axis=-2) / counts[:, None]
-    covs = np.empty(batch + (counts.size, p, p))
+    H = counts.size
+    means = np.add.reduceat(
+        zs, bounds[:-1], axis=-2, out=buffers.get("means", batch + (H, p))
+    )
+    means /= counts[:, None]
+    covs = buffers.get("covs", batch + (H, p, p))
     mean_cov = np.zeros(batch + (p, p))
     cov_square = np.zeros(batch + (p, p))
     for lo, hi in _runs(counts):
@@ -295,13 +348,14 @@ def slice_stats(z, assignment: SliceAssignment, divisor: str = "c-1") -> SliceSt
         cov_square += weight * _gram(out.reshape(batch + ((hi - lo) * p, p)))
     # Scale each deviation d by ||d|| in place: the sum of ||d||^2 d d^T is
     # then one product of the scaled deviations with themselves.
-    norms = np.einsum("...i,...i->...", zs, zs)
+    norms = buffers.get("floats", zs.shape[:-1])
+    np.einsum("...i,...i->...", zs, zs, out=norms)
     zs *= np.sqrt(norms, out=norms)[..., None]
     return SliceStats(
         counts=counts,
         means=means,
         covs=covs,
-        weights=counts / n,
+        weights=np.divide(counts, n, out=buffers.get("weights", (H,))),
         divisor=divisor,
         fourth=_gram(zs) / n,
         mean_cov=mean_cov,

@@ -14,13 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slicesdr
-from slicesdr import ModelSpec, gen_model, model_streams, r2_single
+from slicesdr import Dataset, ModelSpec, model_streams, r2_single, simulation
 from slicesdr.cli import main
 from slicesdr.errors import AmbiguousDimensionWarning
 
 
 def write_model_csv(tmp_path, model_id, n=480, seed=314, name="data.csv"):
-    d = gen_model(ModelSpec(id=model_id), n, model_streams(seed, 0))
+    spec = ModelSpec(id=model_id)
+    x, eps = simulation._draw(n, spec.p, model_streams(seed, 0))
+    d = Dataset(x=x, y=simulation._RESPONSES[model_id](x @ spec.beta, eps))
     path = tmp_path / name
     header = ["y"] + [f"x{j}" for j in range(d.p)]
     lines = [",".join(header)]

@@ -2,6 +2,7 @@
 and the chunked replicate engine against a per-replicate oracle."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from slicesdr import (
     SimConfig,
     bias_sweep,
     candidate_matrix,
-    gen_model,
     model_streams,
     r2_single,
     run_grid,
@@ -25,28 +25,36 @@ from slicesdr import (
     sym_eig,
 )
 from slicesdr import simulation
+from slicesdr.cli import main
+from slicesdr.data import Dataset
 from slicesdr.errors import DegenerateDesign, InvalidArgument, SimulationError
+
+
+def model_data(spec, n, streams):
+    """One dataset of a benchmark model: the engines' draw and response."""
+    x, eps = simulation._draw(n, spec.p, streams)
+    return Dataset(x=x, y=simulation._RESPONSES[spec.id](x @ spec.beta, eps))
 
 
 class _ZeroStream:
     """Noise stub: standard_normal always returns zeros."""
 
-    def standard_normal(self, size):
-        return np.zeros(size)
+    def standard_normal(self, out):
+        return np.zeros(out.shape)
 
 
 class TestGenerators:
     def test_fixed_seed_bit_identical(self):
         spec = ModelSpec(id=2)
-        d1 = gen_model(spec, 100, model_streams(42, 3))
-        d2 = gen_model(spec, 100, model_streams(42, 3))
+        d1 = model_data(spec, 100, model_streams(42, 3))
+        d2 = model_data(spec, 100, model_streams(42, 3))
         np.testing.assert_array_equal(d1.x, d2.x)
         np.testing.assert_array_equal(d1.y, d2.y)
 
     def test_distinct_replicates_differ(self):
         spec = ModelSpec(id=1)
-        d1 = gen_model(spec, 50, model_streams(42, 0))
-        d2 = gen_model(spec, 50, model_streams(42, 1))
+        d1 = model_data(spec, 50, model_streams(42, 0))
+        d2 = model_data(spec, 50, model_streams(42, 1))
         assert not np.array_equal(d1.x, d2.x)
 
     def test_x_and_eps_streams_independent_roles(self):
@@ -61,13 +69,13 @@ class TestGenerators:
         streams = RngStreams(
             x=model_streams(1, 0).x, eps=_ZeroStream()
         )
-        d = gen_model(spec, 64, streams)
+        d = model_data(spec, 64, streams)
         np.testing.assert_array_equal(d.y, np.zeros(64))
 
     def test_cubic_model_dominates_noise(self):
         # Var(u^3) = 15 against unit noise: corr(y, u^3) = sqrt(15/16) > 0.9
         spec = ModelSpec(id=1)
-        d = gen_model(spec, 100_000, model_streams(5, 0))
+        d = model_data(spec, 100_000, model_streams(5, 0))
         u3 = d.x[:, 0] ** 3
         corr = np.corrcoef(d.y, u3)[0, 1]
         assert corr > 0.9
@@ -85,7 +93,7 @@ class TestGenerators:
             5: np.cos(u) + eps,
         }
         for mid, want in expected.items():
-            d = gen_model(ModelSpec(id=mid), 30, RngStreams(_Replay(x), _Replay(eps)))
+            d = model_data(ModelSpec(id=mid), 30, RngStreams(_Replay(x), _Replay(eps)))
             np.testing.assert_allclose(d.y, want, atol=0)
 
     def test_model_spec_validation(self):
@@ -99,7 +107,7 @@ class _Replay:
     def __init__(self, value):
         self.value = value
 
-    def standard_normal(self, size):
+    def standard_normal(self, out):
         return self.value
 
 
@@ -160,7 +168,7 @@ class TestRunMc:
         # the error names replicate 0
         real = simulation._draw
 
-        def collinear(n, p, streams):
+        def collinear(n, p, streams, out):
             x, eps = real(n, p, streams)
             x = x.copy()
             x[:, 1] = x[:, 0]
@@ -249,7 +257,7 @@ class TestSweepEngine:
         drawn = []
         real = simulation._draw
 
-        def counted(n, p, streams):
+        def counted(n, p, streams, out):
             drawn.append(n)
             return real(n, p, streams)
 
@@ -268,7 +276,7 @@ class TestSweepEngine:
         real = simulation._draw
         drawn = []
 
-        def failing(n, p, streams):
+        def failing(n, p, streams, out):
             drawn.append(n)
             if len(drawn) == 5:
                 raise RuntimeError("stream exhausted")
@@ -286,12 +294,93 @@ class TestSweepEngine:
             bias_sweep([401], [3, 2], reps=10, seed=1, p=3)
 
 
+class TestWorkBuffers:
+    """Each engine call reuses one set of work buffers for every replicate."""
+
+    @pytest.mark.parametrize("n, p", [(20000, 1), (480, 10), (401, 3)])
+    def test_draw_into_buffer_rows_is_bitwise_a_fresh_draw(self, n, p):
+        xs, epss = np.empty((3, n, p)), np.empty((3, n))
+        for rep in range(3):
+            rows = (xs[rep], epss[rep])
+            x, eps = simulation._draw(n, p, model_streams(11, rep), rows)
+            assert x is rows[0] and eps is rows[1]
+            fresh = simulation._draw(n, p, model_streams(11, rep))
+            streams = model_streams(11, rep)
+            for got, want in zip(rows, fresh):
+                assert got.tobytes() == want.tobytes()
+            assert x.tobytes() == streams.x.standard_normal((n, p)).tobytes()
+            assert eps.tobytes() == streams.eps.standard_normal(n).tobytes()
+
+    def test_replicates_share_the_stats_buffers(self, monkeypatch):
+        # stats made in an engine's buffers hold until its next slice call
+        made = []
+        real = simulation.slice_stats
+
+        def kept(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(simulation, "slice_stats", kept)
+        bias_sweep([2003], [2, 3], reps=3, seed=3, p=1)
+        assert len(made) == 6
+        for stats in made[1:]:
+            assert np.shares_memory(stats.covs, made[0].covs)
+
+    def test_sweep_over_growing_and_shrinking_sizes(self):
+        n_grid, c_grid = [2003, 401, 2003], [3, 2]
+        rows = bias_sweep(n_grid, c_grid, reps=5, seed=3, p=1)
+        per_n = [
+            r for n in n_grid for r in bias_sweep([n], c_grid, reps=5, seed=3, p=1)
+        ]
+        per_cell = [
+            bias_sweep([n], [c], reps=5, seed=3, p=1)[0] for n in n_grid for c in c_grid
+        ]
+        assert row_bytes(rows) == row_bytes(per_n) == row_bytes(per_cell)
+
+    def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
+        # the benchmark tracer counts these calls by wrapping the names
+        calls = {}
+        for name in ("slice_stats", "stable_order"):
+            real = getattr(simulation, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(simulation, name, counted)
+        assert main(["sweep", "--mode", "bias", "--n-grid", "20000", "--c-grid", "2,3",
+                     "--reps", "10", "--p", "1", "--out", "json"]) == 0
+        assert calls == {"slice_stats": 20, "stable_order": 10}
+        calls.clear()
+        assert main(["table1", "--reps", "10", "--n", "480", "--out", "json"]) == 0
+        assert calls == {"slice_stats": 25, "stable_order": 5}
+        capsys.readouterr()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="counts Linux minor page faults"
+    )
+    def test_replicates_do_not_fault_the_heap_again(self):
+        # Fresh n-length arrays per replicate, freed at its end, let the
+        # allocator hand the heap top back to the kernel and fault it in
+        # again: about 210 faults per replicate here.
+        resource = pytest.importorskip("resource")
+
+        def faults(reps):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            bias_sweep([20000], [2, 3], reps=reps, p=1)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(2)  # first-call allocations stay out of the measurement
+        per_replicate = min((faults(12) - faults(2)) / 10 for _ in range(3))
+        assert per_replicate <= 20, per_replicate
+
+
 def oracle_scores(cfg):
     """R^2 of each method's leading direction, one replicate at a time,
     through the unbatched (2-d) calls of every stage."""
     scores = {m: [] for m in cfg.methods}
     for rep in range(cfg.reps):
-        data = gen_model(cfg.model, cfg.n, model_streams(cfg.seed, rep))
+        data = model_data(cfg.model, cfg.n, model_streams(cfg.seed, rep))
         if cfg.standardize:
             sd = standardize(data)
             z, back = sd.z, sd.cov_inv_sqrt
@@ -320,7 +409,7 @@ def poison_replicate(monkeypatch, rep):
     real = simulation._draw
     drawn = []
 
-    def poisoned(n, p, streams):
+    def poisoned(n, p, streams, out):
         x, eps = real(n, p, streams)
         drawn.append(len(drawn))
         if drawn[-1] == rep:

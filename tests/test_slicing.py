@@ -7,6 +7,7 @@ law-of-total-variance pooling identity at the sample level, and a
 per-slice loop over the slice members for every field of the slice stats.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -176,7 +177,8 @@ class TestStableOrder:
         # they differ only in the bits the column index overwrites
         y[1] = adjacent_floats(1.0, n)[::-1]
         assert y[1, 0] == np.nextafter(y[1, 1], 2.0)
-        assert not (np.diff(y[1][slicing._key_order(y)[1]]) > 0).all()
+        key = np.empty(y.shape, np.uint64)
+        assert not (np.diff(y[1][slicing._key_order(y, key)[1]]) > 0).all()
         assert_stable(y)
         assert_stable(y[:, ::-1])
         y[0, -1] = y[0, 0]  # a tie in the other row
@@ -200,7 +202,8 @@ class TestStableOrder:
         calls = []
         key_order = slicing._key_order
         monkeypatch.setattr(
-            slicing, "_key_order", lambda v: calls.append(v.shape) or key_order(v)
+            slicing, "_key_order",
+            lambda v, key: calls.append(v.shape) or key_order(v, key),
         )
         for rows in (y, y[:, ::-1], np.random.default_rng(1).random((2, n))):
             assert_stable(rows)
@@ -338,7 +341,7 @@ class TestSliceStats:
                 getattr(shifted, name), getattr(st, name), rtol=0, atol=1e-7
             )
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_z_rejected(self, bad):
         rng = np.random.default_rng(12)
         z = rng.standard_normal((2, 20, 3))
@@ -523,6 +526,72 @@ class TestBatchedSliceStats:
         order[2, 0] = order[2, 1]
         with pytest.raises(InvalidArgument, match="permutation"):
             SliceAssignment(order=order, bounds=np.array([0, 4, 8]))
+
+
+def stats_arrays(st):
+    """The array fields of a SliceStats, by name."""
+    return {
+        f.name: getattr(st, f.name)
+        for f in dataclasses.fields(st)
+        if f.name != "divisor"
+    }
+
+
+class TestWorkBuffers:
+    """Public calls return arrays of their own; engine calls that share
+    ``slicing._Buffers`` give the same bits as fresh calls."""
+
+    def test_buffers_grow_only(self):
+        buffers = slicing._Buffers()
+        first = buffers.get("a", (4, 5))
+        assert first.shape == (4, 5) and first.dtype == np.float64
+        assert np.shares_memory(buffers.get("a", (3,)), first)
+        grown = buffers.get("a", (30,))
+        assert not np.shares_memory(grown, first)
+        assert np.shares_memory(buffers.get("a", (2, 10)), grown)
+        assert not np.shares_memory(buffers.get("b", (2,)), grown)
+        assert buffers.get("a", (2,), np.intp).dtype == np.intp
+
+    def test_back_to_back_slice_stats_leave_the_first_unchanged(self):
+        rng = np.random.default_rng(21)
+        a = slice_equal_count(rng.standard_normal((2, 60)), 7)
+        z1, z2 = rng.standard_normal((2, 2, 60, 3))
+        first = slice_stats(z1, a)
+        kept = {name: v.copy() for name, v in stats_arrays(first).items()}
+        second = slice_stats(z2, a, divisor="c")
+        for name, v in stats_arrays(first).items():
+            np.testing.assert_array_equal(v, kept[name])
+            if name != "counts":  # the assignment's, shared by design
+                assert not np.shares_memory(v, getattr(second, name)), name
+
+    def test_back_to_back_stable_orders_leave_the_first_unchanged(self):
+        rng = np.random.default_rng(22)
+        y1, y2 = rng.standard_normal((2, 3, 500))
+        first = stable_order(y1)
+        kept = first.copy()
+        second = stable_order(y2)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(first, np.argsort(y1, axis=-1, kind="stable"))
+        assert not np.shares_memory(first, second)
+
+    def test_shared_buffers_give_the_bits_of_fresh_calls(self):
+        # sizes grow, shrink and grow again; a tie sends one y through the
+        # stable fallback
+        rng = np.random.default_rng(23)
+        buffers = slicing._Buffers()
+        for shape, H in (((2, 90), 9), ((1, 40), 13), ((3, 90), 30), ((2, 90), 4)):
+            y = rng.standard_normal(shape)
+            if H == 13:
+                y[0, 5] = y[0, 9]
+            order = stable_order(y, buffers)
+            np.testing.assert_array_equal(order, stable_order(y))
+            z = rng.standard_normal(shape + (2,)) * 1e3
+            bounds = slicing.equal_count_bounds(shape[1], H)
+            a = SliceAssignment(order=order.copy(), bounds=bounds)
+            for divisor in slicing.DIVISORS:
+                got = stats_arrays(slice_stats(z, a, divisor, buffers=buffers))
+                for name, want in stats_arrays(slice_stats(z, a, divisor)).items():
+                    assert got[name].tobytes() == want.tobytes(), (shape, H, name)
 
 
 @st_.composite

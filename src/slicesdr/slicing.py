@@ -274,6 +274,31 @@ def _gram(a: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(a.swapaxes(-1, -2), a, out=out)
 
 
+#: Largest slice size whose means ``slice_stats`` sums by position rather
+#: than with ``np.add.reduceat``.  It may not pass 8, where the two sums
+#: stop agreeing bit for bit (see ``_position_sum``); beyond 4 the strided
+#: adds lose to reduceat at p = 2 and 3.
+_POSITION_SUM_MAX_C = 4
+
+
+def _position_sum(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of each slice of a (..., k, c, p) block over its c points, in
+    ``np.add.reduceat``'s own order: the first point plus the sum of the
+    rest, added left to right, b0 + ((b1 + b2) + b3) at c = 4.
+
+    reduceat adds the rest in that order while it has fewer than 8 terms,
+    below the block size of numpy's pairwise sum, so up to c = 8 the two
+    agree bit for bit; each add is one strided pass over the k slices,
+    which skips reduceat's fixed cost per output element.
+    """
+    rest = block[..., 1, :]
+    if block.shape[-2] > 2:
+        rest = np.add(rest, block[..., 2, :], out=out)
+        for j in range(3, block.shape[-2]):
+            rest += block[..., j, :]
+    return np.add(block[..., 0, :], rest, out=out)
+
+
 def slice_stats(
     z,
     assignment: SliceAssignment,
@@ -290,6 +315,10 @@ def slice_stats(
     d_hj = z_hj - mean_h, with d(c) = c - 1 or c according to ``divisor``.
     Summing deviations rather than raw products keeps S_h accurate when
     the data sit far from the origin (Chan, Golub & LeVeque 1983).
+    Slices of at most ``_POSITION_SUM_MAX_C`` points are summed by position
+    in ``np.add.reduceat``'s own order (``_position_sum``), larger ones by
+    reduceat, so the means are reduceat's bit for bit, as
+    ``TestPositionSum`` in tests/test_slicing.py pins.
     A run of k adjacent slices of m points is one (..., k, m, p) block whose
     covariances come from one stacked product, so the (n, p, p) outer
     products are never formed; the same block viewed as (..., k p, p) gives
@@ -327,10 +356,7 @@ def slice_stats(
     )
     counts, bounds = assignment.counts, assignment.bounds
     H = counts.size
-    means = np.add.reduceat(
-        zs, bounds[:-1], axis=-2, out=buffers.get("means", batch + (H, p))
-    )
-    means /= counts[:, None]
+    means = buffers.get("means", batch + (H, p))
     covs = buffers.get("covs", batch + (H, p, p))
     mean_cov = np.zeros(batch + (p, p))
     cov_square = np.zeros(batch + (p, p))
@@ -338,7 +364,13 @@ def slice_stats(
         c = counts[lo]
         run = zs[..., bounds[lo]:bounds[hi], :]
         block = run.reshape(batch + (hi - lo, int(c), p))
-        block -= means[..., lo:hi, None, :]  # deviations, in place
+        m = means[..., lo:hi, :]
+        if c <= _POSITION_SUM_MAX_C:
+            _position_sum(block, out=m)
+        else:
+            np.add.reduceat(run, bounds[lo:hi] - bounds[lo], axis=-2, out=m)
+        m /= c
+        block -= m[..., None, :]  # deviations, in place
         out = covs[..., lo:hi, :, :]
         _gram(block, out=out)
         out /= c - 1 if divisor == "c-1" else c

@@ -28,6 +28,7 @@ from slicesdr import simulation
 from slicesdr.cli import main
 from slicesdr.data import Dataset
 from slicesdr.errors import DegenerateDesign, InvalidArgument, SimulationError
+from test_slicing import reduceat_slice_stats
 
 
 def model_data(spec, n, streams):
@@ -336,6 +337,15 @@ class TestWorkBuffers:
             bias_sweep([n], [c], reps=5, seed=3, p=1)[0] for n in n_grid for c in c_grid
         ]
         assert row_bytes(rows) == row_bytes(per_n) == row_bytes(per_cell)
+
+    @pytest.mark.parametrize("p", simulation.SWEEP_P)
+    def test_sweep_bitwise_equal_with_reduceat_means(self, monkeypatch, p):
+        # runs of c <= 4 are summed into views of the shared means buffer;
+        # a view that outlived its H or its run would change a row
+        grid = dict(n_grid=[2003, 401, 2003], c_grid=[2, 3, 4, 5], reps=3, p=p)
+        rows = bias_sweep(**grid)
+        monkeypatch.setattr(simulation, "slice_stats", reduceat_slice_stats)
+        assert row_bytes(rows) == row_bytes(bias_sweep(**grid))
 
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
         # the benchmark tracer counts these calls by wrapping the names

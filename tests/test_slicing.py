@@ -399,6 +399,74 @@ def loop_oracle(z, a, divisor):
             mean_cov, cov_square)
 
 
+def reduceat_slice_stats(z, a, divisor="c-1", *, buffers=None):
+    """``slice_stats`` with every slice mean from one ``np.add.reduceat``
+    over the gathered rows, divided by the counts; its deviation,
+    covariance and pooling steps are ``slice_stats``' own.  The bitwise
+    reference for both of ``slice_stats``' mean paths.  ``buffers`` is
+    ignored, so every array is fresh."""
+    z = np.asarray(z, dtype=float)
+    batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
+    order = np.broadcast_to(a.order, z.shape[:-1])
+    zs = z.reshape(order.size, p)[slicing._flat_index(order)]
+    counts, bounds = a.counts, a.bounds
+    means = np.add.reduceat(zs, bounds[:-1], axis=-2) / counts[:, None]
+    covs = np.empty(batch + (counts.size, p, p))
+    mean_cov = np.zeros(batch + (p, p))
+    cov_square = np.zeros(batch + (p, p))
+    for lo, hi in slicing._runs(counts):
+        c = counts[lo]
+        block = zs[..., bounds[lo]:bounds[hi], :].reshape(batch + (hi - lo, int(c), p))
+        block -= means[..., lo:hi, None, :]
+        out = covs[..., lo:hi, :, :]
+        slicing._gram(block, out=out)
+        out /= c - 1 if divisor == "c-1" else c
+        mean_cov += c / n * out.sum(axis=-3)
+        cov_square += c / n * slicing._gram(out.reshape(batch + ((hi - lo) * p, p)))
+    zs *= np.sqrt(np.einsum("...i,...i->...", zs, zs))[..., None]
+    return slicing.SliceStats(
+        counts=counts, means=means, covs=covs, weights=counts / n, divisor=divisor,
+        fourth=slicing._gram(zs) / n, mean_cov=mean_cov, cov_square=cov_square,
+    )
+
+
+def assert_bitwise_stats(got, want):
+    """The five moment arrays of two SliceStats hold the same bits."""
+    for name in ("means", "covs", "fourth", "mean_cov", "cov_square"):
+        np.testing.assert_array_equal(
+            getattr(got, name).view(np.int64), getattr(want, name).view(np.int64),
+            err_msg=name,
+        )
+
+
+class TestPositionSum:
+    """Slices of up to ``slicing._POSITION_SUM_MAX_C`` points get their
+    means from adds over slice positions, larger ones from reduceat; both
+    keep reduceat's bits.  Past c = 8 the position sum no longer does, so
+    c = 9 fails here if the cut-off is raised that far, and the
+    position-summed sizes fail if a numpy release changes reduceat's
+    order."""
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("remainder", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 3, 10])
+    @pytest.mark.parametrize("c", range(2, 10))
+    def test_means_keep_the_bits_of_reduceat(self, c, p, remainder, batch):
+        H = 40
+        n = H * c + (c - 1 if remainder else 0)  # a last slice of 2c - 1
+        rng = np.random.default_rng([c, p, remainder, len(batch)])
+        a = slice_equal_count(rng.standard_normal(batch + (n,)), H)
+        # mixed magnitudes make the last bits depend on the summation order
+        z = rng.standard_normal(batch + (n, p)) * 10.0 ** rng.integers(-3, 4, (n, p))
+        # slice 1 holds nothing but -0.0
+        np.put_along_axis(z, a.order[..., a.bounds[1]:a.bounds[2], None], -0.0, axis=-2)
+        for divisor in slicing.DIVISORS:
+            st = slice_stats(z, a, divisor)
+            assert_bitwise_stats(st, reduceat_slice_stats(z, a, divisor))
+            zero = st.means[..., 1, :]
+            assert not zero.any() and np.signbit(zero).all()
+
+
 @st_.composite
 def assignments(draw):
     """(seed, n, p, assignment): equal-count slices, often with an n % H
@@ -434,6 +502,16 @@ class TestSliceStatsProperties:
         np.testing.assert_allclose(st.mean_cov, mean_cov, rtol=0, atol=1e-12)
         np.testing.assert_allclose(st.cov_square, cov_square, rtol=0, atol=1e-12)
         np.testing.assert_allclose(st.weights, counts / n, rtol=0, atol=1e-15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(assignments(), st_.sampled_from(("c-1", "c")))
+    def test_bitwise_reduceat_reference(self, case, divisor):
+        # discrete slices of 2-9 points mix position-summed and reduceat runs
+        seed, n, p, a = case
+        z = np.random.default_rng(seed + 1).standard_normal((n, p))
+        assert_bitwise_stats(
+            slice_stats(z, a, divisor=divisor), reduceat_slice_stats(z, a, divisor)
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(assignments())

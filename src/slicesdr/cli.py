@@ -109,10 +109,14 @@ def _default_slices(n: int) -> int:
 def _cmd_estimate(args) -> int:
     check_rel_floor(args.rel_floor)  # a usage error, before the file is read
     dataset = load_csv(args.input, args.y)
-    H = args.slices if args.slices is not None else _default_slices(dataset.n)
+    if args.slices is not None:
+        H, source = args.slices, f"--slices {args.slices}"
+    else:
+        H = _default_slices(dataset.n)
+        source = f"the default H = max(2, round(n/20)) = {H}"
     if H < 2 or dataset.n < 2 * H:
         raise TooManySlices(
-            f"--slices {H} leaves fewer than 2 points per slice for n={dataset.n}"
+            f"{source} leaves fewer than 2 points per slice for n={dataset.n}"
         )
     sd = standardize(dataset, rel_floor=args.rel_floor)
     stats = slice_stats(sd.z, slice_equal_count(sd.y, H), divisor=args.divisor)

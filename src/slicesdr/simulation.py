@@ -16,11 +16,11 @@ Both draw replicates one by one into the rows of chunk buffers.  The grid
 draws x and eps of replicate r once for all its cells, since they depend
 only on (seed, r, n, p), and whitens x once under ``standardize``.  Each
 model's response is then formed from the shared u = x beta and eps and
-sorted once, because the slice order does not depend on H; every H slices
-that order in sub-chunks of its own chunk size, and each model's
-candidates over all H and methods go through one eigen and one scoring
-call.  The sweep likewise draws and sorts replicate r once per n for
-every c of the row.  Each engine call reuses one set of work buffers
+sorted once, because the slice order does not depend on H, and that order
+is checked once; every H slices it in sub-chunks of its own chunk size,
+and each model's candidates over all H and methods go through one eigen
+and one scoring call.  The sweep likewise draws, sorts and checks
+replicate r once per n for every c of the row.  Each engine call reuses one set of work buffers
 (``slicing._Buffers``) for the draws, the sort and the slice moments of
 every replicate.
 """
@@ -38,8 +38,10 @@ from .estimators import METHODS, candidate_matrix, lambda_corrected
 from .linalg import sym_eig
 from .metrics import r2_single
 from .slicing import (
-    SliceAssignment,
+    _assignment,
     _Buffers,
+    _check_order,
+    _checked_bounds,
     equal_count_bounds,
     slice_stats,
     stable_order,
@@ -256,18 +258,29 @@ def _run_chunks(reps: int, chunk: int, shapes, draw, stacked_pass, buffers) -> l
     return [np.concatenate(column) for column in zip(*results)]
 
 
-def _sliced(z, order, bounds, size: int, buffers: _Buffers):
+def _slicings(n: int, p: int, h_grid: list) -> list:
+    """(bounds, counts, runs) and ``_chunk_size`` of each H of ``h_grid``,
+    the bounds checked once for every order an engine call slices."""
+    out = []
+    for H in h_grid:
+        bounds = equal_count_bounds(n, H)
+        out.append(((bounds, *_checked_bounds(bounds, n)), _chunk_size(n, p, H)))
+    return out
+
+
+def _sliced(z, order, slicing, size: int, buffers: _Buffers):
     """(part, stats) of each sub-chunk of ``size`` replicates of a chunk.
 
-    ``z`` (chunk, n, p) is sliced by the sorted ``order`` (chunk, n) over
-    the shared ``bounds``, a sub-chunk at a time, so the slice stacks of
-    one H stay within that H's ``_chunk_size`` bound however large the
-    chunk is.  Each stats lives in ``buffers`` until the next is made.
+    ``z`` (chunk, n, p) is sliced by the sorted ``order`` (chunk, n), which
+    ``_check_order`` has passed, over the (bounds, counts, runs) of
+    ``slicing``, a sub-chunk at a time, so the slice stacks of one H stay
+    within that H's ``_chunk_size`` bound however large the chunk is.  Each
+    stats lives in ``buffers`` until the next is made.
     """
     for lo in range(0, z.shape[0], size):
         part = slice(lo, lo + size)
         yield part, slice_stats(
-            z[part], SliceAssignment(order[part], bounds), buffers=buffers
+            z[part], _assignment(order[part], *slicing), buffers=buffers
         )
 
 
@@ -304,7 +317,7 @@ def run_grid(
     p = models[0].p
     beta = models[0].beta
     true_basis = beta[:, None]
-    slicings = [(equal_count_bounds(n, H), _chunk_size(n, p, H)) for H in h_grid]
+    slicings = _slicings(n, p, h_grid)
     chunk = max(size for _, size in slicings)
     buffers = _Buffers()
     # x (z under standardize), u, eps and, under standardize, cov^{-1/2}
@@ -323,8 +336,9 @@ def run_grid(
         cands = np.empty((len(h_grid), len(methods)) + z.shape[:1] + (p, p))
         for model in models:
             order = stable_order(_RESPONSES[model.id](u, eps), buffers)
-            for i, (bounds, size) in enumerate(slicings):
-                for part, stats in _sliced(z, order, bounds, size, buffers):
+            _check_order(order)
+            for i, (slicing, size) in enumerate(slicings):
+                for part, stats in _sliced(z, order, slicing, size, buffers):
                     for j, method in enumerate(methods):
                         cands[i, j, part] = candidate_matrix(method, stats)
             # One eigen call per model, not per grid: sym_eig copies its
@@ -388,7 +402,7 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
     slices a chunk in sub-chunks of its own size.
     """
     eye = np.eye(p)
-    slicings = [(equal_count_bounds(n, H), _chunk_size(n, p, H)) for H in h_grid]
+    slicings = _slicings(n, p, h_grid)
     chunk = max(size for _, size in slicings)
     buffers = _Buffers()
 
@@ -397,9 +411,10 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
 
     def levels(z, y):
         order = stable_order(y, buffers)
+        _check_order(order)
         out = np.empty((len(h_grid), 4, z.shape[0]))
-        for i, (bounds, size) in enumerate(slicings):
-            for part, stats in _sliced(z, order, bounds, size, buffers):
+        for i, (slicing, size) in enumerate(slicings):
+            for part, stats in _sliced(z, order, slicing, size, buffers):
                 lam, cor = stats.cov_square, lambda_corrected(stats)
                 out[i, :, part] = (
                     np.trace(lam, axis1=-2, axis2=-1) / p,

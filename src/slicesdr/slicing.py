@@ -47,6 +47,7 @@ class SliceAssignment:
     order: np.ndarray   # (..., n) permutations of 0..n-1, in slice order
     bounds: np.ndarray  # (H + 1,) offsets into order, from 0 to n
     counts: np.ndarray = field(init=False, repr=False)  # (H,) slice sizes
+    runs: tuple = field(init=False, repr=False)  # see ``_runs``
 
     def __post_init__(self):
         order = np.asarray(self.order)
@@ -56,21 +57,9 @@ class SliceAssignment:
             and np.issubdtype(bounds.dtype, np.integer)
         ):
             raise InvalidArgument("order and bounds must be integer arrays, bounds 1-d")
-        n = order.shape[-1]
-        if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n:
-            raise InvalidArgument("bounds must run from 0 to len(order)")
-        counts = np.diff(bounds)
-        if counts.min() < 2:
-            raise SingletonSlice("every slice needs at least 2 members")
-        if order.min() < 0 or order.max() >= n:
-            raise InvalidArgument("order must be a permutation of 0..n-1")
-        seen = np.zeros(order.size, dtype=bool)
-        seen[_flat_index(order)] = True
-        if not seen.all():
-            raise InvalidArgument("order must be a permutation of 0..n-1")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "counts", counts)
+        counts, runs = _checked_bounds(bounds, order.shape[-1])
+        _check_order(order)
+        _fill(self, order, bounds, counts, runs)
 
     @property
     def H(self) -> int:
@@ -79,6 +68,44 @@ class SliceAssignment:
     @property
     def n(self) -> int:
         return int(self.order.shape[-1])
+
+
+def _fill(a: SliceAssignment, order, bounds, counts, runs) -> SliceAssignment:
+    for name, value in zip(("order", "bounds", "counts", "runs"),
+                           (order, bounds, counts, runs)):
+        object.__setattr__(a, name, value)
+    return a
+
+
+def _checked_bounds(bounds: np.ndarray, n: int) -> tuple:
+    """(counts, runs) of 1-d integer slice ``bounds`` over n points, which
+    must run from 0 to n with at least 2 points in every slice."""
+    if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n:
+        raise InvalidArgument("bounds must run from 0 to len(order)")
+    counts = np.diff(bounds)
+    if counts.min() < 2:
+        raise SingletonSlice("every slice needs at least 2 members")
+    return counts, _runs(counts)
+
+
+def _check_order(order: np.ndarray) -> None:
+    """Raise unless each row of an integer (..., n) order is a permutation
+    of 0..n-1."""
+    n = order.shape[-1]
+    if order.min() < 0 or order.max() >= n:
+        raise InvalidArgument("order must be a permutation of 0..n-1")
+    seen = np.zeros(order.size, dtype=bool)
+    seen[_flat_index(order)] = True
+    if not seen.all():
+        raise InvalidArgument("order must be a permutation of 0..n-1")
+
+
+def _assignment(order: np.ndarray, bounds: np.ndarray, counts, runs) -> SliceAssignment:
+    """The SliceAssignment of an order that passed ``_check_order`` and of
+    bounds whose (counts, runs) ``_checked_bounds`` gave, checked no
+    further: the engines check each sorted order and each H's bounds once
+    and pair them for every slice call."""
+    return _fill(object.__new__(SliceAssignment), order, bounds, counts, runs)
 
 
 class _Buffers:
@@ -249,14 +276,14 @@ class SliceStats:
         return int(self.counts.sum())
 
 
-def _runs(counts: np.ndarray):
+def _runs(counts: np.ndarray) -> tuple:
     """(first, stop) slice indices of each run of adjacent equal-size slices.
 
     Equal-count slicing gives at most two runs: H - 1 slices of c points
     and the last slice with the remainder.
     """
     cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), counts.size]
-    return zip(cuts[:-1], cuts[1:])
+    return tuple(zip(cuts[:-1], cuts[1:]))
 
 
 def _gram(a: np.ndarray, out=None) -> np.ndarray:
@@ -275,14 +302,17 @@ def _gram(a: np.ndarray, out=None) -> np.ndarray:
 
 
 #: Largest slice size whose means ``slice_stats`` sums by position rather
-#: than with ``np.add.reduceat``.  It may not pass 8, where the two sums
-#: stop agreeing bit for bit (see ``_position_sum``); beyond 4 the strided
-#: adds lose to reduceat at p = 2 and 3.
+#: than with ``np.add.reduceat``, and whose p = 1 covariances it sums in
+#: lanes rather than with einsum.  It may not pass 7: at 8 the lane sums
+#: stop agreeing with einsum bit for bit (see ``_lane_sum``), at 9 the
+#: position sums with reduceat (see ``_position_sum``).  Beyond 4 the
+#: strided adds lose to reduceat at p = 2 and 3.
 _POSITION_SUM_MAX_C = 4
 
 
-def _position_sum(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of each slice of a (..., k, c, p) block over its c points, in
+def _position_sum(points: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the c points of each slice, for ``points`` of shape
+    (c, ..., k[, p]) whose j-th entry holds point j of the k slices, in
     ``np.add.reduceat``'s own order: the first point plus the sum of the
     rest, added left to right, b0 + ((b1 + b2) + b3) at c = 4.
 
@@ -291,12 +321,65 @@ def _position_sum(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     agree bit for bit; each add is one strided pass over the k slices,
     which skips reduceat's fixed cost per output element.
     """
-    rest = block[..., 1, :]
-    if block.shape[-2] > 2:
-        rest = np.add(rest, block[..., 2, :], out=out)
-        for j in range(3, block.shape[-2]):
-            rest += block[..., j, :]
-    return np.add(block[..., 0, :], rest, out=out)
+    rest = points[1]
+    if len(points) > 2:
+        rest = np.add(rest, points[2], out=out)
+        for j in range(3, len(points)):
+            rest += points[j]
+    return np.add(points[0], rest, out=out)
+
+
+def _lane_sum(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of (..., c) squares in the order of einsum's
+    sum of products at p = 1: two lanes, the even and the odd positions,
+    each added left to right, then the even lane plus the odd one,
+    (s0 + s2) + (s1 + s3) at c = 4.
+
+    Up to c = 7 this is einsum's sum bit for bit; from c = 8 einsum adds
+    in a different order.  Squares are never -0.0, so einsum's zero start
+    changes nothing.
+    """
+    c = squares.shape[-1]
+    odd = squares[..., 1]
+    if c > 3:
+        odd = np.add(odd, squares[..., 3])
+        for j in range(5, c, 2):
+            odd += squares[..., j]
+    if c == 2:
+        return np.add(squares[..., 0], odd, out=out)
+    np.add(squares[..., 0], squares[..., 2], out=out)
+    for j in range(4, c, 2):
+        out += squares[..., j]
+    return np.add(out, odd, out=out)
+
+
+def _flat_run(run, means, sums, squares, starts) -> None:
+    """One run of k slices of c points at p = 1, on views with the unit
+    axis dropped: ``run`` (..., k c) becomes the deviations from the slice
+    means, written to ``means`` (..., k); ``squares`` (..., k c) gets the
+    squared deviations and ``sums`` (..., k) their sum over each slice, the
+    unscaled covariance.  ``starts`` are the slice offsets in the run.
+
+    Slices of at most ``_POSITION_SUM_MAX_C`` points are summed by position
+    and in lanes, larger ones by reduceat and einsum; every sum has the
+    bits of the (..., k, c, 1) block that ``slice_stats`` forms at p > 1.
+    """
+    c = run.shape[-1] // means.shape[-1]
+    block = run.reshape(means.shape + (c,))
+    squares = squares.reshape(block.shape)
+    if c <= _POSITION_SUM_MAX_C:
+        points = np.moveaxis(block, -1, 0)
+        _position_sum(points, out=means)
+        means /= c
+        for point in points:  # one strided pass each beats a broadcast
+            point -= means  # deviations, in place
+        _lane_sum(np.multiply(block, block, out=squares), out=sums)
+    else:
+        np.add.reduceat(run, starts, axis=-1, out=means)
+        means /= c
+        block -= means[..., None]  # deviations, in place
+        np.multiply(block, block, out=squares)
+        _gram(block[..., None], out=sums[..., None, None])
 
 
 def slice_stats(
@@ -324,6 +407,11 @@ def slice_stats(
     products are never formed; the same block viewed as (..., k p, p) gives
     the run's share of L = sum_h p_h S_h^2 in one more product.  V averages
     ||d||^2 d d^T over all n deviations and does not depend on the divisor.
+    At p = 1 the runs are (..., k, m) views with the unit axis dropped
+    (``_flat_run``): a slice's covariance is its sum of squared deviations,
+    added in einsum's own lane order for m up to ``_POSITION_SUM_MAX_C``
+    (``_lane_sum``, pinned by ``TestLaneSum``), and the squares are the
+    ||d||^2 of V.
     With ``buffers`` the weights, means and covariances live in them (see
     ``_Buffers``); M, L and V are always fresh.
     """
@@ -341,12 +429,14 @@ def slice_stats(
     if not (np.isfinite(z.min(initial=0.0)) and np.isfinite(z.max(initial=0.0))):
         raise InvalidMatrix("z has non-finite entries")
     batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
-    try:
-        order = np.broadcast_to(assignment.order, z.shape[:-1])
-    except ValueError:
-        raise InvalidArgument(
-            f"order of shape {assignment.order.shape} does not fit z of shape {z.shape}"
-        ) from None
+    order = assignment.order
+    if order.shape != z.shape[:-1]:
+        try:
+            order = np.broadcast_to(order, z.shape[:-1])
+        except ValueError:
+            raise InvalidArgument(
+                f"order of shape {order.shape} does not fit z of shape {z.shape}"
+            ) from None
     index = _flat_index(order, buffers.get("index", order.shape, np.intp))
     # The assignment checked its order, so "clip" only skips the bounds
     # check, which would copy the gather through a temporary.
@@ -358,30 +448,36 @@ def slice_stats(
     H = counts.size
     means = buffers.get("means", batch + (H, p))
     covs = buffers.get("covs", batch + (H, p, p))
+    norms = buffers.get("floats", order.shape)  # ||d||^2 of each deviation d
     mean_cov = np.zeros(batch + (p, p))
     cov_square = np.zeros(batch + (p, p))
-    for lo, hi in _runs(counts):
+    for lo, hi in assignment.runs:
         c = counts[lo]
-        run = zs[..., bounds[lo]:bounds[hi], :]
-        block = run.reshape(batch + (hi - lo, int(c), p))
-        m = means[..., lo:hi, :]
-        if c <= _POSITION_SUM_MAX_C:
-            _position_sum(block, out=m)
-        else:
-            np.add.reduceat(run, bounds[lo:hi] - bounds[lo], axis=-2, out=m)
-        m /= c
-        block -= m[..., None, :]  # deviations, in place
+        first, stop = bounds[lo], bounds[hi]
         out = covs[..., lo:hi, :, :]
-        _gram(block, out=out)
+        if p == 1:
+            _flat_run(zs[..., first:stop, 0], means[..., lo:hi, 0], out[..., 0, 0],
+                      norms[..., first:stop], bounds[lo:hi] - first)
+        else:
+            run = zs[..., first:stop, :]
+            block = run.reshape(batch + (hi - lo, int(c), p))
+            m = means[..., lo:hi, :]
+            if c <= _POSITION_SUM_MAX_C:
+                _position_sum(np.moveaxis(block, -2, 0), out=m)
+            else:
+                np.add.reduceat(run, bounds[lo:hi] - first, axis=-2, out=m)
+            m /= c
+            block -= m[..., None, :]  # deviations, in place
+            _gram(block, out=out)
         out /= c - 1 if divisor == "c-1" else c
         weight = c / n
         mean_cov += weight * out.sum(axis=-3)
         # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B.
         cov_square += weight * _gram(out.reshape(batch + ((hi - lo) * p, p)))
+    if p > 1:
+        np.einsum("...i,...i->...", zs, zs, out=norms)
     # Scale each deviation d by ||d|| in place: the sum of ||d||^2 d d^T is
     # then one product of the scaled deviations with themselves.
-    norms = buffers.get("floats", zs.shape[:-1])
-    np.einsum("...i,...i->...", zs, zs, out=norms)
     zs *= np.sqrt(norms, out=norms)[..., None]
     return SliceStats(
         counts=counts,

@@ -88,6 +88,23 @@ class TestEstimate:
         assert code == 2
         assert "slices" in capsys.readouterr().err
 
+    def test_too_few_rows_for_the_default_slices_names_the_default(
+        self, tmp_path, capsys
+    ):
+        rng = np.random.default_rng(3)
+        path = write_xy_csv(tmp_path / "three.csv", rng.standard_normal((3, 2)),
+                            rng.standard_normal(3))
+        assert main(["estimate", "--input", path, "--y", "y"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the default H = max(2, round(n/20)) = 2 leaves fewer than"
+            " 2 points per slice for n=3\n"
+        )
+        assert main(["estimate", "--input", path, "--y", "y", "--slices", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --slices 2 leaves fewer than 2 points per slice for n=3\n"
+        )
+
     def test_csave_leading_eigenvalue_positive_on_quadratic_model(
         self, tmp_path, capsys
     ):

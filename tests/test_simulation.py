@@ -24,7 +24,7 @@ from slicesdr import (
     standardize,
     sym_eig,
 )
-from slicesdr import simulation
+from slicesdr import simulation, slicing
 from slicesdr.cli import main
 from slicesdr.data import Dataset
 from slicesdr.errors import DegenerateDesign, InvalidArgument, SimulationError
@@ -348,23 +348,43 @@ class TestWorkBuffers:
         assert row_bytes(rows) == row_bytes(bias_sweep(**grid))
 
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
-        # the benchmark tracer counts these calls by wrapping the names
+        # the benchmark tracer counts these calls by wrapping the names;
+        # each sorted order gets one full permutation check for all its H
         calls = {}
-        for name in ("slice_stats", "stable_order"):
-            real = getattr(simulation, name)
+        targets = [(simulation, "slice_stats"), (simulation, "stable_order"),
+                   (simulation, "_check_order"), (slicing, "_check_order")]
+        for module, name in targets:
+            real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(simulation, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert main(["sweep", "--mode", "bias", "--n-grid", "20000", "--c-grid", "2,3",
                      "--reps", "10", "--p", "1", "--out", "json"]) == 0
-        assert calls == {"slice_stats": 20, "stable_order": 10}
+        assert calls == {"slice_stats": 20, "stable_order": 10, "_check_order": 10}
         calls.clear()
         assert main(["table1", "--reps", "10", "--n", "480", "--out", "json"]) == 0
-        assert calls == {"slice_stats": 25, "stable_order": 5}
+        assert calls == {"slice_stats": 25, "stable_order": 5, "_check_order": 5}
         capsys.readouterr()
+
+    def test_engines_reject_an_order_that_is_no_permutation(self, monkeypatch):
+        # the engines check each sorted order once, for every H it serves
+        real = simulation.stable_order
+
+        def repeated(y, buffers=None):
+            order = real(y, buffers)
+            order[..., 0] = order[..., 1]
+            return order
+
+        monkeypatch.setattr(simulation, "stable_order", repeated)
+        for run in (lambda: bias_sweep([401], [2, 3], reps=3, seed=3, p=1),
+                    lambda: run_grid([ModelSpec(id=1)], (2, 24), 120, 3, seed=3)):
+            with pytest.raises(SimulationError, match=r"^replicate 0 failed") as info:
+                run()
+            assert isinstance(info.value.__cause__, InvalidArgument)
+            assert str(info.value.__cause__).startswith("order must be a permutation")
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="counts Linux minor page faults"

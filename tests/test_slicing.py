@@ -467,6 +467,57 @@ class TestPositionSum:
             assert not zero.any() and np.signbit(zero).all()
 
 
+def wide_range(rng, shape):
+    """Normal draws scaled by 10**e: e in -3..3 for most entries, so the
+    last bits depend on the summation order, and in -150..150 for one in
+    ten, the widest range whose squares stay finite."""
+    e = np.where(rng.random(shape) < 0.9, rng.integers(-3, 4, shape),
+                 rng.integers(-150, 151, shape))
+    return rng.standard_normal(shape) * 10.0 ** e
+
+
+def einsum_sums(d):
+    """Sums of squares over the last axis of d, by the p = 1 einsum that
+    ``slicing._gram`` makes."""
+    return np.einsum("...ki,...kj->...ij", d[..., None], d[..., None])[..., 0, 0]
+
+
+class TestLaneSum:
+    """At p = 1, slices of up to ``slicing._POSITION_SUM_MAX_C`` points get
+    their covariance sums from squares added in einsum's two-lane order,
+    larger ones from einsum; both keep einsum's bits.  That order holds up
+    to c = 7 and breaks at c = 8, so the shared cut-off can never pass 7."""
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("c", range(2, 8))
+    def test_lane_sums_keep_the_bits_of_einsum(self, c, batch):
+        d = wide_range(np.random.default_rng([c, len(batch)]), batch + (500, c))
+        d[..., ::7, 1] = -0.0
+        got = slicing._lane_sum(d * d, out=np.empty(batch + (500,)))
+        np.testing.assert_array_equal(got.view(np.int64), einsum_sums(d).view(np.int64))
+
+    def test_lane_order_breaks_at_eight(self):
+        d = wide_range(np.random.default_rng(8), (500, 8))
+        got = slicing._lane_sum(d * d, out=np.empty(500))
+        assert (got.view(np.int64) != einsum_sums(d).view(np.int64)).any()
+        assert slicing._POSITION_SUM_MAX_C <= 7
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("remainder", [False, True])
+    @pytest.mark.parametrize("c", range(2, 8))
+    def test_p1_covariances_keep_the_bits_of_einsum(self, c, remainder, batch):
+        H = 40
+        n = H * c + (c - 1 if remainder else 0)  # a last slice of 2c - 1
+        rng = np.random.default_rng([c, remainder, len(batch), 1])
+        a = slice_equal_count(rng.standard_normal(batch + (n,)), H)
+        z = wide_range(rng, batch + (n, 1))
+        z[..., ::5, :] = -0.0
+        for divisor in slicing.DIVISORS:
+            assert_bitwise_stats(
+                slice_stats(z, a, divisor), reduceat_slice_stats(z, a, divisor)
+            )
+
+
 @st_.composite
 def assignments(draw):
     """(seed, n, p, assignment): equal-count slices, often with an n % H

@@ -52,6 +52,16 @@ def ensure_symmetric(m) -> np.ndarray:
     return (a + at) / 2.0
 
 
+def _eigh(m) -> tuple:
+    """LAPACK's ascending (values, vectors) of ``ensure_symmetric(m)``;
+    a solver failure raises NumericalFailure."""
+    a = ensure_symmetric(m)
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(f"symmetric eigendecomposition failed: {e}") from e
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """Eigenvalues sorted descending with matching orthonormal columns."""
@@ -68,11 +78,7 @@ def sym_eig(m) -> EigenResult:
     (each column's first entry above SIGN_EPS in magnitude is positive).
     A stack of shape (..., p, p) is decomposed matrix by matrix in one call.
     """
-    a = ensure_symmetric(m)
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"symmetric eigendecomposition failed: {e}") from e
+    vals, vecs = _eigh(m)
     # stable descending order keeps the solver's basis for tied eigenvalues
     order = np.argsort(-vals, axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=-1)
@@ -81,6 +87,23 @@ def sym_eig(m) -> EigenResult:
     lead = np.take_along_axis(vecs, big.argmax(axis=-2)[..., None, :], axis=-2)
     flip = (lead < 0) & big.any(axis=-2, keepdims=True)
     return EigenResult(values=vals, vectors=np.where(flip, -vecs, vecs))
+
+
+def _leading_vectors(m) -> np.ndarray:
+    """Leading eigenvector of each matrix of a stack (..., p, p): the
+    column that ``sym_eig`` ranks first, up to sign, with the same checks.
+
+    ``argmax`` takes the first of tied largest eigenvalues (±0 included),
+    as the stable descending order does.  The column is written into
+    column 0 of the solver's own vector stack and returned as the strided
+    view of that column, the layout of ``sym_eig(m).vectors[..., 0]``:
+    einsum sums a contiguous copy in another order, which can move an
+    R^2 computed from it by an ulp.
+    """
+    vals, vecs = _eigh(m)
+    top = vals.argmax(axis=-1)[..., None, None]
+    vecs[..., :1] = np.take_along_axis(vecs, top, axis=-1)
+    return vecs[..., 0]
 
 
 def check_rel_floor(rel_floor: float) -> None:

@@ -35,7 +35,7 @@ from .data import Dataset
 from .data import standardize as _standardize
 from .errors import DegenerateDesign, InvalidArgument, SimulationError
 from .estimators import METHODS, candidate_matrix, lambda_corrected
-from .linalg import sym_eig
+from .linalg import _leading_vectors
 from .metrics import r2_single
 from .slicing import (
     _assignment,
@@ -341,9 +341,8 @@ def run_grid(
                 for part, stats in _sliced(z, order, slicing, size, buffers):
                     for j, method in enumerate(methods):
                         cands[i, j, part] = candidate_matrix(method, stats)
-            # One eigen call per model, not per grid: sym_eig copies its
-            # whole input stack several times.
-            lead = sym_eig(cands.reshape(-1, p, p)).vectors[..., 0]
+            # One eigen call per model, for the one column R^2 reads.
+            lead = _leading_vectors(cands.reshape(-1, p, p))
             if back is not None:
                 # back to the x scale before scoring
                 lead = np.einsum(

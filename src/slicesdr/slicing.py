@@ -448,7 +448,7 @@ def slice_stats(
     H = counts.size
     means = buffers.get("means", batch + (H, p))
     covs = buffers.get("covs", batch + (H, p, p))
-    norms = buffers.get("floats", order.shape)  # ||d||^2 of each deviation d
+    norms = buffers.get("floats", order.shape)  # ||d||^2, then ||d||, of each d
     mean_cov = np.zeros(batch + (p, p))
     cov_square = np.zeros(batch + (p, p))
     for lo, hi in assignment.runs:
@@ -474,11 +474,15 @@ def slice_stats(
         mean_cov += weight * out.sum(axis=-3)
         # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B.
         cov_square += weight * _gram(out.reshape(batch + ((hi - lo) * p, p)))
-    if p > 1:
-        np.einsum("...i,...i->...", zs, zs, out=norms)
     # Scale each deviation d by ||d|| in place: the sum of ||d||^2 d d^T is
-    # then one product of the scaled deviations with themselves.
-    zs *= np.sqrt(norms, out=norms)[..., None]
+    # then one product of the scaled deviations with themselves.  At p = 1
+    # ||d|| = |d|, which sqrt(d^2) gives bit for bit unless d^2 under- or
+    # overflows; there V's term (d |d|)^2 is 0 or inf either way.
+    if p > 1:
+        scale = np.sqrt(np.einsum("...i,...i->...", zs, zs, out=norms), out=norms)
+    else:
+        scale = np.abs(zs[..., 0], out=norms)
+    zs *= scale[..., None]
     return SliceStats(
         counts=counts,
         means=means,

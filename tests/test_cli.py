@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import slicesdr
 from slicesdr import Dataset, ModelSpec, model_streams, r2_single, simulation
-from slicesdr.cli import main
+from slicesdr.cli import build_parser, main
 from slicesdr.errors import AmbiguousDimensionWarning
 
 
@@ -609,6 +609,32 @@ class TestParser:
         assert main(["--version"]) == 0
         assert "slicesdr" in capsys.readouterr().out
 
+    # main reuses one parser per process; each call must still parse afresh
+
+    def test_consecutive_calls_print_the_same(self, capsys):
+        argv = ["simulate", "--model", "2", "--n", "60", "--slices", "3",
+                "--reps", "3", "--p", "3", "--out", "json"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0]
+
+    def test_help_is_that_of_a_fresh_parser(self, capsys):
+        main(["--version"])
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+        assert build_parser() is not build_parser()
+
+    def test_patched_command_helpers_are_reached(self, monkeypatch):
+        main(["--version"])  # the parser exists before the patch
+        reached = []
+        monkeypatch.setattr("slicesdr.cli.run_mc", lambda cfg: reached.append(cfg))
+        with pytest.raises(AttributeError):  # the stub returns no report
+            main(["simulate", "--model", "1", "--n", "40", "--reps", "1"])
+        assert [cfg.model.id for cfg in reached] == [1]
+
 
 class TestExitCodeFamilies:
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
@@ -647,6 +673,19 @@ class TestExitCodeFamilies:
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         assert main(["estimate", "--input", path, "--y", "y"]) == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--models", "1,3", "--H", "2,6", "--n", "60", "--reps", "3"],
+            ["simulate", "--model", "3", "--n", "60", "--slices", "6", "--reps", "3"],
+        ],
+    )
+    def test_grid_eigh_failure_names_replicate_0(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: replicate 0 failed: ") and "did not converge" in err
 
     def test_k_out_of_range_is_usage_error(self, tmp_path, capsys):
         path = write_model_csv(tmp_path, model_id=1, n=100)

@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 
 from slicesdr import (
+    candidate_matrix,
     eigen_perturb_first_order,
     ensure_symmetric,
     inv_sqrt,
+    r2_single,
+    slice_equal_count,
+    slice_stats,
     sym_eig,
 )
+from slicesdr.linalg import _leading_vectors
 from slicesdr.errors import (
     DegenerateEigenvalue,
     InvalidMatrix,
@@ -145,6 +150,79 @@ class TestBatched:
         ensure_symmetric(big)
         with pytest.raises(InvalidMatrix):
             ensure_symmetric(np.stack([big, small]))
+
+
+class TestLeadingVectors:
+    """``_leading_vectors`` gives the column ``sym_eig`` ranks first, up to
+    sign, in ``sym_eig``'s layout, so R^2 against e_1 keeps its bits."""
+
+    def assert_same_scores(self, m, back=None):
+        got, want = _leading_vectors(m), sym_eig(m).vectors[..., 0]
+        # Both are the column-0 view of a (..., p, p) stack.  einsum sums a
+        # contiguous copy in another order, and about a third of the
+        # scores of random 10 x 10 stacks then move by an ulp.
+        assert got.shape == want.shape and got.strides == want.strides
+        np.testing.assert_array_equal(np.abs(got), np.abs(want))
+        if back is not None:  # the grid's --standardize back-transform
+            got, want = (np.einsum("...ij,...j->...i", back, v) for v in (got, want))
+        e1 = np.eye(m.shape[-1])[0]
+        np.testing.assert_array_equal(
+            *(np.asarray(r2_single(v, e1)).view(np.int64) for v in (got, want))
+        )
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(53)
+        for shape in [(4,), (120,), (3, 2, 5)]:
+            a = rng.standard_normal(shape + (10, 10))
+            self.assert_same_scores((a + a.swapaxes(-1, -2)) / 2)
+
+    def test_indefinite_csave_stacks(self):
+        rng = np.random.default_rng(59)
+        # model 3's y = u eps, at H = 2, 6, 24 as in the grid
+        z = rng.standard_normal((20, 480, 10))
+        y = z[..., 0] * rng.standard_normal((20, 480))
+        m = np.stack([candidate_matrix("csave", slice_stats(z, slice_equal_count(y, H)))
+                      for H in (2, 6, 24)])
+        assert (np.linalg.eigvalsh(m)[..., 0] < 0).all()
+        self.assert_same_scores(m)
+
+    def test_exact_ties_take_the_first_column(self):
+        perm = np.eye(3)[[2, 0, 1]]
+        cases = [
+            np.eye(3),
+            np.diag([3.0, 3.0, 2.0]),
+            np.diag([2.0, 3.0, 3.0]),
+            perm @ np.diag([3.0, 2.0, 3.0]) @ perm.T,
+            np.diag([0.0, -0.0, -1.0]),
+            np.diag([-1.0, -0.0, 0.0]),
+        ]
+        for m in cases:
+            self.assert_same_scores(m)
+        self.assert_same_scores(np.stack(cases))
+
+    def test_standardize_back_transform(self):
+        rng = np.random.default_rng(61)
+        a = rng.standard_normal((60, 10, 10))
+        roots = np.stack([inv_sqrt(random_spd(rng, 10, cond=20.0)) for _ in range(5)])
+        # one root per replicate, repeated over the cells, as the grid does
+        back = np.broadcast_to(roots, (12, 5, 10, 10)).reshape(-1, 10, 10)
+        self.assert_same_scores((a + a.swapaxes(-1, -2)) / 2, back)
+
+    def test_checks_of_sym_eig(self, monkeypatch):
+        m = np.stack([np.eye(3)] * 2)
+        nonfinite, asymmetric = m.copy(), m.copy()
+        nonfinite[1, 0, 0] = np.nan
+        asymmetric[1, 0, 1] += 1e-3
+        for bad in (nonfinite, asymmetric):
+            with pytest.raises(InvalidMatrix):
+                _leading_vectors(bad)
+
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            _leading_vectors(m)
 
 
 class TestInvSqrt:

@@ -27,7 +27,12 @@ from slicesdr import (
 from slicesdr import simulation, slicing
 from slicesdr.cli import main
 from slicesdr.data import Dataset
-from slicesdr.errors import DegenerateDesign, InvalidArgument, SimulationError
+from slicesdr.errors import (
+    DegenerateDesign,
+    InvalidArgument,
+    InvalidMatrix,
+    SimulationError,
+)
 from test_slicing import reduceat_slice_stats
 
 
@@ -349,10 +354,12 @@ class TestWorkBuffers:
 
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
         # the benchmark tracer counts these calls by wrapping the names;
-        # each sorted order gets one full permutation check for all its H
+        # each sorted order gets one full permutation check for all its H,
+        # and each model one eigen call; the sweep makes none
         calls = {}
         targets = [(simulation, "slice_stats"), (simulation, "stable_order"),
-                   (simulation, "_check_order"), (slicing, "_check_order")]
+                   (simulation, "_check_order"), (slicing, "_check_order"),
+                   (simulation, "_leading_vectors")]
         for module, name in targets:
             real = getattr(module, name)
 
@@ -366,7 +373,8 @@ class TestWorkBuffers:
         assert calls == {"slice_stats": 20, "stable_order": 10, "_check_order": 10}
         calls.clear()
         assert main(["table1", "--reps", "10", "--n", "480", "--out", "json"]) == 0
-        assert calls == {"slice_stats": 25, "stable_order": 5, "_check_order": 5}
+        assert calls == {"slice_stats": 25, "stable_order": 5, "_check_order": 5,
+                         "_leading_vectors": 5}
         capsys.readouterr()
 
     def test_engines_reject_an_order_that_is_no_permutation(self, monkeypatch):
@@ -604,6 +612,34 @@ class TestGridEngine:
                 assert s.q1 == float(np.quantile(s.values, 0.25))
                 assert s.q3 == float(np.quantile(s.values, 0.75))
                 assert (s.min, s.max) == (s.values.min(), s.values.max())
+
+    @pytest.mark.parametrize("n, standardize", [(480, False), (487, True)])
+    def test_scores_keep_the_bits_of_sym_eig(self, n, standardize, monkeypatch):
+        def scores():
+            return grid_values(run_grid(self.MODELS, (2, 6, 24, 96), n, 10, seed=5,
+                                        standardize=standardize))
+
+        got = scores()
+        monkeypatch.setattr(simulation, "_leading_vectors",
+                            lambda m: sym_eig(m).vectors[..., 0])
+        np.testing.assert_array_equal(got.view(np.int64), scores().view(np.int64))
+
+    @pytest.mark.parametrize("bad", ["nan", "asymmetric"])
+    def test_bad_candidates_are_invalid_matrices(self, bad, monkeypatch):
+        real = simulation.candidate_matrix
+
+        def poisoned(method, stats):
+            m = real(method, stats)
+            if bad == "nan":
+                m[..., 0, 0] = np.nan
+            else:
+                m[..., 0, 1] += 1e-3
+            return m
+
+        monkeypatch.setattr(simulation, "candidate_matrix", poisoned)
+        with pytest.raises(SimulationError, match=r"^replicate 0 failed") as info:
+            run_grid([ModelSpec(id=1)], (2, 6), 60, 3, seed=3)
+        assert isinstance(info.value.__cause__, InvalidMatrix)
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(InvalidArgument, match="share one dimension"):

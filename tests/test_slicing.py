@@ -518,6 +518,49 @@ class TestLaneSum:
             )
 
 
+def extreme_deviations(rng, shape):
+    """Deviations whose squares leave the normal range: magnitudes near
+    1e154 (squares near overflow) and 1e-154 and 1e-162 (squares
+    subnormal or zero), subnormals and signed zeros, of either sign."""
+    size = int(np.prod(shape))
+    e = rng.choice([-163, -162, -161, -155, -154, -153, 153, 154, 155], size)
+    d = rng.uniform(1.0, 10.0, size) * 10.0 ** e
+    d[::5] = rng.integers(1, 2**52, d[::5].size).view(np.float64)  # subnormal
+    d[::7] = 0.0
+    d *= rng.choice([-1.0, 1.0], size)
+    d[::11] = -0.0
+    return d.reshape(shape)
+
+
+class TestAbsScale:
+    """At p = 1, ``slice_stats`` scales V's deviations by |d| where the
+    reference takes sqrt(d^2); the two agree bit for bit, also where d^2
+    under- or overflows."""
+
+    def test_scaled_values_and_squares(self):
+        d = extreme_deviations(np.random.default_rng(67), 200_000)
+        with np.errstate(over="ignore"):
+            got, want = d * np.abs(d), d * np.sqrt(d * d)
+            for a, b in ((got, want), (got * got, want * want)):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_v_keeps_the_bits_of_the_sqrt_form(self, c):
+        # slices (d, -d, ...) have mean 0, so their deviations are the d
+        rng = np.random.default_rng([71, c])
+        d = extreme_deviations(rng, (2, 400))
+        # (d |d|)^2 overflows above |d| = 1e77, so V is finite only in the
+        # row that keeps its tiny deviations among ordinary ones
+        d[1] = np.where(np.abs(d[1]) > 1.0, rng.standard_normal(400), d[1])
+        z = np.stack([d, -d] + [np.zeros_like(d)] * (c - 2), axis=-1)
+        z = z.reshape(2, -1, 1)
+        a = slice_equal_count(np.arange(z.shape[-2], dtype=float), 400)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = slice_stats(z, a), reduceat_slice_stats(z, a)
+        assert got.fourth[0, 0, 0] == np.inf and 0.0 < got.fourth[1, 0, 0] < np.inf
+        assert_bitwise_stats(got, want)
+
+
 @st_.composite
 def assignments(draw):
     """(seed, n, p, assignment): equal-count slices, often with an n % H

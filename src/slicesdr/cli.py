@@ -188,7 +188,12 @@ def _cmd_estimate(args) -> int:
 
 # -- simulate / table1 ------------------------------------------------------
 
-def _report_rows(report: McReport, with_quantiles: bool):
+#: Row fields of a simulate or table1 report, without and with quantiles.
+_MEDIAN_FIELDS = ("model", "method", "H", "median", "reps")
+_QUANTILE_FIELDS = ("model", "method", "H", "min", "q1", "median", "q3", "max", "reps")
+
+
+def _report_rows(report: McReport) -> list:
     cfg = report.config
     rows = []
     for method in cfg.methods:
@@ -205,9 +210,7 @@ def _report_rows(report: McReport, with_quantiles: bool):
             "reps": cfg.reps,
         }
         rows.append(row)
-    if not with_quantiles:
-        return rows, ("model", "method", "H", "median", "reps")
-    return rows, ("model", "method", "H", "min", "q1", "median", "q3", "max", "reps")
+    return rows
 
 
 def _cmd_simulate(args) -> int:
@@ -235,8 +238,8 @@ def _cmd_simulate(args) -> int:
         "standardize": cfg.standardize,
         "quantiles": bool(args.quantiles),
     }
-    rows, csv_fields = _report_rows(report, args.quantiles)
-    _emit_rows(args, meta, rows, csv_fields)
+    fields = _QUANTILE_FIELDS if args.quantiles else _MEDIAN_FIELDS
+    _emit_rows(args, meta, _report_rows(report), fields)
     return EXIT_OK
 
 
@@ -258,10 +261,9 @@ def _cmd_table1(args) -> int:
         [ModelSpec(id=model_id) for model_id in models], h_grid, args.n, args.reps,
         seed=args.seed, standardize=args.standardize,
     )
-    rows = [row for r in reports for row in _report_rows(r, with_quantiles=True)[0]]
+    rows = [row for r in reports for row in _report_rows(r)]
     # mirror the reference layout: per-model blocks, method rows, H columns
     rows.sort(key=lambda r: (r["model"], METHODS.index(r["method"]), r["H"]))
-    fields = ("model", "method", "H", "min", "q1", "median", "q3", "max", "reps")
     if args.out == "human":
         medians = {(r["model"], r["method"], r["H"]): r["median"] for r in rows}
         lines = []
@@ -274,7 +276,7 @@ def _cmd_table1(args) -> int:
                 ))
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        _emit_rows(args, meta, rows, fields)
+        _emit_rows(args, meta, rows, _QUANTILE_FIELDS)
     return EXIT_OK
 
 

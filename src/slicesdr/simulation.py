@@ -12,15 +12,18 @@ medians of each cell; ``run_mc`` is its one-cell case.  ``bias_sweep``
 tracks the raw and corrected slice-covariance-square estimators on a
 pure-noise model where the estimand is known exactly.
 
-Both draw replicates one by one into the rows of chunk buffers.  The grid
-draws x and eps of replicate r once for all its cells, since they depend
-only on (seed, r, n, p), and whitens x once under ``standardize``.  Each
-model's response is then formed from the shared u = x beta and eps and
+Both engines run one loop.  Replicates are drawn one by one into the rows
+of chunk buffers (``_run_chunks``), a chunk holding as many replicates as
+the largest ``_chunk_size`` over the H grid.  Each response of a chunk is
 sorted once, because the slice order does not depend on H, and that order
-is checked once; every H slices it in sub-chunks of its own chunk size,
-and each model's candidates over all H and methods go through one eigen
-and one scoring call.  The sweep likewise draws, sorts and checks
-replicate r once per n for every c of the row.  Each engine call reuses one set of work buffers
+is checked once; every H then slices the chunk in sub-chunks of its own
+``_chunk_size`` (``_stats_by_H``), so its slice stacks stay within that
+bound.  The grid draws x and eps of replicate r once for all its cells,
+since they depend only on (seed, r, n, p), whitens x once under
+``standardize`` and forms each model's response from the shared u = x beta
+and eps; each model's candidates over all H and methods go through one
+eigen and one scoring call.  The sweep draws replicate r once per n for
+every c of the row.  Each engine call reuses one set of work buffers
 (``slicing._Buffers``) for the draws, the sort and the slice moments of
 every replicate.
 """
@@ -208,42 +211,35 @@ def _chunk_size(n: int, p: int, H: int) -> int:
     return max(1, min(p, n // H))
 
 
-def _stack_draws(reps: range, shapes, draw, buffers: _Buffers) -> list:
-    """Draw each replicate in ``reps`` into row i of one chunk buffer per
-    array shape in ``shapes``, and return the buffers.
+def _run_chunks(reps: int, slicings: list, shapes, draw, stacked_pass, buffers) -> list:
+    """Per-replicate results of replicates 0..reps-1, in chunks of the
+    largest chunk size over ``slicings``.
 
-    ``draw(rep, rows)`` fills the rows and returns them; an array it
-    returns in place of a row is copied into that row.
+    ``draw(rep, rows)`` writes one replicate's arrays into ``rows``, row i
+    of one chunk buffer per shape in ``shapes``, and returns them; an array
+    it returns in place of a row is copied into that row.  ``stacked_pass``
+    takes the chunk buffers and returns a tuple of fresh per-replicate
+    result arrays, each concatenated over the chunks in replicate order.
+    A failing chunk is rerun one replicate at a time, so the error names
+    the first replicate that fails on its own.
     """
-    stacks = [
-        buffers.get(f"draw{k}", (len(reps),) + shape) for k, shape in enumerate(shapes)
-    ]
-    for i, rep in enumerate(reps):
-        rows = [stack[i] for stack in stacks]
-        try:
-            arrays = draw(rep, rows)
-        except Exception as e:
-            raise SimulationError(f"replicate {rep} failed: {e}") from e
-        for row, a in zip(rows, arrays):
-            if a is not row:
-                row[...] = a
-    return stacks
-
-
-def _run_chunks(reps: int, chunk: int, shapes, draw, stacked_pass, buffers) -> list:
-    """Per-replicate results of replicates 0..reps-1, ``chunk`` at a time.
-
-    ``draw(rep, rows)`` writes one replicate's arrays, of ``shapes``, into
-    ``rows`` (see ``_stack_draws``); ``stacked_pass`` takes them stacked
-    along a new leading axis and returns a tuple of fresh per-replicate
-    result arrays.  Each result is concatenated over the chunks in
-    replicate order.  A failing chunk is rerun one replicate at a time, so
-    the error names the first replicate that fails on its own.
-    """
+    chunk = max(size for _, size in slicings)
     results = []
     for lo in range(0, reps, chunk):
         block = range(lo, min(lo + chunk, reps))
-        arrays = _stack_draws(block, shapes, draw, buffers)
+        arrays = [
+            buffers.get(f"draw{k}", (len(block),) + shape)
+            for k, shape in enumerate(shapes)
+        ]
+        for i, rep in enumerate(block):
+            rows = [a[i] for a in arrays]
+            try:
+                drawn = draw(rep, rows)
+            except Exception as e:
+                raise SimulationError(f"replicate {rep} failed: {e}") from e
+            for row, a in zip(rows, drawn):
+                if a is not row:
+                    row[...] = a
         try:
             results.append(stacked_pass(*arrays))
         except Exception as e:
@@ -268,20 +264,20 @@ def _slicings(n: int, p: int, h_grid: list) -> list:
     return out
 
 
-def _sliced(z, order, slicing, size: int, buffers: _Buffers):
-    """(part, stats) of each sub-chunk of ``size`` replicates of a chunk.
-
-    ``z`` (chunk, n, p) is sliced by the sorted ``order`` (chunk, n), which
-    ``_check_order`` has passed, over the (bounds, counts, runs) of
-    ``slicing``, a sub-chunk at a time, so the slice stacks of one H stay
-    within that H's ``_chunk_size`` bound however large the chunk is.  Each
-    stats lives in ``buffers`` until the next is made.
+def _stats_by_H(z, y, slicings: list, buffers: _Buffers):
+    """(i, part, stats): the slice moments of the replicates ``part`` of a
+    chunk z (chunk, n, p) at the i-th H of ``slicings``, whose responses
+    y (chunk, n) are sorted and checked once for every H.  Each stats lives
+    in ``buffers`` until the next is made.
     """
-    for lo in range(0, z.shape[0], size):
-        part = slice(lo, lo + size)
-        yield part, slice_stats(
-            z[part], _assignment(order[part], *slicing), buffers=buffers
-        )
+    order = stable_order(y, buffers)
+    _check_order(order)
+    for i, (slicing, size) in enumerate(slicings):
+        for lo in range(0, z.shape[0], size):
+            part = slice(lo, lo + size)
+            yield i, part, slice_stats(
+                z[part], _assignment(order[part], *slicing), buffers=buffers
+            )
 
 
 def run_grid(
@@ -298,10 +294,9 @@ def run_grid(
 
     ``models`` are ModelSpecs of one dimension p.  Replicate r of every
     cell is drawn once from ``model_streams(seed, r)``, so each cell's
-    report is the same as a run of that cell alone.  Replicates are scored
-    in chunks of the largest chunk size over ``h_grid``; each H slices a
-    chunk in sub-chunks of its own size.  A failing replicate aborts the
-    whole run with its index attached; nothing is skipped silently.
+    report is the same as a run of that cell alone.  A failing replicate
+    aborts the whole run with its index attached; nothing is skipped
+    silently.
     """
     models, h_grid = list(models), list(h_grid)
     if not models or not h_grid:
@@ -318,7 +313,6 @@ def run_grid(
     beta = models[0].beta
     true_basis = beta[:, None]
     slicings = _slicings(n, p, h_grid)
-    chunk = max(size for _, size in slicings)
     buffers = _Buffers()
     # x (z under standardize), u, eps and, under standardize, cov^{-1/2}
     shapes = [(n, p), (n,), (n,)] + ([(p, p)] if standardize else [])
@@ -335,12 +329,10 @@ def run_grid(
         out = []
         cands = np.empty((len(h_grid), len(methods)) + z.shape[:1] + (p, p))
         for model in models:
-            order = stable_order(_RESPONSES[model.id](u, eps), buffers)
-            _check_order(order)
-            for i, (slicing, size) in enumerate(slicings):
-                for part, stats in _sliced(z, order, slicing, size, buffers):
-                    for j, method in enumerate(methods):
-                        cands[i, j, part] = candidate_matrix(method, stats)
+            y = _RESPONSES[model.id](u, eps)
+            for i, part, stats in _stats_by_H(z, y, slicings, buffers):
+                for j, method in enumerate(methods):
+                    cands[i, j, part] = candidate_matrix(method, stats)
             # One eigen call per model, for the one column R^2 reads.
             lead = _leading_vectors(cands.reshape(-1, p, p))
             if back is not None:
@@ -354,7 +346,7 @@ def run_grid(
         return out
 
     summaries = _summaries(
-        methods, np.stack(_run_chunks(reps, chunk, shapes, draw, scores, buffers))
+        methods, np.stack(_run_chunks(reps, slicings, shapes, draw, scores, buffers))
     )
     k = len(methods)
     return [
@@ -395,35 +387,27 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
     """Per-replicate trace levels and Frobenius errors of the raw and
     corrected estimators on pure noise, where the true target is I_p: four
     rows per H of ``h_grid``, in order.
-
-    Replicate r is drawn and its y sorted once for every H.  Replicates are
-    scored in chunks of the largest chunk size over ``h_grid``; each H
-    slices a chunk in sub-chunks of its own size.
     """
     eye = np.eye(p)
     slicings = _slicings(n, p, h_grid)
-    chunk = max(size for _, size in slicings)
     buffers = _Buffers()
 
     def draw(rep, rows):
         return _draw(n, p, model_streams(seed, rep), rows)
 
     def levels(z, y):
-        order = stable_order(y, buffers)
-        _check_order(order)
         out = np.empty((len(h_grid), 4, z.shape[0]))
-        for i, (slicing, size) in enumerate(slicings):
-            for part, stats in _sliced(z, order, slicing, size, buffers):
-                lam, cor = stats.cov_square, lambda_corrected(stats)
-                out[i, :, part] = (
-                    np.trace(lam, axis1=-2, axis2=-1) / p,
-                    np.trace(cor, axis1=-2, axis2=-1) / p,
-                    np.linalg.norm(lam - eye, axis=(-2, -1)),
-                    np.linalg.norm(cor - eye, axis=(-2, -1)),
-                )
+        for i, part, stats in _stats_by_H(z, y, slicings, buffers):
+            lam, cor = stats.cov_square, lambda_corrected(stats)
+            out[i, :, part] = (
+                np.trace(lam, axis1=-2, axis2=-1) / p,
+                np.trace(cor, axis1=-2, axis2=-1) / p,
+                np.linalg.norm(lam - eye, axis=(-2, -1)),
+                np.linalg.norm(cor - eye, axis=(-2, -1)),
+            )
         return tuple(out.reshape(-1, z.shape[0]))
 
-    return _run_chunks(reps, chunk, [(n, p), (n,)], draw, levels, buffers)
+    return _run_chunks(reps, slicings, [(n, p), (n,)], draw, levels, buffers)
 
 
 def bias_sweep(

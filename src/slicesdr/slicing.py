@@ -353,33 +353,23 @@ def _lane_sum(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(out, odd, out=out)
 
 
-def _flat_run(run, means, sums, squares, starts) -> None:
-    """One run of k slices of c points at p = 1, on views with the unit
-    axis dropped: ``run`` (..., k c) becomes the deviations from the slice
-    means, written to ``means`` (..., k); ``squares`` (..., k c) gets the
-    squared deviations and ``sums`` (..., k) their sum over each slice, the
-    unscaled covariance.  ``starts`` are the slice offsets in the run.
-
-    Slices of at most ``_POSITION_SUM_MAX_C`` points are summed by position
-    and in lanes, larger ones by reduceat and einsum; every sum has the
-    bits of the (..., k, c, 1) block that ``slice_stats`` forms at p > 1.
+def _flat_run(run, means, sums, squares) -> None:
+    """One run of k slices of c <= ``_POSITION_SUM_MAX_C`` points at p = 1,
+    on views with the unit axis dropped: ``run`` (..., k c) becomes the
+    deviations from the slice means, written to ``means`` (..., k), and
+    ``sums`` (..., k) gets the sum of squared deviations of each slice, the
+    unscaled covariance, in einsum's own lane order; ``squares``
+    (..., k c) is scratch for the squares.
     """
     c = run.shape[-1] // means.shape[-1]
     block = run.reshape(means.shape + (c,))
-    squares = squares.reshape(block.shape)
-    if c <= _POSITION_SUM_MAX_C:
-        points = np.moveaxis(block, -1, 0)
-        _position_sum(points, out=means)
-        means /= c
-        for point in points:  # one strided pass each beats a broadcast
-            point -= means  # deviations, in place
-        _lane_sum(np.multiply(block, block, out=squares), out=sums)
-    else:
-        np.add.reduceat(run, starts, axis=-1, out=means)
-        means /= c
-        block -= means[..., None]  # deviations, in place
-        np.multiply(block, block, out=squares)
-        _gram(block[..., None], out=sums[..., None, None])
+    points = np.moveaxis(block, -1, 0)
+    _position_sum(points, out=means)
+    means /= c
+    for point in points:  # one strided pass each beats a broadcast
+        point -= means  # deviations, in place
+    squares = np.multiply(block, block, out=squares.reshape(block.shape))
+    _lane_sum(squares, out=sums)
 
 
 def slice_stats(
@@ -407,11 +397,10 @@ def slice_stats(
     products are never formed; the same block viewed as (..., k p, p) gives
     the run's share of L = sum_h p_h S_h^2 in one more product.  V averages
     ||d||^2 d d^T over all n deviations and does not depend on the divisor.
-    At p = 1 the runs are (..., k, m) views with the unit axis dropped
-    (``_flat_run``): a slice's covariance is its sum of squared deviations,
-    added in einsum's own lane order for m up to ``_POSITION_SUM_MAX_C``
-    (``_lane_sum``, pinned by ``TestLaneSum``), and the squares are the
-    ||d||^2 of V.
+    At p = 1 a run of m up to ``_POSITION_SUM_MAX_C`` points is a (..., k, m)
+    view with the unit axis dropped (``_flat_run``): a slice's covariance is
+    its sum of squared deviations, added in the lane order of the block's
+    einsum (``_lane_sum``, pinned by ``TestLaneSum``).
     With ``buffers`` the weights, means and covariances live in them (see
     ``_Buffers``); M, L and V are always fresh.
     """
@@ -448,16 +437,16 @@ def slice_stats(
     H = counts.size
     means = buffers.get("means", batch + (H, p))
     covs = buffers.get("covs", batch + (H, p, p))
-    norms = buffers.get("floats", order.shape)  # ||d||^2, then ||d||, of each d
+    norms = buffers.get("floats", order.shape)  # scratch, then ||d|| of each d
     mean_cov = np.zeros(batch + (p, p))
     cov_square = np.zeros(batch + (p, p))
     for lo, hi in assignment.runs:
         c = counts[lo]
         first, stop = bounds[lo], bounds[hi]
         out = covs[..., lo:hi, :, :]
-        if p == 1:
+        if p == 1 and c <= _POSITION_SUM_MAX_C:
             _flat_run(zs[..., first:stop, 0], means[..., lo:hi, 0], out[..., 0, 0],
-                      norms[..., first:stop], bounds[lo:hi] - first)
+                      norms[..., first:stop])
         else:
             run = zs[..., first:stop, :]
             block = run.reshape(batch + (hi - lo, int(c), p))

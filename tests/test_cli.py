@@ -687,6 +687,20 @@ class TestExitCodeFamilies:
         err = capsys.readouterr().err
         assert err.startswith("error: replicate 0 failed: ") and "did not converge" in err
 
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    @pytest.mark.parametrize("command", ["sweep", "estimate"])
+    def test_unwritable_output_is_data_error(self, command, target, tmp_path, capsys):
+        # a missing directory or an existing one: open() fails with an OSError
+        if command == "sweep":
+            argv = ["sweep", "--mode", "bias", "--n-grid", "100", "--c-grid", "2",
+                    "--reps", "1"]
+        else:
+            argv = ["estimate", "--input", write_model_csv(tmp_path, model_id=1, n=100),
+                    "--y", "y"]
+        assert main(argv + ["--output", str(tmp_path / target)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [Errno ")
+
     def test_k_out_of_range_is_usage_error(self, tmp_path, capsys):
         path = write_model_csv(tmp_path, model_id=1, n=100)
         code = main(["estimate", "--input", path, "--y", "y", "--k", "11"])

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
+import os
 import re
 import sys
 
@@ -84,6 +86,20 @@ def _emit(text: str, output: str | None) -> None:
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _check_output(output: str | None) -> None:
+    """Fail before any work where ``_emit`` could not open ``output``,
+    with the error ``open`` would raise; nothing is created."""
+    if output is None:
+        return
+    try:
+        if os.path.isdir(output):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        # the trailing separator makes stat fail unless the parent is a directory
+        os.stat(os.path.join(os.path.dirname(output) or os.curdir, ""))
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, output) from None
 
 
 def _json_document(meta: dict, results) -> str:
@@ -423,6 +439,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        _check_output(args.output)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,7 +11,9 @@ standardized coordinates are mapped back to the original scale with
 from __future__ import annotations
 
 import csv
-import itertools
+import lzma
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,43 +124,39 @@ def load_csv(path, y_column) -> Dataset:
     Every other column becomes a predictor, in file order.  A leading UTF-8
     byte-order mark is skipped.  Parse problems raise CsvFormatError naming
     the offending row and column; non-finite cells (NaN/inf) are rejected,
-    not imputed.
+    not imputed, and bytes that are not UTF-8 are named by their offset.
 
-    The data rows are parsed in one vectorized pass.  Input that pass
-    rejects, or that holds a non-finite cell, is scanned again cell by cell
-    with ``float``: the scan either accepts it (whitespace-only lines and
-    underscore digit separators) or names the offending row and column.
+    The data rows are parsed in one vectorized pass, which numpy reads from
+    the path in chunks.  Input that pass rejects, or that holds a
+    non-finite cell, is scanned again cell by cell with ``float``: the scan
+    either accepts it (whitespace-only lines and underscore digit
+    separators) or names the offending row and column.
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as e:
         raise CsvFormatError(f"cannot open {path}: {e}") from e
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        y_idx = _resolve_column(header, y_column, path)
-        # blank lines before the first data row are skipped, as the scan does
-        first = next((line for line in fh if line.strip()), None)
-        try:
-            table = None if first is None else np.loadtxt(
-                itertools.chain([first], fh),
-                delimiter=",", quotechar='"', comments=None, ndmin=2,
-            )
-        except ValueError:
-            table = None
-        if (
-            table is None
-            or table.shape[1] != len(header)
-            or not np.isfinite(table).all()
-        ):
-            fh.seek(0)
+    try:
+        with fh:
             reader = csv.reader(fh)
-            next(reader)
-            table = _scan_rows(reader, header, path)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvFormatError(f"{path}: empty file, header row required") from None
+            header = [h.strip() for h in header]
+            y_idx = _resolve_column(header, y_column, path)
+            table = _load_rows(path, reader.line_num)
+            if (
+                table is None
+                or table.shape[1] != len(header)
+                or not np.isfinite(table).all()
+            ):
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                table = _scan_rows(reader, header, path)
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     if table.shape[0] < 2:
         raise CsvFormatError(f"{path}: need at least 2 data rows, got {table.shape[0]}")
     y = table[:, y_idx]
@@ -166,6 +164,44 @@ def load_csv(path, y_column) -> Dataset:
     if x.shape[1] < 1:
         raise CsvFormatError(f"{path}: no predictor columns besides {header[y_idx]!r}")
     return Dataset(x=x, y=y)
+
+
+def _load_rows(path, skiprows) -> np.ndarray | None:
+    """The data rows below ``skiprows`` header lines, or None if numpy rejects them.
+
+    numpy reads a str path in chunks, where any other source is iterated
+    line by line.  An absolute path never parses as a URL, which numpy
+    would fetch; a file descriptor has no path (TypeError).  Empty lines
+    are skipped.  A bad cell or a byte that is not UTF-8 raises ValueError;
+    numpy opens a ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` path as
+    compressed, so a plain file under such a name raises OSError, LZMAError
+    or (for a bare stream header) EOFError.
+    """
+    with warnings.catch_warnings():
+        # a header-only file: the scan reports it
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning
+        )
+        try:
+            return np.loadtxt(
+                os.path.abspath(path), skiprows=skiprows, encoding="utf-8",
+                delimiter=",", quotechar='"', comments=None, ndmin=2,
+            )
+        except (TypeError, ValueError, OSError, EOFError, lzma.LZMAError):
+            return None
+
+
+def _utf8_error(path) -> CsvFormatError:
+    """Name the first byte of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return CsvFormatError(
+            f"{path}: byte {raw[e.start]:#04x} at offset {e.start} is not UTF-8"
+        )
+    return CsvFormatError(f"{path}: not UTF-8")
 
 
 def _scan_rows(reader, header, path) -> np.ndarray:

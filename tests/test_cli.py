@@ -130,6 +130,16 @@ class TestEstimate:
         assert code == 3
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw", [b"y,\xffx1\n1,2\n3,4\n5,6\n", b"y,x1\n1,2\n3,\xff4\n5,6\n"]
+    )
+    def test_bytes_that_are_not_utf8_are_data_errors(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        assert main(["estimate", "--input", str(path), "--y", "y"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "0xff at offset" in err
+
     def test_csv_output_round_trips(self, tmp_path, capsys):
         path = write_model_csv(tmp_path, model_id=1, n=100)
         out_file = tmp_path / "est.csv"
@@ -688,18 +698,33 @@ class TestExitCodeFamilies:
         assert err.startswith("error: replicate 0 failed: ") and "did not converge" in err
 
     @pytest.mark.parametrize("target", ["missing/out.txt", "."])
-    @pytest.mark.parametrize("command", ["sweep", "estimate"])
-    def test_unwritable_output_is_data_error(self, command, target, tmp_path, capsys):
-        # a missing directory or an existing one: open() fails with an OSError
+    @pytest.mark.parametrize("command", ["sweep", "estimate", "table1"])
+    def test_unwritable_output_is_data_error(
+        self, command, target, tmp_path, monkeypatch, capsys
+    ):
+        # a missing directory or an existing one: exit 3 with open()'s error
+        # before any work starts, and nothing is created
         if command == "sweep":
             argv = ["sweep", "--mode", "bias", "--n-grid", "100", "--c-grid", "2",
                     "--reps", "1"]
+        elif command == "table1":
+            argv = ["table1", "--models", "1", "--H", "2", "--reps", "1"]
         else:
             argv = ["estimate", "--input", write_model_csv(tmp_path, model_id=1, n=100),
                     "--y", "y"]
-        assert main(argv + ["--output", str(tmp_path / target)]) == 3
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for name in ("load_csv", "run_grid", "bias_sweep"):
+            monkeypatch.setattr(f"slicesdr.cli.{name}", no_run)
+        output = str(tmp_path / target)
+        assert main(argv + ["--output", output]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: [Errno ")
+        message = ("[Errno 21] Is a directory" if target == "."
+                   else "[Errno 2] No such file or directory")
+        assert out == "" and err == f"error: {message}: {output!r}\n"
+        assert not (tmp_path / "missing").exists()
 
     def test_k_out_of_range_is_usage_error(self, tmp_path, capsys):
         path = write_model_csv(tmp_path, model_id=1, n=100)

@@ -1,5 +1,9 @@
 """Dataset construction, standardization and CSV ingestion tests."""
 
+import os
+import urllib.request
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,6 +192,11 @@ class TestLoadCsv:
             np.testing.assert_array_equal(got.x, want.x)
             np.testing.assert_array_equal(got.y, want.y)
 
+    def test_file_descriptor(self, tmp_path):
+        path = self.write(tmp_path, "y,x1,x2\n1,2,3\n4,5,6\n")
+        d = load_csv(os.open(path, os.O_RDONLY), "y")  # load_csv closes it
+        np.testing.assert_array_equal(d.x, [[2, 3], [5, 6]])
+
     def test_header_name_wins_over_index(self, tmp_path):
         path = self.write(tmp_path, "1,0,y,2\n10,20,30,40\n11,21,31,41\n")
         np.testing.assert_array_equal(load_csv(path, "1").y, [10, 11])
@@ -258,5 +267,74 @@ class TestLoadCsvFormats:
             load_csv(path, "y")
 
     def test_header_only(self, tmp_path):
+        # numpy warns that the input held no data; the warning must not leak
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in ("y,x1\n", "y,x1\n\n\n", "y,x1", "y\n"):
+                with pytest.raises(CsvFormatError, match="got 0"):
+                    load_csv(self.write(tmp_path, text), "y")
+
+    def test_header_with_a_quoted_newline(self, tmp_path, monkeypatch):
+        self.vectorized_only(monkeypatch)
+        path = self.write(tmp_path, 'y,"x\none"\n1,2\n3,4\n5,6\n')
+        d = load_csv(path, "y")
+        np.testing.assert_array_equal(d.y, [1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.0, 6.0])
+        assert load_csv(path, "x\none").y.tolist() == [2.0, 4.0, 6.0]
+
+    def test_byte_order_mark_and_crlf(self, tmp_path, monkeypatch):
+        self.vectorized_only(monkeypatch)
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x1\r\n1,2\r\n3,4.5\r\n")
+        d = load_csv(str(path), "y")
+        np.testing.assert_array_equal(d.y, [1.0, 3.0])
+        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.5])
+
+    def test_blank_lines_before_the_first_row(self, tmp_path, monkeypatch):
+        self.vectorized_only(monkeypatch)
+        d = load_csv(self.write(tmp_path, "y,x1\n\n\r\n1,2\n\n3,4\n"), "y")
+        np.testing.assert_array_equal(d.y, [1.0, 3.0])
+        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.0])
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_under_a_compression_suffix(self, tmp_path, suffix):
+        # numpy opens the name as compressed and fails; the scan reads it as text
+        path = tmp_path / f"data.csv{suffix}"
+        path.write_text("y,x1\n1,2\n3,4\n", encoding="utf-8")
+        d = load_csv(str(path), "y")
+        np.testing.assert_array_equal(d.y, [1.0, 3.0])
+        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.0])
+
+    def test_bare_compressed_stream_header(self, tmp_path):
+        # numpy's bz2 reader ends in EOFError; the scan sees a header-only file
+        path = tmp_path / "data.csv.bz2"
+        path.write_text("BZh9", encoding="utf-8")
         with pytest.raises(CsvFormatError, match="got 0"):
-            load_csv(self.write(tmp_path, "y,x1\n"), "y")
+            load_csv(str(path), 0)
+
+    def test_url_like_relative_path_is_read_locally(self, tmp_path, monkeypatch):
+        self.vectorized_only(monkeypatch)
+
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("a local path was fetched as a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "d.csv").write_text("y,x1\n1,2\n3,4\n")
+        monkeypatch.chdir(tmp_path)
+        assert load_csv("http://host/d.csv", "y").y.tolist() == [1.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "raw, offset",
+        [
+            (b"y,\xffx1\n1,2\n3,4\n", 2),
+            (b"y,x1\n1,2\n3,\xff4\n5,6\n", 11),
+            # past the header read's first chunk: the chunked read meets it
+            (b"y,x1\n" + b"1,2\n" * 5000 + b"3,4\xff\n", 5 + 4 * 5000 + 3),
+        ],
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, raw, offset):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        with pytest.raises(CsvFormatError, match=f"0xff at offset {offset} is not UTF-8"):
+            load_csv(str(path), "y")

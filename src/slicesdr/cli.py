@@ -58,6 +58,8 @@ from .simulation import (
     SWEEP_P,
     SweepRow,
     bias_sweep,
+    check_sweep,
+    grid_cells,
     run_grid,
     run_mc,
 )
@@ -89,8 +91,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _check_output(output: str | None) -> None:
-    """Fail before any work where ``_emit`` could not open ``output``,
-    with the error ``open`` would raise; nothing is created."""
+    """Fail where ``_emit`` could not open ``output``, with the error ``open``
+    would raise; nothing is created.  A command calls it once its arguments
+    are valid and before its run starts."""
     if output is None:
         return
     try:
@@ -240,6 +243,7 @@ def _cmd_simulate(args) -> int:
         methods=methods,
         standardize=args.standardize,
     )
+    _check_output(args.output)
     report = run_mc(cfg)
     meta = {
         "command": "simulate",
@@ -273,9 +277,11 @@ def _cmd_table1(args) -> int:
         "methods": list(METHODS),
         "standardize": args.standardize,
     }
+    specs = [ModelSpec(id=model_id) for model_id in models]
+    grid_cells(specs, h_grid, args.n, args.reps, args.seed, METHODS, args.standardize)
+    _check_output(args.output)
     reports = run_grid(
-        [ModelSpec(id=model_id) for model_id in models], h_grid, args.n, args.reps,
-        seed=args.seed, standardize=args.standardize,
+        specs, h_grid, args.n, args.reps, seed=args.seed, standardize=args.standardize,
     )
     rows = [row for r in reports for row in _report_rows(r)]
     # mirror the reference layout: per-model blocks, method rows, H columns
@@ -326,6 +332,8 @@ def _cmd_sweep(args) -> int:
     n_grid = _int_list(args.n_grid if args.n_grid is not None else defaults["n"])
     c_grid = _int_list(args.c_grid if args.c_grid is not None else defaults["c"])
     reps = args.reps if args.reps is not None else defaults["reps"]
+    check_sweep(n_grid, c_grid, reps, args.seed, args.p)
+    _check_output(args.output)
     rows = bias_sweep(n_grid, c_grid, reps, seed=args.seed, p=args.p)
     meta = {
         "command": "sweep",
@@ -439,7 +447,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        _check_output(args.output)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

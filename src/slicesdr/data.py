@@ -11,8 +11,10 @@ standardized coordinates are mapped back to the original scale with
 from __future__ import annotations
 
 import csv
+import io
 import lzma
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -127,7 +129,8 @@ def load_csv(path, y_column) -> Dataset:
     not imputed, and bytes that are not UTF-8 are named by their offset.
 
     The data rows are parsed in one vectorized pass, which numpy reads from
-    the path in chunks.  Input that pass rejects, or that holds a
+    the path in chunks; a pipe, which reads only once, is held in memory
+    and read line by line.  Input that pass rejects, or that holds a
     non-finite cell, is scanned again cell by cell with ``float``: the scan
     either accepts it (whitespace-only lines and underscore digit
     separators) or names the offending row and column.
@@ -136,27 +139,37 @@ def load_csv(path, y_column) -> Dataset:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as e:
         raise CsvFormatError(f"cannot open {path}: {e}") from e
-    try:
-        with fh:
-            reader = csv.reader(fh)
+    with fh:
+        raw = fh.buffer
+        if isinstance(path, (str, os.PathLike)) and stat.S_ISREG(
+            os.fstat(fh.fileno()).st_mode
+        ):
+            text, source = fh, os.path.abspath(path)
+        else:
+            # a pipe or descriptor: numpy could not reopen it by name, and the
+            # scan must start over, so read it once and parse from memory
+            raw = io.BytesIO(raw.read())
+            text = source = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+        try:
+            reader = csv.reader(text)
             try:
                 header = next(reader)
             except StopIteration:
                 raise CsvFormatError(f"{path}: empty file, header row required") from None
             header = [h.strip() for h in header]
             y_idx = _resolve_column(header, y_column, path)
-            table = _load_rows(path, reader.line_num)
+            table = _load_rows(source, 0 if source is text else reader.line_num)
             if (
                 table is None
                 or table.shape[1] != len(header)
                 or not np.isfinite(table).all()
             ):
-                fh.seek(0)
-                reader = csv.reader(fh)
+                text.seek(0)
+                reader = csv.reader(text)
                 next(reader)
                 table = _scan_rows(reader, header, path)
-    except UnicodeDecodeError:
-        raise _utf8_error(path) from None
+        except UnicodeDecodeError:
+            raise _utf8_error(raw, path) from None
     if table.shape[0] < 2:
         raise CsvFormatError(f"{path}: need at least 2 data rows, got {table.shape[0]}")
     y = table[:, y_idx]
@@ -166,16 +179,16 @@ def load_csv(path, y_column) -> Dataset:
     return Dataset(x=x, y=y)
 
 
-def _load_rows(path, skiprows) -> np.ndarray | None:
-    """The data rows below ``skiprows`` header lines, or None if numpy rejects them.
+def _load_rows(source, skiprows) -> np.ndarray | None:
+    """The data rows below ``skiprows`` lines of ``source``, or None if numpy
+    rejects them.
 
-    numpy reads a str path in chunks, where any other source is iterated
-    line by line.  An absolute path never parses as a URL, which numpy
-    would fetch; a file descriptor has no path (TypeError).  Empty lines
-    are skipped.  A bad cell or a byte that is not UTF-8 raises ValueError;
-    numpy opens a ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` path as
-    compressed, so a plain file under such a name raises OSError, LZMAError
-    or (for a bare stream header) EOFError.
+    numpy reads a str path in chunks, where an open text is iterated line
+    by line.  An absolute path never parses as a URL, which numpy would
+    fetch.  Empty lines are skipped.  A bad cell or a byte that is not
+    UTF-8 raises ValueError; numpy opens a ``.gz``, ``.bz2``, ``.xz`` or
+    ``.lzma`` path as compressed, so a plain file under such a name raises
+    OSError, LZMAError or (for a bare stream header) EOFError.
     """
     with warnings.catch_warnings():
         # a header-only file: the scan reports it
@@ -184,22 +197,22 @@ def _load_rows(path, skiprows) -> np.ndarray | None:
         )
         try:
             return np.loadtxt(
-                os.path.abspath(path), skiprows=skiprows, encoding="utf-8",
+                source, skiprows=skiprows, encoding="utf-8",
                 delimiter=",", quotechar='"', comments=None, ndmin=2,
             )
-        except (TypeError, ValueError, OSError, EOFError, lzma.LZMAError):
+        except (ValueError, OSError, EOFError, lzma.LZMAError):
             return None
 
 
-def _utf8_error(path) -> CsvFormatError:
-    """Name the first byte of ``path`` that is not UTF-8."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _utf8_error(raw, path) -> CsvFormatError:
+    """Name the first byte of the binary file ``raw`` that is not UTF-8."""
+    raw.seek(0)
+    data = raw.read()
     try:
-        raw.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as e:
         return CsvFormatError(
-            f"{path}: byte {raw[e.start]:#04x} at offset {e.start} is not UTF-8"
+            f"{path}: byte {data[e.start]:#04x} at offset {e.start} is not UTF-8"
         )
     return CsvFormatError(f"{path}: not UTF-8")
 

@@ -280,6 +280,21 @@ def _stats_by_H(z, y, slicings: list, buffers: _Buffers):
             )
 
 
+def grid_cells(models, h_grid, n, reps, seed, methods, standardize) -> list:
+    """The validated SimConfig of each (model, H) cell of ``run_grid``, which
+    raises the UsageError of the first invalid argument; nothing is drawn."""
+    if not models or not h_grid:
+        raise DegenerateDesign("empty model or H grid")
+    if len({m.p for m in models}) > 1:
+        raise InvalidArgument("grid models must share one dimension p")
+    return [
+        SimConfig(model=m, n=n, H=H, reps=reps, seed=seed, methods=methods,
+                  standardize=standardize)
+        for m in models
+        for H in h_grid
+    ]
+
+
 def run_grid(
     models,
     h_grid,
@@ -299,16 +314,7 @@ def run_grid(
     silently.
     """
     models, h_grid = list(models), list(h_grid)
-    if not models or not h_grid:
-        raise DegenerateDesign("empty model or H grid")
-    if len({m.p for m in models}) > 1:
-        raise InvalidArgument("grid models must share one dimension p")
-    cells = [
-        SimConfig(model=m, n=n, H=H, reps=reps, seed=seed, methods=methods,
-                  standardize=standardize)
-        for m in models
-        for H in h_grid
-    ]
+    cells = grid_cells(models, h_grid, n, reps, seed, methods, standardize)
     p = models[0].p
     beta = models[0].beta
     true_basis = beta[:, None]
@@ -410,6 +416,35 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
     return _run_chunks(reps, slicings, [(n, p), (n,)], draw, levels, buffers)
 
 
+def check_sweep(n_grid, c_grid, reps: int, seed: int, p: int) -> None:
+    """Raise the UsageError of the first invalid argument of ``bias_sweep``.
+
+    Every (n, c) is checked, so a degenerate pair late in the grid fails
+    before any replicate is drawn.
+    """
+    if not n_grid or not c_grid:
+        raise DegenerateDesign("empty sweep grid")
+    if reps < 1:
+        raise InvalidArgument("reps must be >= 1")
+    if seed < 0:
+        raise InvalidArgument("seed must be non-negative")
+    if p not in SWEEP_P:
+        raise InvalidArgument(
+            f"null-model sweep supports p in {SWEEP_P[0]}..{SWEEP_P[-1]}"
+        )
+    for n in n_grid:
+        for c in c_grid:
+            if c < 2:
+                raise DegenerateDesign(f"c={c} leaves no within-slice pairs")
+            H = n // c
+            if H < 2:
+                raise DegenerateDesign(f"n={n}, c={c} gives H={H} < 2 slices")
+            if n // H != c:
+                raise DegenerateDesign(
+                    f"n={n}, c={c} gives H={H} slices of {n // H} points, not {c}"
+                )
+
+
 def bias_sweep(
     n_grid,
     c_grid,
@@ -428,29 +463,7 @@ def bias_sweep(
     """
     n_grid = [int(v) for v in n_grid]
     c_grid = [int(v) for v in c_grid]
-    if not n_grid or not c_grid:
-        raise DegenerateDesign("empty sweep grid")
-    if reps < 1:
-        raise InvalidArgument("reps must be >= 1")
-    if seed < 0:
-        raise InvalidArgument("seed must be non-negative")
-    if p not in SWEEP_P:
-        raise InvalidArgument(
-            f"null-model sweep supports p in {SWEEP_P[0]}..{SWEEP_P[-1]}"
-        )
-    # Every (n, c) is checked before any replicate is drawn, so a
-    # degenerate pair late in the grid fails at once.
-    for n in n_grid:
-        for c in c_grid:
-            if c < 2:
-                raise DegenerateDesign(f"c={c} leaves no within-slice pairs")
-            H = n // c
-            if H < 2:
-                raise DegenerateDesign(f"n={n}, c={c} gives H={H} < 2 slices")
-            if n // H != c:
-                raise DegenerateDesign(
-                    f"n={n}, c={c} gives H={H} slices of {n // H} points, not {c}"
-                )
+    check_sweep(n_grid, c_grid, reps, seed, p)
     rows = []
     for n in n_grid:
         h_grid = [n // c for c in c_grid]

@@ -698,17 +698,19 @@ class TestExitCodeFamilies:
         assert err.startswith("error: replicate 0 failed: ") and "did not converge" in err
 
     @pytest.mark.parametrize("target", ["missing/out.txt", "."])
-    @pytest.mark.parametrize("command", ["sweep", "estimate", "table1"])
+    @pytest.mark.parametrize("command", ["sweep", "estimate", "table1", "simulate"])
     def test_unwritable_output_is_data_error(
         self, command, target, tmp_path, monkeypatch, capsys
     ):
-        # a missing directory or an existing one: exit 3 with open()'s error
-        # before any work starts, and nothing is created
+        # a missing directory or an existing one: exit 3 with open()'s error,
+        # and nothing is created; the simulations fail before they run
         if command == "sweep":
             argv = ["sweep", "--mode", "bias", "--n-grid", "100", "--c-grid", "2",
                     "--reps", "1"]
         elif command == "table1":
             argv = ["table1", "--models", "1", "--H", "2", "--reps", "1"]
+        elif command == "simulate":
+            argv = ["simulate", "--model", "1", "--reps", "1"]
         else:
             argv = ["estimate", "--input", write_model_csv(tmp_path, model_id=1, n=100),
                     "--y", "y"]
@@ -716,7 +718,7 @@ class TestExitCodeFamilies:
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
-        for name in ("load_csv", "run_grid", "bias_sweep"):
+        for name in ("run_mc", "run_grid", "bias_sweep"):
             monkeypatch.setattr(f"slicesdr.cli.{name}", no_run)
         output = str(tmp_path / target)
         assert main(argv + ["--output", output]) == 3
@@ -725,6 +727,22 @@ class TestExitCodeFamilies:
                    else "[Errno 2] No such file or directory")
         assert out == "" and err == f"error: {message}: {output!r}\n"
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--models", "7"],
+            ["table1", "--H", "2,0"],
+            ["simulate", "--model", "1", "--slices", "0"],
+            ["sweep", "--mode", "bias", "--n-grid", "100", "--c-grid", "1"],
+            ["estimate", "--input", "missing.csv", "--y", "y", "--rel-floor", "-1e-3"],
+        ],
+    )
+    def test_usage_error_is_reported_before_an_unwritable_output(
+        self, argv, tmp_path, capsys
+    ):
+        assert main(argv + ["--output", str(tmp_path / "missing" / "x")]) == 2
+        assert "Errno" not in capsys.readouterr().err
 
     def test_k_out_of_range_is_usage_error(self, tmp_path, capsys):
         path = write_model_csv(tmp_path, model_id=1, n=100)

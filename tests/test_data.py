@@ -197,6 +197,26 @@ class TestLoadCsv:
         d = load_csv(os.open(path, os.O_RDONLY), "y")  # load_csv closes it
         np.testing.assert_array_equal(d.x, [[2, 3], [5, 6]])
 
+    def test_pipe_is_read_whole(self, tmp_path):
+        # about 20 KiB, more than one buffered read; a pipe cannot be opened
+        # twice or rewound, so every row must come from the one read
+        rows = b"".join(b"%d,%d.5\n" % (i, i) for i in range(2000))
+        for tail, want in [(b"", None), (b"7,x\n", "row 2002, column 'x1'"),
+                           (b"7,\xff\n", f"0xff at offset {5 + len(rows) + 2} ")]:
+            r, w = os.pipe()
+            try:
+                os.write(w, b"y,x1\n" + rows + tail)
+                os.close(w)
+                if want is None:
+                    d = load_csv(f"/dev/fd/{r}", "y")
+                    np.testing.assert_array_equal(d.y, np.arange(2000.0))
+                    np.testing.assert_array_equal(d.x[:, 0], np.arange(2000.0) + 0.5)
+                else:
+                    with pytest.raises(CsvFormatError, match=want):
+                        load_csv(f"/dev/fd/{r}", "y")
+            finally:
+                os.close(r)
+
     def test_header_name_wins_over_index(self, tmp_path):
         path = self.write(tmp_path, "1,0,y,2\n10,20,30,40\n11,21,31,41\n")
         np.testing.assert_array_equal(load_csv(path, "1").y, [10, 11])

@@ -153,7 +153,7 @@ def eigen_perturb_first_order(base, delta, i: int):
     d = ensure_symmetric(delta)
     p = eig.values.size
     if not 0 <= i < p:
-        raise IndexError(f"eigenvalue index {i} out of range for p={p}")
+        raise InvalidArgument(f"eigenvalue index {i} out of range for p={p}")
     lam = eig.values
     gaps = np.abs(lam - lam[i])
     gaps[i] = np.inf

@@ -18,8 +18,11 @@ _RANK_TOL = 1e-10
 
 
 def _orthonormalize(basis) -> np.ndarray:
-    """QR-orthonormalize columns; rank deficiency raises DegenerateSubspace."""
+    """QR-orthonormalize columns; a non-finite entry or rank deficiency
+    raises DegenerateSubspace."""
     b = np.asarray(basis, dtype=float)
+    if not np.isfinite(b).all():
+        raise DegenerateSubspace("basis is not finite")
     if b.ndim == 1:
         b = b[:, None]
     if b.shape[0] < b.shape[1]:
@@ -44,6 +47,8 @@ def r2_single(beta_hat, true_basis):
     b = np.asarray(beta_hat, dtype=float)
     if b.ndim < 2:
         b = b.reshape(-1)
+    if not np.isfinite(b).all():
+        raise DegenerateSubspace("beta_hat is not finite")
     if not np.all(np.any(b != 0.0, axis=-1)):
         raise DegenerateSubspace("beta_hat is the zero vector")
     basis = np.asarray(true_basis, dtype=float)

@@ -12,18 +12,21 @@ medians of each cell; ``run_mc`` is its one-cell case.  ``bias_sweep``
 tracks the raw and corrected slice-covariance-square estimators on a
 pure-noise model where the estimand is known exactly.
 
-Both engines run one loop.  Replicates are drawn one by one into the rows
-of chunk buffers (``_run_chunks``), a chunk holding as many replicates as
-the largest ``_chunk_size`` over the H grid.  Each response of a chunk is
-sorted once, because the slice order does not depend on H, and that order
-is checked once; every H then slices the chunk in sub-chunks of its own
-``_chunk_size`` (``_stats_by_H``), so its slice stacks stay within that
-bound.  The grid draws x and eps of replicate r once for all its cells,
-since they depend only on (seed, r, n, p), whitens x once under
-``standardize`` and forms each model's response from the shared u = x beta
-and eps; each model's candidates over all H and methods go through one
-eigen and one scoring call.  The sweep draws replicate r once per n for
-every c of the row.  Each engine call reuses one set of work buffers
+Both engines run one loop, ``_run_chunks``, which draws the predictors x
+and noise eps of replicates one by one into the rows of two chunk buffers,
+a chunk holding as many replicates as the largest ``_chunk_size`` over the
+H grid, and hands each chunk to the engine's stacked pass, which only
+scores it.  Each response of a chunk is sorted once, because the slice
+order does not depend on H, and that order is checked once; every H then
+slices the chunk in sub-chunks of its own ``_chunk_size``
+(``_stats_by_H``), so its slice stacks stay within that bound.  The grid
+draws replicate r once for all its cells, since x and eps depend only on
+(seed, r, n, p); its pass forms u = x beta for the chunk, under
+``standardize`` whitens each replicate's x into a buffer of its own, and
+forms each model's response from the shared u and eps; each model's
+candidates over all H and methods go through one eigen and one scoring
+call.  The sweep draws replicate r once per n for every c of the row, and
+eps is its response.  Each engine call reuses one set of work buffers
 (``slicing._Buffers``) for the draws, the sort and the slice moments of
 every replicate.
 """
@@ -211,41 +214,36 @@ def _chunk_size(n: int, p: int, H: int) -> int:
     return max(1, min(p, n // H))
 
 
-def _run_chunks(reps: int, slicings: list, shapes, draw, stacked_pass, buffers) -> list:
+def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
+                stacked_pass, buffers) -> list:
     """Per-replicate results of replicates 0..reps-1, in chunks of the
     largest chunk size over ``slicings``.
 
-    ``draw(rep, rows)`` writes one replicate's arrays into ``rows``, row i
-    of one chunk buffer per shape in ``shapes``, and returns them; an array
-    it returns in place of a row is copied into that row.  ``stacked_pass``
-    takes the chunk buffers and returns a tuple of fresh per-replicate
-    result arrays, each concatenated over the chunks in replicate order.
-    A failing chunk is rerun one replicate at a time, so the error names
-    the first replicate that fails on its own.
+    Replicate r's predictors and noise are drawn from
+    ``model_streams(seed, r)`` into row i of the chunk buffers x
+    (chunk, n, p) and eps (chunk, n).  ``stacked_pass(x, eps)`` scores a
+    chunk and returns a tuple of fresh per-replicate result arrays, each
+    concatenated over the chunks in replicate order; it must be a pure
+    function of (x, eps), since a failing chunk is rerun one replicate at a
+    time, so the error names the first replicate that fails on its own.
     """
     chunk = max(size for _, size in slicings)
     results = []
     for lo in range(0, reps, chunk):
         block = range(lo, min(lo + chunk, reps))
-        arrays = [
-            buffers.get(f"draw{k}", (len(block),) + shape)
-            for k, shape in enumerate(shapes)
-        ]
+        x = buffers.get("x", (len(block), n, p))
+        eps = buffers.get("eps", (len(block), n))
         for i, rep in enumerate(block):
-            rows = [a[i] for a in arrays]
             try:
-                drawn = draw(rep, rows)
+                _draw(n, p, model_streams(seed, rep), (x[i], eps[i]))
             except Exception as e:
                 raise SimulationError(f"replicate {rep} failed: {e}") from e
-            for row, a in zip(rows, drawn):
-                if a is not row:
-                    row[...] = a
         try:
-            results.append(stacked_pass(*arrays))
+            results.append(stacked_pass(x, eps))
         except Exception as e:
             for i, rep in enumerate(block):
                 try:
-                    stacked_pass(*(a[i:i + 1] for a in arrays))
+                    stacked_pass(x[i:i + 1], eps[i:i + 1])
                 except Exception as e_rep:
                     raise SimulationError(f"replicate {rep} failed: {e_rep}") from e_rep
             raise SimulationError(
@@ -320,20 +318,19 @@ def run_grid(
     true_basis = beta[:, None]
     slicings = _slicings(n, p, h_grid)
     buffers = _Buffers()
-    # x (z under standardize), u, eps and, under standardize, cov^{-1/2}
-    shapes = [(n, p), (n,), (n,)] + ([(p, p)] if standardize else [])
 
-    def draw(rep, rows):
-        x, eps = _draw(n, p, model_streams(seed, rep), (rows[0], rows[2]))
-        u = np.matmul(x, beta, out=rows[1])
-        if not standardize:
-            return x, u, eps
-        sd = _standardize(Dataset(x=x, y=u))
-        return sd.z, u, eps, sd.cov_inv_sqrt
-
-    def scores(z, u, eps, back=None):
+    def scores(x, eps):
         out = []
-        cands = np.empty((len(h_grid), len(methods)) + z.shape[:1] + (p, p))
+        chunk = x.shape[0]
+        u = np.matmul(x, beta, out=buffers.get("u", (chunk, n)))
+        z, back = x, None
+        if standardize:
+            z = buffers.get("z", x.shape)
+            back = buffers.get("back", (chunk, p, p))
+            for i in range(chunk):
+                sd = _standardize(Dataset(x=x[i], y=u[i]))
+                z[i], back[i] = sd.z, sd.cov_inv_sqrt
+        cands = np.empty((len(h_grid), len(methods), chunk, p, p))
         for model in models:
             y = _RESPONSES[model.id](u, eps)
             for i, part, stats in _stats_by_H(z, y, slicings, buffers):
@@ -348,11 +345,11 @@ def run_grid(
                     np.broadcast_to(back, cands.shape).reshape(-1, p, p),
                     lead,
                 )
-            out.extend(r2_single(lead, true_basis).reshape(-1, z.shape[0]))
+            out.extend(r2_single(lead, true_basis).reshape(-1, chunk))
         return out
 
     summaries = _summaries(
-        methods, np.stack(_run_chunks(reps, slicings, shapes, draw, scores, buffers))
+        methods, np.stack(_run_chunks(reps, n, p, seed, slicings, scores, buffers))
     )
     k = len(methods)
     return [
@@ -398,9 +395,6 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
     slicings = _slicings(n, p, h_grid)
     buffers = _Buffers()
 
-    def draw(rep, rows):
-        return _draw(n, p, model_streams(seed, rep), rows)
-
     def levels(z, y):
         out = np.empty((len(h_grid), 4, z.shape[0]))
         for i, part, stats in _stats_by_H(z, y, slicings, buffers):
@@ -413,7 +407,7 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
             )
         return tuple(out.reshape(-1, z.shape[0]))
 
-    return _run_chunks(reps, slicings, [(n, p), (n,)], draw, levels, buffers)
+    return _run_chunks(reps, n, p, seed, slicings, levels, buffers)
 
 
 def check_sweep(n_grid, c_grid, reps: int, seed: int, p: int) -> None:

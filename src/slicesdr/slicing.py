@@ -203,6 +203,20 @@ def stable_order(y: np.ndarray, buffers: _Buffers | None = None) -> np.ndarray:
     return np.argsort(y, axis=-1, kind="stable")
 
 
+def _finite_response(y) -> np.ndarray:
+    """y as float64; a non-finite value raises DegenerateResponse naming
+    the position of the first one."""
+    y = np.asarray(y, dtype=float)
+    finite = np.isfinite(y)
+    if not finite.all():
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise DegenerateResponse(
+            f"response value {float(y[at])} at position {at[0] if y.ndim == 1 else at}"
+            " is not finite"
+        )
+    return y
+
+
 def slice_equal_count(y, H: int) -> SliceAssignment:
     """Assign sorted observations to H slices of c = floor(n/H) points.
 
@@ -212,7 +226,7 @@ def slice_equal_count(y, H: int) -> SliceAssignment:
     row position.  Slices 1..H-1 hold exactly c points; the last slice
     absorbs the remainder (it can be larger than c, never smaller).
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _finite_response(np.atleast_1d(y))
     bounds = equal_count_bounds(y.shape[-1], H)
     return SliceAssignment(order=stable_order(y), bounds=bounds)
 
@@ -229,7 +243,7 @@ def equal_count_bounds(n: int, H: int) -> np.ndarray:
 
 def slice_discrete(y) -> SliceAssignment:
     """One slice per distinct response value, ordered by ascending value."""
-    y = np.asarray(y, dtype=float)
+    y = _finite_response(y)
     values, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
     if values.size < 2:
         raise DegenerateResponse(

@@ -21,6 +21,7 @@ from slicesdr import (
 from slicesdr.linalg import _leading_vectors
 from slicesdr.errors import (
     DegenerateEigenvalue,
+    InvalidArgument,
     InvalidMatrix,
     NumericalFailure,
     SingularCovariance,
@@ -297,6 +298,13 @@ class TestEigenPerturbation:
     def test_degenerate_gap_rejected(self):
         with pytest.raises(DegenerateEigenvalue):
             eigen_perturb_first_order(np.eye(3), np.diag([1.0, 0.0, 0.0]), 0)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_index_out_of_range_rejected(self, i):
+        with pytest.raises(
+            InvalidArgument, match=f"^eigenvalue index {i} out of range for p=2$"
+        ):
+            eigen_perturb_first_order(np.diag([3.0, 1.0]), np.zeros((2, 2)), i)
 
     def test_vector_prediction_tracks_actual_rotation(self):
         rng = np.random.default_rng(29)

@@ -51,6 +51,16 @@ class TestR2Single:
         with pytest.raises(DegenerateSubspace):
             r2_single(e(1), basis)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # a NaN basis passed the rank check and scored 1.0
+        with pytest.raises(DegenerateSubspace, match="^basis is not finite$"):
+            r2_single([1.0, 0.0], [bad, 0.0])
+        with pytest.raises(DegenerateSubspace, match="^beta_hat is not finite$"):
+            r2_single([bad, 0.0], [1.0, 0.0])
+        with pytest.raises(DegenerateSubspace, match="^beta_hat is not finite$"):
+            r2_single(np.array([e(0), [0.0, bad, 0.0]]), e(0))
+
 
 class TestR2SingleBatched:
     def test_rows_equal_unbatched_calls(self):
@@ -93,6 +103,13 @@ class TestTraceCorrelation:
         base = trace_correlation(a, b).r2
         assert trace_correlation(a @ t1, b).r2 == pytest.approx(base, abs=1e-10)
         assert trace_correlation(a, b @ t2).r2 == pytest.approx(base, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        hat = np.column_stack([e(0), e(1)])
+        hat[2, 1] = bad
+        with pytest.raises(DegenerateSubspace, match="^basis is not finite$"):
+            trace_correlation(hat, np.column_stack([e(0), e(2)]))
 
     def test_symmetry(self):
         rng = np.random.default_rng(6)

@@ -32,6 +32,7 @@ from slicesdr.errors import (
     InvalidArgument,
     InvalidMatrix,
     SimulationError,
+    SingularCovariance,
 )
 from test_slicing import reduceat_slice_stats
 
@@ -170,13 +171,12 @@ class TestRunMc:
             assert np.all(v >= -1e-12) and np.all(v <= 1.0 + 1e-12)
 
     def test_replicate_failure_carries_index(self, monkeypatch):
-        # collinear predictors make standardization fail inside the draw;
-        # the error names replicate 0
+        # collinear predictors make standardization fail inside the stacked
+        # pass; the error names replicate 0
         real = simulation._draw
 
         def collinear(n, p, streams, out):
-            x, eps = real(n, p, streams)
-            x = x.copy()
+            x, eps = real(n, p, streams, out)
             x[:, 1] = x[:, 0]
             return x, eps
 
@@ -187,6 +187,28 @@ class TestRunMc:
         )
         with pytest.raises(SimulationError, match="^replicate 0 failed"):
             run_mc(cfg)
+
+    def test_failure_past_the_first_chunk_names_its_replicate(self, monkeypatch):
+        # chunks of 4 at n = 62, p = 4 (H = 2), which H = 31 scores in
+        # sub-chunks of 2; only replicate 5, in the second chunk, is collinear
+        assert simulation._chunk_size(62, 4, 2) == 4
+        real = simulation._draw
+        drawn = []
+
+        def collinear_fifth(n, p, streams, out):
+            x, eps = real(n, p, streams, out)
+            drawn.append(len(drawn))
+            if drawn[-1] == 5:
+                x[:, 1] = x[:, 0]
+            return x, eps
+
+        monkeypatch.setattr(simulation, "_draw", collinear_fifth)
+        with pytest.raises(SimulationError, match="^replicate 5 failed") as info:
+            run_grid(
+                [ModelSpec(id=1, p=4)], [2, 31], n=62, reps=6, seed=1,
+                standardize=True,
+            )
+        assert isinstance(info.value.__cause__, SingularCovariance)
 
     def test_config_validation(self):
         with pytest.raises(InvalidArgument, match="need n > p to standardize"):
@@ -265,7 +287,7 @@ class TestSweepEngine:
 
         def counted(n, p, streams, out):
             drawn.append(n)
-            return real(n, p, streams)
+            return real(n, p, streams, out)
 
         monkeypatch.setattr(simulation, "_draw", counted)
         with pytest.raises(
@@ -286,7 +308,7 @@ class TestSweepEngine:
             drawn.append(n)
             if len(drawn) == 5:
                 raise RuntimeError("stream exhausted")
-            return real(n, p, streams)
+            return real(n, p, streams, out)
 
         monkeypatch.setattr(simulation, "_draw", failing)
         with pytest.raises(SimulationError, match=r"^replicate 4 failed: stream exhausted"):
@@ -448,10 +470,9 @@ def poison_replicate(monkeypatch, rep):
     drawn = []
 
     def poisoned(n, p, streams, out):
-        x, eps = real(n, p, streams)
+        x, eps = real(n, p, streams, out)
         drawn.append(len(drawn))
         if drawn[-1] == rep:
-            x = x.copy()
             x[11, 2] = np.nan
         return x, eps
 

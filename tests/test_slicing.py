@@ -65,6 +65,20 @@ class TestEqualCount:
         with pytest.raises(TooManySlices):
             slice_equal_count(np.arange(9.0), 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_rejected(self, bad):
+        # NaN would sort into the last slice and +-inf into an end slice
+        y = np.arange(6.0)
+        y[3] = y[5] = bad
+        with pytest.raises(
+            DegenerateResponse, match=f"^response value {bad} at position 3 is not finite$"
+        ):
+            slice_equal_count(y, 2)
+        rows = np.arange(12.0).reshape(2, 6)
+        rows[1, 4] = bad
+        with pytest.raises(DegenerateResponse, match=r"at position \(1, 4\) is not"):
+            slice_equal_count(rows, 2)
+
 
 #: Few distinct values, so that drawn rows often tie; -0.0 and 0.0 compare
 #: equal, NaN sorts last but fails every comparison (a negative-signed NaN
@@ -245,6 +259,14 @@ class TestDiscrete:
     def test_singleton_value_rejected(self):
         with pytest.raises(SingletonSlice, match="1.0"):
             slice_discrete(np.array([1.0, 2.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_rejected(self, bad):
+        # two NaNs would make a slice of their own
+        with pytest.raises(
+            DegenerateResponse, match=f"^response value {bad} at position 2 is not finite$"
+        ):
+            slice_discrete(np.array([1.0, 1.0, bad, bad, 2.0, 2.0]))
 
 
 class TestSliceStats:

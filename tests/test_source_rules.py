@@ -1,6 +1,7 @@
 """Rules on the package source that no behavioural test can see."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import slicesdr
@@ -23,4 +24,20 @@ def test_no_bare_value_error_is_raised():
         if isinstance(node, ast.Raise) and node.exc is not None
         and _raised_name(node) == "ValueError"
     ]
+    assert not offenders, offenders
+
+
+def test_no_builtin_exception_but_os_error_is_raised():
+    # Every failure leaves the library as a slicesdr.errors family, which
+    # the CLI maps to an exit code.  cli._check_output raises the OSError
+    # family on purpose, as open() would for the same --output.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Raise) and node.exc is not None):
+                continue
+            cls = getattr(builtins, _raised_name(node) or "", None)
+            if (isinstance(cls, type) and issubclass(cls, BaseException)
+                    and not issubclass(cls, OSError)):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders

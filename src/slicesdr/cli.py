@@ -129,16 +129,18 @@ def _default_slices(n: int) -> int:
 def _cmd_estimate(args) -> int:
     check_rel_floor(args.rel_floor)  # a usage error, before the file is read
     dataset = load_csv(args.input, args.y)
+    n, p = dataset.n, dataset.p
     if args.slices is not None:
         H, source = args.slices, f"--slices {args.slices}"
     else:
-        H = _default_slices(dataset.n)
+        H = _default_slices(n)
         source = f"the default H = max(2, round(n/20)) = {H}"
-    if H < 2 or dataset.n < 2 * H:
+    if H < 2 or n < 2 * H:
         raise TooManySlices(
-            f"{source} leaves fewer than 2 points per slice for n={dataset.n}"
+            f"{source} leaves fewer than 2 points per slice for n={n}"
         )
     sd = standardize(dataset, rel_floor=args.rel_floor)
+    del dataset  # nothing reads x after whitening; free it before the slice gather
     stats = slice_stats(sd.z, slice_equal_count(sd.y, H), divisor=args.divisor)
     eig = sym_eig(candidate_matrix(args.method, stats))
     basis = cdr_basis(eig, args.k, sd)
@@ -155,8 +157,8 @@ def _cmd_estimate(args) -> int:
         "k": args.k,
         "divisor": args.divisor,
         "rel_floor": args.rel_floor,
-        "n": dataset.n,
-        "p": dataset.p,
+        "n": n,
+        "p": p,
     }
     results = {
         "eigenvalues": [float(v) for v in eig.values],
@@ -186,7 +188,7 @@ def _cmd_estimate(args) -> int:
         _emit(_csv_lines(("record", "i", "j", "value"), rows), args.output)
     else:
         lines = [
-            f"method {args.method}  n={dataset.n}  p={dataset.p}  H={H}  "
+            f"method {args.method}  n={n}  p={p}  H={H}  "
             f"k={args.k}  divisor={args.divisor}",
             "eigenvalues (descending): "
             + " ".join(f"{v:.6g}" for v in results["eigenvalues"]),

@@ -86,6 +86,7 @@ def standardize(d: Dataset, rel_floor: float = 1e-10) -> StandardizedDataset:
 
     Requires n > p so the sample covariance can be nonsingular; raises
     SingularCovariance (from the inverse square root) when it is not.
+    z is an array of its own: ``d.x`` is never written and never aliased.
     """
     if d.n <= d.p:
         raise InsufficientData(f"need n > p to standardize, got n={d.n}, p={d.p}")
@@ -94,13 +95,14 @@ def standardize(d: Dataset, rel_floor: float = 1e-10) -> StandardizedDataset:
     cov = linalg.ensure_symmetric(xc.T @ xc / (d.n - 1))
     root = linalg.inv_sqrt(cov, rel_floor=rel_floor)
     # root is symmetric, so row-wise R (x - mean); even row blocks leave no
-    # 1-row tail, which numpy would send to gemv, whose bits differ from gemm's
-    z = np.empty_like(xc)
+    # 1-row tail, which numpy would send to gemv, whose bits differ from gemm's.
+    # Each block is whitened in place: numpy copies an input block that
+    # overlaps its output, so xc becomes z without a second n x p buffer.
     blocks = -(-d.n // max(1, _WHITEN_BLOCK // d.p**2))
     for k in range(blocks):
         rows = slice(d.n * k // blocks, d.n * (k + 1) // blocks)
-        np.matmul(xc[rows], root, out=z[rows])
-    return StandardizedDataset(z=z, mean=mean, cov=cov, cov_inv_sqrt=root, y=d.y)
+        np.matmul(xc[rows], root, out=xc[rows])
+    return StandardizedDataset(z=xc, mean=mean, cov=cov, cov_inv_sqrt=root, y=d.y)
 
 
 def directions_to_x_scale(betas_z, cov_inv_sqrt) -> np.ndarray:
@@ -172,8 +174,11 @@ def load_csv(path, y_column) -> Dataset:
             raise _utf8_error(raw, path) from None
     if table.shape[0] < 2:
         raise CsvFormatError(f"{path}: need at least 2 data rows, got {table.shape[0]}")
-    y = table[:, y_idx]
+    # y and x are copies, so the parsed table is freed here rather than kept
+    # alive as the base of a view of y
+    y = table[:, y_idx].copy()
     x = np.delete(table, y_idx, axis=1)
+    del table
     if x.shape[1] < 1:
         raise CsvFormatError(f"{path}: no predictor columns besides {header[y_idx]!r}")
     return Dataset(x=x, y=y)

@@ -109,7 +109,9 @@ def _leading_vectors(m) -> np.ndarray:
 def check_rel_floor(rel_floor: float) -> None:
     """Raise InvalidArgument unless ``rel_floor`` is finite and non-negative."""
     if not 0.0 <= rel_floor < np.inf:  # NaN fails every comparison
-        raise InvalidArgument(f"rel_floor must be finite and >= 0, got {rel_floor!r}")
+        raise InvalidArgument(
+            f"rel_floor must be finite and >= 0, got {float(rel_floor)!r}"
+        )
 
 
 def inv_sqrt(m, rel_floor: float = 1e-10) -> np.ndarray:

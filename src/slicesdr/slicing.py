@@ -251,7 +251,7 @@ def slice_discrete(y) -> SliceAssignment:
         )
     thin = values[counts < 2]
     if thin.size:
-        raise SingletonSlice(f"response value {thin[0]!r} appears only once")
+        raise SingletonSlice(f"response value {float(thin[0])!r} appears only once")
     order = np.argsort(inverse, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(counts)])
     return SliceAssignment(order=order, bounds=bounds)

@@ -17,6 +17,7 @@ import slicesdr
 from slicesdr import Dataset, ModelSpec, model_streams, r2_single, simulation
 from slicesdr.cli import build_parser, main
 from slicesdr.errors import AmbiguousDimensionWarning
+from conftest import traced_peak
 
 
 def write_model_csv(tmp_path, model_id, n=480, seed=314, name="data.csv"):
@@ -317,6 +318,27 @@ class TestEstimate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["meta"]["n"] == 10007
+
+    @pytest.mark.parametrize("method", ["sir", "csave"])
+    def test_traced_peak_is_bounded(self, tmp_path, capsys, method):
+        # At its peak a call holds two (n, p) arrays, the whitened z and its
+        # slice-order copy, the (H, p, p) slice covariances and a few n-long
+        # index and scratch vectors.  Keeping the parsed table, the raw x or
+        # a second whitening buffer alive goes past 1.25 times that budget.
+        n, p, H = 20000, 10, 1000  # the default H = round(n / 20)
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((n, p))
+        path = write_xy_csv(tmp_path / "big.csv", x, x[:, 0] + rng.standard_normal(n))
+        argv = ["estimate", "--input", path, "--y", "y", "--method", method,
+                "--out", "json"]
+
+        def call():
+            assert main(argv) == 0
+
+        peak = traced_peak(call)
+        assert f'"slices": {H},' in capsys.readouterr().out
+        budget = 8 * (2 * n * p + H * p * p + 4 * n)
+        assert peak <= 1.25 * budget, (peak, budget)
 
 
 def fit_direction(x, y, method):

@@ -83,8 +83,13 @@ class TestStandardize:
             pytest.skip("standardizing needs n > p")
         rng = np.random.default_rng(p * 100 + n)
         x = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p) + 2.0
-        sd = standardize(Dataset(x=x, y=np.zeros(n)))
+        before = x.copy()
+        d = Dataset(x=x, y=np.zeros(n))
+        sd = standardize(d)
         np.testing.assert_array_equal(sd.z, (x - sd.mean) @ sd.cov_inv_sqrt)
+        # z is whitened in a buffer of its own: the caller's x is untouched
+        assert d.x.tobytes() == before.tobytes()
+        assert not np.shares_memory(sd.z, d.x)
 
 
 class TestDirectionsToXScale:

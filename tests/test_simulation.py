@@ -3,7 +3,6 @@ and the chunked replicate engine against a per-replicate oracle."""
 
 import dataclasses
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from slicesdr.errors import (
     SimulationError,
     SingularCovariance,
 )
+from conftest import traced_peak
 from test_slicing import reduceat_slice_stats
 
 
@@ -555,13 +555,7 @@ class TestChunkedEngine:
         chunk = simulation._chunk_size(n, p, H)
         budget = 8 * chunk * (2 * n * p + 2 * H * p * p)
         cfg = SimConfig(model=ModelSpec(id=1, p=p), n=n, H=H, reps=reps, seed=3)
-        run_mc(cfg)  # first-call allocations stay out of the measurement
-        tracemalloc.start()
-        try:
-            run_mc(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: run_mc(cfg))
         assert peak <= 1.25 * budget, (peak, budget)
 
 
@@ -693,11 +687,5 @@ class TestGridEngine:
         cand_bytes = len(h_grid) * len(METHODS) * chunk * p * p
         budget = 8 * (chunk * n * p + slice_bytes + 5 * cand_bytes)
         args = (self.MODELS, h_grid, n, chunk)
-        run_grid(*args, seed=3)  # first-call allocations stay out of the measurement
-        tracemalloc.start()
-        try:
-            run_grid(*args, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: run_grid(*args, seed=3))
         assert peak <= 1.25 * budget, (peak, budget)

@@ -257,7 +257,9 @@ class TestDiscrete:
             slice_discrete(np.array([5.0, 5.0, 5.0, 5.0]))
 
     def test_singleton_value_rejected(self):
-        with pytest.raises(SingletonSlice, match="1.0"):
+        # the value reads as a Python float, not as numpy's np.float64(1.0)
+        message = r"^response value 1\.0 appears only once$"
+        with pytest.raises(SingletonSlice, match=message):
             slice_discrete(np.array([1.0, 2.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

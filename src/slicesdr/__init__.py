@@ -31,12 +31,11 @@ from .estimators import (
 )
 from .linalg import (
     EigenResult,
-    eigen_perturb_first_order,
     ensure_symmetric,
     inv_sqrt,
     sym_eig,
 )
-from .metrics import SubspaceMetrics, r2_single, trace_correlation
+from .metrics import r2_single
 from .simulation import (
     DEFAULT_SEED,
     McReport,
@@ -73,7 +72,6 @@ __all__ = [
     "SliceAssignment",
     "SliceStats",
     "StandardizedDataset",
-    "SubspaceMetrics",
     "SweepRow",
     "bias_sweep",
     "candidate_matrix",
@@ -81,7 +79,6 @@ __all__ = [
     "correction_coefficients",
     "csave_matrix",
     "directions_to_x_scale",
-    "eigen_perturb_first_order",
     "ensure_symmetric",
     "inv_sqrt",
     "lambda_corrected",
@@ -98,5 +95,4 @@ __all__ = [
     "slice_stats",
     "standardize",
     "sym_eig",
-    "trace_correlation",
 ]

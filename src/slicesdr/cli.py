@@ -135,7 +135,9 @@ def _cmd_estimate(args) -> int:
     else:
         H = _default_slices(n)
         source = f"the default H = max(2, round(n/20)) = {H}"
-    if H < 2 or n < 2 * H:
+    if H < 2:
+        raise TooManySlices(f"{source}: need at least 2 slices")
+    if n < 2 * H:
         raise TooManySlices(
             f"{source} leaves fewer than 2 points per slice for n={n}"
         )

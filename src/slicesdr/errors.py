@@ -36,7 +36,7 @@ class InvalidArgument(UsageError, ValueError):
 
 
 class TooManySlices(UsageError):
-    """Requested slice count leaves fewer than two points per slice."""
+    """Fewer than two slices, or fewer than two points per slice."""
 
 
 class InvalidSliceSize(UsageError):
@@ -77,10 +77,6 @@ class NumericalFailure(NumericalError):
 
 class SingularCovariance(NumericalError):
     """A covariance matrix is singular or too ill-conditioned to invert."""
-
-
-class DegenerateEigenvalue(NumericalError):
-    """An eigenvalue gap is too small for a perturbation expansion."""
 
 
 class DegenerateSubspace(NumericalError):

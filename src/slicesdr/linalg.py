@@ -1,9 +1,8 @@
 """Dense symmetric-matrix helpers.
 
 Everything here operates on small (p <= ~50) real symmetric matrices:
-eigendecomposition with a deterministic sign convention, the inverse
-square root, and a first-order eigenvalue / eigenvector perturbation
-expansion.
+eigendecomposition with a deterministic sign convention and the inverse
+square root.
 
 All functions are pure; inputs are never mutated.
 """
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateEigenvalue,
     InvalidArgument,
     InvalidMatrix,
     NumericalFailure,
@@ -26,8 +24,6 @@ from .errors import (
 SYMMETRY_TOL = 1e-10
 # Entries smaller than this are ignored when fixing eigenvector signs.
 SIGN_EPS = 1e-12
-# Smallest eigenvalue gap a first-order perturbation expansion accepts.
-GAP_TOL = 1e-8
 
 
 def ensure_symmetric(m) -> np.ndarray:
@@ -136,38 +132,3 @@ def inv_sqrt(m, rel_floor: float = 1e-10) -> np.ndarray:
         raise SingularCovariance(f"eigenvalue {eig.values[-1]:.3e} is not positive")
     root = (eig.vectors * eig.values ** -0.5) @ eig.vectors.T
     return (root + root.T) / 2.0
-
-
-def eigen_perturb_first_order(base, delta, i: int):
-    """First-order response of eigenvalue/eigenvector i to a perturbation.
-
-    For base matrix A with eigenpairs (lambda_l, b_l) and symmetric
-    perturbation D, returns::
-
-        value_shift  = b_i^T D b_i
-        vector_shift = sum_{l != i} b_l (b_l^T D b_i) / (lambda_i - lambda_l)
-
-    so that eig(A + t D) ~ (lambda_i + t * value_shift,
-    b_i + t * vector_shift) + O(t^2).  Requires lambda_i separated from
-    every other eigenvalue by more than ``GAP_TOL``.
-    """
-    eig = sym_eig(base)
-    d = ensure_symmetric(delta)
-    p = eig.values.size
-    if not 0 <= i < p:
-        raise InvalidArgument(f"eigenvalue index {i} out of range for p={p}")
-    lam = eig.values
-    gaps = np.abs(lam - lam[i])
-    gaps[i] = np.inf
-    if gaps.min() <= GAP_TOL:
-        raise DegenerateEigenvalue(
-            f"eigenvalue {i} gap {gaps.min():.3e} below {GAP_TOL:.1e}"
-        )
-    b = eig.vectors
-    bi = b[:, i]
-    value_shift = float(bi @ d @ bi)
-    denom = lam[i] - lam
-    denom[i] = np.inf  # self term excluded from the sum
-    coeffs = (b.T @ d @ bi) / denom
-    vector_shift = b @ coeffs
-    return value_shift, vector_shift

@@ -1,14 +1,10 @@
-"""Subspace-recovery quality measures.
+"""Subspace-recovery quality measure.
 
-r2_single scores one estimated direction against a target subspace; the
-squared trace correlation extends this to k-dimensional estimates as the
-mean of squared canonical correlations, computed from orthonormalized
-bases via the trace of projector products.
+r2_single scores one estimated direction against a target subspace: the
+squared norm of its projection onto the QR-orthonormalized target basis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,32 +54,3 @@ def r2_single(beta_hat, true_basis):
     proj = np.einsum("ik,...i->...k", q, b)
     r2 = np.einsum("...k,...k->...", proj, proj) / np.einsum("...i,...i->...", b, b)
     return float(r2) if r2.ndim == 0 else r2
-
-
-@dataclass(frozen=True)
-class SubspaceMetrics:
-    """Overall score plus the per-direction breakdown for k > 1."""
-
-    r2: float
-    k: int
-    per_direction: np.ndarray  # r2_single of each estimated column
-
-
-def trace_correlation(basis_hat, true_basis) -> SubspaceMetrics:
-    """Mean of squared canonical correlations between two subspaces.
-
-    Computed as trace(P_hat P_true) / k from orthonormalized bases, which
-    equals the average squared canonical correlation; for k = 1 it reduces
-    to :func:`r2_single`.
-    """
-    qh = _orthonormalize(basis_hat)
-    qt = _orthonormalize(true_basis)
-    if qh.shape != qt.shape:
-        raise DegenerateSubspace(
-            f"bases must share shape, got {qh.shape} vs {qt.shape}"
-        )
-    k = qh.shape[1]
-    cross = qh.T @ qt
-    value = float(np.sum(cross * cross) / k)
-    per = np.array([r2_single(qh[:, j], qt) for j in range(k)])
-    return SubspaceMetrics(r2=value, k=k, per_direction=per)

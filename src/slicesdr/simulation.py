@@ -154,6 +154,9 @@ class SimConfig:
             raise InvalidArgument(f"unknown methods {bad}; valid: {METHODS}")
         if not self.methods:
             raise InvalidArgument("need at least one method")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise InvalidArgument(f"repeated methods {repeated}; name each once")
         if self.standardize and self.n <= self.model.p:
             raise InvalidArgument(
                 f"need n > p to standardize, got n={self.n}, p={self.model.p}"

@@ -315,12 +315,12 @@ def _gram(a: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(a.swapaxes(-1, -2), a, out=out)
 
 
-#: Largest slice size whose means ``slice_stats`` sums by position rather
-#: than with ``np.add.reduceat``, and whose p = 1 covariances it sums in
-#: lanes rather than with einsum.  It may not pass 7: at 8 the lane sums
-#: stop agreeing with einsum bit for bit (see ``_lane_sum``), at 9 the
-#: position sums with reduceat (see ``_position_sum``).  Beyond 4 the
-#: strided adds lose to reduceat at p = 2 and 3.
+#: Largest slice size at p = 1 whose means ``slice_stats`` sums by
+#: position rather than with ``np.add.reduceat``, and whose covariances it
+#: sums in lanes rather than with einsum.  It may not pass 7: at 8 the lane
+#: sums stop agreeing with einsum bit for bit (see ``_lane_sum``), at 9 the
+#: position sums with reduceat (see ``_position_sum``).  At p > 1 every
+#: slice takes its means from reduceat.
 _POSITION_SUM_MAX_C = 4
 
 
@@ -402,9 +402,9 @@ def slice_stats(
     d_hj = z_hj - mean_h, with d(c) = c - 1 or c according to ``divisor``.
     Summing deviations rather than raw products keeps S_h accurate when
     the data sit far from the origin (Chan, Golub & LeVeque 1983).
-    Slices of at most ``_POSITION_SUM_MAX_C`` points are summed by position
-    in ``np.add.reduceat``'s own order (``_position_sum``), larger ones by
-    reduceat, so the means are reduceat's bit for bit, as
+    The means come from ``np.add.reduceat``; at p = 1 slices of at most
+    ``_POSITION_SUM_MAX_C`` points are summed by position in reduceat's own
+    order (``_position_sum``), so every mean is reduceat's bit for bit, as
     ``TestPositionSum`` in tests/test_slicing.py pins.
     A run of k adjacent slices of m points is one (..., k, m, p) block whose
     covariances come from one stacked product, so the (n, p, p) outer
@@ -464,11 +464,8 @@ def slice_stats(
         else:
             run = zs[..., first:stop, :]
             block = run.reshape(batch + (hi - lo, int(c), p))
-            m = means[..., lo:hi, :]
-            if c <= _POSITION_SUM_MAX_C:
-                _position_sum(np.moveaxis(block, -2, 0), out=m)
-            else:
-                np.add.reduceat(run, bounds[lo:hi] - first, axis=-2, out=m)
+            m = np.add.reduceat(run, bounds[lo:hi] - first, axis=-2,
+                                out=means[..., lo:hi, :])
             m /= c
             block -= m[..., None, :]  # deviations, in place
             _gram(block, out=out)

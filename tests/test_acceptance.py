@@ -26,7 +26,6 @@ from slicesdr import (
     ModelSpec,
     bias_sweep,
     correction_coefficients,
-    eigen_perturb_first_order,
     inv_sqrt,
     r2_single,
     run_grid,
@@ -34,8 +33,8 @@ from slicesdr import (
     slice_equal_count,
     slice_stats,
     sym_eig,
-    trace_correlation,
 )
+from oracles import eigen_perturb_first_order, trace_correlation
 from test_estimators import exact_corrected_mean, exact_lambda_mean
 
 H_GRID = (2, 6, 24, 96)

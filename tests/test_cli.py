@@ -106,6 +106,17 @@ class TestEstimate:
             "error: --slices 2 leaves fewer than 2 points per slice for n=3\n"
         )
 
+    @pytest.mark.parametrize("slices", ["1", "0", "-3"])
+    def test_fewer_than_two_slices_says_so(self, slices, tmp_path, capsys):
+        # one slice holds every point: the count of slices is what is wrong
+        rng = np.random.default_rng(3)
+        path = write_xy_csv(tmp_path / "xy.csv", rng.standard_normal((200, 2)),
+                            rng.standard_normal(200))
+        assert main(["estimate", "--input", path, "--y", "y", "--slices", slices]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --slices {slices}: need at least 2 slices\n"
+        )
+
     def test_csave_leading_eigenvalue_positive_on_quadratic_model(
         self, tmp_path, capsys
     ):
@@ -686,6 +697,7 @@ class TestExitCodeFamilies:
             ["simulate", "--model", "1", "--reps", "0"],
             ["simulate", "--model", "1", "--p", "0", "--reps", "1"],
             ["simulate", "--model", "1", "--methods", "pca", "--reps", "1"],
+            ["simulate", "--model", "1", "--methods", "save,save", "--reps", "1"],
             ["table1", "--models", "7", "--reps", "1"],
             ["table1", "--H", "2,x", "--reps", "1"],
             ["sweep", "--mode", "bias", "--n-grid", "100", "--seed", "-1"],

@@ -13,7 +13,6 @@ from slicesdr import (
     inv_sqrt,
     load_csv,
     standardize,
-    trace_correlation,
 )
 from slicesdr import data
 from slicesdr.errors import (
@@ -22,6 +21,7 @@ from slicesdr.errors import (
     InsufficientData,
     SingularCovariance,
 )
+from oracles import trace_correlation
 
 
 class TestStandardize:

@@ -10,7 +10,6 @@ import pytest
 
 from slicesdr import (
     candidate_matrix,
-    eigen_perturb_first_order,
     ensure_symmetric,
     inv_sqrt,
     r2_single,
@@ -20,12 +19,12 @@ from slicesdr import (
 )
 from slicesdr.linalg import _leading_vectors, check_rel_floor
 from slicesdr.errors import (
-    DegenerateEigenvalue,
     InvalidArgument,
     InvalidMatrix,
     NumericalFailure,
     SingularCovariance,
 )
+from oracles import DegenerateEigenvalue, eigen_perturb_first_order
 
 
 def random_spd(rng, p, cond=10.0):

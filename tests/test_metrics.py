@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from slicesdr import r2_single, trace_correlation
+from slicesdr import r2_single
 from slicesdr.errors import DegenerateSubspace
+from oracles import trace_correlation
 
 
 def e(i, p=3):

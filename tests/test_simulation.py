@@ -219,6 +219,8 @@ class TestRunMc:
             self.cfg(reps=0)
         with pytest.raises(InvalidArgument):
             self.cfg(methods=("save", "pca"))
+        with pytest.raises(InvalidArgument, match=r"^repeated methods \['save'\]"):
+            self.cfg(methods=("save", "sir", "save"))
         with pytest.raises(InvalidArgument):
             self.cfg(seed=-1)
 

@@ -464,9 +464,9 @@ def assert_bitwise_stats(got, want):
 
 
 class TestPositionSum:
-    """Slices of up to ``slicing._POSITION_SUM_MAX_C`` points get their
-    means from adds over slice positions, larger ones from reduceat; both
-    keep reduceat's bits.  Past c = 8 the position sum no longer does, so
+    """At p = 1 slices of up to ``slicing._POSITION_SUM_MAX_C`` points get
+    their means from adds over slice positions, all others from reduceat;
+    both keep reduceat's bits.  Past c = 8 the position sum no longer does, so
     c = 9 fails here if the cut-off is raised that far, and the
     position-summed sizes fail if a numpy release changes reduceat's
     order."""

@@ -2,11 +2,13 @@
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import slicesdr
 
 PACKAGE_DIR = Path(slicesdr.__file__).resolve().parent
+README = PACKAGE_DIR.parents[1] / "README.md"
 
 
 def _raised_name(node: ast.Raise):
@@ -41,3 +43,55 @@ def test_no_builtin_exception_but_os_error_is_raised():
                     and not issubclass(cls, OSError)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Names a module reads, as a bare name or an attribute, except a
+    top-level definition's reads of its own name."""
+    used = set()
+    for stmt in tree.body:
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    return used
+
+
+def _named_in_readme(name: str) -> bool:
+    text = README.read_text(encoding="utf-8")
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_public_definition_is_used_or_documented():
+    # A public function or class that no code in the package reads and
+    # README does not document is shipped for the tests alone; such
+    # helpers belong in tests/oracles.py.
+    trees = {p.name: _parse(p) for p in sorted(PACKAGE_DIR.glob("*.py"))
+             if p.name != "__init__.py"}
+    used = set().union(*map(_used_names, trees.values()))
+    unused = [
+        f"{name}:{stmt.name}"
+        for name, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in used and not _named_in_readme(stmt.name)
+    ]
+    assert not unused, unused
+
+
+def test_every_exported_name_is_used_by_the_cli_or_documented():
+    used = _used_names(_parse(PACKAGE_DIR / "cli.py"))
+    missing = [
+        name for name in slicesdr.__all__
+        if name not in used and not _named_in_readme(name)
+    ]
+    assert not missing, missing

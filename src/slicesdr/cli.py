@@ -31,8 +31,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
 from .data import load_csv, standardize
 from .errors import (
@@ -48,7 +46,7 @@ from .estimators import (
     cdr_basis,
     negative_eigenvalue_count,
 )
-from .linalg import check_rel_floor, sym_eig
+from .linalg import REL_FLOOR, check_rel_floor, sym_eig
 from .simulation import (
     DEFAULT_SEED,
     MODEL_IDS,
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--k", type=int, default=1, help="directions to keep (default 1)")
     est.add_argument("--divisor", choices=DIVISORS, default="c-1",
                      help="within-slice covariance divisor (default c-1)")
-    est.add_argument("--rel-floor", type=float, default=1e-10,
+    est.add_argument("--rel-floor", type=float, default=REL_FLOOR,
                      help="relative eigenvalue floor for the covariance inverse root")
     # argparse's own pattern reads "-1e-3" and "-inf" as unknown options
     est._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)

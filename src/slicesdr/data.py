@@ -72,16 +72,8 @@ class StandardizedDataset:
     cov_inv_sqrt: np.ndarray  # (p, p) symmetric inverse square root
     y: np.ndarray             # (n,) response, unchanged
 
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.z.shape[1]
-
-
-def standardize(d: Dataset, rel_floor: float = 1e-10) -> StandardizedDataset:
+def standardize(d: Dataset, rel_floor: float = linalg.REL_FLOOR) -> StandardizedDataset:
     """Map rows to z_i = cov^{-1/2} (x_i - mean).
 
     Requires n > p so the sample covariance can be nonsingular; raises

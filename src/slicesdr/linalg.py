@@ -24,6 +24,8 @@ from .errors import (
 SYMMETRY_TOL = 1e-10
 # Entries smaller than this are ignored when fixing eigenvector signs.
 SIGN_EPS = 1e-12
+# Default relative eigenvalue floor of ``inv_sqrt``.
+REL_FLOOR = 1e-10
 
 
 def ensure_symmetric(m) -> np.ndarray:
@@ -110,7 +112,7 @@ def check_rel_floor(rel_floor: float) -> None:
         )
 
 
-def inv_sqrt(m, rel_floor: float = 1e-10) -> np.ndarray:
+def inv_sqrt(m, rel_floor: float = REL_FLOOR) -> np.ndarray:
     """Inverse symmetric square root ``V diag(values^-1/2) V^T``.
 
     Refuses near-singular input: any eigenvalue below ``rel_floor`` times

@@ -19,8 +19,6 @@ def _orthonormalize(basis) -> np.ndarray:
     b = np.asarray(basis, dtype=float)
     if not np.isfinite(b).all():
         raise DegenerateSubspace("basis is not finite")
-    if b.ndim == 1:
-        b = b[:, None]
     if b.shape[0] < b.shape[1]:
         raise DegenerateSubspace(f"basis {b.shape} has more columns than rows")
     q, r = np.linalg.qr(b)

@@ -17,18 +17,17 @@ and noise eps of replicates one by one into the rows of two chunk buffers,
 a chunk holding as many replicates as the largest ``_chunk_size`` over the
 H grid, and hands each chunk to the engine's stacked pass, which only
 scores it.  Each response of a chunk is sorted once, because the slice
-order does not depend on H, and that order is checked once; every H then
-slices the chunk in sub-chunks of its own ``_chunk_size``
-(``_stats_by_H``), so its slice stacks stay within that bound.  The grid
-draws replicate r once for all its cells, since x and eps depend only on
-(seed, r, n, p); its pass forms u = x beta for the chunk, under
-``standardize`` whitens each replicate's x into a buffer of its own, and
-forms each model's response from the shared u and eps; each model's
-candidates over all H and methods go through one eigen and one scoring
-call.  The sweep draws replicate r once per n for every c of the row, and
-eps is its response.  Each engine call reuses one set of work buffers
-(``slicing._Buffers``) for the draws, the sort and the slice moments of
-every replicate.
+order does not depend on H; every H then slices the chunk in sub-chunks of
+its own ``_chunk_size`` (``_stats_by_H``), so its slice stacks stay within
+that bound.  The grid draws replicate r once for all its cells, since x
+and eps depend only on (seed, r, n, p); its pass forms u = x beta for the
+chunk, under ``standardize`` whitens each replicate's x into a buffer of
+its own, and forms each model's response from the shared u and eps; each
+model's candidates over all H and methods go through one eigen and one
+scoring call.  The sweep draws replicate r once per n for every c of the
+row, and eps is its response.  Each engine call reuses one set of work
+buffers (``slicing._Buffers``) for the draws, the sort and the slice
+moments of every replicate.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .metrics import r2_single
 from .slicing import (
     _assignment,
     _Buffers,
-    _check_order,
     _checked_bounds,
     equal_count_bounds,
     slice_stats,
@@ -121,10 +119,10 @@ def model_streams(seed: int, replicate: int) -> RngStreams:
     )
 
 
-def _draw(n: int, p: int, streams: RngStreams, out=None):
+def _draw(n: int, p: int, streams: RngStreams, out):
     """Predictors x (n, p) and noise eps (n,) of one replicate, i.i.d. N(0, 1),
-    drawn into ``out`` = (x, eps) when given and into fresh arrays if not."""
-    x, eps = out if out is not None else (np.empty((n, p)), np.empty(n))
+    drawn into ``out`` = (x, eps)."""
+    x, eps = out
     return streams.x.standard_normal(out=x), streams.eps.standard_normal(out=eps)
 
 
@@ -141,8 +139,8 @@ class SimConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        if self.H < 1:
-            raise InvalidArgument(f"H must be >= 1, got {self.H}")
+        if self.H < 2:
+            raise InvalidArgument(f"H must be >= 2, got {self.H}")
         if self.n < 2 * self.H:
             raise InvalidArgument(f"n={self.n} too small for H={self.H}")
         if self.reps < 1:
@@ -268,11 +266,10 @@ def _slicings(n: int, p: int, h_grid: list) -> list:
 def _stats_by_H(z, y, slicings: list, buffers: _Buffers):
     """(i, part, stats): the slice moments of the replicates ``part`` of a
     chunk z (chunk, n, p) at the i-th H of ``slicings``, whose responses
-    y (chunk, n) are sorted and checked once for every H.  Each stats lives
-    in ``buffers`` until the next is made.
+    y (chunk, n) are sorted once for every H.  Each stats lives in
+    ``buffers`` until the next is made.
     """
     order = stable_order(y, buffers)
-    _check_order(order)
     for i, (slicing, size) in enumerate(slicings):
         for lo in range(0, z.shape[0], size):
             part = slice(lo, lo + size)

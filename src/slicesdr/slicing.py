@@ -101,10 +101,10 @@ def _check_order(order: np.ndarray) -> None:
 
 
 def _assignment(order: np.ndarray, bounds: np.ndarray, counts, runs) -> SliceAssignment:
-    """The SliceAssignment of an order that passed ``_check_order`` and of
-    bounds whose (counts, runs) ``_checked_bounds`` gave, checked no
-    further: the engines check each sorted order and each H's bounds once
-    and pair them for every slice call."""
+    """The SliceAssignment of a permutation ``order`` that ``stable_order``
+    returned and of bounds whose (counts, runs) ``_checked_bounds`` gave,
+    checked no further: the engines sort each response and check each H's
+    bounds once and pair them for every slice call."""
     return _fill(object.__new__(SliceAssignment), order, bounds, counts, runs)
 
 
@@ -441,7 +441,8 @@ def slice_stats(
                 f"order of shape {order.shape} does not fit z of shape {z.shape}"
             ) from None
     index = _flat_index(order, buffers.get("index", order.shape, np.intp))
-    # The assignment checked its order, so "clip" only skips the bounds
+    # The order is a permutation (``SliceAssignment`` checks one it is given,
+    # and ``stable_order`` returns one), so "clip" only skips the bounds
     # check, which would copy the gather through a temporary.
     zs = np.take(
         z.reshape(order.size, p), index, axis=0,

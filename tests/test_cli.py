@@ -22,7 +22,8 @@ from conftest import traced_peak
 
 def write_model_csv(tmp_path, model_id, n=480, seed=314, name="data.csv"):
     spec = ModelSpec(id=model_id)
-    x, eps = simulation._draw(n, spec.p, model_streams(seed, 0))
+    x, eps = simulation._draw(n, spec.p, model_streams(seed, 0),
+                              (np.empty((n, spec.p)), np.empty(n)))
     d = Dataset(x=x, y=simulation._RESPONSES[model_id](x @ spec.beta, eps))
     path = tmp_path / name
     header = ["y"] + [f"x{j}" for j in range(d.p)]
@@ -46,6 +47,41 @@ def write_xy_csv(path, x, y):
 
 def failing_eigh(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def estimate_csv(results) -> str:
+    """The whole ``estimate --out csv`` text of a fit's JSON results."""
+    rows = [("eigenvalue", i, 0, v) for i, v in enumerate(results["eigenvalues"])]
+    for record, key in (("beta_z", "betas_z"), ("beta_x", "betas_x")):
+        rows += [(record, i, j, v) for i, row in enumerate(results[key])
+                 for j, v in enumerate(row)]
+    rows += [("slice_count", h, 0, c) for h, c in enumerate(results["slice_counts"])]
+    if results["negative_eigenvalues"] is not None:
+        rows.append(("negative_eigenvalues", 0, 0, results["negative_eigenvalues"]))
+    return "record,i,j,value\n" + "".join(
+        f"{r},{i},{j},{float(v):.17g}\n" for r, i, j, v in rows
+    )
+
+
+def estimate_human(doc) -> str:
+    """The whole ``estimate --out human`` text of a fit's JSON document."""
+    meta, results = doc["meta"], doc["results"]
+    lines = [
+        f"method {meta['method']}  n={meta['n']}  p={meta['p']}  H={meta['slices']}  "
+        f"k={meta['k']}  divisor={meta['divisor']}",
+        "eigenvalues (descending): " + " ".join(f"{v:.6g}" for v in results["eigenvalues"]),
+        f"slice counts: {results['slice_counts']}",
+    ]
+    for j in range(meta["k"]):
+        for name, key in (("beta_z", "betas_z"), ("beta_x", "betas_x")):
+            column = " ".join(f"{row[j]: .6f}" for row in results[key])
+            lines.append(f"{name}[{j}]: {column}")
+    if results["negative_eigenvalues"] is not None:
+        lines.append(f"negative eigenvalues (csave diagnostic): "
+                     f"{results['negative_eigenvalues']}")
+    if results["ambiguous_dimension"]:
+        lines.append("warning: tie at the k-th eigenvalue; basis not unique")
+    return "\n".join(lines) + "\n"
 
 
 def run_json(capsys, argv):
@@ -198,6 +234,61 @@ class TestEstimate:
              "--method", "csave", "--divisor", "c"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("", [], "empty file, header row required"),
+            ("y\n1\n2\n3\n", [], "no predictor columns besides 'y'"),
+            ("y,x1,x2\n1,2,3\n4,5,6\n7,8,9\n", ["--y", "5"],
+             "column index 5 out of range for 3 columns"),
+        ],
+    )
+    def test_unusable_tables_are_data_errors(self, tmp_path, capsys, text, flags,
+                                             message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = ["estimate", "--input", str(path), "--y", "y", *flags]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    CSAVE = ["estimate", "--y", "y", "--slices", "6", "--method", "csave", "--k", "2"]
+
+    def test_csave_csv_and_human_output(self, tmp_path, capsys):
+        argv = self.CSAVE + ["--input", write_model_csv(tmp_path, model_id=2, n=120)]
+        doc = run_json(capsys, argv + ["--out", "json"])
+        assert doc["results"]["negative_eigenvalues"] == 5
+        assert main(argv + ["--out", "csv"]) == 0
+        assert capsys.readouterr().out == estimate_csv(doc["results"])
+        assert main(argv + ["--out", "human"]) == 0
+        assert capsys.readouterr().out == estimate_human(doc)
+
+    def test_tied_kth_eigenvalue_is_flagged_in_every_format(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        real = slicesdr.cli.sym_eig
+
+        def tied(m):
+            # the 2nd and 3rd eigenvalues tie, so a basis of k = 2 is not unique
+            eig = real(m)
+            values = eig.values.copy()
+            values[2] = values[1]
+            return slicesdr.EigenResult(values=values, vectors=eig.vectors)
+
+        monkeypatch.setattr(slicesdr.cli, "sym_eig", tied)
+        argv = self.CSAVE + ["--input", write_model_csv(tmp_path, model_id=2, n=120)]
+        docs = {}
+        for out in ("json", "human"):
+            with pytest.warns(AmbiguousDimensionWarning,
+                              match=r"^eigenvalues 1 and 2 tied within 1e-10; "):
+                assert main(argv + ["--out", out]) == 0
+            docs[out] = capsys.readouterr().out
+        doc = json.loads(docs["json"])
+        assert doc["results"]["ambiguous_dimension"] is True
+        assert docs["human"] == estimate_human(doc)
+        assert docs["human"].endswith(
+            "\nwarning: tie at the k-th eigenvalue; basis not unique\n"
+        )
 
     def test_y_header_name_wins_over_index(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -706,6 +797,12 @@ class TestExitCodeFamilies:
              "--reps", "3", "--standardize"],
             ["table1", "--models", "1", "--H", "2", "--n", "10", "--reps", "2",
              "--standardize"],
+            # one slice holds every point, as estimate --slices 1 rejects
+            ["simulate", "--model", "1", "--n", "40", "--slices", "1", "--reps", "3",
+             "--methods", "sir"],
+            ["table1", "--H", "1", "--reps", "1"],
+            ["simulate", "--model", "1", "--methods", ",", "--reps", "1"],
+            ["sweep", "--mode", "bias", "--reps", "0"],
         ],
     )
     def test_invalid_configuration_is_usage_error(self, argv, capsys):

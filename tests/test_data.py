@@ -1,6 +1,7 @@
 """Dataset construction, standardization and CSV ingestion tests."""
 
 import os
+import re
 import urllib.request
 import warnings
 
@@ -19,9 +20,28 @@ from slicesdr.errors import (
     CsvFormatError,
     DegenerateDirection,
     InsufficientData,
+    InvalidArgument,
     SingularCovariance,
 )
 from oracles import trace_correlation
+
+
+class TestDataset:
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (np.ones(3), np.ones(3), "x must be a 2-d array"),
+            (np.ones((3, 2)), np.ones(4), "y must be 1-d with one entry per row of x"),
+            (np.ones((1, 2)), np.ones(1),
+             "need n >= 2 observations and p >= 1 predictors"),
+            (np.array([[1.0], [np.inf]]), np.ones(2),
+             "dataset contains non-finite values"),
+        ],
+        ids=["x-1d", "y-length", "one-row", "infinite"],
+    )
+    def test_invalid_input_rejected(self, x, y, message):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            Dataset(x=x, y=y)
 
 
 class TestStandardize:

@@ -21,6 +21,7 @@ import pytest
 
 from slicesdr import (
     Dataset,
+    candidate_matrix,
     cdr_basis,
     correction_coefficients,
     csave_matrix,
@@ -396,6 +397,15 @@ class TestCdrBasis:
             cdr_basis(self.make(np.eye(3)), 0, self.sd())
         with pytest.raises(InvalidArgument):
             cdr_basis(self.make(np.eye(3)), 4, self.sd())
+
+
+def test_unknown_method_rejected():
+    rng = np.random.default_rng(2)
+    _, st = sorted_stats(rng.standard_normal((12, 2)), rng.standard_normal(12), 3)
+    with pytest.raises(
+        InvalidArgument, match=r"^unknown method 'pca'; valid: \('save', 'sir', 'csave'\)$"
+    ):
+        candidate_matrix("pca", st)
 
 
 def test_negative_eigenvalue_count():

@@ -97,6 +97,20 @@ class TestSymEig:
         np.testing.assert_array_equal(out, out.T)
 
 
+class TestEnsureSymmetric:
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.ones((2, 3)), r"^expected a square matrix, got shape \(2, 3\)$"),
+            (np.empty((0, 0)), "^empty matrix$"),
+        ],
+        ids=["non-square", "empty"],
+    )
+    def test_rejects_shapes(self, m, message):
+        with pytest.raises(InvalidMatrix, match=message):
+            ensure_symmetric(m)
+
+
 class TestBatched:
     def stack(self, rng, R=6, p=5):
         a = rng.standard_normal((R, p, p))
@@ -249,6 +263,10 @@ class TestInvSqrt:
     def test_refuses_negative_eigenvalue(self):
         with pytest.raises(SingularCovariance):
             inv_sqrt(np.diag([1.0, -0.5]))
+
+    def test_refuses_matrix_without_positive_eigenvalue(self):
+        with pytest.raises(SingularCovariance, match="^matrix has no positive eigenvalue$"):
+            inv_sqrt(-np.eye(2))
 
     @pytest.mark.parametrize("call, shown", [
         (lambda: check_rel_floor(np.float64(-1.0)), "-1.0"),

@@ -47,6 +47,11 @@ class TestR2Single:
         with pytest.raises(DegenerateSubspace):
             r2_single(np.zeros(3), np.eye(3))
 
+    def test_wide_basis_rejected(self):
+        with pytest.raises(DegenerateSubspace,
+                           match=r"^basis \(3, 4\) has more columns than rows$"):
+            r2_single(e(0), np.eye(3, 4))
+
     def test_rank_deficient_basis_rejected(self):
         basis = np.column_stack([e(0), e(0)])
         with pytest.raises(DegenerateSubspace):

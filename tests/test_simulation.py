@@ -39,7 +39,7 @@ from test_slicing import reduceat_slice_stats
 
 def model_data(spec, n, streams):
     """One dataset of a benchmark model: the engines' draw and response."""
-    x, eps = simulation._draw(n, spec.p, streams)
+    x, eps = simulation._draw(n, spec.p, streams, (np.empty((n, spec.p)), np.empty(n)))
     return Dataset(x=x, y=simulation._RESPONSES[spec.id](x @ spec.beta, eps))
 
 
@@ -102,6 +102,13 @@ class TestGenerators:
         for mid, want in expected.items():
             d = model_data(ModelSpec(id=mid), 30, RngStreams(_Replay(x), _Replay(eps)))
             np.testing.assert_allclose(d.y, want, atol=0)
+
+    @pytest.mark.parametrize("seed, replicate", [(-1, 0), (0, -1)])
+    def test_negative_stream_keys_rejected(self, seed, replicate):
+        with pytest.raises(
+            InvalidArgument, match="^seed and replicate index must be non-negative$"
+        ):
+            model_streams(seed, replicate)
 
     def test_model_spec_validation(self):
         with pytest.raises(InvalidArgument):
@@ -223,6 +230,8 @@ class TestRunMc:
             self.cfg(methods=("save", "sir", "save"))
         with pytest.raises(InvalidArgument):
             self.cfg(seed=-1)
+        with pytest.raises(InvalidArgument, match=r"^H must be >= 2, got 1$"):
+            self.cfg(H=1)  # one slice holds every point: no slice signal
 
 
 class TestBiasSweep:
@@ -323,6 +332,21 @@ class TestSweepEngine:
         with pytest.raises(SimulationError, match=r"^replicate 7 failed"):
             bias_sweep([401], [3, 2], reps=10, seed=1, p=3)
 
+    def test_chunk_that_fails_only_whole_names_its_replicates(self, monkeypatch):
+        # chunks of 2 at p = 3, c = 2; stats fail on a batch of two replicates
+        # but on neither alone, so the error names the whole chunk
+        real = simulation.slice_stats
+
+        def batch_only(z, assignment, **kwargs):
+            if z.shape[0] > 1:
+                raise InvalidMatrix("batch of replicates")
+            return real(z, assignment, **kwargs)
+
+        monkeypatch.setattr(simulation, "slice_stats", batch_only)
+        with pytest.raises(SimulationError,
+                           match=r"^replicates 0\.\.1 failed: batch of replicates$"):
+            bias_sweep([401], [2], reps=3, seed=1, p=3)
+
 
 class TestWorkBuffers:
     """Each engine call reuses one set of work buffers for every replicate."""
@@ -334,7 +358,8 @@ class TestWorkBuffers:
             rows = (xs[rep], epss[rep])
             x, eps = simulation._draw(n, p, model_streams(11, rep), rows)
             assert x is rows[0] and eps is rows[1]
-            fresh = simulation._draw(n, p, model_streams(11, rep))
+            fresh = simulation._draw(n, p, model_streams(11, rep),
+                                     (np.empty((n, p)), np.empty(n)))
             streams = model_streams(11, rep)
             for got, want in zip(rows, fresh):
                 assert got.tobytes() == want.tobytes()
@@ -378,11 +403,10 @@ class TestWorkBuffers:
 
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
         # the benchmark tracer counts these calls by wrapping the names;
-        # each sorted order gets one full permutation check for all its H,
-        # and each model one eigen call; the sweep makes none
+        # each response is sorted once for all its H, and each model gets
+        # one eigen call; the sweep makes none
         calls = {}
         targets = [(simulation, "slice_stats"), (simulation, "stable_order"),
-                   (simulation, "_check_order"), (slicing, "_check_order"),
                    (simulation, "_leading_vectors")]
         for module, name in targets:
             real = getattr(module, name)
@@ -394,29 +418,36 @@ class TestWorkBuffers:
             monkeypatch.setattr(module, name, counted)
         assert main(["sweep", "--mode", "bias", "--n-grid", "20000", "--c-grid", "2,3",
                      "--reps", "10", "--p", "1", "--out", "json"]) == 0
-        assert calls == {"slice_stats": 20, "stable_order": 10, "_check_order": 10}
+        assert calls == {"slice_stats": 20, "stable_order": 10}
         calls.clear()
         assert main(["table1", "--reps", "10", "--n", "480", "--out", "json"]) == 0
-        assert calls == {"slice_stats": 25, "stable_order": 5, "_check_order": 5,
-                         "_leading_vectors": 5}
+        assert calls == {"slice_stats": 25, "stable_order": 5, "_leading_vectors": 5}
         capsys.readouterr()
 
-    def test_engines_reject_an_order_that_is_no_permutation(self, monkeypatch):
-        # the engines check each sorted order once, for every H it serves
-        real = simulation.stable_order
+    def test_a_key_order_that_is_no_permutation_falls_back(self, monkeypatch):
+        # the engines trust stable_order's result: a key sort that repeats
+        # an index is not strictly rising, so stable_order falls back to
+        # the stable argsort and every result keeps its bits
+        def sweep():
+            return row_bytes(bias_sweep([401], [2, 3], reps=3, seed=3, p=1))
 
-        def repeated(y, buffers=None):
-            order = real(y, buffers)
+        def grid():
+            return grid_values(run_grid([ModelSpec(id=1)], (2, 24), 120, 3, seed=3))
+
+        want = sweep(), grid()
+        real = slicing._key_order
+        repeated = []
+
+        def repeating(y, key):
+            order = real(y, key)
             order[..., 0] = order[..., 1]
+            repeated.append(y.shape)
             return order
 
-        monkeypatch.setattr(simulation, "stable_order", repeated)
-        for run in (lambda: bias_sweep([401], [2, 3], reps=3, seed=3, p=1),
-                    lambda: run_grid([ModelSpec(id=1)], (2, 24), 120, 3, seed=3)):
-            with pytest.raises(SimulationError, match=r"^replicate 0 failed") as info:
-                run()
-            assert isinstance(info.value.__cause__, InvalidArgument)
-            assert str(info.value.__cause__).startswith("order must be a permutation")
+        monkeypatch.setattr(slicing, "_key_order", repeating)
+        assert sweep() == want[0]
+        np.testing.assert_array_equal(grid(), want[1])
+        assert repeated == [(1, 401)] * 3 + [(3, 120)]  # sweep chunks of 1, grid of 3
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="counts Linux minor page faults"

@@ -374,6 +374,25 @@ class TestSliceStats:
         with pytest.raises(InvalidMatrix, match="non-finite"):
             slice_stats(z, a)
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda a: SliceAssignment(order=np.arange(12.0), bounds=a.bounds),
+             InvalidArgument, "order and bounds must be integer arrays, bounds 1-d"),
+            (lambda a: slicing.equal_count_bounds(10, 0),
+             TooManySlices, "H must be >= 1, got 0"),
+            (lambda a: slice_stats(np.zeros((12, 2)), a, divisor="n"),
+             InvalidArgument, "divisor must be one of ('c-1', 'c'), got 'n'"),
+            (lambda a: slice_stats(np.zeros(12), a),
+             InvalidArgument, "z must have shape (..., n, p), got (12,)"),
+        ],
+        ids=["float-order", "zero-slices", "divisor", "z-1d"],
+    )
+    def test_invalid_arguments_rejected(self, call, error, message):
+        a = slice_equal_count(np.arange(12.0), 3)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(a)
+
     def test_singleton_assignment_rejected(self):
         with pytest.raises(SingletonSlice):
             SliceAssignment(order=np.arange(3), bounds=np.array([0, 2, 3]))

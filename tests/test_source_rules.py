@@ -95,3 +95,41 @@ def test_every_exported_name_is_used_by_the_cli_or_documented():
         if name not in used and not _named_in_readme(name)
     ]
     assert not missing, missing
+
+
+def _imported_names(tree: ast.Module):
+    """(name, line) of each name a module's imports bind, except those of
+    ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported_names(tree: ast.Module) -> set:
+    """The strings of a module's ``__all__`` list."""
+    return {
+        elt.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        for elt in stmt.value.elts
+    }
+
+
+def test_every_imported_name_is_read():
+    # An import that nothing reads is dead code; the package's __init__
+    # reads its imports by listing them in __all__.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = _parse(path)
+        read = _exported_names(tree) | {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        offenders += [f"{path.name}:{line}:{name}"
+                      for name, line in _imported_names(tree) if name not in read]
+    assert not offenders, offenders

@@ -40,14 +40,11 @@ from .simulation import (
     DEFAULT_SEED,
     McReport,
     MethodSummary,
-    ModelSpec,
     RngStreams,
-    SimConfig,
     SweepRow,
     bias_sweep,
     model_streams,
     run_grid,
-    run_mc,
 )
 from .slicing import (
     SliceAssignment,
@@ -66,9 +63,7 @@ __all__ = [
     "METHODS",
     "McReport",
     "MethodSummary",
-    "ModelSpec",
     "RngStreams",
-    "SimConfig",
     "SliceAssignment",
     "SliceStats",
     "StandardizedDataset",
@@ -87,7 +82,6 @@ __all__ = [
     "negative_eigenvalue_count",
     "r2_single",
     "run_grid",
-    "run_mc",
     "save_matrix",
     "sir_matrix",
     "slice_discrete",

@@ -50,16 +50,14 @@ from .linalg import REL_FLOOR, check_rel_floor, sym_eig
 from .simulation import (
     DEFAULT_SEED,
     MODEL_IDS,
+    MODEL_P,
     McReport,
-    ModelSpec,
-    SimConfig,
     SWEEP_P,
     SweepRow,
     bias_sweep,
+    check_grid,
     check_sweep,
-    grid_cells,
     run_grid,
-    run_mc,
 )
 from .slicing import DIVISORS, slice_equal_count, slice_stats
 
@@ -215,49 +213,40 @@ _QUANTILE_FIELDS = ("model", "method", "H", "min", "q1", "median", "q3", "max", 
 
 
 def _report_rows(report: McReport) -> list:
-    cfg = report.config
-    rows = []
-    for method in cfg.methods:
-        s = report.summaries[method]
-        row = {
-            "model": cfg.model.id,
+    return [
+        {
+            "model": report.model,
             "method": method,
-            "H": cfg.H,
+            "H": report.H,
             "median": s.median,
             "q1": s.q1,
             "q3": s.q3,
             "min": s.min,
             "max": s.max,
-            "reps": cfg.reps,
+            "reps": len(s.values),
         }
-        rows.append(row)
-    return rows
+        for method, s in report.summaries.items()
+    ]
 
 
 def _cmd_simulate(args) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
-    cfg = SimConfig(
-        model=ModelSpec(id=args.model, p=args.p),
-        n=args.n,
-        H=args.slices,
-        reps=args.reps,
-        seed=args.seed,
-        methods=methods,
-        standardize=args.standardize,
-    )
+    grid = ([args.model], [args.slices], args.n, args.reps, args.seed, methods,
+            args.standardize, args.p)
+    check_grid(*grid)
     _check_output(args.output)
-    report = run_mc(cfg)
+    report = run_grid(*grid)[0]
     meta = {
         "command": "simulate",
         "version": __version__,
-        "seed": cfg.seed,
-        "model": cfg.model.id,
-        "p": cfg.model.p,
-        "n": cfg.n,
-        "slices": cfg.H,
-        "reps": cfg.reps,
-        "methods": list(cfg.methods),
-        "standardize": cfg.standardize,
+        "seed": args.seed,
+        "model": args.model,
+        "p": args.p,
+        "n": args.n,
+        "slices": args.slices,
+        "reps": args.reps,
+        "methods": list(methods),
+        "standardize": args.standardize,
         "quantiles": bool(args.quantiles),
     }
     fields = _QUANTILE_FIELDS if args.quantiles else _MEDIAN_FIELDS
@@ -279,12 +268,11 @@ def _cmd_table1(args) -> int:
         "methods": list(METHODS),
         "standardize": args.standardize,
     }
-    specs = [ModelSpec(id=model_id) for model_id in models]
-    grid_cells(specs, h_grid, args.n, args.reps, args.seed, METHODS, args.standardize)
+    grid = (models, h_grid, args.n, args.reps, args.seed, METHODS, args.standardize,
+            MODEL_P)
+    check_grid(*grid)
     _check_output(args.output)
-    reports = run_grid(
-        specs, h_grid, args.n, args.reps, seed=args.seed, standardize=args.standardize,
-    )
+    reports = run_grid(*grid)
     rows = [row for r in reports for row in _report_rows(r)]
     # mirror the reference layout: per-model blocks, method rows, H columns
     rows.sort(key=lambda r: (r["model"], METHODS.index(r["method"]), r["H"]))
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="one Monte Carlo run of a benchmark model")
     sim.add_argument("--model", type=int, required=True, choices=MODEL_IDS)
     sim.add_argument("--n", type=int, default=200)
-    sim.add_argument("--p", type=int, default=10)
+    sim.add_argument("--p", type=int, default=MODEL_P)
     sim.add_argument("--slices", type=int, default=10, help="slice count H")
     sim.add_argument("--reps", type=int, default=200)
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -100,12 +100,10 @@ def standardize(d: Dataset, rel_floor: float = linalg.REL_FLOOR) -> Standardized
 def directions_to_x_scale(betas_z, cov_inv_sqrt) -> np.ndarray:
     """Map unit directions from z-coordinates back to the x scale.
 
-    Applies cov^{-1/2} to each column and renormalizes to unit length.
+    Applies cov^{-1/2} to a (p,) direction or to each column of a (p, k)
+    stack and renormalizes to unit length; the result has the input's shape.
     """
-    b = np.asarray(betas_z, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    out = np.asarray(cov_inv_sqrt, dtype=float) @ b
+    out = np.asarray(cov_inv_sqrt, dtype=float) @ np.asarray(betas_z, dtype=float)
     norms = np.linalg.norm(out, axis=0)
     if np.any(norms <= 1e-300):
         raise DegenerateDirection("a direction collapsed to zero under cov^{-1/2}")

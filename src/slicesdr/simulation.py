@@ -1,16 +1,19 @@
 """Seeded Monte Carlo harness for the benchmark models.
 
 Five single-index generators (cubic, quadratic, multiplicative noise,
-cubic with multiplicative noise, cosine) with standard normal predictors
-and noise.  Replicate r of a run draws from counter-based substreams keyed
-by (seed, r, role), so replicate r sees the same data whether or not other
+cubic with multiplicative noise, cosine), keyed by id in ``MODEL_IDS``,
+with predictors x ~ N(0, I_p), index direction e_1 and standard normal
+noise.  Replicate r of a run draws from counter-based substreams keyed by
+(seed, r, role), so replicate r sees the same data whether or not other
 replicates run.
 
-``run_grid`` scores each method's leading direction against the true index
-direction over a grid of (model, H) cells and reports the replicate
-medians of each cell; ``run_mc`` is its one-cell case.  ``bias_sweep``
-tracks the raw and corrected slice-covariance-square estimators on a
-pure-noise model where the estimand is known exactly.
+``run_grid`` scores each method's leading direction against e_1 over a
+grid of (model, H) cells and reports the replicate medians of each cell;
+a single run is a one-cell grid.  ``bias_sweep`` tracks the raw and
+corrected slice-covariance-square estimators on a pure-noise model where
+the estimand is known exactly.  ``check_grid`` and ``check_sweep`` hold
+the argument checks of the two engines, which call them first; the CLI
+calls them before it checks ``--output``.
 
 Both engines run one loop, ``_run_chunks``, which draws the predictors x
 and noise eps of replicates one by one into the rows of two chunk buffers,
@@ -68,29 +71,11 @@ _RESPONSES = {
 
 MODEL_IDS = tuple(_RESPONSES)
 
+#: Predictor dimension p of the benchmark models in the paper's grid.
+MODEL_P = 10
+
 #: Dimensions p of the null-model sweep.
 SWEEP_P = (1, 2, 3)
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One benchmark generator: y = f(beta' x, eps) with x ~ N(0, I_p)."""
-
-    id: int
-    p: int = 10
-
-    def __post_init__(self):
-        if self.id not in MODEL_IDS:
-            raise InvalidArgument(f"model id must be in {MODEL_IDS}, got {self.id}")
-        if self.p < 1:
-            raise InvalidArgument("p must be >= 1")
-
-    @property
-    def beta(self) -> np.ndarray:
-        """The index direction e_1: the response depends on x[0] only."""
-        b = np.zeros(self.p)
-        b[0] = 1.0
-        return b
 
 
 @dataclass(frozen=True)
@@ -119,46 +104,11 @@ def model_streams(seed: int, replicate: int) -> RngStreams:
     )
 
 
-def _draw(n: int, p: int, streams: RngStreams, out):
+def _draw(streams: RngStreams, out):
     """Predictors x (n, p) and noise eps (n,) of one replicate, i.i.d. N(0, 1),
     drawn into ``out`` = (x, eps)."""
     x, eps = out
     return streams.x.standard_normal(out=x), streams.eps.standard_normal(out=eps)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """One Monte Carlo run: model, sizes, methods, seed, replication."""
-
-    model: ModelSpec
-    n: int
-    H: int
-    reps: int
-    seed: int = DEFAULT_SEED
-    methods: tuple = METHODS
-    standardize: bool = False
-
-    def __post_init__(self):
-        if self.H < 2:
-            raise InvalidArgument(f"H must be >= 2, got {self.H}")
-        if self.n < 2 * self.H:
-            raise InvalidArgument(f"n={self.n} too small for H={self.H}")
-        if self.reps < 1:
-            raise InvalidArgument("reps must be >= 1")
-        if self.seed < 0:
-            raise InvalidArgument("seed must be non-negative")
-        bad = [m for m in self.methods if m not in METHODS]
-        if bad:
-            raise InvalidArgument(f"unknown methods {bad}; valid: {METHODS}")
-        if not self.methods:
-            raise InvalidArgument("need at least one method")
-        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
-        if repeated:
-            raise InvalidArgument(f"repeated methods {repeated}; name each once")
-        if self.standardize and self.n <= self.model.p:
-            raise InvalidArgument(
-                f"need n > p to standardize, got n={self.n}, p={self.model.p}"
-            )
 
 
 @dataclass(frozen=True)
@@ -200,9 +150,10 @@ def _summaries(methods: tuple, values: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class McReport:
-    """Per-method replicate scores keyed to the config that produced them."""
+    """Per-method replicate scores of one (model, H) cell of a run."""
 
-    config: SimConfig
+    model: int
+    H: int
     summaries: dict  # method -> MethodSummary
 
 
@@ -236,7 +187,7 @@ def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
         eps = buffers.get("eps", (len(block), n))
         for i, rep in enumerate(block):
             try:
-                _draw(n, p, model_streams(seed, rep), (x[i], eps[i]))
+                _draw(model_streams(seed, rep), (x[i], eps[i]))
             except Exception as e:
                 raise SimulationError(f"replicate {rep} failed: {e}") from e
         try:
@@ -278,19 +229,40 @@ def _stats_by_H(z, y, slicings: list, buffers: _Buffers):
             )
 
 
-def grid_cells(models, h_grid, n, reps, seed, methods, standardize) -> list:
-    """The validated SimConfig of each (model, H) cell of ``run_grid``, which
-    raises the UsageError of the first invalid argument; nothing is drawn."""
+def check_grid(models, h_grid, n: int, reps: int, seed: int, methods,
+               standardize: bool, p: int) -> None:
+    """Raise the UsageError of the first invalid argument of ``run_grid``.
+
+    Each H is checked in turn, followed by the arguments that do not
+    depend on it, so an invalid H late in the grid fails before any
+    replicate is drawn.
+    """
+    for model in models:
+        if model not in MODEL_IDS:
+            raise InvalidArgument(f"model id must be in {MODEL_IDS}, got {model}")
+    if p < 1:
+        raise InvalidArgument("p must be >= 1")
     if not models or not h_grid:
         raise DegenerateDesign("empty model or H grid")
-    if len({m.p for m in models}) > 1:
-        raise InvalidArgument("grid models must share one dimension p")
-    return [
-        SimConfig(model=m, n=n, H=H, reps=reps, seed=seed, methods=methods,
-                  standardize=standardize)
-        for m in models
-        for H in h_grid
-    ]
+    for H in h_grid:
+        if H < 2:
+            raise InvalidArgument(f"H must be >= 2, got {H}")
+        if n < 2 * H:
+            raise InvalidArgument(f"n={n} too small for H={H}")
+        if reps < 1:
+            raise InvalidArgument("reps must be >= 1")
+        if seed < 0:
+            raise InvalidArgument("seed must be non-negative")
+        bad = [m for m in methods if m not in METHODS]
+        if bad:
+            raise InvalidArgument(f"unknown methods {bad}; valid: {METHODS}")
+        if not methods:
+            raise InvalidArgument("need at least one method")
+        repeated = sorted({m for m in methods if methods.count(m) > 1})
+        if repeated:
+            raise InvalidArgument(f"repeated methods {repeated}; name each once")
+        if standardize and n <= p:
+            raise InvalidArgument(f"need n > p to standardize, got n={n}, p={p}")
 
 
 def run_grid(
@@ -301,20 +273,22 @@ def run_grid(
     seed: int = DEFAULT_SEED,
     methods: tuple = METHODS,
     standardize: bool = False,
+    p: int = MODEL_P,
 ) -> list:
     """One report per (model, H) cell, models outer and H inner, in the
     order given (repeats included).
 
-    ``models`` are ModelSpecs of one dimension p.  Replicate r of every
-    cell is drawn once from ``model_streams(seed, r)``, so each cell's
-    report is the same as a run of that cell alone.  A failing replicate
-    aborts the whole run with its index attached; nothing is skipped
-    silently.
+    ``models`` are ids from ``MODEL_IDS``, each drawn with x ~ N(0, I_p)
+    and the index direction e_1, so the response depends on x[0] alone.
+    Replicate r of every cell is drawn once from ``model_streams(seed,
+    r)``, so each cell's report is the same as a run of that cell alone.
+    A failing replicate aborts the whole run with its index attached;
+    nothing is skipped silently.
     """
     models, h_grid = list(models), list(h_grid)
-    cells = grid_cells(models, h_grid, n, reps, seed, methods, standardize)
-    p = models[0].p
-    beta = models[0].beta
+    check_grid(models, h_grid, n, reps, seed, methods, standardize, p)
+    beta = np.zeros(p)
+    beta[0] = 1.0
     true_basis = beta[:, None]
     slicings = _slicings(n, p, h_grid)
     buffers = _Buffers()
@@ -332,7 +306,7 @@ def run_grid(
                 z[i], back[i] = sd.z, sd.cov_inv_sqrt
         cands = np.empty((len(h_grid), len(methods), chunk, p, p))
         for model in models:
-            y = _RESPONSES[model.id](u, eps)
+            y = _RESPONSES[model](u, eps)
             for i, part, stats in _stats_by_H(z, y, slicings, buffers):
                 for j, method in enumerate(methods):
                     cands[i, j, part] = candidate_matrix(method, stats)
@@ -352,22 +326,15 @@ def run_grid(
         methods, np.stack(_run_chunks(reps, n, p, seed, slicings, scores, buffers))
     )
     k = len(methods)
+    cells = [(model, H) for model in models for H in h_grid]
     return [
         McReport(
-            config=cfg,
+            model=model,
+            H=H,
             summaries={s.method: s for s in summaries[c * k:(c + 1) * k]},
         )
-        for c, cfg in enumerate(cells)
+        for c, (model, H) in enumerate(cells)
     ]
-
-
-def run_mc(cfg: SimConfig) -> McReport:
-    """Score every replicate of one cell and summarize each method's R^2:
-    the one-cell case of ``run_grid``."""
-    return run_grid(
-        [cfg.model], [cfg.H], cfg.n, cfg.reps, seed=cfg.seed,
-        methods=cfg.methods, standardize=cfg.standardize,
-    )[0]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ import pytest
 import slicesdr
 from slicesdr import (
     DEFAULT_SEED,
-    ModelSpec,
     bias_sweep,
     correction_coefficients,
     inv_sqrt,
@@ -72,10 +71,9 @@ def _verdict(criterion: str, ok: bool, detail: str = "") -> None:
 def grid_medians():
     """Full benchmark grid, 200 replicates per cell, fixed default seed."""
     out = {}
-    models = [ModelSpec(id=model_id) for model_id in REFERENCE_MEDIANS]
-    for report in run_grid(models, H_GRID, 480, 200, seed=DEFAULT_SEED):
+    for report in run_grid(REFERENCE_MEDIANS, H_GRID, 480, 200, seed=DEFAULT_SEED):
         for method, summary in report.summaries.items():
-            out[(report.config.model.id, method, report.config.H)] = summary.median
+            out[(report.model, method, report.H)] = summary.median
     return out
 
 

@@ -14,17 +14,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slicesdr
-from slicesdr import Dataset, ModelSpec, model_streams, r2_single, simulation
+from slicesdr import Dataset, model_streams, r2_single, simulation
 from slicesdr.cli import build_parser, main
 from slicesdr.errors import AmbiguousDimensionWarning
 from conftest import traced_peak
 
 
 def write_model_csv(tmp_path, model_id, n=480, seed=314, name="data.csv"):
-    spec = ModelSpec(id=model_id)
-    x, eps = simulation._draw(n, spec.p, model_streams(seed, 0),
-                              (np.empty((n, spec.p)), np.empty(n)))
-    d = Dataset(x=x, y=simulation._RESPONSES[model_id](x @ spec.beta, eps))
+    p = simulation.MODEL_P
+    x, eps = simulation._draw(model_streams(seed, 0), (np.empty((n, p)), np.empty(n)))
+    d = Dataset(x=x, y=simulation._RESPONSES[model_id](x @ np.eye(p)[0], eps))
     path = tmp_path / name
     header = ["y"] + [f"x{j}" for j in range(d.p)]
     lines = [",".join(header)]
@@ -764,20 +763,20 @@ class TestParser:
     def test_patched_command_helpers_are_reached(self, monkeypatch):
         main(["--version"])  # the parser exists before the patch
         reached = []
-        monkeypatch.setattr("slicesdr.cli.run_mc", lambda cfg: reached.append(cfg))
-        with pytest.raises(AttributeError):  # the stub returns no report
+        monkeypatch.setattr("slicesdr.cli.run_grid", lambda *grid: reached.append(grid))
+        with pytest.raises(TypeError):  # the stub returns no reports
             main(["simulate", "--model", "1", "--n", "40", "--reps", "1"])
-        assert [cfg.model.id for cfg in reached] == [1]
+        assert [models for models, *_ in reached] == [[1]]
 
 
 class TestExitCodeFamilies:
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         # a bare ValueError from inside the library is a bug: it propagates
         # instead of being reported as a bad command line (exit 2)
-        def broken(cfg):
+        def broken(*grid):
             raise ValueError("internal invariant violated")
 
-        monkeypatch.setattr("slicesdr.cli.run_mc", broken)
+        monkeypatch.setattr("slicesdr.cli.run_grid", broken)
         with pytest.raises(ValueError, match="internal invariant"):
             main(["simulate", "--model", "1", "--n", "40", "--reps", "1"])
 
@@ -849,7 +848,7 @@ class TestExitCodeFamilies:
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
-        for name in ("run_mc", "run_grid", "bias_sweep"):
+        for name in ("run_grid", "bias_sweep"):
             monkeypatch.setattr(f"slicesdr.cli.{name}", no_run)
         output = str(tmp_path / target)
         assert main(argv + ["--output", output]) == 3

@@ -148,6 +148,25 @@ class TestDirectionsToXScale:
         with pytest.raises(DegenerateDirection):
             directions_to_x_scale(np.zeros((2, 1)), np.eye(2))
 
+    def test_result_keeps_the_shape_of_the_directions(self):
+        # a (p,) direction maps to a (p,) unit direction, a (p, k) stack
+        # column by column to a (p, k) stack
+        root = np.diag([2.0, 1.0])
+        one = directions_to_x_scale(np.array([0.6, 0.8]), root)
+        assert one.shape == (2,)
+        np.testing.assert_allclose(one, np.array([1.2, 0.8]) / np.hypot(1.2, 0.8))
+        stack = directions_to_x_scale(np.array([[0.6, 1.0], [0.8, 0.0]]), root)
+        assert stack.shape == (2, 2)
+        np.testing.assert_allclose(stack, np.column_stack([one, [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("betas_z", [[0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_collapsed_direction_is_named_at_either_shape(self, betas_z):
+        with pytest.raises(
+            DegenerateDirection,
+            match=r"^a direction collapsed to zero under cov\^\{-1/2\}$",
+        ):
+            directions_to_x_scale(np.array(betas_z), np.diag([1.0, 0.0]))
+
 
 class TestLoadCsv:
     def write(self, tmp_path, text):

@@ -9,15 +9,12 @@ import pytest
 
 from slicesdr import (
     METHODS,
-    ModelSpec,
     RngStreams,
-    SimConfig,
     bias_sweep,
     candidate_matrix,
     model_streams,
     r2_single,
     run_grid,
-    run_mc,
     slice_equal_count,
     slice_stats,
     standardize,
@@ -32,15 +29,25 @@ from slicesdr.errors import (
     InvalidMatrix,
     SimulationError,
     SingularCovariance,
+    UsageError,
 )
 from conftest import traced_peak
 from test_slicing import reduceat_slice_stats
 
 
-def model_data(spec, n, streams):
+#: The index direction e_1 of every benchmark model at the default p.
+E1 = np.eye(simulation.MODEL_P)[0]
+
+
+def model_data(model, n, streams):
     """One dataset of a benchmark model: the engines' draw and response."""
-    x, eps = simulation._draw(n, spec.p, streams, (np.empty((n, spec.p)), np.empty(n)))
-    return Dataset(x=x, y=simulation._RESPONSES[spec.id](x @ spec.beta, eps))
+    x, eps = simulation._draw(streams, (np.empty((n, E1.size)), np.empty(n)))
+    return Dataset(x=x, y=simulation._RESPONSES[model](x @ E1, eps))
+
+
+def one_cell(model, H, **kwargs):
+    """The report of a one-cell grid: a single Monte Carlo run."""
+    return run_grid([model], [H], **kwargs)[0]
 
 
 class _ZeroStream:
@@ -52,16 +59,14 @@ class _ZeroStream:
 
 class TestGenerators:
     def test_fixed_seed_bit_identical(self):
-        spec = ModelSpec(id=2)
-        d1 = model_data(spec, 100, model_streams(42, 3))
-        d2 = model_data(spec, 100, model_streams(42, 3))
+        d1 = model_data(2, 100, model_streams(42, 3))
+        d2 = model_data(2, 100, model_streams(42, 3))
         np.testing.assert_array_equal(d1.x, d2.x)
         np.testing.assert_array_equal(d1.y, d2.y)
 
     def test_distinct_replicates_differ(self):
-        spec = ModelSpec(id=1)
-        d1 = model_data(spec, 50, model_streams(42, 0))
-        d2 = model_data(spec, 50, model_streams(42, 1))
+        d1 = model_data(1, 50, model_streams(42, 0))
+        d2 = model_data(1, 50, model_streams(42, 1))
         assert not np.array_equal(d1.x, d2.x)
 
     def test_x_and_eps_streams_independent_roles(self):
@@ -72,17 +77,15 @@ class TestGenerators:
         )
 
     def test_multiplicative_model_with_zero_noise(self):
-        spec = ModelSpec(id=3)
         streams = RngStreams(
             x=model_streams(1, 0).x, eps=_ZeroStream()
         )
-        d = model_data(spec, 64, streams)
+        d = model_data(3, 64, streams)
         np.testing.assert_array_equal(d.y, np.zeros(64))
 
     def test_cubic_model_dominates_noise(self):
         # Var(u^3) = 15 against unit noise: corr(y, u^3) = sqrt(15/16) > 0.9
-        spec = ModelSpec(id=1)
-        d = model_data(spec, 100_000, model_streams(5, 0))
+        d = model_data(1, 100_000, model_streams(5, 0))
         u3 = d.x[:, 0] ** 3
         corr = np.corrcoef(d.y, u3)[0, 1]
         assert corr > 0.9
@@ -100,7 +103,7 @@ class TestGenerators:
             5: np.cos(u) + eps,
         }
         for mid, want in expected.items():
-            d = model_data(ModelSpec(id=mid), 30, RngStreams(_Replay(x), _Replay(eps)))
+            d = model_data(mid, 30, RngStreams(_Replay(x), _Replay(eps)))
             np.testing.assert_allclose(d.y, want, atol=0)
 
     @pytest.mark.parametrize("seed, replicate", [(-1, 0), (0, -1)])
@@ -110,9 +113,10 @@ class TestGenerators:
         ):
             model_streams(seed, replicate)
 
-    def test_model_spec_validation(self):
-        with pytest.raises(InvalidArgument):
-            ModelSpec(id=6)
+    def test_unknown_model_id_rejected(self):
+        with pytest.raises(InvalidArgument,
+                           match=r"^model id must be in \(1, 2, 3, 4, 5\), got 6$"):
+            run_grid([1, 6], [2], 40, 1)
 
 
 class _Replay:
@@ -126,20 +130,16 @@ class _Replay:
 
 
 class TestRunMc:
-    def cfg(self, **kw):
-        base = dict(
-            model=ModelSpec(id=2, p=4),
-            n=80,
-            H=4,
-            reps=6,
-            seed=99,
-        )
+    """Single Monte Carlo runs: one-cell grids."""
+
+    def run(self, **kw):
+        base = dict(model=2, p=4, n=80, H=4, reps=6, seed=99)
         base.update(kw)
-        return SimConfig(**base)
+        return one_cell(**base)
 
     def test_report_determinism(self):
-        r1 = run_mc(self.cfg())
-        r2 = run_mc(self.cfg())
+        r1 = self.run()
+        r2 = self.run()
         for m in METHODS:
             np.testing.assert_array_equal(
                 r1.summaries[m].values, r2.summaries[m].values
@@ -148,31 +148,31 @@ class TestRunMc:
 
     def test_substream_independence(self):
         # replicate r's score is the same whether reps=3 or reps=6 run
-        r_small = run_mc(self.cfg(reps=3))
-        r_big = run_mc(self.cfg(reps=6))
+        r_small = self.run(reps=3)
+        r_big = self.run(reps=6)
         for m in METHODS:
             np.testing.assert_array_equal(
                 r_small.summaries[m].values, r_big.summaries[m].values[:3]
             )
 
     def test_reps_one(self):
-        r = run_mc(self.cfg(reps=1))
+        r = self.run(reps=1)
         s = r.summaries["save"]
         assert s.values.size == 1
         assert s.median == s.min == s.max
 
     def test_method_subset(self):
-        r = run_mc(self.cfg(methods=("sir",)))
+        r = self.run(methods=("sir",))
         assert set(r.summaries) == {"sir"}
 
     def test_standardized_and_raw_paths_close(self):
-        raw = run_mc(self.cfg(n=400, reps=4, standardize=False))
-        std = run_mc(self.cfg(n=400, reps=4, standardize=True))
+        raw = self.run(n=400, reps=4, standardize=False)
+        std = self.run(n=400, reps=4, standardize=True)
         for m in METHODS:
             assert abs(raw.summaries[m].median - std.summaries[m].median) < 0.5
 
     def test_scores_in_unit_interval(self):
-        r = run_mc(self.cfg())
+        r = self.run()
         for m in METHODS:
             v = r.summaries[m].values
             assert np.all(v >= -1e-12) and np.all(v <= 1.0 + 1e-12)
@@ -182,18 +182,14 @@ class TestRunMc:
         # pass; the error names replicate 0
         real = simulation._draw
 
-        def collinear(n, p, streams, out):
-            x, eps = real(n, p, streams, out)
+        def collinear(streams, out):
+            x, eps = real(streams, out)
             x[:, 1] = x[:, 0]
             return x, eps
 
         monkeypatch.setattr(simulation, "_draw", collinear)
-        cfg = SimConfig(
-            model=ModelSpec(id=1, p=4), n=62, H=31, reps=2, seed=1,
-            standardize=True,
-        )
         with pytest.raises(SimulationError, match="^replicate 0 failed"):
-            run_mc(cfg)
+            self.run(model=1, p=4, n=62, H=31, reps=2, seed=1, standardize=True)
 
     def test_failure_past_the_first_chunk_names_its_replicate(self, monkeypatch):
         # chunks of 4 at n = 62, p = 4 (H = 2), which H = 31 scores in
@@ -202,8 +198,8 @@ class TestRunMc:
         real = simulation._draw
         drawn = []
 
-        def collinear_fifth(n, p, streams, out):
-            x, eps = real(n, p, streams, out)
+        def collinear_fifth(streams, out):
+            x, eps = real(streams, out)
             drawn.append(len(drawn))
             if drawn[-1] == 5:
                 x[:, 1] = x[:, 0]
@@ -211,27 +207,24 @@ class TestRunMc:
 
         monkeypatch.setattr(simulation, "_draw", collinear_fifth)
         with pytest.raises(SimulationError, match="^replicate 5 failed") as info:
-            run_grid(
-                [ModelSpec(id=1, p=4)], [2, 31], n=62, reps=6, seed=1,
-                standardize=True,
-            )
+            run_grid([1], [2, 31], n=62, reps=6, seed=1, standardize=True, p=4)
         assert isinstance(info.value.__cause__, SingularCovariance)
 
     def test_config_validation(self):
         with pytest.raises(InvalidArgument, match="need n > p to standardize"):
-            self.cfg(model=ModelSpec(id=1, p=70), n=62, H=31, standardize=True)
+            self.run(model=1, p=70, n=62, H=31, standardize=True)
         with pytest.raises(InvalidArgument):
-            self.cfg(n=6, H=4)
+            self.run(n=6, H=4)
         with pytest.raises(InvalidArgument):
-            self.cfg(reps=0)
+            self.run(reps=0)
         with pytest.raises(InvalidArgument):
-            self.cfg(methods=("save", "pca"))
+            self.run(methods=("save", "pca"))
         with pytest.raises(InvalidArgument, match=r"^repeated methods \['save'\]"):
-            self.cfg(methods=("save", "sir", "save"))
+            self.run(methods=("save", "sir", "save"))
         with pytest.raises(InvalidArgument):
-            self.cfg(seed=-1)
+            self.run(seed=-1)
         with pytest.raises(InvalidArgument, match=r"^H must be >= 2, got 1$"):
-            self.cfg(H=1)  # one slice holds every point: no slice signal
+            self.run(H=1)  # one slice holds every point: no slice signal
 
 
 class TestBiasSweep:
@@ -296,9 +289,9 @@ class TestSweepEngine:
         drawn = []
         real = simulation._draw
 
-        def counted(n, p, streams, out):
-            drawn.append(n)
-            return real(n, p, streams, out)
+        def counted(streams, out):
+            drawn.append(out[1].size)  # n
+            return real(streams, out)
 
         monkeypatch.setattr(simulation, "_draw", counted)
         with pytest.raises(
@@ -315,11 +308,11 @@ class TestSweepEngine:
         real = simulation._draw
         drawn = []
 
-        def failing(n, p, streams, out):
-            drawn.append(n)
+        def failing(streams, out):
+            drawn.append(out[1].size)
             if len(drawn) == 5:
                 raise RuntimeError("stream exhausted")
-            return real(n, p, streams, out)
+            return real(streams, out)
 
         monkeypatch.setattr(simulation, "_draw", failing)
         with pytest.raises(SimulationError, match=r"^replicate 4 failed: stream exhausted"):
@@ -356,9 +349,9 @@ class TestWorkBuffers:
         xs, epss = np.empty((3, n, p)), np.empty((3, n))
         for rep in range(3):
             rows = (xs[rep], epss[rep])
-            x, eps = simulation._draw(n, p, model_streams(11, rep), rows)
+            x, eps = simulation._draw(model_streams(11, rep), rows)
             assert x is rows[0] and eps is rows[1]
-            fresh = simulation._draw(n, p, model_streams(11, rep),
+            fresh = simulation._draw(model_streams(11, rep),
                                      (np.empty((n, p)), np.empty(n)))
             streams = model_streams(11, rep)
             for got, want in zip(rows, fresh):
@@ -432,7 +425,7 @@ class TestWorkBuffers:
             return row_bytes(bias_sweep([401], [2, 3], reps=3, seed=3, p=1))
 
         def grid():
-            return grid_values(run_grid([ModelSpec(id=1)], (2, 24), 120, 3, seed=3))
+            return grid_values(run_grid([1], (2, 24), 120, 3, seed=3))
 
         want = sweep(), grid()
         real = slicing._key_order
@@ -468,23 +461,23 @@ class TestWorkBuffers:
         assert per_replicate <= 20, per_replicate
 
 
-def oracle_scores(cfg):
-    """R^2 of each method's leading direction, one replicate at a time,
-    through the unbatched (2-d) calls of every stage."""
-    scores = {m: [] for m in cfg.methods}
-    for rep in range(cfg.reps):
-        data = model_data(cfg.model, cfg.n, model_streams(cfg.seed, rep))
-        if cfg.standardize:
+def oracle_scores(cell):
+    """R^2 of each method's leading direction in a one-cell grid, one
+    replicate at a time, through the unbatched (2-d) calls of every stage."""
+    scores = {m: [] for m in METHODS}
+    for rep in range(cell["reps"]):
+        data = model_data(cell["model"], cell["n"], model_streams(cell["seed"], rep))
+        if cell["standardize"]:
             sd = standardize(data)
             z, back = sd.z, sd.cov_inv_sqrt
         else:
             z, back = data.x, None
-        stats = slice_stats(z, slice_equal_count(data.y, cfg.H))
-        for method in cfg.methods:
+        stats = slice_stats(z, slice_equal_count(data.y, cell["H"]))
+        for method in METHODS:
             lead = sym_eig(candidate_matrix(method, stats)).vectors[:, 0]
             if back is not None:
                 lead = back @ lead
-            scores[method].append(r2_single(lead, cfg.model.beta[:, None]))
+            scores[method].append(r2_single(lead, E1[:, None]))
     return scores
 
 
@@ -502,8 +495,8 @@ def poison_replicate(monkeypatch, rep):
     real = simulation._draw
     drawn = []
 
-    def poisoned(n, p, streams, out):
-        x, eps = real(n, p, streams, out)
+    def poisoned(streams, out):
+        x, eps = real(streams, out)
         drawn.append(len(drawn))
         if drawn[-1] == rep:
             x[11, 2] = np.nan
@@ -519,12 +512,10 @@ class TestChunkedEngine:
         [(480, 24, False), (203, 7, False), (487, 96, True)],
     )
     def test_matches_per_replicate_oracle(self, model_id, n, H, standardize):
-        cfg = SimConfig(
-            model=ModelSpec(id=model_id), n=n, H=H, reps=7, seed=model_id,
-            standardize=standardize,
-        )
-        report = run_mc(cfg)
-        for method, want in oracle_scores(cfg).items():
+        cell = dict(model=model_id, H=H, n=n, reps=7, seed=model_id,
+                    standardize=standardize)
+        report = one_cell(**cell)
+        for method, want in oracle_scores(cell).items():
             np.testing.assert_allclose(
                 report.summaries[method].values, want, rtol=0, atol=1e-12
             )
@@ -537,20 +528,17 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("standardize", [False, True])
     def test_scores_bitwise_equal_across_chunk_sizes(self, monkeypatch, standardize):
-        cfg = SimConfig(
-            model=ModelSpec(id=4), n=203, H=6, reps=9, seed=5,
-            standardize=standardize,
-        )
+        cell = dict(model=4, H=6, n=203, reps=9, seed=5, standardize=standardize)
         runs = []
-        for size in (1, cfg.reps):
+        for size in (1, cell["reps"]):
             fixed_chunk(monkeypatch, size)
-            report = run_mc(cfg)
-            runs.append(np.stack([report.summaries[m].values for m in cfg.methods]))
+            report = one_cell(**cell)
+            runs.append(np.stack([report.summaries[m].values for m in METHODS]))
         np.testing.assert_array_equal(runs[0], runs[1])
         monkeypatch.undo()
-        report = run_mc(cfg)  # derived chunk size, 6 here
+        report = one_cell(**cell)  # derived chunk size, 6 here
         np.testing.assert_array_equal(
-            runs[0], np.stack([report.summaries[m].values for m in cfg.methods])
+            runs[0], np.stack([report.summaries[m].values for m in METHODS])
         )
 
     def test_sweep_rows_bitwise_equal_across_chunk_sizes(self, monkeypatch):
@@ -573,9 +561,8 @@ class TestChunkedEngine:
         # replicate 7 sits in the third chunk of 3; its x carries a NaN
         fixed_chunk(monkeypatch, 3)
         poison_replicate(monkeypatch, 7)
-        cfg = SimConfig(model=ModelSpec(id=1), n=120, H=6, reps=10, seed=2)
         with pytest.raises(SimulationError, match=r"^replicate 7 failed"):
-            run_mc(cfg)
+            one_cell(1, 6, n=120, reps=10, seed=2)
 
     @pytest.mark.parametrize("H", [24, 96])
     def test_traced_peak_of_one_cell_is_bounded(self, H):
@@ -587,20 +574,19 @@ class TestChunkedEngine:
         n, p, reps = 480, 10, 10
         chunk = simulation._chunk_size(n, p, H)
         budget = 8 * chunk * (2 * n * p + 2 * H * p * p)
-        cfg = SimConfig(model=ModelSpec(id=1, p=p), n=n, H=H, reps=reps, seed=3)
-        peak = traced_peak(lambda: run_mc(cfg))
+        peak = traced_peak(lambda: one_cell(1, H, n=n, reps=reps, seed=3, p=p))
         assert peak <= 1.25 * budget, (peak, budget)
 
 
 def grid_values(reports):
     """(cell, method, replicate) scores of a list of reports."""
     return np.stack([
-        [r.summaries[m].values for m in r.config.methods] for r in reports
+        [s.values for s in r.summaries.values()] for r in reports
     ])
 
 
 class TestGridEngine:
-    MODELS = [ModelSpec(id=m) for m in simulation.MODEL_IDS]
+    MODELS = list(simulation.MODEL_IDS)
 
     @pytest.mark.parametrize("standardize", [False, True])
     def test_cells_bitwise_equal_standalone_runs(self, standardize):
@@ -611,11 +597,10 @@ class TestGridEngine:
         reports = run_grid(self.MODELS, h_grid, 487, 12, seed=4,
                            standardize=standardize)
         cells = [(m, H) for m in self.MODELS for H in h_grid]
-        assert [(r.config.model, r.config.H) for r in reports] == cells
+        assert [(r.model, r.H) for r in reports] == cells
         for report, (model, H) in zip(reports, cells):
-            alone = run_mc(SimConfig(model=model, n=487, H=H, reps=12, seed=4,
-                                     standardize=standardize))
-            assert report.config == alone.config
+            alone = one_cell(model, H, n=487, reps=12, seed=4, standardize=standardize)
+            assert (report.model, report.H) == (alone.model, alone.H)
             for m in METHODS:
                 np.testing.assert_array_equal(
                     report.summaries[m].values, alone.summaries[m].values
@@ -631,16 +616,14 @@ class TestGridEngine:
             np.testing.assert_array_equal(got, want)
 
     def test_repeated_and_reordered_cells_are_kept(self):
-        one = ModelSpec(id=1)
-        reports = run_grid([one, one], (2, 2), 120, 4, seed=9)
-        assert [(r.config.model.id, r.config.H) for r in reports] == [(1, 2)] * 4
+        reports = run_grid([1, 1], (2, 2), 120, 4, seed=9)
+        assert [(r.model, r.H) for r in reports] == [(1, 2)] * 4
         values = grid_values(reports)
         for v in values[1:]:
             np.testing.assert_array_equal(v, values[0])
-        three = ModelSpec(id=3)
-        swapped = run_grid([three, one], (96, 2), 480, 3, seed=9)
-        ordered = run_grid([one, three], (2, 96), 480, 3, seed=9)
-        assert [(r.config.model.id, r.config.H) for r in swapped] == [
+        swapped = run_grid([3, 1], (96, 2), 480, 3, seed=9)
+        ordered = run_grid([1, 3], (2, 96), 480, 3, seed=9)
+        assert [(r.model, r.H) for r in swapped] == [
             (3, 96), (3, 2), (1, 96), (1, 2)
         ]
         np.testing.assert_array_equal(
@@ -686,18 +669,71 @@ class TestGridEngine:
 
         monkeypatch.setattr(simulation, "candidate_matrix", poisoned)
         with pytest.raises(SimulationError, match=r"^replicate 0 failed") as info:
-            run_grid([ModelSpec(id=1)], (2, 6), 60, 3, seed=3)
+            run_grid([1], (2, 6), 60, 3, seed=3)
         assert isinstance(info.value.__cause__, InvalidMatrix)
 
     def test_invalid_grids_rejected(self):
-        with pytest.raises(InvalidArgument, match="share one dimension"):
-            run_grid([ModelSpec(id=1, p=4), ModelSpec(id=2, p=5)], (2,), 40, 2)
         with pytest.raises(DegenerateDesign, match="empty model or H grid"):
             run_grid([], (2,), 40, 2)
         with pytest.raises(DegenerateDesign, match="empty model or H grid"):
             run_grid(self.MODELS, (), 40, 2)
         with pytest.raises(InvalidArgument, match="n=40 too small for H=21"):
             run_grid(self.MODELS, (2, 21), 40, 2)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(models=[1, 6], p=0), r"model id must be in \(1, 2, 3, 4, 5\), got 6"),
+            (dict(models=[], p=0), r"p must be >= 1"),
+            (dict(h_grid=[], reps=0), r"empty model or H grid"),
+            (dict(h_grid=[1, 2], reps=0), r"H must be >= 2, got 1"),
+            (dict(h_grid=[2, 1], reps=0), r"reps must be >= 1"),
+            (dict(h_grid=[300, 2], seed=-1), r"n=480 too small for H=300"),
+            (dict(h_grid=[2, 300], seed=-1), r"seed must be non-negative"),
+            (dict(methods=("save", "pca"), n=10, standardize=True),
+             r"unknown methods \['pca'\]; valid: \('save', 'sir', 'csave'\)"),
+            (dict(methods=(), n=10, standardize=True), r"need at least one method"),
+            (dict(methods=("sir", "sir"), n=10, standardize=True),
+             r"repeated methods \['sir'\]; name each once"),
+            (dict(n=10, standardize=True), r"need n > p to standardize, got n=10, p=10"),
+        ],
+    )
+    def test_check_grid_names_the_first_invalid_argument(self, changes, message):
+        # model ids, then p, then the grid, then each H in turn followed
+        # by the arguments that do not depend on it
+        grid = dict(models=[1, 3], h_grid=[2, 6], n=480, reps=2, seed=1,
+                    methods=METHODS, standardize=False, p=10)
+        grid.update(changes)
+        for check in (simulation.check_grid, run_grid):
+            with pytest.raises(UsageError, match=f"^{message}$"):
+                check(**grid)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--H", "2,6,0"], "H must be >= 2, got 0"),
+            (["--H", "2,300"], "n=480 too small for H=300"),
+            (["--H", "2,6", "--n", "10", "--standardize"],
+             "need n > p to standardize, got n=10, p=10"),
+        ],
+    )
+    def test_invalid_later_cell_fails_before_any_draw(self, flags, message,
+                                                      monkeypatch, capsys):
+        drawn = []
+        real = simulation._draw
+
+        def counted(streams, out):
+            drawn.append(out[1].size)  # n
+            return real(streams, out)
+
+        monkeypatch.setattr(simulation, "_draw", counted)
+        table1 = ["table1", "--models", "1,3", "--reps", "2", "--out", "json"]
+        assert main(table1 + flags) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert drawn == []
+        assert main(table1 + ["--H", "2,6", "--n", "60"]) == 0
+        capsys.readouterr()
+        assert drawn == [60] * 2  # one draw per replicate for every cell
 
     def test_poisoned_replicate_in_later_grid_chunk_is_named(self, monkeypatch):
         # chunks of 10 at n=480; replicate 13 sits in the second, and its

@@ -133,3 +133,65 @@ def test_every_imported_name_is_read():
         offenders += [f"{path.name}:{line}:{name}"
                       for name, line in _imported_names(tree) if name not in read]
     assert not offenders, offenders
+
+
+#: Every settable parameter in src/, as "module:function(name)" or
+#: "module:Class.field": keyword defaults and dataclass fields with a
+#: value.  Each is a knob that a caller can leave out; a new one shows up
+#: in the diff of this list.
+SETTABLE_PARAMETERS = [
+    "cli:main(argv)",
+    "data:standardize(rel_floor)",
+    "linalg:inv_sqrt(rel_floor)",
+    "simulation:run_grid(seed)",
+    "simulation:run_grid(methods)",
+    "simulation:run_grid(standardize)",
+    "simulation:run_grid(p)",
+    "simulation:bias_sweep(seed)",
+    "simulation:bias_sweep(p)",
+    "slicing:SliceAssignment.counts",
+    "slicing:SliceAssignment.runs",
+    "slicing:_Buffers.get(dtype)",
+    "slicing:_flat_index(out)",
+    "slicing:stable_order(buffers)",
+    "slicing:_gram(out)",
+    "slicing:slice_stats(divisor)",
+    "slicing:slice_stats(buffers)",
+]
+
+
+def _decorator_name(node: ast.expr):
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def _settable(node: ast.AST, prefix: str):
+    """The settable parameters defined in ``node``, in source order."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            a = child.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+            ]
+            yield from (f"{prefix}{child.name}({arg.arg})" for arg in defaulted)
+            yield from _settable(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            if "dataclass" in map(_decorator_name, child.decorator_list):
+                yield from (
+                    f"{prefix}{child.name}.{stmt.target.id}"
+                    for stmt in child.body
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                )
+            yield from _settable(child, f"{prefix}{child.name}.")
+        else:
+            yield from _settable(child, prefix)
+
+
+def test_settable_parameters_are_the_listed_ones():
+    found = [
+        name
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for name in _settable(_parse(path), f"{path.stem}:")
+    ]
+    assert sorted(found) == sorted(SETTABLE_PARAMETERS)

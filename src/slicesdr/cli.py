@@ -262,6 +262,7 @@ def _cmd_table1(args) -> int:
         "version": __version__,
         "seed": args.seed,
         "models": models,
+        "p": MODEL_P,
         "H": h_grid,
         "n": args.n,
         "reps": args.reps,

@@ -35,6 +35,7 @@ moments of every replicate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,16 +125,49 @@ class MethodSummary:
     max: float
 
 
+def _quartile(s: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(s, q, axis=-1)`` of rows s already sorted along the
+    last axis: numpy's linear interpolation between the two order
+    statistics around the index (n - 1) q, in its own arithmetic."""
+    n = s.shape[-1]
+    at = (n - 1) * q
+    lo = math.floor(at)
+    # numpy weights the next value by at - lo, and a lone value by 1
+    t = at - lo if n > 1 else 1.0
+    a, b = s[..., lo], s[..., min(lo + 1, n - 1)]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _order_stats(values: np.ndarray) -> tuple:
+    """(median, q1, q3, min, max) of each row of ``values`` (rows, n), from
+    one sort.
+
+    Each is bitwise what ``np.median``, ``np.quantile(..., [0.25, 0.75])``,
+    ``min`` and ``max`` give, without those calls, which import numpy.ma:
+    the median is the mean of the one or two middle values, as
+    ``np.median`` takes it, and a row holding a NaN gives that NaN in all
+    five.  A zero result of a row that holds both -0.0 and 0.0 may carry
+    either sign, as numpy's own does.
+    """
+    s = np.sort(values, axis=-1)
+    n = s.shape[-1]
+    median = s[..., (n - 1) // 2:n // 2 + 1].mean(axis=-1)
+    stats = (median, _quartile(s, 0.25), _quartile(s, 0.75), s[..., 0])
+    nan = np.isnan(s[..., -1])  # a NaN sorts last
+    for stat in stats:
+        np.copyto(stat, s[..., -1], where=nan)
+    return (*stats, s[..., -1])
+
+
 def _summaries(methods: tuple, values: np.ndarray) -> list:
     """One MethodSummary per row of ``values`` (rows, reps), row i scored
     by ``methods[i % len(methods)]``.
 
-    Each statistic is one call over all rows; a row's result is bitwise
-    that of the same call on the row alone.
+    A row's statistics are bitwise those of its values alone
+    (``_order_stats``).
     """
-    median = np.median(values, axis=-1)
-    q1, q3 = np.quantile(values, [0.25, 0.75], axis=-1)
-    lo, hi = values.min(axis=-1), values.max(axis=-1)
+    median, q1, q3, lo, hi = _order_stats(values)
     return [
         MethodSummary(
             method=methods[i % len(methods)],
@@ -253,6 +287,11 @@ def check_grid(models, h_grid, n: int, reps: int, seed: int, methods,
             raise InvalidArgument("reps must be >= 1")
         if seed < 0:
             raise InvalidArgument("seed must be non-negative")
+        if not isinstance(methods, (list, tuple)):
+            # a set has no fixed order, and the order is the output's
+            raise InvalidArgument(
+                f"methods must be a list or tuple, got {type(methods).__name__}"
+            )
         bad = [m for m in methods if m not in METHODS]
         if bad:
             raise InvalidArgument(f"unknown methods {bad}; valid: {METHODS}")
@@ -429,6 +468,7 @@ def bias_sweep(
     for n in n_grid:
         h_grid = [n // c for c in c_grid]
         levels = _null_levels(n, h_grid, p, reps, seed)
+        medians = _order_stats(np.stack(levels))[0]
         for i, (c, H) in enumerate(zip(c_grid, h_grid)):
             raw_level, cor_level, raw_err, cor_err = levels[4 * i:4 * i + 4]
             rows.append(
@@ -440,9 +480,9 @@ def bias_sweep(
                     mean_lambda_raw=float(np.mean(raw_level)),
                     mean_lambda_corrected=float(np.mean(cor_level)),
                     mean_abs_err_raw=float(np.mean(raw_err)),
-                    median_abs_err_raw=float(np.median(raw_err)),
+                    median_abs_err_raw=float(medians[4 * i + 2]),
                     mean_abs_err_corrected=float(np.mean(cor_err)),
-                    median_abs_err_corrected=float(np.median(cor_err)),
+                    median_abs_err_corrected=float(medians[4 * i + 3]),
                 )
             )
     return rows

@@ -242,19 +242,27 @@ def equal_count_bounds(n: int, H: int) -> np.ndarray:
 
 
 def slice_discrete(y) -> SliceAssignment:
-    """One slice per distinct response value, ordered by ascending value."""
+    """One slice per distinct response value, ordered by ascending value;
+    -0.0 and 0.0 are one value.
+
+    The order is the stable argsort of y, and the slices are the runs of
+    equal values in the sorted y.
+    """
     y = _finite_response(y)
-    values, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
-    if values.size < 2:
+    order = np.argsort(y, axis=None, kind="stable")
+    ys = y.ravel()[order]
+    edges = np.ones(ys.size + 1, dtype=bool)
+    np.not_equal(ys[1:], ys[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    counts = np.diff(bounds)
+    if counts.size < 2:
         raise DegenerateResponse(
-            f"discrete slicing needs >= 2 distinct values, got {values.size}"
+            f"discrete slicing needs >= 2 distinct values, got {counts.size}"
         )
-    thin = values[counts < 2]
+    thin = ys[bounds[:-1][counts < 2]]
     if thin.size:
         raise SingletonSlice(f"response value {float(thin[0])!r} appears only once")
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    return SliceAssignment(order=order, bounds=bounds)
+    return SliceAssignment(order=order.reshape(y.shape), bounds=bounds)
 
 
 @dataclass(frozen=True)

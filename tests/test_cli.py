@@ -606,6 +606,7 @@ class TestTable1:
             (2, "csave", 2), (2, "csave", 6),
         ]
         assert doc["meta"]["models"] == [2]
+        assert doc["meta"]["p"] == simulation.MODEL_P
         assert doc["meta"]["H"] == [2, 6]
 
     def test_reps_one_runs(self, capsys):
@@ -732,6 +733,49 @@ class TestSweep:
         assert code == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.startswith("n,c,H,reps,mean_lambda_raw")
+
+
+#: Runs CLI commands in one fresh process and prints, after each, whether
+#: numpy.ma has been imported by then.
+NUMPY_MA_CHILD = """
+import contextlib, io, json, sys
+from slicesdr import slice_discrete
+from slicesdr.cli import main
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded[" ".join(argv)] = "numpy.ma" in sys.modules
+slice_discrete([1.0, 1.0, 2.0, 2.0, 0.0, -0.0])
+loaded["slice_discrete"] = "numpy.ma" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs a process about 1.3 MiB of resident memory and
+    # 11-17 ms to import; the summaries and the discrete slicer take their
+    # order statistics from one sort instead
+    csv = write_model_csv(tmp_path, model_id=2, n=200)
+    commands = [
+        ["table1", "--reps", "2", "--n", "480", "--out", "json"],
+        ["simulate", "--model", "3", "--reps", "3", "--n", "60", "--quantiles"],
+        ["sweep", "--mode", "bias", "--n-grid", "200", "--c-grid", "2,4",
+         "--reps", "3"],
+        ["sweep", "--mode", "consistency", "--n-grid", "80,160", "--reps", "3"],
+        ["estimate", "--input", csv, "--y", "y", "--method", "csave"],
+    ]
+    package_root = str(Path(slicesdr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_CHILD, json.dumps(commands)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == len(commands) + 1
+    assert not any(loaded.values()), loaded
 
 
 class TestParser:

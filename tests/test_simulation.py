@@ -227,7 +227,51 @@ class TestRunMc:
             self.run(H=1)  # one slice holds every point: no slice signal
 
 
+def order_stat_rows(n):
+    """Rows of n values with ties, zeros of both signs, infinities and a
+    NaN, plus copies whose zeros all carry one sign."""
+    rng = np.random.default_rng(n)
+    pool = np.array([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.inf])
+    rows = rng.choice(pool, size=(40, n))
+    ties = rng.standard_normal((4, n)).round(1)
+    nan_row = rng.choice(pool, size=(1, n))
+    nan_row[0, rng.integers(n)] = np.nan
+    return np.concatenate([rows, rows + 0.0, np.where(rows == 0, -0.0, rows),
+                           ties, nan_row])
+
+
+def mixes_zero_signs(row):
+    zeros = np.signbit(row[row == 0])
+    return zeros.any() and not zeros.all()
+
+
+class TestOrderStats:
+    @pytest.mark.parametrize("n", range(1, 26))
+    def test_bitwise_numpy_statistics(self, n):
+        rows = order_stat_rows(n)
+        with np.errstate(invalid="ignore"):  # inf - inf, as numpy's own
+            got = simulation._order_stats(rows)
+            for i, row in enumerate(rows):
+                want = (np.median(row), *np.quantile(row, [0.25, 0.75]),
+                        row.min(), row.max())
+                for g, w in zip(got, want):
+                    if mixes_zero_signs(row) and w == 0:
+                        # numpy's zero then takes the sign of whichever zero
+                        # its partition or reduction leaves in place:
+                        # np.min([0.0, -0.0]) is -0.0, np.min([-0.0, 0.0]) 0.0
+                        assert g[i] == 0
+                    else:
+                        assert g[i].view(np.int64) == np.float64(w).view(np.int64), row
+
+
 class TestBiasSweep:
+    def test_medians_are_numpy_medians(self):
+        rows = bias_sweep([400, 600], [2, 4], reps=7, seed=5)
+        for n, row in zip([400, 400, 600, 600], rows):
+            levels = simulation._null_levels(n, [row.H], 1, 7, 5)
+            assert row.median_abs_err_raw == float(np.median(levels[2]))
+            assert row.median_abs_err_corrected == float(np.median(levels[3]))
+
     def test_row_shape_and_determinism(self):
         rows = bias_sweep([400], [4], reps=5, seed=3)
         assert len(rows) == 1
@@ -692,6 +736,10 @@ class TestGridEngine:
             (dict(h_grid=[2, 300], seed=-1), r"seed must be non-negative"),
             (dict(methods=("save", "pca"), n=10, standardize=True),
              r"unknown methods \['pca'\]; valid: \('save', 'sir', 'csave'\)"),
+            (dict(methods={"sir"}, n=10, standardize=True),
+             r"methods must be a list or tuple, got set"),
+            (dict(methods="sir", n=10, standardize=True),
+             r"methods must be a list or tuple, got str"),
             (dict(methods=(), n=10, standardize=True), r"need at least one method"),
             (dict(methods=("sir", "sir"), n=10, standardize=True),
              r"repeated methods \['sir'\]; name each once"),

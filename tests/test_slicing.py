@@ -262,6 +262,27 @@ class TestDiscrete:
         with pytest.raises(SingletonSlice, match=message):
             slice_discrete(np.array([1.0, 2.0, 2.0]))
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_the_unique_formulation(self, seed):
+        # np.unique's levels, counts and stable order by level, on random
+        # discrete y where -0.0 and 0.0 are one level
+        rng = np.random.default_rng(seed)
+        levels = rng.choice([-2.0, -0.5, -0.0, 0.0, 1.0, 3.0],
+                            size=rng.integers(2, 7), replace=False)
+        y = rng.choice(levels, size=rng.integers(2, 60))
+        values, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
+        if values.size < 2:
+            with pytest.raises(DegenerateResponse, match=f"got {values.size}$"):
+                slice_discrete(y)
+        elif counts.min() < 2:
+            value = float(values[counts < 2][0])
+            with pytest.raises(SingletonSlice, match=f"^response value {value!r} "):
+                slice_discrete(y)
+        else:
+            a = slice_discrete(y)
+            np.testing.assert_array_equal(a.order, np.argsort(inverse, kind="stable"))
+            np.testing.assert_array_equal(a.bounds, np.append(0, np.cumsum(counts)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_response_rejected(self, bad):
         # two NaNs would make a slice of their own

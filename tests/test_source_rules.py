@@ -45,6 +45,40 @@ def test_no_builtin_exception_but_os_error_is_raised():
     assert not offenders, offenders
 
 
+#: numpy functions that import numpy.ma on their first call (numpy 2.4):
+#: the order statistics through ``np.ma.isMaskedArray``, and ``np.unique``
+#: without counts or indexes and ``np.unique_values`` through
+#: ``np.ma.is_masked``; the rest of the unique family goes with them.
+#: ``simulation._order_stats`` and ``slicing.slice_discrete`` take the same
+#: results from one sort.
+LOAD_NUMPY_MA = {
+    "median", "quantile", "percentile",
+    "nanmedian", "nanquantile", "nanpercentile",
+    "unique", "unique_values", "unique_counts", "unique_inverse", "unique_all",
+    "ma",
+}
+
+
+def test_no_call_loads_numpy_ma():
+    # numpy.ma costs every process that loads it about 1.3 MiB of resident
+    # memory and 11-17 ms, and no command needs it.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id in ("np", "numpy") else set()
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = {alias.name for alias in node.names} | set(node.module.split("."))
+            elif isinstance(node, ast.Import):
+                names = {part for alias in node.names for part in alias.name.split(".")
+                         if alias.name.startswith("numpy")}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}:{name}"
+                          for name in sorted(names & LOAD_NUMPY_MA)]
+    assert not offenders, f"these load numpy.ma: {offenders}"
+
+
 def _used_names(tree: ast.Module) -> set:
     """Names a module reads, as a bare name or an attribute, except a
     top-level definition's reads of its own name."""

@@ -736,14 +736,14 @@ class TestGridEngine:
             (dict(h_grid=[2, 300], seed=-1), r"seed must be non-negative"),
             (dict(methods=("save", "pca"), n=10, standardize=True),
              r"unknown methods \['pca'\]; valid: \('save', 'sir', 'csave'\)"),
-            (dict(methods={"sir"}, n=10, standardize=True),
-             r"methods must be a list or tuple, got set"),
-            (dict(methods="sir", n=10, standardize=True),
-             r"methods must be a list or tuple, got str"),
             (dict(methods=(), n=10, standardize=True), r"need at least one method"),
             (dict(methods=("sir", "sir"), n=10, standardize=True),
              r"repeated methods \['sir'\]; name each once"),
             (dict(n=10, standardize=True), r"need n > p to standardize, got n=10, p=10"),
+            (dict(methods={"sir"}, n=10, standardize=True),
+             r"methods must be a list or tuple, got set"),
+            (dict(methods="sir", n=10, standardize=True),
+             r"methods must be a list or tuple, got str"),
         ],
     )
     def test_check_grid_names_the_first_invalid_argument(self, changes, message):

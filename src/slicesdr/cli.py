@@ -33,13 +33,7 @@ import sys
 
 from . import __version__
 from .data import load_csv, standardize
-from .errors import (
-    DataError,
-    InvalidArgument,
-    NumericalError,
-    TooManySlices,
-    UsageError,
-)
+from .errors import DataError, InvalidArgument, NumericalError, UsageError
 from .estimators import (
     METHODS,
     candidate_matrix,
@@ -123,7 +117,10 @@ def _default_slices(n: int) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    check_rel_floor(args.rel_floor)  # a usage error, before the file is read
+    # usage errors that need no data, before the file is read
+    check_rel_floor(args.rel_floor)
+    if args.slices is not None and args.slices < 2:
+        raise InvalidArgument(f"--slices {args.slices}: need at least 2 slices")
     dataset = load_csv(args.input, args.y)
     n, p = dataset.n, dataset.p
     if args.slices is not None:
@@ -131,10 +128,8 @@ def _cmd_estimate(args) -> int:
     else:
         H = _default_slices(n)
         source = f"the default H = max(2, round(n/20)) = {H}"
-    if H < 2:
-        raise TooManySlices(f"{source}: need at least 2 slices")
     if n < 2 * H:
-        raise TooManySlices(
+        raise InvalidArgument(
             f"{source} leaves fewer than 2 points per slice for n={n}"
         )
     sd = standardize(dataset, rel_floor=args.rel_floor)

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    CsvFormatError,
-    DegenerateDirection,
-    InsufficientData,
-    InvalidArgument,
-)
+from .errors import CsvFormatError, DataError, InvalidArgument, NumericalError
 
 # OpenBLAS runs a gemm on one thread while m*n*k stays under 65536*4.
 _WHITEN_BLOCK = 2**18
@@ -81,7 +76,7 @@ def standardize(d: Dataset, rel_floor: float = linalg.REL_FLOOR) -> Standardized
     z is an array of its own: ``d.x`` is never written and never aliased.
     """
     if d.n <= d.p:
-        raise InsufficientData(f"need n > p to standardize, got n={d.n}, p={d.p}")
+        raise DataError(f"need n > p to standardize, got n={d.n}, p={d.p}")
     mean = d.x.mean(axis=0)
     xc = d.x - mean
     cov = linalg.ensure_symmetric(xc.T @ xc / (d.n - 1))
@@ -106,7 +101,7 @@ def directions_to_x_scale(betas_z, cov_inv_sqrt) -> np.ndarray:
     out = np.asarray(cov_inv_sqrt, dtype=float) @ np.asarray(betas_z, dtype=float)
     norms = np.linalg.norm(out, axis=0)
     if np.any(norms <= 1e-300):
-        raise DegenerateDirection("a direction collapsed to zero under cov^{-1/2}")
+        raise NumericalError("a direction collapsed to zero under cov^{-1/2}")
     return out / norms
 
 

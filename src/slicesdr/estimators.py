@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .data import StandardizedDataset, directions_to_x_scale
-from .errors import AmbiguousDimensionWarning, InvalidArgument, InvalidSliceSize
+from .errors import AmbiguousDimensionWarning, InvalidArgument
 from .slicing import SliceStats
 
 #: Method names in canonical reporting order.
@@ -69,7 +69,7 @@ def save_matrix(stats: SliceStats) -> np.ndarray:
 def correction_coefficients(c: int) -> tuple[float, float]:
     """Scalar weights (a, b) of the debiased combination a*L - b*V."""
     if c < 2:
-        raise InvalidSliceSize(f"bias correction needs c >= 2, got c={c}")
+        raise InvalidArgument(f"bias correction needs c >= 2, got c={c}")
     denom = (c - 1) ** 2 + 1
     return c * (c - 1) / denom, (c - 1) / denom
 
@@ -92,7 +92,7 @@ def csave_matrix(stats: SliceStats) -> np.ndarray:
     eigenvalues are surfaced as a diagnostic, not clipped.
     """
     if stats.divisor != "c-1":
-        raise InvalidSliceSize("csave requires --divisor c-1")
+        raise InvalidArgument("csave requires --divisor c-1")
     return np.eye(stats.p) - 2.0 * stats.mean_cov + lambda_corrected(stats)
 
 

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidArgument,
-    InvalidMatrix,
-    NumericalFailure,
-    SingularCovariance,
-)
+from .errors import InvalidArgument, NumericalError, SingularCovariance
 
 # Relative asymmetry tolerated before a matrix is rejected outright.
 SYMMETRY_TOL = 1e-10
@@ -34,30 +29,30 @@ def ensure_symmetric(m) -> np.ndarray:
     Accepts anything array-like of shape (..., p, p), checks that each
     matrix is finite and symmetric within ``SYMMETRY_TOL * (1 + max|entry|)``
     of that matrix, and returns the exactly symmetric average (m + m^T) / 2.
-    Raises InvalidMatrix if any matrix fails.
+    Raises NumericalError if any matrix fails.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
+        raise NumericalError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[-1] == 0:
-        raise InvalidMatrix("empty matrix")
+        raise NumericalError("empty matrix")
     if not np.all(np.isfinite(a)):
-        raise InvalidMatrix("matrix has non-finite entries")
+        raise NumericalError("matrix has non-finite entries")
     at = a.swapaxes(-1, -2)
     scale = 1.0 + np.abs(a).max(axis=(-2, -1))
     if np.any(np.abs(a - at).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
-        raise InvalidMatrix("matrix is not symmetric within tolerance")
+        raise NumericalError("matrix is not symmetric within tolerance")
     return (a + at) / 2.0
 
 
 def _eigh(m) -> tuple:
     """LAPACK's ascending (values, vectors) of ``ensure_symmetric(m)``;
-    a solver failure raises NumericalFailure."""
+    a solver failure raises NumericalError."""
     a = ensure_symmetric(m)
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"symmetric eigendecomposition failed: {e}") from e
+        raise NumericalError(f"symmetric eigendecomposition failed: {e}") from e
 
 
 @dataclass(frozen=True)

@@ -8,23 +8,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateSubspace
+from .errors import NumericalError
 
 _RANK_TOL = 1e-10
 
 
 def _orthonormalize(basis) -> np.ndarray:
     """QR-orthonormalize columns; a non-finite entry or rank deficiency
-    raises DegenerateSubspace."""
+    raises NumericalError."""
     b = np.asarray(basis, dtype=float)
     if not np.isfinite(b).all():
-        raise DegenerateSubspace("basis is not finite")
+        raise NumericalError("basis is not finite")
     if b.shape[0] < b.shape[1]:
-        raise DegenerateSubspace(f"basis {b.shape} has more columns than rows")
+        raise NumericalError(f"basis {b.shape} has more columns than rows")
     q, r = np.linalg.qr(b)
     diag = np.abs(np.diag(r))
     if diag.min() <= _RANK_TOL * max(diag.max(), 1.0):
-        raise DegenerateSubspace("basis is rank deficient")
+        raise NumericalError("basis is rank deficient")
     return q
 
 
@@ -42,9 +42,9 @@ def r2_single(beta_hat, true_basis):
     if b.ndim < 2:
         b = b.reshape(-1)
     if not np.isfinite(b).all():
-        raise DegenerateSubspace("beta_hat is not finite")
+        raise NumericalError("beta_hat is not finite")
     if not np.all(np.any(b != 0.0, axis=-1)):
-        raise DegenerateSubspace("beta_hat is the zero vector")
+        raise NumericalError("beta_hat is the zero vector")
     basis = np.asarray(true_basis, dtype=float)
     if basis.ndim == 1:
         basis = basis[:, None]

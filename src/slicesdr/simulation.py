@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import Dataset
 from .data import standardize as _standardize
-from .errors import DegenerateDesign, InvalidArgument, SimulationError
+from .errors import InvalidArgument, SimulationError, SlicesdrError
 from .estimators import METHODS, candidate_matrix, lambda_corrected
 from .linalg import _leading_vectors
 from .metrics import r2_single
@@ -212,6 +212,8 @@ def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
     concatenated over the chunks in replicate order; it must be a pure
     function of (x, eps), since a failing chunk is rerun one replicate at a
     time, so the error names the first replicate that fails on its own.
+    Only a slicesdr error is wrapped in ``SimulationError``; any other
+    exception is a bug and propagates unchanged.
     """
     chunk = max(size for _, size in slicings)
     results = []
@@ -222,15 +224,15 @@ def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
         for i, rep in enumerate(block):
             try:
                 _draw(model_streams(seed, rep), (x[i], eps[i]))
-            except Exception as e:
+            except SlicesdrError as e:
                 raise SimulationError(f"replicate {rep} failed: {e}") from e
         try:
             results.append(stacked_pass(x, eps))
-        except Exception as e:
+        except SlicesdrError as e:
             for i, rep in enumerate(block):
                 try:
                     stacked_pass(x[i:i + 1], eps[i:i + 1])
-                except Exception as e_rep:
+                except SlicesdrError as e_rep:
                     raise SimulationError(f"replicate {rep} failed: {e_rep}") from e_rep
             raise SimulationError(
                 f"replicates {block[0]}..{block[-1]} failed: {e}"
@@ -277,7 +279,7 @@ def check_grid(models, h_grid, n: int, reps: int, seed: int, methods,
     if p < 1:
         raise InvalidArgument("p must be >= 1")
     if not models or not h_grid:
-        raise DegenerateDesign("empty model or H grid")
+        raise InvalidArgument("empty model or H grid")
     for H in h_grid:
         if H < 2:
             raise InvalidArgument(f"H must be >= 2, got {H}")
@@ -423,7 +425,7 @@ def check_sweep(n_grid, c_grid, reps: int, seed: int, p: int) -> None:
     before any replicate is drawn.
     """
     if not n_grid or not c_grid:
-        raise DegenerateDesign("empty sweep grid")
+        raise InvalidArgument("empty sweep grid")
     if reps < 1:
         raise InvalidArgument("reps must be >= 1")
     if seed < 0:
@@ -435,12 +437,12 @@ def check_sweep(n_grid, c_grid, reps: int, seed: int, p: int) -> None:
     for n in n_grid:
         for c in c_grid:
             if c < 2:
-                raise DegenerateDesign(f"c={c} leaves no within-slice pairs")
+                raise InvalidArgument(f"c={c} leaves no within-slice pairs")
             H = n // c
             if H < 2:
-                raise DegenerateDesign(f"n={n}, c={c} gives H={H} < 2 slices")
+                raise InvalidArgument(f"n={n}, c={c} gives H={H} < 2 slices")
             if n // H != c:
-                raise DegenerateDesign(
+                raise InvalidArgument(
                     f"n={n}, c={c} gives H={H} slices of {n // H} points, not {c}"
                 )
 

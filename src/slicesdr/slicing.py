@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateResponse,
-    InvalidArgument,
-    InvalidMatrix,
-    SingletonSlice,
-    TooManySlices,
-)
+from .errors import DataError, InvalidArgument, NumericalError
 
 #: Valid within-slice covariance divisors.
 DIVISORS = ("c-1", "c")
@@ -84,7 +78,7 @@ def _checked_bounds(bounds: np.ndarray, n: int) -> tuple:
         raise InvalidArgument("bounds must run from 0 to len(order)")
     counts = np.diff(bounds)
     if counts.min() < 2:
-        raise SingletonSlice("every slice needs at least 2 members")
+        raise DataError("every slice needs at least 2 members")
     return counts, _runs(counts)
 
 
@@ -204,13 +198,13 @@ def stable_order(y: np.ndarray, buffers: _Buffers | None = None) -> np.ndarray:
 
 
 def _finite_response(y) -> np.ndarray:
-    """y as float64; a non-finite value raises DegenerateResponse naming
+    """y as float64; a non-finite value raises DataError naming
     the position of the first one."""
     y = np.asarray(y, dtype=float)
     finite = np.isfinite(y)
     if not finite.all():
         at = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise DegenerateResponse(
+        raise DataError(
             f"response value {float(y[at])} at position {at[0] if y.ndim == 1 else at}"
             " is not finite"
         )
@@ -235,9 +229,9 @@ def equal_count_bounds(n: int, H: int) -> np.ndarray:
     """Offsets of H equal-count slices of n sorted points: slices 1..H-1
     hold c = floor(n/H) points and the last slice the remainder."""
     if H < 1:
-        raise TooManySlices(f"H must be >= 1, got {H}")
+        raise InvalidArgument(f"H must be >= 1, got {H}")
     if n < 2 * H:
-        raise TooManySlices(f"n={n} too small for H={H} slices of >= 2 points")
+        raise InvalidArgument(f"n={n} too small for H={H} slices of >= 2 points")
     return np.append(np.arange(H) * (n // H), n)
 
 
@@ -256,12 +250,12 @@ def slice_discrete(y) -> SliceAssignment:
     bounds = np.flatnonzero(edges)
     counts = np.diff(bounds)
     if counts.size < 2:
-        raise DegenerateResponse(
+        raise DataError(
             f"discrete slicing needs >= 2 distinct values, got {counts.size}"
         )
     thin = ys[bounds[:-1][counts < 2]]
     if thin.size:
-        raise SingletonSlice(f"response value {float(thin[0])!r} appears only once")
+        raise DataError(f"response value {float(thin[0])!r} appears only once")
     return SliceAssignment(order=order.reshape(y.shape), bounds=bounds)
 
 
@@ -438,7 +432,7 @@ def slice_stats(
     buffers = buffers or _Buffers()
     # NaN or infinity would show in the minimum or the maximum.
     if not (np.isfinite(z.min(initial=0.0)) and np.isfinite(z.max(initial=0.0))):
-        raise InvalidMatrix("z has non-finite entries")
+        raise NumericalError("z has non-finite entries")
     batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
     order = assignment.order
     if order.shape != z.shape[:-1]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slicesdr import ensure_symmetric, r2_single, sym_eig
-from slicesdr.errors import DegenerateSubspace, InvalidArgument, NumericalError
+from slicesdr.errors import InvalidArgument, NumericalError
 from slicesdr.metrics import _orthonormalize
 
 # Smallest eigenvalue gap a first-order perturbation expansion accepts.
@@ -41,7 +41,7 @@ def trace_correlation(basis_hat, true_basis) -> SubspaceMetrics:
     qh = _orthonormalize(basis_hat)
     qt = _orthonormalize(true_basis)
     if qh.shape != qt.shape:
-        raise DegenerateSubspace(
+        raise NumericalError(
             f"bases must share shape, got {qh.shape} vs {qt.shape}"
         )
     k = qh.shape[1]

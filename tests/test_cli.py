@@ -343,6 +343,21 @@ class TestEstimate:
         assert code == 2
         assert "rel_floor must be finite and >= 0" in capsys.readouterr().err
 
+    def test_invalid_slices_does_not_parse_the_csv(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["estimate", "--input", missing, "--y", "y", "--slices", "1"]) == 2
+        assert capsys.readouterr().err == "error: --slices 1: need at least 2 slices\n"
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("load_csv called before the --slices check")
+
+        monkeypatch.setattr(slicesdr.cli, "load_csv", unreachable)
+        path = write_model_csv(tmp_path, model_id=1, n=100)
+        assert main(["estimate", "--input", path, "--y", "y", "--slices", "0"]) == 2
+        assert capsys.readouterr().err == "error: --slices 0: need at least 2 slices\n"
+
     def test_constant_predictor_is_numerical_error_at_zero_rel_floor(
         self, tmp_path, capsys
     ):

@@ -18,9 +18,9 @@ from slicesdr import (
 from slicesdr import data
 from slicesdr.errors import (
     CsvFormatError,
-    DegenerateDirection,
-    InsufficientData,
+    DataError,
     InvalidArgument,
+    NumericalError,
     SingularCovariance,
 )
 from oracles import trace_correlation
@@ -82,7 +82,7 @@ class TestStandardize:
         np.testing.assert_allclose(z_new @ z_new.T, z_old @ z_old.T, atol=1e-6)
 
     def test_requires_more_rows_than_columns(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(DataError, match="^need n > p to standardize, got n=3, p=3$"):
             standardize(Dataset(x=np.eye(3), y=np.zeros(3)))
 
     def test_singular_covariance_rejected(self):
@@ -145,7 +145,9 @@ class TestDirectionsToXScale:
         assert trace_correlation(bz_back, bz).r2 == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_direction_rejected(self):
-        with pytest.raises(DegenerateDirection):
+        with pytest.raises(
+            NumericalError, match=r"^a direction collapsed to zero under cov\^\{-1/2\}$"
+        ):
             directions_to_x_scale(np.zeros((2, 1)), np.eye(2))
 
     def test_result_keeps_the_shape_of_the_directions(self):
@@ -162,7 +164,7 @@ class TestDirectionsToXScale:
     @pytest.mark.parametrize("betas_z", [[0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]])
     def test_collapsed_direction_is_named_at_either_shape(self, betas_z):
         with pytest.raises(
-            DegenerateDirection,
+            NumericalError,
             match=r"^a direction collapsed to zero under cov\^\{-1/2\}$",
         ):
             directions_to_x_scale(np.array(betas_z), np.diag([1.0, 0.0]))

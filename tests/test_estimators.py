@@ -34,7 +34,7 @@ from slicesdr import (
     standardize,
     sym_eig,
 )
-from slicesdr.errors import AmbiguousDimensionWarning, InvalidArgument, InvalidSliceSize
+from slicesdr.errors import AmbiguousDimensionWarning, InvalidArgument
 from slicesdr.slicing import SliceAssignment
 
 
@@ -250,7 +250,8 @@ class TestLambdaCorrected:
                 assert recovered == pytest.approx(lam_target, abs=1e-12)
 
     def test_small_c_rejected(self):
-        with pytest.raises(InvalidSliceSize):
+        with pytest.raises(InvalidArgument,
+                           match="^bias correction needs c >= 2, got c=1$"):
             correction_coefficients(1)
 
     def test_uses_global_slice_size(self):
@@ -318,7 +319,7 @@ class TestCsave:
         z = rng.standard_normal((12, 2))
         y = rng.standard_normal(12)
         _, st = sorted_stats(z, y, 3, divisor="c")
-        with pytest.raises(InvalidSliceSize, match="c-1"):
+        with pytest.raises(InvalidArgument, match="^csave requires --divisor c-1$"):
             csave_matrix(st)
 
 

@@ -24,9 +24,8 @@ from slicesdr import simulation, slicing
 from slicesdr.cli import main
 from slicesdr.data import Dataset
 from slicesdr.errors import (
-    DegenerateDesign,
     InvalidArgument,
-    InvalidMatrix,
+    NumericalError,
     SimulationError,
     SingularCovariance,
     UsageError,
@@ -289,11 +288,11 @@ class TestBiasSweep:
         assert r.mean_lambda_corrected == pytest.approx(239 / 160, abs=0.08)
 
     def test_degenerate_designs_rejected(self):
-        with pytest.raises(DegenerateDesign):
-            bias_sweep([100], [100], reps=2)  # H = 1
-        with pytest.raises(DegenerateDesign):
+        with pytest.raises(InvalidArgument, match=r"^n=100, c=100 gives H=1 < 2 slices$"):
+            bias_sweep([100], [100], reps=2)
+        with pytest.raises(InvalidArgument, match=r"^empty sweep grid$"):
             bias_sweep([], [4], reps=2)
-        with pytest.raises(DegenerateDesign):
+        with pytest.raises(InvalidArgument, match=r"^c=1 leaves no within-slice pairs$"):
             bias_sweep([100], [1], reps=2)
 
     def test_p_bounds(self):
@@ -339,10 +338,10 @@ class TestSweepEngine:
 
         monkeypatch.setattr(simulation, "_draw", counted)
         with pytest.raises(
-            DegenerateDesign, match=r"^n=10, c=4 gives H=2 slices of 5 points, not 4$"
+            InvalidArgument, match=r"^n=10, c=4 gives H=2 slices of 5 points, not 4$"
         ):
             bias_sweep([400, 10], [2, 4], reps=3, p=p)
-        with pytest.raises(DegenerateDesign, match=r"^c=1 leaves no within-slice pairs$"):
+        with pytest.raises(InvalidArgument, match=r"^c=1 leaves no within-slice pairs$"):
             bias_sweep([400], [2, 1], reps=3, p=p)
         assert drawn == []
         bias_sweep([400], [2, 4], reps=3, p=p)
@@ -355,7 +354,7 @@ class TestSweepEngine:
         def failing(streams, out):
             drawn.append(out[1].size)
             if len(drawn) == 5:
-                raise RuntimeError("stream exhausted")
+                raise NumericalError("stream exhausted")
             return real(streams, out)
 
         monkeypatch.setattr(simulation, "_draw", failing)
@@ -376,7 +375,7 @@ class TestSweepEngine:
 
         def batch_only(z, assignment, **kwargs):
             if z.shape[0] > 1:
-                raise InvalidMatrix("batch of replicates")
+                raise NumericalError("batch of replicates")
             return real(z, assignment, **kwargs)
 
         monkeypatch.setattr(simulation, "slice_stats", batch_only)
@@ -699,8 +698,11 @@ class TestGridEngine:
                             lambda m: sym_eig(m).vectors[..., 0])
         np.testing.assert_array_equal(got.view(np.int64), scores().view(np.int64))
 
-    @pytest.mark.parametrize("bad", ["nan", "asymmetric"])
-    def test_bad_candidates_are_invalid_matrices(self, bad, monkeypatch):
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "matrix has non-finite entries"),
+        ("asymmetric", "matrix is not symmetric within tolerance"),
+    ], ids=["nan", "asymmetric"])
+    def test_bad_candidates_are_invalid_matrices(self, bad, message, monkeypatch):
         real = simulation.candidate_matrix
 
         def poisoned(method, stats):
@@ -712,14 +714,28 @@ class TestGridEngine:
             return m
 
         monkeypatch.setattr(simulation, "candidate_matrix", poisoned)
-        with pytest.raises(SimulationError, match=r"^replicate 0 failed") as info:
+        with pytest.raises(SimulationError,
+                           match=f"^replicate 0 failed: {message}$") as info:
             run_grid([1], (2, 6), 60, 3, seed=3)
-        assert isinstance(info.value.__cause__, InvalidMatrix)
+        assert type(info.value.__cause__) is NumericalError
+        assert str(info.value.__cause__) == message
+
+    def test_bug_in_a_replicate_propagates_unwrapped(self, monkeypatch):
+        # only a slicesdr error is a failed replicate; any other exception
+        # is a bug and keeps its class, so the CLI ends with its traceback
+        def broken(method, stats):
+            raise IndexError("bug in candidate code")
+
+        monkeypatch.setattr(simulation, "candidate_matrix", broken)
+        with pytest.raises(IndexError, match="^bug in candidate code$"):
+            run_grid([1], (2,), 40, 2)
+        with pytest.raises(IndexError, match="^bug in candidate code$"):
+            main(["simulate", "--model", "1", "--n", "40", "--reps", "2"])
 
     def test_invalid_grids_rejected(self):
-        with pytest.raises(DegenerateDesign, match="empty model or H grid"):
+        with pytest.raises(InvalidArgument, match="^empty model or H grid$"):
             run_grid([], (2,), 40, 2)
-        with pytest.raises(DegenerateDesign, match="empty model or H grid"):
+        with pytest.raises(InvalidArgument, match="^empty model or H grid$"):
             run_grid(self.MODELS, (), 40, 2)
         with pytest.raises(InvalidArgument, match="n=40 too small for H=21"):
             run_grid(self.MODELS, (2, 21), 40, 2)

@@ -45,6 +45,56 @@ def test_no_builtin_exception_but_os_error_is_raised():
     assert not offenders, offenders
 
 
+def _warned_names(node: ast.Call):
+    """Names passed to a ``warnings.warn`` call, positionally or by keyword."""
+    func = node.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "warn"
+            and isinstance(func.value, ast.Name) and func.value.id == "warnings"):
+        return set()
+    args = node.args + [kw.value for kw in node.keywords]
+    return {arg.id for arg in args if isinstance(arg, ast.Name)}
+
+
+def test_every_error_class_is_raised():
+    # A class earns its place in slicesdr.errors when some caller can act
+    # on it apart from its family: the library raises it (or warns with
+    # it), or it is the base of a class that is.
+    bases = {
+        stmt.name: {b.id for b in stmt.bases if isinstance(b, ast.Name)}
+        for stmt in _parse(PACKAGE_DIR / "errors.py").body
+        if isinstance(stmt, ast.ClassDef)
+    }
+    used = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used.add(_raised_name(node))
+            elif isinstance(node, ast.Call):
+                used |= _warned_names(node)
+    reached = set()
+    while used - reached:
+        name = (used - reached).pop()
+        reached.add(name)
+        used |= bases.get(name, set())
+    assert sorted(set(bases) - reached) == []
+
+
+def test_no_catch_all_except():
+    # A catch-all handler would turn a bug into a reported failure; each
+    # handler names the errors it means.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(c is None or (isinstance(c, ast.Name)
+                                 and c.id in ("Exception", "BaseException"))
+                   for c in caught):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
 #: numpy functions that import numpy.ma on their first call (numpy 2.4):
 #: the order statistics through ``np.ma.isMaskedArray``, and ``np.unique``
 #: without counts or indexes and ``np.unique_values`` through

@@ -53,7 +53,7 @@ from .simulation import (
     check_sweep,
     run_grid,
 )
-from .slicing import DIVISORS, slice_equal_count, slice_stats
+from .slicing import slice_equal_count, slice_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -121,6 +121,8 @@ def _cmd_estimate(args) -> int:
     check_rel_floor(args.rel_floor)
     if args.slices is not None and args.slices < 2:
         raise InvalidArgument(f"--slices {args.slices}: need at least 2 slices")
+    if args.k < 1:
+        raise InvalidArgument(f"--k {args.k}: need at least 1 direction")
     dataset = load_csv(args.input, args.y)
     n, p = dataset.n, dataset.p
     if args.slices is not None:
@@ -134,7 +136,7 @@ def _cmd_estimate(args) -> int:
         )
     sd = standardize(dataset, rel_floor=args.rel_floor)
     del dataset  # nothing reads x after whitening; free it before the slice gather
-    stats = slice_stats(sd.z, slice_equal_count(sd.y, H), divisor=args.divisor)
+    stats = slice_stats(sd.z, slice_equal_count(sd.y, H))
     eig = sym_eig(candidate_matrix(args.method, stats))
     basis = cdr_basis(eig, args.k, sd)
     negative = negative_eigenvalue_count(eig) if args.method == "csave" else None
@@ -148,7 +150,7 @@ def _cmd_estimate(args) -> int:
         "method": args.method,
         "slices": H,
         "k": args.k,
-        "divisor": args.divisor,
+        "divisor": "c-1",
         "rel_floor": args.rel_floor,
         "n": n,
         "p": p,
@@ -182,7 +184,7 @@ def _cmd_estimate(args) -> int:
     else:
         lines = [
             f"method {args.method}  n={n}  p={p}  H={H}  "
-            f"k={args.k}  divisor={args.divisor}",
+            f"k={args.k}  divisor=c-1",
             "eigenvalues (descending): "
             + " ".join(f"{v:.6g}" for v in results["eigenvalues"]),
             f"slice counts: {results['slice_counts']}",
@@ -368,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="slice count H (default: max(2, round(n/20)))")
     est.add_argument("--method", choices=METHODS, default="save")
     est.add_argument("--k", type=int, default=1, help="directions to keep (default 1)")
-    est.add_argument("--divisor", choices=DIVISORS, default="c-1",
-                     help="within-slice covariance divisor (default c-1)")
     est.add_argument("--rel-floor", type=float, default=REL_FLOOR,
                      help="relative eigenvalue floor for the covariance inverse root")
     # argparse's own pattern reads "-1e-3" and "-inf" as unknown options

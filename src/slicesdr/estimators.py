@@ -86,13 +86,12 @@ def lambda_corrected(stats: SliceStats) -> np.ndarray:
 def csave_matrix(stats: SliceStats) -> np.ndarray:
     """Bias-corrected SAVE: I - 2 M + (a L - b V).
 
-    Assembled from the "c-1" covariance convention throughout.  The result
-    is symmetric but can be indefinite in finite samples: directions are
-    ranked later by algebraically largest eigenvalue, and negative tail
-    eigenvalues are surfaced as a diagnostic, not clipped.
+    a(c) and b(c) debias the unbiased (c - 1) slice covariances that
+    ``slice_stats`` forms.  The result is symmetric but can be indefinite
+    in finite samples: directions are ranked later by algebraically largest
+    eigenvalue, and negative tail eigenvalues are surfaced as a diagnostic,
+    not clipped.
     """
-    if stats.divisor != "c-1":
-        raise InvalidArgument("csave requires --divisor c-1")
     return np.eye(stats.p) - 2.0 * stats.mean_cov + lambda_corrected(stats)
 
 

@@ -222,10 +222,7 @@ def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
         x = buffers.get("x", (len(block), n, p))
         eps = buffers.get("eps", (len(block), n))
         for i, rep in enumerate(block):
-            try:
-                _draw(model_streams(seed, rep), (x[i], eps[i]))
-            except SlicesdrError as e:
-                raise SimulationError(f"replicate {rep} failed: {e}") from e
+            _draw(model_streams(seed, rep), (x[i], eps[i]))
         try:
             results.append(stacked_pass(x, eps))
         except SlicesdrError as e:
@@ -269,9 +266,9 @@ def check_grid(models, h_grid, n: int, reps: int, seed: int, methods,
                standardize: bool, p: int) -> None:
     """Raise the UsageError of the first invalid argument of ``run_grid``.
 
-    Each H is checked in turn, followed by the arguments that do not
-    depend on it, so an invalid H late in the grid fails before any
-    replicate is drawn.
+    Model ids, p and the grids come first, then each H in turn, then the
+    arguments that do not depend on H, so an invalid H late in the grid
+    fails before any replicate is drawn.
     """
     for model in models:
         if model not in MODEL_IDS:
@@ -285,25 +282,25 @@ def check_grid(models, h_grid, n: int, reps: int, seed: int, methods,
             raise InvalidArgument(f"H must be >= 2, got {H}")
         if n < 2 * H:
             raise InvalidArgument(f"n={n} too small for H={H}")
-        if reps < 1:
-            raise InvalidArgument("reps must be >= 1")
-        if seed < 0:
-            raise InvalidArgument("seed must be non-negative")
-        if not isinstance(methods, (list, tuple)):
-            # a set has no fixed order, and the order is the output's
-            raise InvalidArgument(
-                f"methods must be a list or tuple, got {type(methods).__name__}"
-            )
-        bad = [m for m in methods if m not in METHODS]
-        if bad:
-            raise InvalidArgument(f"unknown methods {bad}; valid: {METHODS}")
-        if not methods:
-            raise InvalidArgument("need at least one method")
-        repeated = sorted({m for m in methods if methods.count(m) > 1})
-        if repeated:
-            raise InvalidArgument(f"repeated methods {repeated}; name each once")
-        if standardize and n <= p:
-            raise InvalidArgument(f"need n > p to standardize, got n={n}, p={p}")
+    if reps < 1:
+        raise InvalidArgument("reps must be >= 1")
+    if seed < 0:
+        raise InvalidArgument("seed must be non-negative")
+    if not isinstance(methods, (list, tuple)):
+        # a set has no fixed order, and the order is the output's
+        raise InvalidArgument(
+            f"methods must be a list or tuple, got {type(methods).__name__}"
+        )
+    bad = [m for m in methods if m not in METHODS]
+    if bad:
+        raise InvalidArgument(f"unknown methods {bad}; valid: {METHODS}")
+    if not methods:
+        raise InvalidArgument("need at least one method")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise InvalidArgument(f"repeated methods {repeated}; name each once")
+    if standardize and n <= p:
+        raise InvalidArgument(f"need n > p to standardize, got n={n}, p={p}")
 
 
 def run_grid(

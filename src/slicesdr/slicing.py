@@ -6,10 +6,9 @@ value.  A slice assignment is a permutation of the observations in slice
 order plus the offsets where each slice starts.
 
 ``slice_stats`` gathers the rows into slice order once and returns every
-moment the estimators use: per-slice means and covariances S_h with a
-selectable divisor ("c-1" unbiased, "c" maximum-likelihood), the pooled
-moments M = sum_h p_h S_h and L = sum_h p_h S_h^2, and the pooled
-within-slice fourth-moment matrix V.
+moment the estimators use: per-slice means and unbiased covariances S_h
+(dividing by c_h - 1), the pooled moments M = sum_h p_h S_h and
+L = sum_h p_h S_h^2, and the pooled within-slice fourth-moment matrix V.
 
 Both take a leading batch axis: a stack of R responses of shape (R, n)
 gives R orders over shared slice bounds, and a stack z of shape (R, n, p)
@@ -24,9 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, InvalidArgument, NumericalError
-
-#: Valid within-slice covariance divisors.
-DIVISORS = ("c-1", "c")
 
 
 @dataclass(frozen=True)
@@ -274,7 +270,6 @@ class SliceStats:
     means: np.ndarray       # (..., H, p)
     covs: np.ndarray        # (..., H, p, p)
     weights: np.ndarray     # (H,), sums to 1
-    divisor: str            # "c-1" | "c"
     fourth: np.ndarray      # (..., p, p), V
     mean_cov: np.ndarray    # (..., p, p), M
     cov_square: np.ndarray  # (..., p, p), L
@@ -391,7 +386,6 @@ def _flat_run(run, means, sums, squares) -> None:
 def slice_stats(
     z,
     assignment: SliceAssignment,
-    divisor: str = "c-1",
     *,
     buffers: _Buffers | None = None,
 ) -> SliceStats:
@@ -400,8 +394,8 @@ def slice_stats(
     ``z`` has shape (n, p) or (..., n, p) and must be finite; a 1-d order
     in ``assignment`` is shared by every row of the batch.  Two passes over
     each slice: the first forms the mean, the second the covariance
-    S_h = sum_j d_hj d_hj^T / d(c_h) from the deviations
-    d_hj = z_hj - mean_h, with d(c) = c - 1 or c according to ``divisor``.
+    S_h = sum_j d_hj d_hj^T / (c_h - 1) from the deviations
+    d_hj = z_hj - mean_h.
     Summing deviations rather than raw products keeps S_h accurate when
     the data sit far from the origin (Chan, Golub & LeVeque 1983).
     The means come from ``np.add.reduceat``; at p = 1 slices of at most
@@ -412,7 +406,7 @@ def slice_stats(
     covariances come from one stacked product, so the (n, p, p) outer
     products are never formed; the same block viewed as (..., k p, p) gives
     the run's share of L = sum_h p_h S_h^2 in one more product.  V averages
-    ||d||^2 d d^T over all n deviations and does not depend on the divisor.
+    ||d||^2 d d^T over all n deviations.
     At p = 1 a run of m up to ``_POSITION_SUM_MAX_C`` points is a (..., k, m)
     view with the unit axis dropped (``_flat_run``): a slice's covariance is
     its sum of squared deviations, added in the lane order of the block's
@@ -420,8 +414,6 @@ def slice_stats(
     With ``buffers`` the weights, means and covariances live in them (see
     ``_Buffers``); M, L and V are always fresh.
     """
-    if divisor not in DIVISORS:
-        raise InvalidArgument(f"divisor must be one of {DIVISORS}, got {divisor!r}")
     z = np.asarray(z, dtype=float)
     if z.ndim < 2:
         raise InvalidArgument(f"z must have shape (..., n, p), got {z.shape}")
@@ -472,7 +464,7 @@ def slice_stats(
             m /= c
             block -= m[..., None, :]  # deviations, in place
             _gram(block, out=out)
-        out /= c - 1 if divisor == "c-1" else c
+        out /= c - 1
         weight = c / n
         mean_cov += weight * out.sum(axis=-3)
         # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B.
@@ -491,7 +483,6 @@ def slice_stats(
         means=means,
         covs=covs,
         weights=np.divide(counts, n, out=buffers.get("weights", (H,))),
-        divisor=divisor,
         fourth=_gram(zs) / n,
         mean_cov=mean_cov,
         cov_square=cov_square,

@@ -204,7 +204,7 @@ def test_acceptance_5_exact_identities():
         z = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
         a = slice_equal_count(y, H)
-        st = slice_stats(z, a, divisor="c-1")
+        st = slice_stats(z, a)
         zs = z[a.order]
         acc = np.zeros((p, p))
         for h in range(H):
@@ -224,14 +224,14 @@ def test_acceptance_5_exact_identities():
     # expansion identity: save = I - 2 mean(cov) + mean(cov^2)
     z = rng.standard_normal((36, 3))
     y = rng.standard_normal(36)
-    st = slice_stats(z, slice_equal_count(y, 6), divisor="c-1")
+    st = slice_stats(z, slice_equal_count(y, 6))
     mean_cov = np.einsum("h,hij->ij", st.weights, st.covs)
     expanded = np.eye(3) - 2 * mean_cov + st.cov_square
     assert np.abs(save_matrix(st) - expanded).max() <= 1e-12
 
     # pairwise-difference covariance identity
     z = rng.standard_normal((8, 2))
-    st = slice_stats(z, slice_equal_count(np.arange(8.0), 1), divisor="c-1")
+    st = slice_stats(z, slice_equal_count(np.arange(8.0), 1))
     acc = np.zeros((2, 2))
     for l in range(1, 8):
         for j in range(l):

@@ -217,23 +217,6 @@ class TestEstimate:
         assert code == 4
         assert "eigenvalue" in capsys.readouterr().err
 
-    def test_ml_divisor_accepted_for_save(self, tmp_path, capsys):
-        path = write_model_csv(tmp_path, model_id=2, n=120)
-        doc = run_json(
-            capsys,
-            ["estimate", "--input", path, "--y", "y", "--slices", "6",
-             "--method", "save", "--divisor", "c", "--out", "json"],
-        )
-        assert doc["meta"]["divisor"] == "c"
-
-    def test_csave_rejects_ml_divisor(self, tmp_path, capsys):
-        path = write_model_csv(tmp_path, model_id=2, n=120)
-        code = main(
-            ["estimate", "--input", path, "--y", "y", "--slices", "6",
-             "--method", "csave", "--divisor", "c"]
-        )
-        assert code == 2
-
     @pytest.mark.parametrize(
         "text, flags, message",
         [
@@ -938,3 +921,17 @@ class TestExitCodeFamilies:
         code = main(["estimate", "--input", path, "--y", "y", "--k", "11"])
         assert code == 2
         assert "1 <= k <= p=10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--k", "0"], "error: --k 0: need at least 1 direction"),
+            (["--divisor", "c"], "slicesdr: error: unrecognized arguments: --divisor c"),
+        ],
+        ids=["k-0", "divisor"],
+    )
+    def test_data_free_usage_error_on_a_missing_input(self, flags, line, capsys):
+        # rejected before the input is opened, so not "cannot open" (exit 3)
+        argv = ["estimate", "--input", "missing.csv", "--y", "y", *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line

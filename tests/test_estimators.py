@@ -38,9 +38,9 @@ from slicesdr.errors import AmbiguousDimensionWarning, InvalidArgument
 from slicesdr.slicing import SliceAssignment
 
 
-def sorted_stats(z, y, H, divisor="c-1"):
+def sorted_stats(z, y, H):
     a = slice_equal_count(y, H)
-    return a, slice_stats(z, a, divisor=divisor)
+    return a, slice_stats(z, a)
 
 
 def exact_lambda_mean(c):
@@ -313,14 +313,6 @@ class TestCsave:
             for m in (save_matrix(st), csave_matrix(st), lambda_corrected(st)):
                 assert m.shape == (R, p, p)
                 assert np.array_equal(m, m.swapaxes(-1, -2))
-
-    def test_requires_unbiased_divisor(self):
-        rng = np.random.default_rng(20)
-        z = rng.standard_normal((12, 2))
-        y = rng.standard_normal(12)
-        _, st = sorted_stats(z, y, 3, divisor="c")
-        with pytest.raises(InvalidArgument, match="^csave requires --divisor c-1$"):
-            csave_matrix(st)
 
 
 class TestNullCalibration:

@@ -347,20 +347,6 @@ class TestSweepEngine:
         bias_sweep([400], [2, 4], reps=3, p=p)
         assert drawn == [400] * 3  # one draw per replicate for both c
 
-    def test_failing_draw_is_named(self, monkeypatch):
-        real = simulation._draw
-        drawn = []
-
-        def failing(streams, out):
-            drawn.append(out[1].size)
-            if len(drawn) == 5:
-                raise NumericalError("stream exhausted")
-            return real(streams, out)
-
-        monkeypatch.setattr(simulation, "_draw", failing)
-        with pytest.raises(SimulationError, match=r"^replicate 4 failed: stream exhausted"):
-            bias_sweep([401], [2, 3], reps=8, seed=1, p=3)
-
     def test_poisoned_replicate_is_named(self, monkeypatch):
         # chunks of 3 at p = 3, which c = 2 slices in sub-chunks of 2 and 1;
         # replicate 7 sits in the third chunk
@@ -747,9 +733,9 @@ class TestGridEngine:
             (dict(models=[], p=0), r"p must be >= 1"),
             (dict(h_grid=[], reps=0), r"empty model or H grid"),
             (dict(h_grid=[1, 2], reps=0), r"H must be >= 2, got 1"),
-            (dict(h_grid=[2, 1], reps=0), r"reps must be >= 1"),
+            (dict(reps=0, seed=-1), r"reps must be >= 1"),
             (dict(h_grid=[300, 2], seed=-1), r"n=480 too small for H=300"),
-            (dict(h_grid=[2, 300], seed=-1), r"seed must be non-negative"),
+            (dict(seed=-1, methods=()), r"seed must be non-negative"),
             (dict(methods=("save", "pca"), n=10, standardize=True),
              r"unknown methods \['pca'\]; valid: \('save', 'sir', 'csave'\)"),
             (dict(methods=(), n=10, standardize=True), r"need at least one method"),
@@ -760,12 +746,14 @@ class TestGridEngine:
              r"methods must be a list or tuple, got set"),
             (dict(methods="sir", n=10, standardize=True),
              r"methods must be a list or tuple, got str"),
+            (dict(h_grid=[2, 1], reps=0), r"H must be >= 2, got 1"),
+            (dict(h_grid=[2, 300], seed=-1), r"n=480 too small for H=300"),
         ],
     )
     def test_check_grid_names_the_first_invalid_argument(self, changes, message):
-        # model ids, then p, then the grid, then each H in turn followed
-        # by the arguments that do not depend on it
-        grid = dict(models=[1, 3], h_grid=[2, 6], n=480, reps=2, seed=1,
+        # model ids, then p, then the grid, then each H in turn, then the
+        # arguments that do not depend on H, each checked once
+        grid = dict(models=[1, 3], h_grid=[2, 4], n=480, reps=2, seed=1,
                     methods=METHODS, standardize=False, p=10)
         grid.update(changes)
         for check in (simulation.check_grid, run_grid):
@@ -777,7 +765,7 @@ class TestGridEngine:
         [
             (["--H", "2,6,0"], "H must be >= 2, got 0"),
             (["--H", "2,300"], "n=480 too small for H=300"),
-            (["--H", "2,6", "--n", "10", "--standardize"],
+            (["--H", "2,4", "--n", "10", "--standardize"],
              "need n > p to standardize, got n=10, p=10"),
         ],
     )

@@ -296,11 +296,9 @@ class TestSliceStats:
     def test_two_point_closed_form(self):
         z = np.array([[-1.0], [1.0]])
         a = slice_equal_count(np.array([0.0, 1.0]), 1)
-        unbiased = slice_stats(z, a, divisor="c-1")
-        ml = slice_stats(z, a, divisor="c")
-        assert unbiased.means[0, 0] == pytest.approx(0.0)
-        assert unbiased.covs[0, 0, 0] == pytest.approx(2.0)
-        assert ml.covs[0, 0, 0] == pytest.approx(1.0)
+        st = slice_stats(z, a)
+        assert st.means[0, 0] == pytest.approx(0.0)
+        assert st.covs[0, 0, 0] == pytest.approx(2.0)
 
     def test_constant_slice_has_zero_cov(self):
         z = np.ones((4, 2))
@@ -328,7 +326,7 @@ class TestSliceStats:
         rng = np.random.default_rng(2)
         z = rng.standard_normal((6, 2))
         a = slice_equal_count(np.arange(6.0), 1)
-        st = slice_stats(z, a, divisor="c-1")
+        st = slice_stats(z, a)
         c = 6
         acc = np.zeros((2, 2))
         for l in range(1, c):
@@ -343,7 +341,7 @@ class TestSliceStats:
         z = rng.standard_normal((12, 3))
         y = rng.standard_normal(12)
         a = slice_equal_count(y, 3)
-        st = slice_stats(z, a, divisor="c-1")
+        st = slice_stats(z, a)
         for h, idx in enumerate(members(a)):
             rows = z[idx]
             mean = rows.mean(axis=0)
@@ -352,13 +350,15 @@ class TestSliceStats:
             np.testing.assert_allclose(st.means[h], mean, atol=1e-14)
 
     def test_weighted_pooling_identity(self):
-        # sum_h p_h (cov_c(h) + mean_h mean_h') = second moment with divisor n
+        # sum_h p_h ((c_h - 1) / c_h S_h + mean_h mean_h') = second moment
+        # with divisor n
         rng = np.random.default_rng(4)
         z = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
         a = slice_equal_count(y, 6)
-        st = slice_stats(z, a, divisor="c")
-        pooled = np.einsum("h,hij->ij", st.weights, st.covs) + np.einsum(
+        st = slice_stats(z, a)
+        within = st.weights * (st.counts - 1) / st.counts
+        pooled = np.einsum("h,hij->ij", within, st.covs) + np.einsum(
             "h,hi,hj->ij", st.weights, st.means, st.means
         )
         np.testing.assert_allclose(pooled, z.T @ z / 40, atol=1e-10)
@@ -402,12 +402,10 @@ class TestSliceStats:
              InvalidArgument, "order and bounds must be integer arrays, bounds 1-d"),
             (lambda a: slicing.equal_count_bounds(10, 0),
              InvalidArgument, "H must be >= 1, got 0"),
-            (lambda a: slice_stats(np.zeros((12, 2)), a, divisor="n"),
-             InvalidArgument, "divisor must be one of ('c-1', 'c'), got 'n'"),
             (lambda a: slice_stats(np.zeros(12), a),
              InvalidArgument, "z must have shape (..., n, p), got (12,)"),
         ],
-        ids=["float-order", "zero-slices", "divisor", "z-1d"],
+        ids=["float-order", "zero-slices", "z-1d"],
     )
     def test_invalid_arguments_rejected(self, call, error, message):
         a = slice_equal_count(np.arange(12.0), 3)
@@ -440,7 +438,7 @@ class TestSliceStats:
             slice_stats(rng.standard_normal(z_shape), a)
 
 
-def loop_oracle(z, a, divisor):
+def loop_oracle(z, a):
     """Counts, means, covs and the pooled moments V, M = sum_h p_h S_h and
     L = sum_h p_h S_h^2, slice by slice."""
     n, p = z.shape
@@ -451,7 +449,7 @@ def loop_oracle(z, a, divisor):
         c = len(idx)
         mean = rows.mean(axis=0)
         dev = rows - mean
-        cov = dev.T @ dev / (c - 1 if divisor == "c-1" else c)
+        cov = dev.T @ dev / (c - 1)
         counts.append(c)
         means.append(mean)
         covs.append(cov)
@@ -463,7 +461,7 @@ def loop_oracle(z, a, divisor):
             mean_cov, cov_square)
 
 
-def reduceat_slice_stats(z, a, divisor="c-1", *, buffers=None):
+def reduceat_slice_stats(z, a, *, buffers=None):
     """``slice_stats`` with every slice mean from one ``np.add.reduceat``
     over the gathered rows, divided by the counts; its deviation,
     covariance and pooling steps are ``slice_stats``' own.  The bitwise
@@ -484,12 +482,12 @@ def reduceat_slice_stats(z, a, divisor="c-1", *, buffers=None):
         block -= means[..., lo:hi, None, :]
         out = covs[..., lo:hi, :, :]
         slicing._gram(block, out=out)
-        out /= c - 1 if divisor == "c-1" else c
+        out /= c - 1
         mean_cov += c / n * out.sum(axis=-3)
         cov_square += c / n * slicing._gram(out.reshape(batch + ((hi - lo) * p, p)))
     zs *= np.sqrt(np.einsum("...i,...i->...", zs, zs))[..., None]
     return slicing.SliceStats(
-        counts=counts, means=means, covs=covs, weights=counts / n, divisor=divisor,
+        counts=counts, means=means, covs=covs, weights=counts / n,
         fourth=slicing._gram(zs) / n, mean_cov=mean_cov, cov_square=cov_square,
     )
 
@@ -524,11 +522,10 @@ class TestPositionSum:
         z = rng.standard_normal(batch + (n, p)) * 10.0 ** rng.integers(-3, 4, (n, p))
         # slice 1 holds nothing but -0.0
         np.put_along_axis(z, a.order[..., a.bounds[1]:a.bounds[2], None], -0.0, axis=-2)
-        for divisor in slicing.DIVISORS:
-            st = slice_stats(z, a, divisor)
-            assert_bitwise_stats(st, reduceat_slice_stats(z, a, divisor))
-            zero = st.means[..., 1, :]
-            assert not zero.any() and np.signbit(zero).all()
+        st = slice_stats(z, a)
+        assert_bitwise_stats(st, reduceat_slice_stats(z, a))
+        zero = st.means[..., 1, :]
+        assert not zero.any() and np.signbit(zero).all()
 
 
 def wide_range(rng, shape):
@@ -576,10 +573,7 @@ class TestLaneSum:
         a = slice_equal_count(rng.standard_normal(batch + (n,)), H)
         z = wide_range(rng, batch + (n, 1))
         z[..., ::5, :] = -0.0
-        for divisor in slicing.DIVISORS:
-            assert_bitwise_stats(
-                slice_stats(z, a, divisor), reduceat_slice_stats(z, a, divisor)
-            )
+        assert_bitwise_stats(slice_stats(z, a), reduceat_slice_stats(z, a))
 
 
 def extreme_deviations(rng, shape):
@@ -647,12 +641,12 @@ def assignments(draw):
 
 class TestSliceStatsProperties:
     @settings(max_examples=80, deadline=None)
-    @given(assignments(), st_.sampled_from(("c-1", "c")))
-    def test_matches_per_slice_loop(self, case, divisor):
+    @given(assignments())
+    def test_matches_per_slice_loop(self, case):
         seed, n, p, a = case
         z = np.random.default_rng(seed + 1).standard_normal((n, p))
-        st = slice_stats(z, a, divisor=divisor)
-        counts, means, covs, fourth, mean_cov, cov_square = loop_oracle(z, a, divisor)
+        st = slice_stats(z, a)
+        counts, means, covs, fourth, mean_cov, cov_square = loop_oracle(z, a)
         np.testing.assert_array_equal(st.counts, counts)
         np.testing.assert_allclose(st.means, means, rtol=0, atol=1e-12)
         np.testing.assert_allclose(st.covs, covs, rtol=0, atol=1e-12)
@@ -662,14 +656,12 @@ class TestSliceStatsProperties:
         np.testing.assert_allclose(st.weights, counts / n, rtol=0, atol=1e-15)
 
     @settings(max_examples=80, deadline=None)
-    @given(assignments(), st_.sampled_from(("c-1", "c")))
-    def test_bitwise_reduceat_reference(self, case, divisor):
+    @given(assignments())
+    def test_bitwise_reduceat_reference(self, case):
         # discrete slices of 2-9 points mix position-summed and reduceat runs
         seed, n, p, a = case
         z = np.random.default_rng(seed + 1).standard_normal((n, p))
-        assert_bitwise_stats(
-            slice_stats(z, a, divisor=divisor), reduceat_slice_stats(z, a, divisor)
-        )
+        assert_bitwise_stats(slice_stats(z, a), reduceat_slice_stats(z, a))
 
     @settings(max_examples=40, deadline=None)
     @given(assignments())
@@ -716,16 +708,14 @@ def batched_cases(draw):
 
 class TestBatchedSliceStats:
     @settings(max_examples=80, deadline=None)
-    @given(batched_cases(), st_.sampled_from(("c-1", "c")))
-    def test_rows_match_unbatched_calls_and_loop(self, case, divisor):
+    @given(batched_cases())
+    def test_rows_match_unbatched_calls_and_loop(self, case):
         z, a = case
-        st = slice_stats(z, a, divisor=divisor)
+        st = slice_stats(z, a)
         for r in range(z.shape[0]):
             row = SliceAssignment(order=a.order[r], bounds=a.bounds)
-            one = slice_stats(z[r], row, divisor=divisor)
-            counts, means, covs, fourth, mean_cov, cov_square = loop_oracle(
-                z[r], row, divisor
-            )
+            one = slice_stats(z[r], row)
+            counts, means, covs, fourth, mean_cov, cov_square = loop_oracle(z[r], row)
             for got, want_2d, want_loop in (
                 (st.means[r], one.means, means),
                 (st.covs[r], one.covs, covs),
@@ -766,11 +756,7 @@ class TestBatchedSliceStats:
 
 def stats_arrays(st):
     """The array fields of a SliceStats, by name."""
-    return {
-        f.name: getattr(st, f.name)
-        for f in dataclasses.fields(st)
-        if f.name != "divisor"
-    }
+    return {f.name: getattr(st, f.name) for f in dataclasses.fields(st)}
 
 
 class TestWorkBuffers:
@@ -794,7 +780,7 @@ class TestWorkBuffers:
         z1, z2 = rng.standard_normal((2, 2, 60, 3))
         first = slice_stats(z1, a)
         kept = {name: v.copy() for name, v in stats_arrays(first).items()}
-        second = slice_stats(z2, a, divisor="c")
+        second = slice_stats(z2, a)
         for name, v in stats_arrays(first).items():
             np.testing.assert_array_equal(v, kept[name])
             if name != "counts":  # the assignment's, shared by design
@@ -824,10 +810,9 @@ class TestWorkBuffers:
             z = rng.standard_normal(shape + (2,)) * 1e3
             bounds = slicing.equal_count_bounds(shape[1], H)
             a = SliceAssignment(order=order.copy(), bounds=bounds)
-            for divisor in slicing.DIVISORS:
-                got = stats_arrays(slice_stats(z, a, divisor, buffers=buffers))
-                for name, want in stats_arrays(slice_stats(z, a, divisor)).items():
-                    assert got[name].tobytes() == want.tobytes(), (shape, H, name)
+            got = stats_arrays(slice_stats(z, a, buffers=buffers))
+            for name, want in stats_arrays(slice_stats(z, a)).items():
+                assert got[name].tobytes() == want.tobytes(), (shape, H, name)
 
 
 @st_.composite
@@ -877,10 +862,8 @@ class TestPermutationCheck:
 def assert_exactly_symmetric(st):
     """Every moment of the stats, and the SAVE / CSAVE candidates built
     from them, equals its transpose bit for bit."""
-    mats = [st.covs, st.fourth, st.mean_cov, st.cov_square, save_matrix(st)]
-    if st.divisor == "c-1":
-        mats.append(csave_matrix(st))
-    for m in mats:
+    for m in (st.covs, st.fourth, st.mean_cov, st.cov_square, save_matrix(st),
+              csave_matrix(st)):
         assert np.array_equal(m, m.swapaxes(-1, -2))
 
 
@@ -909,21 +892,21 @@ class TestExactSymmetry:
     them, because every Gram product it forms is exactly symmetric."""
 
     @settings(max_examples=100, deadline=None)
-    @given(symmetry_cases(), st_.sampled_from(("c-1", "c")))
-    def test_moments_equal_their_transpose(self, case, divisor):
+    @given(symmetry_cases())
+    def test_moments_equal_their_transpose(self, case):
         z, a = case
-        assert_exactly_symmetric(slice_stats(z, a, divisor=divisor))
+        assert_exactly_symmetric(slice_stats(z, a))
         # a non-contiguous view of the same data
-        assert_exactly_symmetric(slice_stats(z[..., ::-1], a, divisor=divisor))
+        assert_exactly_symmetric(slice_stats(z[..., ::-1], a))
 
-    @pytest.mark.parametrize("divisor", ["c-1", "c"])
     @pytest.mark.parametrize(
         "shape, H",
         [((5, 480, 10), 96), ((10007, 10), 500), ((1, 20000, 1), 10000)],
-        ids=["grid-chunk", "estimate-csv", "null-fine-c2"],
+        # "c-1" names the divisor of the slice covariances
+        ids=["grid-chunk-c-1", "estimate-csv-c-1", "null-fine-c2-c-1"],
     )
-    def test_benchmark_shapes(self, shape, H, divisor):
+    def test_benchmark_shapes(self, shape, H):
         rng = np.random.default_rng(17)
         a = slice_equal_count(rng.standard_normal(shape[:-1]), H)
-        st = slice_stats(rng.standard_normal(shape), a, divisor=divisor)
+        st = slice_stats(rng.standard_normal(shape), a)
         assert_exactly_symmetric(st)

@@ -1,11 +1,13 @@
 """Rules on the package source that no behavioural test can see."""
 
+import argparse
 import ast
 import builtins
 import re
 from pathlib import Path
 
 import slicesdr
+from slicesdr.cli import build_parser
 
 PACKAGE_DIR = Path(slicesdr.__file__).resolve().parent
 README = PACKAGE_DIR.parents[1] / "README.md"
@@ -239,7 +241,6 @@ SETTABLE_PARAMETERS = [
     "slicing:_flat_index(out)",
     "slicing:stable_order(buffers)",
     "slicing:_gram(out)",
-    "slicing:slice_stats(divisor)",
     "slicing:slice_stats(buffers)",
 ]
 
@@ -279,3 +280,25 @@ def test_settable_parameters_are_the_listed_ones():
         for name in _settable(_parse(path), f"{path.stem}:")
     ]
     assert sorted(found) == sorted(SETTABLE_PARAMETERS)
+
+
+def _parser_options(parser: argparse.ArgumentParser) -> set:
+    """The --options of ``parser`` and of its subcommands, without
+    argparse's own --help."""
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _parser_options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            options.update(s for s in action.option_strings if s.startswith("--"))
+    return options
+
+
+def test_readme_options_are_the_parsers():
+    # An option README names but the CLI lacks is stale documentation, and
+    # one the CLI has but README never names is undocumented.
+    text = README.read_text(encoding="utf-8")
+    documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    documented -= {"--no-build-isolation"}  # pip's, in the install line
+    assert documented == _parser_options(build_parser())

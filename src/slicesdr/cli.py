@@ -87,6 +87,8 @@ def _check_output(output: str | None) -> None:
     if output is None:
         return
     try:
+        if not output:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(output):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         # the trailing separator makes stat fail unless the parent is a directory

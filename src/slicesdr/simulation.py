@@ -49,7 +49,6 @@ from .metrics import r2_single
 from .slicing import (
     _assignment,
     _Buffers,
-    _checked_bounds,
     equal_count_bounds,
     slice_stats,
     stable_order,
@@ -238,13 +237,8 @@ def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
 
 
 def _slicings(n: int, p: int, h_grid: list) -> list:
-    """(bounds, counts, runs) and ``_chunk_size`` of each H of ``h_grid``,
-    the bounds checked once for every order an engine call slices."""
-    out = []
-    for H in h_grid:
-        bounds = equal_count_bounds(n, H)
-        out.append(((bounds, *_checked_bounds(bounds, n)), _chunk_size(n, p, H)))
-    return out
+    """The slice bounds and ``_chunk_size`` of each H of ``h_grid``."""
+    return [(equal_count_bounds(n, H), _chunk_size(n, p, H)) for H in h_grid]
 
 
 def _stats_by_H(z, y, slicings: list, buffers: _Buffers):
@@ -254,11 +248,11 @@ def _stats_by_H(z, y, slicings: list, buffers: _Buffers):
     ``buffers`` until the next is made.
     """
     order = stable_order(y, buffers)
-    for i, (slicing, size) in enumerate(slicings):
+    for i, (bounds, size) in enumerate(slicings):
         for lo in range(0, z.shape[0], size):
             part = slice(lo, lo + size)
             yield i, part, slice_stats(
-                z[part], _assignment(order[part], *slicing), buffers=buffers
+                z[part], _assignment(order[part], bounds), buffers=buffers
             )
 
 

@@ -18,7 +18,7 @@ gives stats whose moments carry the same leading axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class SliceAssignment:
 
     order: np.ndarray   # (..., n) permutations of 0..n-1, in slice order
     bounds: np.ndarray  # (H + 1,) offsets into order, from 0 to n
-    counts: np.ndarray = field(init=False, repr=False)  # (H,) slice sizes
-    runs: tuple = field(init=False, repr=False)  # see ``_runs``
 
     def __post_init__(self):
         order = np.asarray(self.order)
@@ -47,9 +45,21 @@ class SliceAssignment:
             and np.issubdtype(bounds.dtype, np.integer)
         ):
             raise InvalidArgument("order and bounds must be integer arrays, bounds 1-d")
-        counts, runs = _checked_bounds(bounds, order.shape[-1])
+        if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != order.shape[-1]:
+            raise InvalidArgument("bounds must run from 0 to len(order)")
+        # compared, not differenced: unsigned differences wrap around
+        if (bounds[1:] < bounds[:-1]).any():
+            raise InvalidArgument("bounds must not decrease")
+        if np.diff(bounds).min() < 2:
+            raise DataError("every slice needs at least 2 members")
         _check_order(order)
-        _fill(self, order, bounds, counts, runs)
+        _fill(self, order, bounds)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(H,) slice sizes, ``np.diff(bounds)`` without its wrapper's cost,
+        which ``slice_stats`` pays on every call."""
+        return self.bounds[1:] - self.bounds[:-1]
 
     @property
     def H(self) -> int:
@@ -60,22 +70,10 @@ class SliceAssignment:
         return int(self.order.shape[-1])
 
 
-def _fill(a: SliceAssignment, order, bounds, counts, runs) -> SliceAssignment:
-    for name, value in zip(("order", "bounds", "counts", "runs"),
-                           (order, bounds, counts, runs)):
-        object.__setattr__(a, name, value)
+def _fill(a: SliceAssignment, order, bounds) -> SliceAssignment:
+    object.__setattr__(a, "order", order)
+    object.__setattr__(a, "bounds", bounds)
     return a
-
-
-def _checked_bounds(bounds: np.ndarray, n: int) -> tuple:
-    """(counts, runs) of 1-d integer slice ``bounds`` over n points, which
-    must run from 0 to n with at least 2 points in every slice."""
-    if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n:
-        raise InvalidArgument("bounds must run from 0 to len(order)")
-    counts = np.diff(bounds)
-    if counts.min() < 2:
-        raise DataError("every slice needs at least 2 members")
-    return counts, _runs(counts)
 
 
 def _check_order(order: np.ndarray) -> None:
@@ -90,12 +88,12 @@ def _check_order(order: np.ndarray) -> None:
         raise InvalidArgument("order must be a permutation of 0..n-1")
 
 
-def _assignment(order: np.ndarray, bounds: np.ndarray, counts, runs) -> SliceAssignment:
+def _assignment(order: np.ndarray, bounds: np.ndarray) -> SliceAssignment:
     """The SliceAssignment of a permutation ``order`` that ``stable_order``
-    returned and of bounds whose (counts, runs) ``_checked_bounds`` gave,
-    checked no further: the engines sort each response and check each H's
-    bounds once and pair them for every slice call."""
-    return _fill(object.__new__(SliceAssignment), order, bounds, counts, runs)
+    returned and of ``equal_count_bounds``, checked no further: the engines
+    sort each response once and pair it with each H's bounds, which their
+    argument checks have already passed."""
+    return _fill(object.__new__(SliceAssignment), order, bounds)
 
 
 class _Buffers:
@@ -238,9 +236,11 @@ def slice_discrete(y) -> SliceAssignment:
     The order is the stable argsort of y, and the slices are the runs of
     equal values in the sorted y.
     """
+    if np.ndim(y) != 1:
+        raise InvalidArgument(f"y must be 1-d, got shape {np.shape(y)}")
     y = _finite_response(y)
-    order = np.argsort(y, axis=None, kind="stable")
-    ys = y.ravel()[order]
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
     edges = np.ones(ys.size + 1, dtype=bool)
     np.not_equal(ys[1:], ys[:-1], out=edges[1:-1])
     bounds = np.flatnonzero(edges)
@@ -252,7 +252,7 @@ def slice_discrete(y) -> SliceAssignment:
     thin = ys[bounds[:-1][counts < 2]]
     if thin.size:
         raise DataError(f"response value {float(thin[0])!r} appears only once")
-    return SliceAssignment(order=order.reshape(y.shape), bounds=bounds)
+    return SliceAssignment(order=order, bounds=bounds)
 
 
 @dataclass(frozen=True)
@@ -288,12 +288,13 @@ class SliceStats:
 
 
 def _runs(counts: np.ndarray) -> tuple:
-    """(first, stop) slice indices of each run of adjacent equal-size slices.
+    """(first, stop) slice indices of each run of adjacent equal-size slices
+    of ``counts``, the units that ``slice_stats`` batches.
 
     Equal-count slicing gives at most two runs: H - 1 slices of c points
     and the last slice with the remainder.
     """
-    cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), counts.size]
+    cuts = [0, *((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist(), counts.size]
     return tuple(zip(cuts[:-1], cuts[1:]))
 
 
@@ -402,6 +403,7 @@ def slice_stats(
     ``_POSITION_SUM_MAX_C`` points are summed by position in reduceat's own
     order (``_position_sum``), so every mean is reduceat's bit for bit, as
     ``TestPositionSum`` in tests/test_slicing.py pins.
+    Each call derives the counts and their runs (``_runs``) from the bounds.
     A run of k adjacent slices of m points is one (..., k, m, p) block whose
     covariances come from one stacked product, so the (n, p, p) outer
     products are never formed; the same block viewed as (..., k p, p) gives
@@ -449,7 +451,7 @@ def slice_stats(
     norms = buffers.get("floats", order.shape)  # scratch, then ||d|| of each d
     mean_cov = np.zeros(batch + (p, p))
     cov_square = np.zeros(batch + (p, p))
-    for lo, hi in assignment.runs:
+    for lo, hi in _runs(counts):
         c = counts[lo]
         first, stop = bounds[lo], bounds[hi]
         out = covs[..., lo:hi, :, :]

@@ -869,13 +869,14 @@ class TestExitCodeFamilies:
         err = capsys.readouterr().err
         assert err.startswith("error: replicate 0 failed: ") and "did not converge" in err
 
-    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    @pytest.mark.parametrize("target", ["missing/out.txt", ".", ""])
     @pytest.mark.parametrize("command", ["sweep", "estimate", "table1", "simulate"])
     def test_unwritable_output_is_data_error(
         self, command, target, tmp_path, monkeypatch, capsys
     ):
-        # a missing directory or an existing one: exit 3 with open()'s error,
-        # and nothing is created; the simulations fail before they run
+        # a missing directory, an existing one or an empty path: exit 3 with
+        # open()'s error, and nothing is created; the simulations fail before
+        # they run
         if command == "sweep":
             argv = ["sweep", "--mode", "bias", "--n-grid", "100", "--c-grid", "2",
                     "--reps", "1"]
@@ -892,7 +893,7 @@ class TestExitCodeFamilies:
 
         for name in ("run_grid", "bias_sweep"):
             monkeypatch.setattr(f"slicesdr.cli.{name}", no_run)
-        output = str(tmp_path / target)
+        output = str(tmp_path / target) if target else ""
         assert main(argv + ["--output", output]) == 3
         out, err = capsys.readouterr()
         message = ("[Errno 21] Is a directory" if target == "."

@@ -426,10 +426,11 @@ class TestWorkBuffers:
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
         # the benchmark tracer counts these calls by wrapping the names;
         # each response is sorted once for all its H, and each model gets
-        # one eigen call; the sweep makes none
+        # one eigen call; the sweep makes none, and neither engine checks
+        # the orders that stable_order returns
         calls = {}
         targets = [(simulation, "slice_stats"), (simulation, "stable_order"),
-                   (simulation, "_leading_vectors")]
+                   (simulation, "_leading_vectors"), (slicing, "_check_order")]
         for module, name in targets:
             real = getattr(module, name)
 

@@ -283,6 +283,17 @@ class TestDiscrete:
             np.testing.assert_array_equal(a.order, np.argsort(inverse, kind="stable"))
             np.testing.assert_array_equal(a.bounds, np.append(0, np.cumsum(counts)))
 
+    @pytest.mark.parametrize("y, shape", [
+        (np.array([[1.0, 1.0, 2.0, 2.0], [3.0, 3.0, 4.0, 4.0]]), (2, 4)),
+        (np.float64(1.0), ()),
+    ], ids=["2-d", "0-d"])
+    def test_response_must_be_1d(self, y, shape):
+        # a batch would be sorted as one flat response, and a scalar read as
+        # a response with one value
+        with pytest.raises(InvalidArgument, match=f"^y must be 1-d, got shape "
+                                                  f"{re.escape(str(shape))}$"):
+            slice_discrete(y)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_response_rejected(self, bad):
         # two NaNs would make a slice of their own
@@ -404,8 +415,14 @@ class TestSliceStats:
              InvalidArgument, "H must be >= 1, got 0"),
             (lambda a: slice_stats(np.zeros(12), a),
              InvalidArgument, "z must have shape (..., n, p), got (12,)"),
+            (lambda a: SliceAssignment(order=np.arange(10), bounds=np.array([0, 6, 3, 10])),
+             InvalidArgument, "bounds must not decrease"),
+            (lambda a: SliceAssignment(order=np.arange(10),
+                                       bounds=np.array([0, 6, 3, 10], dtype=np.uint64)),
+             InvalidArgument, "bounds must not decrease"),
         ],
-        ids=["float-order", "zero-slices", "z-1d"],
+        ids=["float-order", "zero-slices", "z-1d", "decreasing-bounds",
+             "decreasing-unsigned-bounds"],
     )
     def test_invalid_arguments_rejected(self, call, error, message):
         a = slice_equal_count(np.arange(12.0), 3)

@@ -235,8 +235,6 @@ SETTABLE_PARAMETERS = [
     "simulation:run_grid(p)",
     "simulation:bias_sweep(seed)",
     "simulation:bias_sweep(p)",
-    "slicing:SliceAssignment.counts",
-    "slicing:SliceAssignment.runs",
     "slicing:_Buffers.get(dtype)",
     "slicing:_flat_index(out)",
     "slicing:stable_order(buffers)",
@@ -280,6 +278,50 @@ def test_settable_parameters_are_the_listed_ones():
         for name in _settable(_parse(path), f"{path.stem}:")
     ]
     assert sorted(found) == sorted(SETTABLE_PARAMETERS)
+
+
+#: Every private name that a package module takes from another one, as
+#: "importer <- module.name": each is a coupling between the internals of
+#: two modules, which shows here when it is added or removed.
+PRIVATE_IMPORTS = [
+    "simulation <- linalg._leading_vectors",
+    "simulation <- slicing._Buffers",
+    "simulation <- slicing._assignment",
+]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports(tree: ast.Module, modules: set):
+    """(module, name) of each private name that a package module imports
+    from one of ``modules``, as ``from .x import _y`` or as ``x._y`` on a
+    module bound by ``from . import x``; the package imports itself only
+    relatively."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif _is_private(alias.name):
+                    yield node.module or "__init__", alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and _is_private(node.attr)):
+            yield bound[node.value.id], node.attr
+
+
+def test_private_names_that_cross_modules_are_the_listed_ones():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    modules = {path.stem for path in paths}
+    found = {
+        f"{path.stem} <- {module}.{name}"
+        for path in paths
+        for module, name in _private_imports(_parse(path), modules)
+    }
+    assert sorted(found) == sorted(PRIVATE_IMPORTS)
 
 
 def _parser_options(parser: argparse.ArgumentParser) -> set:

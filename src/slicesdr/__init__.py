@@ -10,13 +10,7 @@ Monte Carlo harness for the benchmark models, and a CLI.
 
 __version__ = "0.1.0"
 
-from .data import (
-    Dataset,
-    StandardizedDataset,
-    directions_to_x_scale,
-    load_csv,
-    standardize,
-)
+from .data import directions_to_x_scale, load_csv, standardize
 from .estimators import (
     METHODS,
     CdrBasis,
@@ -40,7 +34,6 @@ from .simulation import (
     DEFAULT_SEED,
     McReport,
     MethodSummary,
-    RngStreams,
     SweepRow,
     bias_sweep,
     model_streams,
@@ -57,16 +50,13 @@ from .slicing import (
 __all__ = [
     "__version__",
     "CdrBasis",
-    "Dataset",
     "DEFAULT_SEED",
     "EigenResult",
     "METHODS",
     "McReport",
     "MethodSummary",
-    "RngStreams",
     "SliceAssignment",
     "SliceStats",
-    "StandardizedDataset",
     "SweepRow",
     "bias_sweep",
     "candidate_matrix",

@@ -125,8 +125,8 @@ def _cmd_estimate(args) -> int:
         raise InvalidArgument(f"--slices {args.slices}: need at least 2 slices")
     if args.k < 1:
         raise InvalidArgument(f"--k {args.k}: need at least 1 direction")
-    dataset = load_csv(args.input, args.y)
-    n, p = dataset.n, dataset.p
+    x, y = load_csv(args.input, args.y)
+    n, p = x.shape
     if args.slices is not None:
         H, source = args.slices, f"--slices {args.slices}"
     else:
@@ -136,11 +136,11 @@ def _cmd_estimate(args) -> int:
         raise InvalidArgument(
             f"{source} leaves fewer than 2 points per slice for n={n}"
         )
-    sd = standardize(dataset, rel_floor=args.rel_floor)
-    del dataset  # nothing reads x after whitening; free it before the slice gather
-    stats = slice_stats(sd.z, slice_equal_count(sd.y, H))
+    z, root = standardize(x, rel_floor=args.rel_floor)
+    del x  # nothing reads x after whitening; free it before the slice gather
+    stats = slice_stats(z, slice_equal_count(y, H))
     eig = sym_eig(candidate_matrix(args.method, stats))
-    basis = cdr_basis(eig, args.k, sd)
+    basis = cdr_basis(eig, args.k, root)
     negative = negative_eigenvalue_count(eig) if args.method == "csave" else None
 
     meta = {

@@ -1,9 +1,10 @@
-"""Dataset ingestion and standardization.
+"""Predictor ingestion and standardization.
 
-A Dataset is a raw predictor matrix plus a response vector.  Standardizing
-centers the predictors and whitens them with the inverse square root of the
-sample covariance (divisor n-1), so the standardized rows have sample mean
-zero and sample covariance exactly the identity.  Directions estimated in
+``load_csv`` reads a raw predictor matrix x (n rows, p columns) and a
+response vector y (length n) from a CSV file.  Standardizing centers the
+predictors and whitens them with the inverse square root of the sample
+covariance (divisor n-1), so the standardized rows have sample mean zero
+and sample covariance exactly the identity.  Directions estimated in
 standardized coordinates are mapped back to the original scale with
 :func:`directions_to_x_scale`.
 """
@@ -16,7 +17,6 @@ import lzma
 import os
 import stat
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,69 +27,38 @@ from .errors import CsvFormatError, DataError, InvalidArgument, NumericalError
 _WHITEN_BLOCK = 2**18
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Raw predictors x (n rows, p columns) and response y (length n)."""
+def standardize(x, rel_floor: float = linalg.REL_FLOOR) -> tuple:
+    """Whitened predictors z and the root cov^{-1/2} that whitened them.
 
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 2:
-            raise InvalidArgument("x must be a 2-d array")
-        if y.ndim != 1 or y.size != x.shape[0]:
-            raise InvalidArgument("y must be 1-d with one entry per row of x")
-        if x.shape[0] < 2 or x.shape[1] < 1:
-            raise InvalidArgument("need n >= 2 observations and p >= 1 predictors")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InvalidArgument("dataset contains non-finite values")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class StandardizedDataset:
-    """Whitened predictors plus the transform that produced them."""
-
-    z: np.ndarray             # (n, p) standardized rows
-    mean: np.ndarray          # (p,) sample mean of x
-    cov: np.ndarray           # (p, p) sample covariance of x (divisor n-1)
-    cov_inv_sqrt: np.ndarray  # (p, p) symmetric inverse square root
-    y: np.ndarray             # (n,) response, unchanged
-
-
-def standardize(d: Dataset, rel_floor: float = linalg.REL_FLOOR) -> StandardizedDataset:
-    """Map rows to z_i = cov^{-1/2} (x_i - mean).
-
-    Requires n > p so the sample covariance can be nonsingular; raises
-    SingularCovariance (from the inverse square root) when it is not.
-    z is an array of its own: ``d.x`` is never written and never aliased.
+    Row i of z is cov^{-1/2} (x_i - mean), from the sample mean and
+    covariance of the predictor matrix x: 2-d, with p >= 1 columns and
+    finite values.  Requires n > p so the sample covariance can be
+    nonsingular; raises SingularCovariance (from the inverse square root)
+    when it is not.  z is an array of its own: x is never written and never
+    aliased.
     """
-    if d.n <= d.p:
-        raise DataError(f"need n > p to standardize, got n={d.n}, p={d.p}")
-    mean = d.x.mean(axis=0)
-    xc = d.x - mean
-    cov = linalg.ensure_symmetric(xc.T @ xc / (d.n - 1))
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise InvalidArgument(f"x must be a 2-d array, got shape {x.shape}")
+    n, p = x.shape
+    if p < 1:
+        raise InvalidArgument("x must have at least one column")
+    if not np.isfinite(x).all():
+        raise InvalidArgument("x contains non-finite values")
+    if n <= p:
+        raise DataError(f"need n > p to standardize, got n={n}, p={p}")
+    xc = x - x.mean(axis=0)
+    cov = linalg.ensure_symmetric(xc.T @ xc / (n - 1))
     root = linalg.inv_sqrt(cov, rel_floor=rel_floor)
     # root is symmetric, so row-wise R (x - mean); even row blocks leave no
     # 1-row tail, which numpy would send to gemv, whose bits differ from gemm's.
     # Each block is whitened in place: numpy copies an input block that
     # overlaps its output, so xc becomes z without a second n x p buffer.
-    blocks = -(-d.n // max(1, _WHITEN_BLOCK // d.p**2))
+    blocks = -(-n // max(1, _WHITEN_BLOCK // p**2))
     for k in range(blocks):
-        rows = slice(d.n * k // blocks, d.n * (k + 1) // blocks)
+        rows = slice(n * k // blocks, n * (k + 1) // blocks)
         np.matmul(xc[rows], root, out=xc[rows])
-    return StandardizedDataset(z=xc, mean=mean, cov=cov, cov_inv_sqrt=root, y=d.y)
+    return xc, root
 
 
 def directions_to_x_scale(betas_z, cov_inv_sqrt) -> np.ndarray:
@@ -105,11 +74,13 @@ def directions_to_x_scale(betas_z, cov_inv_sqrt) -> np.ndarray:
     return out / norms
 
 
-def load_csv(path, y_column) -> Dataset:
-    """Read a numeric CSV (header row required) into a Dataset.
+def load_csv(path, y_column) -> tuple[np.ndarray, np.ndarray]:
+    """Read a numeric CSV (header row required) into predictors x (n, p)
+    and response y (n,).
 
-    ``y_column`` selects the response by header name; when no header name
-    matches, an integer (or integer string) is the zero-based column index.
+    ``y_column`` selects the response by header name, which must match one
+    header cell only; when no header name matches, an integer (or integer
+    string) is the zero-based column index.
     Every other column becomes a predictor, in file order.  A leading UTF-8
     byte-order mark is skipped.  Parse problems raise CsvFormatError naming
     the offending row and column; non-finite cells (NaN/inf) are rejected,
@@ -166,7 +137,7 @@ def load_csv(path, y_column) -> Dataset:
     del table
     if x.shape[1] < 1:
         raise CsvFormatError(f"{path}: no predictor columns besides {header[y_idx]!r}")
-    return Dataset(x=x, y=y)
+    return x, y
 
 
 def _load_rows(source, skiprows) -> np.ndarray | None:
@@ -241,8 +212,13 @@ def _resolve_column(header, y_column, path) -> int:
         idx = y_column
     else:
         name = str(y_column).strip()
-        if name in header:
-            return header.index(name)
+        matches = [j for j, h in enumerate(header) if h == name]
+        if len(matches) > 1:
+            raise CsvFormatError(
+                f"{path}: column name {name!r} names {len(matches)} columns: {matches}"
+            )
+        if matches:
+            return matches[0]
         try:
             idx = int(name)
         except ValueError:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .data import StandardizedDataset, directions_to_x_scale
+from .data import directions_to_x_scale
 from .errors import AmbiguousDimensionWarning, InvalidArgument
 from .slicing import SliceStats
 
@@ -108,13 +108,14 @@ def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:
     raise InvalidArgument(f"unknown method {method!r}; valid: {METHODS}")
 
 
-def cdr_basis(eig: linalg.EigenResult, k: int, sd: StandardizedDataset) -> CdrBasis:
+def cdr_basis(eig: linalg.EigenResult, k: int, cov_inv_sqrt) -> CdrBasis:
     """Top-k eigenvectors of a candidate matrix, also mapped to the x scale.
 
     ``eig`` is the candidate's ``sym_eig`` decomposition, so eigenvalues are
     ranked algebraically (largest first).  If the k-th and (k+1)-th
     eigenvalues are tied within EIGENGAP_TOL, the basis is still returned
-    but flagged ambiguous and a warning is issued.
+    but flagged ambiguous and a warning is issued.  ``cov_inv_sqrt`` is the
+    root that ``standardize`` returned, which maps the basis to the x scale.
     """
     p = eig.values.size
     if not 1 <= k <= p:
@@ -129,7 +130,7 @@ def cdr_basis(eig: linalg.EigenResult, k: int, sd: StandardizedDataset) -> CdrBa
             stacklevel=2,
         )
     betas_z = eig.vectors[:, :k]
-    betas_x = directions_to_x_scale(betas_z, sd.cov_inv_sqrt)
+    betas_x = directions_to_x_scale(betas_z, cov_inv_sqrt)
     return CdrBasis(
         betas_z=betas_z,
         betas_x=betas_x,

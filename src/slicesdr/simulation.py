@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .data import standardize as _standardize
 from .errors import InvalidArgument, SimulationError, SlicesdrError
 from .estimators import METHODS, candidate_matrix, lambda_corrected
@@ -49,6 +48,7 @@ from .metrics import r2_single
 from .slicing import (
     _assignment,
     _Buffers,
+    check_integer,
     equal_count_bounds,
     slice_stats,
     stable_order,
@@ -78,37 +78,31 @@ MODEL_P = 10
 SWEEP_P = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class RngStreams:
-    """Independent generators for the predictor and noise draws."""
-
-    x: np.random.Generator
-    eps: np.random.Generator
-
-
-def model_streams(seed: int, replicate: int) -> RngStreams:
-    """Substreams for one replicate, a pure function of (seed, replicate).
+def model_streams(seed: int, replicate: int) -> tuple:
+    """The generator pair (x_gen, eps_gen) of one replicate, for its
+    predictor and noise draws: a pure function of (seed, replicate).
 
     Counter-based Philox generators keyed by (seed, replicate, role); the
     draws of one replicate never depend on which other replicates run.
     """
     if seed < 0 or replicate < 0:
         raise InvalidArgument("seed and replicate index must be non-negative")
-    return RngStreams(
-        x=np.random.Generator(
+    return (
+        np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed, replicate, _ROLE_X]))
         ),
-        eps=np.random.Generator(
+        np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed, replicate, _ROLE_EPS]))
         ),
     )
 
 
-def _draw(streams: RngStreams, out):
+def _draw(streams, out):
     """Predictors x (n, p) and noise eps (n,) of one replicate, i.i.d. N(0, 1),
-    drawn into ``out`` = (x, eps)."""
+    drawn into ``out`` = (x, eps) from ``streams`` = (x_gen, eps_gen)."""
+    x_gen, eps_gen = streams
     x, eps = out
-    return streams.x.standard_normal(out=x), streams.eps.standard_normal(out=eps)
+    return x_gen.standard_normal(out=x), eps_gen.standard_normal(out=eps)
 
 
 @dataclass(frozen=True)
@@ -260,24 +254,31 @@ def check_grid(models, h_grid, n: int, reps: int, seed: int, methods,
                standardize: bool, p: int) -> None:
     """Raise the UsageError of the first invalid argument of ``run_grid``.
 
-    Model ids, p and the grids come first, then each H in turn, then the
+    Model ids, p, n and the grids come first, then each H in turn, then the
     arguments that do not depend on H, so an invalid H late in the grid
-    fails before any replicate is drawn.
+    fails before any replicate is drawn.  Every size and id must be an int
+    or a numpy integer.
     """
     for model in models:
+        check_integer("model id", model)
         if model not in MODEL_IDS:
             raise InvalidArgument(f"model id must be in {MODEL_IDS}, got {model}")
+    check_integer("p", p)
     if p < 1:
         raise InvalidArgument("p must be >= 1")
+    check_integer("n", n)
     if not models or not h_grid:
         raise InvalidArgument("empty model or H grid")
     for H in h_grid:
+        check_integer("H", H)
         if H < 2:
             raise InvalidArgument(f"H must be >= 2, got {H}")
         if n < 2 * H:
             raise InvalidArgument(f"n={n} too small for H={H}")
+    check_integer("reps", reps)
     if reps < 1:
         raise InvalidArgument("reps must be >= 1")
+    check_integer("seed", seed)
     if seed < 0:
         raise InvalidArgument("seed must be non-negative")
     if not isinstance(methods, (list, tuple)):
@@ -334,8 +335,7 @@ def run_grid(
             z = buffers.get("z", x.shape)
             back = buffers.get("back", (chunk, p, p))
             for i in range(chunk):
-                sd = _standardize(Dataset(x=x[i], y=u[i]))
-                z[i], back[i] = sd.z, sd.cov_inv_sqrt
+                z[i], back[i] = _standardize(x[i])
         cands = np.empty((len(h_grid), len(methods), chunk, p, p))
         for model in models:
             y = _RESPONSES[model](u, eps)
@@ -413,20 +413,26 @@ def check_sweep(n_grid, c_grid, reps: int, seed: int, p: int) -> None:
     """Raise the UsageError of the first invalid argument of ``bias_sweep``.
 
     Every (n, c) is checked, so a degenerate pair late in the grid fails
-    before any replicate is drawn.
+    before any replicate is drawn.  Every n, c, reps, seed and p must be an
+    int or a numpy integer.
     """
     if not n_grid or not c_grid:
         raise InvalidArgument("empty sweep grid")
+    check_integer("reps", reps)
     if reps < 1:
         raise InvalidArgument("reps must be >= 1")
+    check_integer("seed", seed)
     if seed < 0:
         raise InvalidArgument("seed must be non-negative")
+    check_integer("p", p)
     if p not in SWEEP_P:
         raise InvalidArgument(
             f"null-model sweep supports p in {SWEEP_P[0]}..{SWEEP_P[-1]}"
         )
     for n in n_grid:
+        check_integer("n", n)
         for c in c_grid:
+            check_integer("c", c)
             if c < 2:
                 raise InvalidArgument(f"c={c} leaves no within-slice pairs")
             H = n // c
@@ -454,9 +460,10 @@ def bias_sweep(
     slices, or H = n // c slices that hold n // H != c points (possible only
     when n < c^2), to which the c-point correction would not apply.
     """
-    n_grid = [int(v) for v in n_grid]
-    c_grid = [int(v) for v in c_grid]
+    n_grid, c_grid = list(n_grid), list(c_grid)
     check_sweep(n_grid, c_grid, reps, seed, p)
+    # the rows hold Python ints, also for numpy integers
+    n_grid, c_grid = [int(v) for v in n_grid], [int(v) for v in c_grid]
     rows = []
     for n in n_grid:
         h_grid = [n // c for c in c_grid]

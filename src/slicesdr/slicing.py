@@ -219,9 +219,17 @@ def slice_equal_count(y, H: int) -> SliceAssignment:
     return SliceAssignment(order=stable_order(y), bounds=bounds)
 
 
+def check_integer(name: str, value) -> None:
+    """Raise InvalidArgument naming ``name`` unless ``value`` is an int or a
+    numpy integer; a bool is not taken for one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+
+
 def equal_count_bounds(n: int, H: int) -> np.ndarray:
     """Offsets of H equal-count slices of n sorted points: slices 1..H-1
     hold c = floor(n/H) points and the last slice the remainder."""
+    check_integer("H", H)
     if H < 1:
         raise InvalidArgument(f"H must be >= 1, got {H}")
     if n < 2 * H:

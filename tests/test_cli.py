@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slicesdr
-from slicesdr import Dataset, model_streams, r2_single, simulation
+from slicesdr import model_streams, r2_single, simulation
 from slicesdr.cli import build_parser, main
 from slicesdr.errors import AmbiguousDimensionWarning
 from conftest import traced_peak
@@ -23,13 +23,13 @@ from conftest import traced_peak
 def write_model_csv(tmp_path, model_id, n=480, seed=314, name="data.csv"):
     p = simulation.MODEL_P
     x, eps = simulation._draw(model_streams(seed, 0), (np.empty((n, p)), np.empty(n)))
-    d = Dataset(x=x, y=simulation._RESPONSES[model_id](x @ np.eye(p)[0], eps))
+    y = simulation._RESPONSES[model_id](x @ np.eye(p)[0], eps)
     path = tmp_path / name
-    header = ["y"] + [f"x{j}" for j in range(d.p)]
+    header = ["y"] + [f"x{j}" for j in range(p)]
     lines = [",".join(header)]
-    for i in range(d.n):
+    for i in range(n):
         lines.append(
-            ",".join([repr(float(d.y[i]))] + [repr(float(v)) for v in d.x[i]])
+            ",".join([repr(float(y[i]))] + [repr(float(v)) for v in x[i]])
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -916,6 +916,15 @@ class TestExitCodeFamilies:
     ):
         assert main(argv + ["--output", str(tmp_path / "missing" / "x")]) == 2
         assert "Errno" not in capsys.readouterr().err
+
+    def test_ambiguous_y_name_is_data_error(self, tmp_path, capsys):
+        # two header cells carry the name: no column is taken silently
+        path = tmp_path / "data.csv"
+        path.write_text("y,x1,x1\n1,2,3\n4,5,7\n7,8,8\n2,1,0\n5,5,1\n")
+        assert main(["estimate", "--input", str(path), "--y", "x1"]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {path}: column name 'x1' names 2 columns: [1, 2]"
+        )
 
     def test_k_out_of_range_is_usage_error(self, tmp_path, capsys):
         path = write_model_csv(tmp_path, model_id=1, n=100)

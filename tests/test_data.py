@@ -1,4 +1,4 @@
-"""Dataset construction, standardization and CSV ingestion tests."""
+"""Standardization and CSV ingestion tests."""
 
 import os
 import re
@@ -8,13 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from slicesdr import (
-    Dataset,
-    directions_to_x_scale,
-    inv_sqrt,
-    load_csv,
-    standardize,
-)
+from slicesdr import directions_to_x_scale, inv_sqrt, load_csv, standardize
 from slicesdr import data
 from slicesdr.errors import (
     CsvFormatError,
@@ -26,32 +20,29 @@ from slicesdr.errors import (
 from oracles import trace_correlation
 
 
-class TestDataset:
-    @pytest.mark.parametrize(
-        "x, y, message",
-        [
-            (np.ones(3), np.ones(3), "x must be a 2-d array"),
-            (np.ones((3, 2)), np.ones(4), "y must be 1-d with one entry per row of x"),
-            (np.ones((1, 2)), np.ones(1),
-             "need n >= 2 observations and p >= 1 predictors"),
-            (np.array([[1.0], [np.inf]]), np.ones(2),
-             "dataset contains non-finite values"),
-        ],
-        ids=["x-1d", "y-length", "one-row", "infinite"],
-    )
-    def test_invalid_input_rejected(self, x, y, message):
-        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
-            Dataset(x=x, y=y)
-
-
 class TestStandardize:
+    @pytest.mark.parametrize(
+        "x, error, message",
+        [
+            (np.ones(3), InvalidArgument, "x must be a 2-d array, got shape (3,)"),
+            (np.ones((3, 0)), InvalidArgument, "x must have at least one column"),
+            (np.ones((1, 2)), DataError, "need n > p to standardize, got n=1, p=2"),
+            (np.array([[1.0], [np.inf]]), InvalidArgument, "x contains non-finite values"),
+            (np.array([[1.0], [2.0], [np.nan]]), InvalidArgument,
+             "x contains non-finite values"),
+        ],
+        ids=["x-1d", "no-columns", "one-row", "infinite", "nan"],
+    )
+    def test_invalid_predictors_rejected(self, x, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            standardize(x)
+
     def test_two_point_closed_form(self):
-        d = Dataset(x=np.array([[0.0], [2.0]]), y=np.array([0.0, 1.0]))
-        sd = standardize(d)
-        assert sd.mean[0] == pytest.approx(1.0)
-        assert sd.cov[0, 0] == pytest.approx(2.0)
+        # mean 1 and variance 2: z = (x - 1) / sqrt(2), and the root 1/sqrt(2)
+        z, root = standardize(np.array([[0.0], [2.0]]))
+        np.testing.assert_allclose(root, [[1 / np.sqrt(2)]], atol=1e-12)
         np.testing.assert_allclose(
-            sd.z[:, 0], [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12
+            z[:, 0], [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12
         )
 
     def test_already_standard_is_identity(self):
@@ -61,35 +52,34 @@ class TestStandardize:
         x = x - x.mean(axis=0)
         cov = x.T @ x / (len(x) - 1)
         x = x @ inv_sqrt(cov)
-        sd = standardize(Dataset(x=x, y=np.arange(40.0)))
-        np.testing.assert_allclose(sd.z, x, atol=1e-8)
+        z, _ = standardize(x)
+        np.testing.assert_allclose(z, x, atol=1e-8)
 
     def test_output_moments(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((50, 3)) @ np.diag([1.0, 3.0, 0.5]) + [1, -2, 7]
-        sd = standardize(Dataset(x=x, y=np.zeros(50)))
-        np.testing.assert_allclose(sd.z.mean(axis=0), np.zeros(3), atol=1e-8)
-        cov_z = sd.z.T @ sd.z / 49
+        z, _ = standardize(x)
+        np.testing.assert_allclose(z.mean(axis=0), np.zeros(3), atol=1e-8)
+        cov_z = z.T @ z / 49
         np.testing.assert_allclose(cov_z, np.eye(3), atol=1e-6)
 
     def test_affine_equivariance_via_gram(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((30, 4))
         a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        y = np.zeros(30)
-        z_old = standardize(Dataset(x=x, y=y)).z
-        z_new = standardize(Dataset(x=x @ a.T + 5.0, y=y)).z
+        z_old, _ = standardize(x)
+        z_new, _ = standardize(x @ a.T + 5.0)
         np.testing.assert_allclose(z_new @ z_new.T, z_old @ z_old.T, atol=1e-6)
 
     def test_requires_more_rows_than_columns(self):
         with pytest.raises(DataError, match="^need n > p to standardize, got n=3, p=3$"):
-            standardize(Dataset(x=np.eye(3), y=np.zeros(3)))
+            standardize(np.eye(3))
 
     def test_singular_covariance_rejected(self):
         x = np.ones((10, 2))
         x[:, 0] = np.arange(10.0)
         with pytest.raises(SingularCovariance):
-            standardize(Dataset(x=x, y=np.zeros(10)))
+            standardize(x)
 
     @pytest.mark.parametrize("p", [1, 3, 10, 40])
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
@@ -104,12 +94,11 @@ class TestStandardize:
         rng = np.random.default_rng(p * 100 + n)
         x = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p) + 2.0
         before = x.copy()
-        d = Dataset(x=x, y=np.zeros(n))
-        sd = standardize(d)
-        np.testing.assert_array_equal(sd.z, (x - sd.mean) @ sd.cov_inv_sqrt)
+        z, root = standardize(x)
+        np.testing.assert_array_equal(z, (x - x.mean(axis=0)) @ root)
         # z is whitened in a buffer of its own: the caller's x is untouched
-        assert d.x.tobytes() == before.tobytes()
-        assert not np.shares_memory(sd.z, d.x)
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(z, x)
 
 
 class TestDirectionsToXScale:
@@ -138,10 +127,10 @@ class TestDirectionsToXScale:
     def test_respan_recovers_subspace(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((60, 3)) @ (np.eye(3) + 0.3)
-        sd = standardize(Dataset(x=x, y=np.zeros(60)))
+        _, root = standardize(x)
         bz = rng.standard_normal((3, 2))
-        bx = directions_to_x_scale(bz, sd.cov_inv_sqrt)
-        bz_back = np.linalg.inv(sd.cov_inv_sqrt) @ bx  # undo the x-scale map
+        bx = directions_to_x_scale(bz, root)
+        bz_back = np.linalg.inv(root) @ bx  # undo the x-scale map
         assert trace_correlation(bz_back, bz).r2 == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_direction_rejected(self):
@@ -178,17 +167,17 @@ class TestLoadCsv:
 
     def test_basic_parse(self, tmp_path):
         path = self.write(tmp_path, "y,x1,x2\n1,2,3\n4,5,6\n7,8,9\n")
-        d = load_csv(path, "y")
-        assert (d.n, d.p) == (3, 2)
-        np.testing.assert_array_equal(d.y, [1, 4, 7])
-        np.testing.assert_array_equal(d.x, [[2, 3], [5, 6], [8, 9]])
+        x, y = load_csv(path, "y")
+        assert x.shape == (3, 2) and y.shape == (3,)
+        np.testing.assert_array_equal(y, [1, 4, 7])
+        np.testing.assert_array_equal(x, [[2, 3], [5, 6], [8, 9]])
 
     def test_name_and_index_agree(self, tmp_path):
         path = self.write(tmp_path, "y,x1,x2\n1,2,3\n4,5,6\n7,8,9\n")
-        by_name = load_csv(path, "y")
-        by_index = load_csv(path, 0)
-        np.testing.assert_array_equal(by_name.y, by_index.y)
-        np.testing.assert_array_equal(by_name.x, by_index.x)
+        x, y = load_csv(path, "y")
+        x_index, y_index = load_csv(path, 0)
+        np.testing.assert_array_equal(y, y_index)
+        np.testing.assert_array_equal(x, x_index)
 
     def test_nan_cell_names_location(self, tmp_path):
         path = self.write(tmp_path, "y,x1\n1,2\n3,NaN\n5,6\n")
@@ -232,16 +221,16 @@ class TestLoadCsv:
         plain.write_text(text, encoding="utf-8")
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        want = load_csv(str(plain), "y")
+        want_x, want_y = load_csv(str(plain), "y")
         for y_column in ("y", 0):
-            got = load_csv(str(marked), y_column)
-            np.testing.assert_array_equal(got.x, want.x)
-            np.testing.assert_array_equal(got.y, want.y)
+            x, y = load_csv(str(marked), y_column)
+            np.testing.assert_array_equal(x, want_x)
+            np.testing.assert_array_equal(y, want_y)
 
     def test_file_descriptor(self, tmp_path):
         path = self.write(tmp_path, "y,x1,x2\n1,2,3\n4,5,6\n")
-        d = load_csv(os.open(path, os.O_RDONLY), "y")  # load_csv closes it
-        np.testing.assert_array_equal(d.x, [[2, 3], [5, 6]])
+        x, _ = load_csv(os.open(path, os.O_RDONLY), "y")  # load_csv closes it
+        np.testing.assert_array_equal(x, [[2, 3], [5, 6]])
 
     def test_pipe_is_read_whole(self, tmp_path):
         # about 20 KiB, more than one buffered read; a pipe cannot be opened
@@ -254,9 +243,9 @@ class TestLoadCsv:
                 os.write(w, b"y,x1\n" + rows + tail)
                 os.close(w)
                 if want is None:
-                    d = load_csv(f"/dev/fd/{r}", "y")
-                    np.testing.assert_array_equal(d.y, np.arange(2000.0))
-                    np.testing.assert_array_equal(d.x[:, 0], np.arange(2000.0) + 0.5)
+                    x, y = load_csv(f"/dev/fd/{r}", "y")
+                    np.testing.assert_array_equal(y, np.arange(2000.0))
+                    np.testing.assert_array_equal(x[:, 0], np.arange(2000.0) + 0.5)
                 else:
                     with pytest.raises(CsvFormatError, match=want):
                         load_csv(f"/dev/fd/{r}", "y")
@@ -265,10 +254,19 @@ class TestLoadCsv:
 
     def test_header_name_wins_over_index(self, tmp_path):
         path = self.write(tmp_path, "1,0,y,2\n10,20,30,40\n11,21,31,41\n")
-        np.testing.assert_array_equal(load_csv(path, "1").y, [10, 11])
-        np.testing.assert_array_equal(load_csv(path, "0").y, [20, 21])
-        np.testing.assert_array_equal(load_csv(path, 1).y, [20, 21])
-        np.testing.assert_array_equal(load_csv(path, "3").y, [40, 41])
+        np.testing.assert_array_equal(load_csv(path, "1")[1], [10, 11])
+        np.testing.assert_array_equal(load_csv(path, "0")[1], [20, 21])
+        np.testing.assert_array_equal(load_csv(path, 1)[1], [20, 21])
+        np.testing.assert_array_equal(load_csv(path, "3")[1], [40, 41])
+
+    def test_ambiguous_header_name_rejected(self, tmp_path):
+        # a name that two header cells carry picks no column; an index still does
+        path = self.write(tmp_path, "y,x1,x1\n1,2,3\n4,5,6\n")
+        message = f"{path}: column name 'x1' names 2 columns: [1, 2]"
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+            load_csv(path, "x1")
+        np.testing.assert_array_equal(load_csv(path, 2)[1], [3, 6])
+        np.testing.assert_array_equal(load_csv(path, "y")[0], [[2, 3], [5, 6]])
 
 
 class TestLoadCsvFormats:
@@ -296,26 +294,26 @@ class TestLoadCsvFormats:
             for i, row in enumerate(values)
         ]
         text = "y,a,b,c\n" + "".join(",".join(row) + "\n" for row in cells)
-        d = load_csv(self.write(tmp_path, text), "y")
+        x, y = load_csv(self.write(tmp_path, text), "y")
         want = np.array([[float(c) for c in row] for row in cells])
-        np.testing.assert_array_equal(d.y, want[:, 0])
-        np.testing.assert_array_equal(d.x, want[:, 1:])
+        np.testing.assert_array_equal(y, want[:, 0])
+        np.testing.assert_array_equal(x, want[:, 1:])
 
     def test_quoted_padded_and_crlf_cells(self, tmp_path, monkeypatch):
         self.vectorized_only(monkeypatch)
         text = 'y,x1,x2\r\n"1.5", 2 ,"-3e2"\r\n  4,5.25 ,6\r\n7,"8", 9\r\n'
-        d = load_csv(self.write(tmp_path, text), "y")
-        np.testing.assert_array_equal(d.y, [1.5, 4.0, 7.0])
-        np.testing.assert_array_equal(d.x, [[2.0, -300.0], [5.25, 6.0], [8.0, 9.0]])
+        x, y = load_csv(self.write(tmp_path, text), "y")
+        np.testing.assert_array_equal(y, [1.5, 4.0, 7.0])
+        np.testing.assert_array_equal(x, [[2.0, -300.0], [5.25, 6.0], [8.0, 9.0]])
 
     def test_whitespace_only_line_is_skipped(self, tmp_path):
-        d = load_csv(self.write(tmp_path, "y,x1\n1,2\n   \n3,4\n\n5,6\n"), "y")
-        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.0, 6.0])
+        x, _ = load_csv(self.write(tmp_path, "y,x1\n1,2\n   \n3,4\n\n5,6\n"), "y")
+        np.testing.assert_array_equal(x[:, 0], [2.0, 4.0, 6.0])
 
     def test_underscore_literal_accepted_as_float_does(self, tmp_path):
-        d = load_csv(self.write(tmp_path, "y,x1\n1_0,2\n3,4_000.5\n"), "y")
-        np.testing.assert_array_equal(d.y, [10.0, 3.0])
-        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4000.5])
+        x, y = load_csv(self.write(tmp_path, "y,x1\n1_0,2\n3,4_000.5\n"), "y")
+        np.testing.assert_array_equal(y, [10.0, 3.0])
+        np.testing.assert_array_equal(x[:, 0], [2.0, 4000.5])
 
     def test_hash_is_not_a_comment(self, tmp_path):
         path = self.write(tmp_path, "y,x1\n1,2\n#3,4\n5,6\n")
@@ -343,33 +341,33 @@ class TestLoadCsvFormats:
     def test_header_with_a_quoted_newline(self, tmp_path, monkeypatch):
         self.vectorized_only(monkeypatch)
         path = self.write(tmp_path, 'y,"x\none"\n1,2\n3,4\n5,6\n')
-        d = load_csv(path, "y")
-        np.testing.assert_array_equal(d.y, [1.0, 3.0, 5.0])
-        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.0, 6.0])
-        assert load_csv(path, "x\none").y.tolist() == [2.0, 4.0, 6.0]
+        x, y = load_csv(path, "y")
+        np.testing.assert_array_equal(y, [1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(x[:, 0], [2.0, 4.0, 6.0])
+        assert load_csv(path, "x\none")[1].tolist() == [2.0, 4.0, 6.0]
 
     def test_byte_order_mark_and_crlf(self, tmp_path, monkeypatch):
         self.vectorized_only(monkeypatch)
         path = tmp_path / "marked.csv"
         path.write_bytes(b"\xef\xbb\xbfy,x1\r\n1,2\r\n3,4.5\r\n")
-        d = load_csv(str(path), "y")
-        np.testing.assert_array_equal(d.y, [1.0, 3.0])
-        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.5])
+        x, y = load_csv(str(path), "y")
+        np.testing.assert_array_equal(y, [1.0, 3.0])
+        np.testing.assert_array_equal(x[:, 0], [2.0, 4.5])
 
     def test_blank_lines_before_the_first_row(self, tmp_path, monkeypatch):
         self.vectorized_only(monkeypatch)
-        d = load_csv(self.write(tmp_path, "y,x1\n\n\r\n1,2\n\n3,4\n"), "y")
-        np.testing.assert_array_equal(d.y, [1.0, 3.0])
-        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.0])
+        x, y = load_csv(self.write(tmp_path, "y,x1\n\n\r\n1,2\n\n3,4\n"), "y")
+        np.testing.assert_array_equal(y, [1.0, 3.0])
+        np.testing.assert_array_equal(x[:, 0], [2.0, 4.0])
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_text_under_a_compression_suffix(self, tmp_path, suffix):
         # numpy opens the name as compressed and fails; the scan reads it as text
         path = tmp_path / f"data.csv{suffix}"
         path.write_text("y,x1\n1,2\n3,4\n", encoding="utf-8")
-        d = load_csv(str(path), "y")
-        np.testing.assert_array_equal(d.y, [1.0, 3.0])
-        np.testing.assert_array_equal(d.x[:, 0], [2.0, 4.0])
+        x, y = load_csv(str(path), "y")
+        np.testing.assert_array_equal(y, [1.0, 3.0])
+        np.testing.assert_array_equal(x[:, 0], [2.0, 4.0])
 
     def test_bare_compressed_stream_header(self, tmp_path):
         # numpy's bz2 reader ends in EOFError; the scan sees a header-only file
@@ -388,7 +386,7 @@ class TestLoadCsvFormats:
         (tmp_path / "http:" / "host").mkdir(parents=True)
         (tmp_path / "http:" / "host" / "d.csv").write_text("y,x1\n1,2\n3,4\n")
         monkeypatch.chdir(tmp_path)
-        assert load_csv("http://host/d.csv", "y").y.tolist() == [1.0, 3.0]
+        assert load_csv("http://host/d.csv", "y")[1].tolist() == [1.0, 3.0]
 
     @pytest.mark.parametrize(
         "raw, offset",

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from slicesdr import (
-    Dataset,
     candidate_matrix,
     cdr_basis,
     correction_coefficients,
@@ -80,7 +79,7 @@ class TestSir:
                 rng = np.random.default_rng(seed)
                 x = rng.standard_normal((n, p))
                 y = x[:, 0] + 0.5 * rng.standard_normal(n)
-                z = standardize(Dataset(x=x, y=y)).z
+                z, _ = standardize(x)
                 _, st = sorted_stats(z, y, H)
                 diff = sir_matrix(st) - sir_identity_minus(st)
                 gaps[n].append(np.linalg.norm(diff))
@@ -90,7 +89,7 @@ class TestSir:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((120, 4))
         y = x[:, 0] + 0.1 * rng.standard_normal(120)
-        z = standardize(Dataset(x=x, y=y)).z
+        z, _ = standardize(x)
         _, st = sorted_stats(z, y, 6)
         b1 = sym_eig(sir_matrix(st)).vectors[:, 0]
         b2 = sym_eig(sir_identity_minus(st)).vectors[:, 0]
@@ -355,29 +354,28 @@ class TestNullCalibration:
 
 
 class TestCdrBasis:
-    def sd(self, p=3):
+    def root(self, p=3):
         rng = np.random.default_rng(21)
-        x = rng.standard_normal((50, p))
-        return standardize(Dataset(x=x, y=np.zeros(50)))
+        return standardize(rng.standard_normal((50, p)))[1]
 
     def make(self, matrix):
         return sym_eig(np.asarray(matrix, dtype=float))
 
     def test_diagonal_top_direction(self):
-        basis = cdr_basis(self.make(np.diag([5.0, 1.0, 0.0])), 1, self.sd())
+        basis = cdr_basis(self.make(np.diag([5.0, 1.0, 0.0])), 1, self.root())
         np.testing.assert_allclose(np.abs(basis.betas_z[:, 0]), [1, 0, 0], atol=1e-12)
         np.testing.assert_allclose(basis.eigenvalues, [5.0])
         assert not basis.ambiguous
 
     def test_identity_flags_ambiguous(self):
         with pytest.warns(AmbiguousDimensionWarning):
-            basis = cdr_basis(self.make(np.eye(3)), 1, self.sd())
+            basis = cdr_basis(self.make(np.eye(3)), 1, self.root())
         assert basis.ambiguous
 
     def test_orthonormal_betas(self):
         rng = np.random.default_rng(22)
         a = rng.standard_normal((4, 4))
-        basis = cdr_basis(self.make((a + a.T) / 2), 2, self.sd(p=4))
+        basis = cdr_basis(self.make((a + a.T) / 2), 2, self.root(p=4))
         np.testing.assert_allclose(
             basis.betas_z.T @ basis.betas_z, np.eye(2), atol=1e-10
         )
@@ -387,9 +385,9 @@ class TestCdrBasis:
 
     def test_k_bounds(self):
         with pytest.raises(InvalidArgument):
-            cdr_basis(self.make(np.eye(3)), 0, self.sd())
+            cdr_basis(self.make(np.eye(3)), 0, self.root())
         with pytest.raises(InvalidArgument):
-            cdr_basis(self.make(np.eye(3)), 4, self.sd())
+            cdr_basis(self.make(np.eye(3)), 4, self.root())
 
 
 def test_unknown_method_rejected():

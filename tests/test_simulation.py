@@ -9,7 +9,6 @@ import pytest
 
 from slicesdr import (
     METHODS,
-    RngStreams,
     bias_sweep,
     candidate_matrix,
     model_streams,
@@ -22,7 +21,6 @@ from slicesdr import (
 )
 from slicesdr import simulation, slicing
 from slicesdr.cli import main
-from slicesdr.data import Dataset
 from slicesdr.errors import (
     InvalidArgument,
     NumericalError,
@@ -39,9 +37,10 @@ E1 = np.eye(simulation.MODEL_P)[0]
 
 
 def model_data(model, n, streams):
-    """One dataset of a benchmark model: the engines' draw and response."""
+    """Predictors x and response y of a benchmark model: the engines' draw
+    and response."""
     x, eps = simulation._draw(streams, (np.empty((n, E1.size)), np.empty(n)))
-    return Dataset(x=x, y=simulation._RESPONSES[model](x @ E1, eps))
+    return x, simulation._RESPONSES[model](x @ E1, eps)
 
 
 def one_cell(model, H, **kwargs):
@@ -58,41 +57,39 @@ class _ZeroStream:
 
 class TestGenerators:
     def test_fixed_seed_bit_identical(self):
-        d1 = model_data(2, 100, model_streams(42, 3))
-        d2 = model_data(2, 100, model_streams(42, 3))
-        np.testing.assert_array_equal(d1.x, d2.x)
-        np.testing.assert_array_equal(d1.y, d2.y)
+        x1, y1 = model_data(2, 100, model_streams(42, 3))
+        x2, y2 = model_data(2, 100, model_streams(42, 3))
+        np.testing.assert_array_equal(x1, x2)
+        np.testing.assert_array_equal(y1, y2)
 
     def test_distinct_replicates_differ(self):
-        d1 = model_data(1, 50, model_streams(42, 0))
-        d2 = model_data(1, 50, model_streams(42, 1))
-        assert not np.array_equal(d1.x, d2.x)
+        x1, _ = model_data(1, 50, model_streams(42, 0))
+        x2, _ = model_data(1, 50, model_streams(42, 1))
+        assert not np.array_equal(x1, x2)
 
     def test_x_and_eps_streams_independent_roles(self):
-        s = model_streams(7, 0)
-        t = model_streams(7, 0)
+        x_gen, _ = model_streams(7, 0)
+        _, eps_gen = model_streams(7, 0)
         assert not np.array_equal(
-            s.x.standard_normal(10), t.eps.standard_normal(10)
+            x_gen.standard_normal(10), eps_gen.standard_normal(10)
         )
 
     def test_multiplicative_model_with_zero_noise(self):
-        streams = RngStreams(
-            x=model_streams(1, 0).x, eps=_ZeroStream()
-        )
-        d = model_data(3, 64, streams)
-        np.testing.assert_array_equal(d.y, np.zeros(64))
+        streams = (model_streams(1, 0)[0], _ZeroStream())
+        _, y = model_data(3, 64, streams)
+        np.testing.assert_array_equal(y, np.zeros(64))
 
     def test_cubic_model_dominates_noise(self):
         # Var(u^3) = 15 against unit noise: corr(y, u^3) = sqrt(15/16) > 0.9
-        d = model_data(1, 100_000, model_streams(5, 0))
-        u3 = d.x[:, 0] ** 3
-        corr = np.corrcoef(d.y, u3)[0, 1]
+        x, y = model_data(1, 100_000, model_streams(5, 0))
+        u3 = x[:, 0] ** 3
+        corr = np.corrcoef(y, u3)[0, 1]
         assert corr > 0.9
 
     def test_model_formulas(self):
-        streams = model_streams(11, 2)
-        x = streams.x.standard_normal((30, 10))
-        eps = streams.eps.standard_normal(30)
+        x_gen, eps_gen = model_streams(11, 2)
+        x = x_gen.standard_normal((30, 10))
+        eps = eps_gen.standard_normal(30)
         u = x[:, 0]
         expected = {
             1: u ** 3 + eps,
@@ -102,8 +99,8 @@ class TestGenerators:
             5: np.cos(u) + eps,
         }
         for mid, want in expected.items():
-            d = model_data(mid, 30, RngStreams(_Replay(x), _Replay(eps)))
-            np.testing.assert_allclose(d.y, want, atol=0)
+            _, y = model_data(mid, 30, (_Replay(x), _Replay(eps)))
+            np.testing.assert_allclose(y, want, atol=0)
 
     @pytest.mark.parametrize("seed, replicate", [(-1, 0), (0, -1)])
     def test_negative_stream_keys_rejected(self, seed, replicate):
@@ -301,6 +298,39 @@ class TestBiasSweep:
         rows = bias_sweep([120], [4], reps=2, p=2)
         assert rows[0].H == 30
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(n_grid=[400.7]), r"n must be an integer, got 400\.7"),
+            (dict(n_grid=[400, 10.0], c_grid=[2, 1]),
+             r"c=1 leaves no within-slice pairs"),
+            (dict(c_grid=[2, 2.5]), r"c must be an integer, got 2\.5"),
+            (dict(c_grid=[True]), r"c must be an integer, got True"),
+            (dict(reps=2.0, seed=-1), r"reps must be an integer, got 2\.0"),
+            (dict(seed=1.5, p=4), r"seed must be an integer, got 1\.5"),
+            (dict(p=1.0), r"p must be an integer, got 1\.0"),
+            (dict(p=True), r"p must be an integer, got True"),
+        ],
+    )
+    def test_check_sweep_names_the_first_non_integer_argument(self, changes, message):
+        # a non-integer size is rejected, not truncated to the integer below
+        sweep = dict(n_grid=[400], c_grid=[2], reps=2, seed=1, p=1)
+        sweep.update(changes)
+        for check in (simulation.check_sweep, bias_sweep):
+            with pytest.raises(UsageError, match=f"^{message}$"):
+                check(**sweep)
+
+    def test_numpy_integers_are_integers(self):
+        # numpy integers pass the checks, and the rows keep Python ints
+        rows = bias_sweep(np.array([400]), np.array([2]), reps=np.int64(2),
+                          seed=np.int64(1), p=np.int64(1))
+        assert rows == bias_sweep([400], [2], reps=2, seed=1, p=1)
+        assert type(rows[0].n) is int and type(rows[0].c) is int
+        reports = run_grid([np.int64(1)], [np.int32(2)], n=np.int64(40),
+                           reps=np.int64(2), seed=np.uint8(1), p=np.int64(3))
+        want = run_grid([1], [2], n=40, reps=2, seed=1, p=3)
+        np.testing.assert_array_equal(grid_values(reports), grid_values(want))
+
 
 class TestSweepEngine:
     """One draw and one sort per replicate and n, shared by every c."""
@@ -382,11 +412,11 @@ class TestWorkBuffers:
             assert x is rows[0] and eps is rows[1]
             fresh = simulation._draw(model_streams(11, rep),
                                      (np.empty((n, p)), np.empty(n)))
-            streams = model_streams(11, rep)
+            x_gen, eps_gen = model_streams(11, rep)
             for got, want in zip(rows, fresh):
                 assert got.tobytes() == want.tobytes()
-            assert x.tobytes() == streams.x.standard_normal((n, p)).tobytes()
-            assert eps.tobytes() == streams.eps.standard_normal(n).tobytes()
+            assert x.tobytes() == x_gen.standard_normal((n, p)).tobytes()
+            assert eps.tobytes() == eps_gen.standard_normal(n).tobytes()
 
     def test_replicates_share_the_stats_buffers(self, monkeypatch):
         # stats made in an engine's buffers hold until its next slice call
@@ -496,13 +526,12 @@ def oracle_scores(cell):
     replicate at a time, through the unbatched (2-d) calls of every stage."""
     scores = {m: [] for m in METHODS}
     for rep in range(cell["reps"]):
-        data = model_data(cell["model"], cell["n"], model_streams(cell["seed"], rep))
+        x, y = model_data(cell["model"], cell["n"], model_streams(cell["seed"], rep))
         if cell["standardize"]:
-            sd = standardize(data)
-            z, back = sd.z, sd.cov_inv_sqrt
+            z, back = standardize(x)
         else:
-            z, back = data.x, None
-        stats = slice_stats(z, slice_equal_count(data.y, cell["H"]))
+            z, back = x, None
+        stats = slice_stats(z, slice_equal_count(y, cell["H"]))
         for method in METHODS:
             lead = sym_eig(candidate_matrix(method, stats)).vectors[:, 0]
             if back is not None:
@@ -749,11 +778,21 @@ class TestGridEngine:
              r"methods must be a list or tuple, got str"),
             (dict(h_grid=[2, 1], reps=0), r"H must be >= 2, got 1"),
             (dict(h_grid=[2, 300], seed=-1), r"n=480 too small for H=300"),
+            (dict(models=[1.0], p=0), r"model id must be an integer, got 1\.0"),
+            (dict(models=[1, True]), r"model id must be an integer, got True"),
+            (dict(p=10.0, n=480.5), r"p must be an integer, got 10\.0"),
+            (dict(p=np.True_), r"p must be an integer, got np\.True_"),
+            (dict(n=480.5, h_grid=[]), r"n must be an integer, got 480\.5"),
+            (dict(h_grid=[2, 4.0], reps=0), r"H must be an integer, got 4\.0"),
+            (dict(reps=2.0, seed=-1), r"reps must be an integer, got 2\.0"),
+            (dict(seed=1.5, methods=()), r"seed must be an integer, got 1\.5"),
+            (dict(seed="1"), r"seed must be an integer, got '1'"),
         ],
     )
     def test_check_grid_names_the_first_invalid_argument(self, changes, message):
-        # model ids, then p, then the grid, then each H in turn, then the
-        # arguments that do not depend on H, each checked once
+        # model ids, then p, then n and the grid, then each H in turn, then
+        # the arguments that do not depend on H, each checked once; every
+        # size and id must be an int or a numpy integer, and a bool is none
         grid = dict(models=[1, 3], h_grid=[2, 4], n=480, reps=2, seed=1,
                     methods=METHODS, standardize=False, p=10)
         grid.update(changes)

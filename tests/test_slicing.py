@@ -420,9 +420,13 @@ class TestSliceStats:
             (lambda a: SliceAssignment(order=np.arange(10),
                                        bounds=np.array([0, 6, 3, 10], dtype=np.uint64)),
              InvalidArgument, "bounds must not decrease"),
+            (lambda a: slice_equal_count(np.arange(12.0), 2.5),
+             InvalidArgument, "H must be an integer, got 2.5"),
+            (lambda a: slicing.equal_count_bounds(12, np.float64(3)),
+             InvalidArgument, "H must be an integer, got np.float64(3.0)"),
         ],
         ids=["float-order", "zero-slices", "z-1d", "decreasing-bounds",
-             "decreasing-unsigned-bounds"],
+             "decreasing-unsigned-bounds", "float-slices", "numpy-float-slices"],
     )
     def test_invalid_arguments_rejected(self, call, error, message):
         a = slice_equal_count(np.arange(12.0), 3)

@@ -280,6 +280,30 @@ def test_settable_parameters_are_the_listed_ones():
     assert sorted(found) == sorted(SETTABLE_PARAMETERS)
 
 
+#: Every dataclass in src/, as "module:Class": each is a type that a caller
+#: builds or reads, which shows here when it is added or removed.
+DATACLASSES = [
+    "estimators:CdrBasis",
+    "linalg:EigenResult",
+    "simulation:McReport",
+    "simulation:MethodSummary",
+    "simulation:SweepRow",
+    "slicing:SliceAssignment",
+    "slicing:SliceStats",
+]
+
+
+def test_dataclasses_are_the_listed_ones():
+    found = [
+        f"{path.stem}:{node.name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ClassDef)
+        and "dataclass" in map(_decorator_name, node.decorator_list)
+    ]
+    assert sorted(found) == sorted(DATACLASSES)
+
+
 #: Every private name that a package module takes from another one, as
 #: "importer <- module.name": each is a coupling between the internals of
 #: two modules, which shows here when it is added or removed.

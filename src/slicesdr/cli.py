@@ -28,7 +28,6 @@ import errno
 import functools
 import json
 import os
-import re
 import sys
 
 from . import __version__
@@ -40,7 +39,7 @@ from .estimators import (
     cdr_basis,
     negative_eigenvalue_count,
 )
-from .linalg import REL_FLOOR, check_rel_floor, sym_eig
+from .linalg import REL_FLOOR, sym_eig
 from .simulation import (
     DEFAULT_SEED,
     MODEL_IDS,
@@ -82,8 +81,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _check_output(output: str | None) -> None:
     """Fail where ``_emit`` could not open ``output``, with the error ``open``
-    would raise; nothing is created.  A command calls it once its arguments
-    are valid and before its run starts."""
+    would raise; nothing is created.  A command calls it once the arguments
+    it can check without data are valid and before its run starts."""
     if output is None:
         return
     try:
@@ -119,12 +118,12 @@ def _default_slices(n: int) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    # usage errors that need no data, before the file is read
-    check_rel_floor(args.rel_floor)
+    # usage errors that need no data, and the output, before the file is read
     if args.slices is not None and args.slices < 2:
         raise InvalidArgument(f"--slices {args.slices}: need at least 2 slices")
     if args.k < 1:
         raise InvalidArgument(f"--k {args.k}: need at least 1 direction")
+    _check_output(args.output)
     x, y = load_csv(args.input, args.y)
     n, p = x.shape
     if args.slices is not None:
@@ -136,7 +135,7 @@ def _cmd_estimate(args) -> int:
         raise InvalidArgument(
             f"{source} leaves fewer than 2 points per slice for n={n}"
         )
-    z, root = standardize(x, rel_floor=args.rel_floor)
+    z, root = standardize(x)
     del x  # nothing reads x after whitening; free it before the slice gather
     stats = slice_stats(z, slice_equal_count(y, H))
     eig = sym_eig(candidate_matrix(args.method, stats))
@@ -153,7 +152,7 @@ def _cmd_estimate(args) -> int:
         "slices": H,
         "k": args.k,
         "divisor": "c-1",
-        "rel_floor": args.rel_floor,
+        "rel_floor": REL_FLOOR,
         "n": n,
         "p": p,
     }
@@ -372,10 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="slice count H (default: max(2, round(n/20)))")
     est.add_argument("--method", choices=METHODS, default="save")
     est.add_argument("--k", type=int, default=1, help="directions to keep (default 1)")
-    est.add_argument("--rel-floor", type=float, default=REL_FLOOR,
-                     help="relative eigenvalue floor for the covariance inverse root")
-    # argparse's own pattern reads "-1e-3" and "-inf" as unknown options
-    est._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     add_output_flags(est)
     est.set_defaults(func=_cmd_estimate)
 

@@ -27,7 +27,7 @@ from .errors import CsvFormatError, DataError, InvalidArgument, NumericalError
 _WHITEN_BLOCK = 2**18
 
 
-def standardize(x, rel_floor: float = linalg.REL_FLOOR) -> tuple:
+def standardize(x) -> tuple:
     """Whitened predictors z and the root cov^{-1/2} that whitened them.
 
     Row i of z is cov^{-1/2} (x_i - mean), from the sample mean and
@@ -49,7 +49,7 @@ def standardize(x, rel_floor: float = linalg.REL_FLOOR) -> tuple:
         raise DataError(f"need n > p to standardize, got n={n}, p={p}")
     xc = x - x.mean(axis=0)
     cov = linalg.ensure_symmetric(xc.T @ xc / (n - 1))
-    root = linalg.inv_sqrt(cov, rel_floor=rel_floor)
+    root = linalg.inv_sqrt(cov)
     # root is symmetric, so row-wise R (x - mean); even row blocks leave no
     # 1-row tail, which numpy would send to gemv, whose bits differ from gemm's.
     # Each block is whitened in place: numpy copies an input block that

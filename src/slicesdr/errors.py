@@ -42,8 +42,9 @@ class CsvFormatError(DataError):
 
 
 class SingularCovariance(NumericalError):
-    """A covariance matrix is singular or too ill-conditioned to invert;
-    a smaller ``rel_floor`` (``--rel-floor``) may admit it."""
+    """A covariance matrix is singular or too ill-conditioned to invert:
+    an eigenvalue below ``linalg.REL_FLOOR`` times the largest.  Rescale
+    the columns or drop collinear ones."""
 
 
 class SimulationError(NumericalError):

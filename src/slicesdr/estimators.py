@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg
 from .data import directions_to_x_scale
 from .errors import AmbiguousDimensionWarning, InvalidArgument
-from .slicing import SliceStats
+from .slicing import SliceStats, check_integer
 
 #: Method names in canonical reporting order.
 METHODS = ("save", "sir", "csave")
@@ -68,6 +68,7 @@ def save_matrix(stats: SliceStats) -> np.ndarray:
 
 def correction_coefficients(c: int) -> tuple[float, float]:
     """Scalar weights (a, b) of the debiased combination a*L - b*V."""
+    check_integer("c", c)
     if c < 2:
         raise InvalidArgument(f"bias correction needs c >= 2, got c={c}")
     denom = (c - 1) ** 2 + 1
@@ -118,6 +119,7 @@ def cdr_basis(eig: linalg.EigenResult, k: int, cov_inv_sqrt) -> CdrBasis:
     root that ``standardize`` returned, which maps the basis to the x scale.
     """
     p = eig.values.size
+    check_integer("k", k)
     if not 1 <= k <= p:
         raise InvalidArgument(f"need 1 <= k <= p={p}, got k={k}")
     ambiguous = False

@@ -85,6 +85,8 @@ def model_streams(seed: int, replicate: int) -> tuple:
     Counter-based Philox generators keyed by (seed, replicate, role); the
     draws of one replicate never depend on which other replicates run.
     """
+    check_integer("seed", seed)
+    check_integer("replicate", replicate)
     if seed < 0 or replicate < 0:
         raise InvalidArgument("seed and replicate index must be non-negative")
     return (
@@ -187,8 +189,8 @@ class McReport:
 def _chunk_size(n: int, p: int, H: int) -> int:
     """Replicates per stacked pass.
 
-    Keeps the (chunk, n, p) data and (chunk, H, p, p) covariance stacks no
-    larger than one replicate's (n, p, p) array of outer products.
+    Keeps the (chunk, n, p) data and (chunk, H, p, p) covariance stacks at
+    no more than n * p**2 floats each: chunk <= p and chunk * H <= n.
     """
     return max(1, min(p, n // H))
 

@@ -291,41 +291,6 @@ class TestEstimate:
         assert results(numeric, "0") == results(plain, "b")
         assert results(numeric, "3") == results(plain, "d")
 
-    @pytest.mark.parametrize(
-        "flag",
-        [pytest.param([f"--rel-floor={v}"], id=v)
-         for v in ("nan", "inf", "-1", "-1e-300")]
-        # a negative value in exponent form as its own token is a value too
-        + [pytest.param(["--rel-floor", v], id=f"separate{v}")
-           for v in ("-1e-3", "-1E-3", "-.5e-2", "-1e-300", "-1", "-inf", "-NaN")],
-    )
-    def test_invalid_rel_floor_is_usage_error(self, tmp_path, capsys, flag):
-        path = write_model_csv(tmp_path, model_id=1, n=100)
-        code = main(["estimate", "--input", path, "--y", "y", *flag])
-        assert code == 2
-        assert "rel_floor must be finite and >= 0" in capsys.readouterr().err
-
-    def test_invalid_rel_floor_is_reported_before_the_file_is_opened(
-        self, tmp_path, capsys
-    ):
-        missing = str(tmp_path / "missing.csv")
-        code = main(["estimate", "--input", missing, "--y", "y", "--rel-floor", "-1e-3"])
-        assert code == 2
-        assert "rel_floor must be finite and >= 0" in capsys.readouterr().err
-
-    def test_invalid_rel_floor_does_not_parse_the_csv(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        path = write_model_csv(tmp_path, model_id=1, n=100)
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("load_csv called before the rel_floor check")
-
-        monkeypatch.setattr(slicesdr.cli, "load_csv", unreachable)
-        code = main(["estimate", "--input", path, "--y", "y", "--rel-floor=nan"])
-        assert code == 2
-        assert "rel_floor must be finite and >= 0" in capsys.readouterr().err
-
     def test_invalid_slices_does_not_parse_the_csv(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -340,19 +305,6 @@ class TestEstimate:
         path = write_model_csv(tmp_path, model_id=1, n=100)
         assert main(["estimate", "--input", path, "--y", "y", "--slices", "0"]) == 2
         assert capsys.readouterr().err == "error: --slices 0: need at least 2 slices\n"
-
-    def test_constant_predictor_is_numerical_error_at_zero_rel_floor(
-        self, tmp_path, capsys
-    ):
-        rows = ["y,x1,x2"] + [f"{i},{i % 7},1.0" for i in range(40)]
-        path = tmp_path / "flat.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no divide-by-zero on the way
-            code = main(["estimate", "--input", str(path), "--y", "y",
-                         "--slices", "4", "--rel-floor", "0"])
-        assert code == 4
-        assert capsys.readouterr().err.startswith("error: eigenvalue ")
 
     @pytest.mark.parametrize("method", ["sir", "save", "csave"])
     @pytest.mark.parametrize("slices", ["2", "3"])
@@ -876,7 +828,7 @@ class TestExitCodeFamilies:
     ):
         # a missing directory, an existing one or an empty path: exit 3 with
         # open()'s error, and nothing is created; the simulations fail before
-        # they run
+        # they run, and estimate before it reads its input
         if command == "sweep":
             argv = ["sweep", "--mode", "bias", "--n-grid", "100", "--c-grid", "2",
                     "--reps", "1"]
@@ -891,7 +843,7 @@ class TestExitCodeFamilies:
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
-        for name in ("run_grid", "bias_sweep"):
+        for name in ("run_grid", "bias_sweep", "load_csv"):
             monkeypatch.setattr(f"slicesdr.cli.{name}", no_run)
         output = str(tmp_path / target) if target else ""
         assert main(argv + ["--output", output]) == 3
@@ -908,7 +860,7 @@ class TestExitCodeFamilies:
             ["table1", "--H", "2,0"],
             ["simulate", "--model", "1", "--slices", "0"],
             ["sweep", "--mode", "bias", "--n-grid", "100", "--c-grid", "1"],
-            ["estimate", "--input", "missing.csv", "--y", "y", "--rel-floor", "-1e-3"],
+            ["estimate", "--input", "missing.csv", "--y", "y", "--k", "0"],
         ],
     )
     def test_usage_error_is_reported_before_an_unwritable_output(

@@ -252,6 +252,8 @@ class TestLambdaCorrected:
         with pytest.raises(InvalidArgument,
                            match="^bias correction needs c >= 2, got c=1$"):
             correction_coefficients(1)
+        with pytest.raises(InvalidArgument, match=r"^c must be an integer, got 2\.5$"):
+            correction_coefficients(2.5)
 
     def test_uses_global_slice_size(self):
         # n = 23, H = 4: slices of 5, 5, 5, 8 take the c = 23 // 4 = 5 weights
@@ -388,6 +390,10 @@ class TestCdrBasis:
             cdr_basis(self.make(np.eye(3)), 0, self.root())
         with pytest.raises(InvalidArgument):
             cdr_basis(self.make(np.eye(3)), 4, self.root())
+        with pytest.raises(InvalidArgument, match=r"^k must be an integer, got 1\.5$"):
+            cdr_basis(self.make(np.eye(3)), 1.5, self.root())
+        with pytest.raises(InvalidArgument, match="^k must be an integer, got True$"):
+            cdr_basis(self.make(np.eye(3)), True, self.root())
 
 
 def test_unknown_method_rejected():

@@ -102,11 +102,15 @@ class TestGenerators:
             _, y = model_data(mid, 30, (_Replay(x), _Replay(eps)))
             np.testing.assert_allclose(y, want, atol=0)
 
-    @pytest.mark.parametrize("seed, replicate", [(-1, 0), (0, -1)])
-    def test_negative_stream_keys_rejected(self, seed, replicate):
-        with pytest.raises(
-            InvalidArgument, match="^seed and replicate index must be non-negative$"
-        ):
+    @pytest.mark.parametrize("seed, replicate, message", [
+        pytest.param(-1, 0, "seed and replicate index must be non-negative", id="-1-0"),
+        pytest.param(0, -1, "seed and replicate index must be non-negative", id="0--1"),
+        pytest.param(1.5, 0, r"seed must be an integer, got 1\.5", id="1.5-0"),
+        pytest.param(0, 2.0, r"replicate must be an integer, got 2\.0", id="0-2.0"),
+        pytest.param(True, 0, "seed must be an integer, got True", id="True-0"),
+    ])
+    def test_negative_stream_keys_rejected(self, seed, replicate, message):
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
             model_streams(seed, replicate)
 
     def test_unknown_model_id_rejected(self):

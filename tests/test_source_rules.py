@@ -227,8 +227,6 @@ def test_every_imported_name_is_read():
 #: in the diff of this list.
 SETTABLE_PARAMETERS = [
     "cli:main(argv)",
-    "data:standardize(rel_floor)",
-    "linalg:inv_sqrt(rel_floor)",
     "simulation:run_grid(seed)",
     "simulation:run_grid(methods)",
     "simulation:run_grid(standardize)",
@@ -348,16 +346,16 @@ def test_private_names_that_cross_modules_are_the_listed_ones():
     assert sorted(found) == sorted(PRIVATE_IMPORTS)
 
 
-def _parser_options(parser: argparse.ArgumentParser) -> set:
-    """The --options of ``parser`` and of its subcommands, without
-    argparse's own --help."""
-    options = set()
+def _parser_options(parser: argparse.ArgumentParser, command: str = "") -> list:
+    """The --options of ``parser`` and of its subcommands, each after its
+    subcommand's name, without argparse's own --help."""
+    options = []
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                options |= _parser_options(sub)
+            for name, sub in action.choices.items():
+                options += _parser_options(sub, f"{name} ")
         elif not isinstance(action, argparse._HelpAction):
-            options.update(s for s in action.option_strings if s.startswith("--"))
+            options += [command + s for s in action.option_strings if s.startswith("--")]
     return options
 
 
@@ -367,4 +365,50 @@ def test_readme_options_are_the_parsers():
     text = README.read_text(encoding="utf-8")
     documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
     documented -= {"--no-build-isolation"}  # pip's, in the install line
-    assert documented == _parser_options(build_parser())
+    assert documented == {o.split()[-1] for o in _parser_options(build_parser())}
+
+
+#: Every CLI option, as "command --option" ("--version" is the top level's):
+#: each is a knob that a user can set, which shows here when it is added or
+#: removed.
+CLI_OPTIONS = [
+    "--version",
+    "estimate --input",
+    "estimate --y",
+    "estimate --slices",
+    "estimate --method",
+    "estimate --k",
+    "estimate --out",
+    "estimate --output",
+    "simulate --model",
+    "simulate --n",
+    "simulate --p",
+    "simulate --slices",
+    "simulate --reps",
+    "simulate --seed",
+    "simulate --methods",
+    "simulate --quantiles",
+    "simulate --standardize",
+    "simulate --out",
+    "simulate --output",
+    "table1 --reps",
+    "table1 --seed",
+    "table1 --models",
+    "table1 --H",
+    "table1 --n",
+    "table1 --standardize",
+    "table1 --out",
+    "table1 --output",
+    "sweep --mode",
+    "sweep --n-grid",
+    "sweep --c-grid",
+    "sweep --reps",
+    "sweep --seed",
+    "sweep --p",
+    "sweep --out",
+    "sweep --output",
+]
+
+
+def test_cli_options_are_the_listed_ones():
+    assert sorted(_parser_options(build_parser())) == sorted(CLI_OPTIONS)

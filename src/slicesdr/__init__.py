@@ -32,8 +32,6 @@ from .linalg import (
 from .metrics import r2_single
 from .simulation import (
     DEFAULT_SEED,
-    McReport,
-    MethodSummary,
     SweepRow,
     bias_sweep,
     model_streams,
@@ -53,8 +51,6 @@ __all__ = [
     "DEFAULT_SEED",
     "EigenResult",
     "METHODS",
-    "McReport",
-    "MethodSummary",
     "SliceAssignment",
     "SliceStats",
     "SweepRow",

@@ -44,12 +44,12 @@ from .simulation import (
     DEFAULT_SEED,
     MODEL_IDS,
     MODEL_P,
-    McReport,
     SWEEP_P,
     SweepRow,
     bias_sweep,
     check_grid,
     check_sweep,
+    order_stats,
     run_grid,
 )
 from .slicing import slice_equal_count, slice_stats
@@ -210,20 +210,17 @@ _MEDIAN_FIELDS = ("model", "method", "H", "median", "reps")
 _QUANTILE_FIELDS = ("model", "method", "H", "min", "q1", "median", "q3", "max", "reps")
 
 
-def _report_rows(report: McReport) -> list:
+def _grid_rows(models, h_grid, methods, scores) -> list:
+    """One row per (model, H, method) cell of ``run_grid``'s ``scores``, in
+    the order of its axes."""
+    stats = dict(zip(("median", "q1", "q3", "min", "max"), order_stats(scores)))
     return [
-        {
-            "model": report.model,
-            "method": method,
-            "H": report.H,
-            "median": s.median,
-            "q1": s.q1,
-            "q3": s.q3,
-            "min": s.min,
-            "max": s.max,
-            "reps": len(s.values),
-        }
-        for method, s in report.summaries.items()
+        {"model": model, "method": method, "H": H,
+         **{name: float(stat[i, j, k]) for name, stat in stats.items()},
+         "reps": scores.shape[-1]}
+        for i, model in enumerate(models)
+        for j, H in enumerate(h_grid)
+        for k, method in enumerate(methods)
     ]
 
 
@@ -233,7 +230,7 @@ def _cmd_simulate(args) -> int:
             args.standardize, args.p)
     check_grid(*grid)
     _check_output(args.output)
-    report = run_grid(*grid)[0]
+    rows = _grid_rows([args.model], [args.slices], methods, run_grid(*grid))
     meta = {
         "command": "simulate",
         "version": __version__,
@@ -248,7 +245,7 @@ def _cmd_simulate(args) -> int:
         "quantiles": bool(args.quantiles),
     }
     fields = _QUANTILE_FIELDS if args.quantiles else _MEDIAN_FIELDS
-    _emit_rows(args, meta, _report_rows(report), fields)
+    _emit_rows(args, meta, rows, fields)
     return EXIT_OK
 
 
@@ -271,8 +268,7 @@ def _cmd_table1(args) -> int:
             MODEL_P)
     check_grid(*grid)
     _check_output(args.output)
-    reports = run_grid(*grid)
-    rows = [row for r in reports for row in _report_rows(r)]
+    rows = _grid_rows(models, h_grid, METHODS, run_grid(*grid))
     # mirror the reference layout: per-model blocks, method rows, H columns
     rows.sort(key=lambda r: (r["model"], METHODS.index(r["method"]), r["H"]))
     if args.out == "human":

@@ -67,7 +67,14 @@ def directions_to_x_scale(betas_z, cov_inv_sqrt) -> np.ndarray:
     Applies cov^{-1/2} to a (p,) direction or to each column of a (p, k)
     stack and renormalizes to unit length; the result has the input's shape.
     """
-    out = np.asarray(cov_inv_sqrt, dtype=float) @ np.asarray(betas_z, dtype=float)
+    betas_z = np.asarray(betas_z, dtype=float)
+    root = np.asarray(cov_inv_sqrt, dtype=float)
+    if betas_z.ndim not in (1, 2) or root.shape != (betas_z.shape[0],) * 2:
+        raise InvalidArgument(
+            f"cov_inv_sqrt of shape {root.shape} does not fit directions of "
+            f"shape {betas_z.shape}; need (p, p) for (p,) or (p, k) directions"
+        )
+    out = root @ betas_z
     norms = np.linalg.norm(out, axis=0)
     if np.any(norms <= 1e-300):
         raise NumericalError("a direction collapsed to zero under cov^{-1/2}")

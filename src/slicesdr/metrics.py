@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import InvalidArgument, NumericalError
 
 _RANK_TOL = 1e-10
 
@@ -36,7 +36,9 @@ def r2_single(beta_hat, true_basis):
     unit beta in the span.
 
     A vector beta_hat gives a float; a stack of shape (..., p) gives an
-    array of scores, one per row, each row scored on its own.
+    array of scores, one per row, each row scored on its own.  The last
+    axis of beta_hat must match the p rows of true_basis, so a (p, 1)
+    column is refused rather than read as p vectors of length 1.
     """
     b = np.asarray(beta_hat, dtype=float)
     if b.ndim < 2:
@@ -48,6 +50,11 @@ def r2_single(beta_hat, true_basis):
     basis = np.asarray(true_basis, dtype=float)
     if basis.ndim == 1:
         basis = basis[:, None]
+    if b.shape[-1] != basis.shape[0]:
+        raise InvalidArgument(
+            f"beta_hat of shape {b.shape} needs a last axis of "
+            f"{basis.shape[0]}, the rows of true_basis"
+        )
     q = _orthonormalize(basis)
     proj = np.einsum("ik,...i->...k", q, b)
     r2 = np.einsum("...k,...k->...", proj, proj) / np.einsum("...i,...i->...", b, b)

@@ -8,8 +8,10 @@ noise.  Replicate r of a run draws from counter-based substreams keyed by
 replicates run.
 
 ``run_grid`` scores each method's leading direction against e_1 over a
-grid of (model, H) cells and reports the replicate medians of each cell;
-a single run is a one-cell grid.  ``bias_sweep`` tracks the raw and
+grid of (model, H) cells and returns the scores as one array of shape
+(models, H, methods, reps), each axis in the order given; a single run is
+a one-cell grid.  ``order_stats`` gives the median, quartiles and range
+of each cell in one call.  ``bias_sweep`` tracks the raw and
 corrected slice-covariance-square estimators on a pure-noise model where
 the estimand is known exactly.  ``check_grid`` and ``check_sweep`` hold
 the argument checks of the two engines, which call them first; the CLI
@@ -107,19 +109,6 @@ def _draw(streams, out):
     return x_gen.standard_normal(out=x), eps_gen.standard_normal(out=eps)
 
 
-@dataclass(frozen=True)
-class MethodSummary:
-    """Replicate scores of one method plus their five-number summary."""
-
-    method: str
-    values: np.ndarray
-    median: float
-    q1: float
-    q3: float
-    min: float
-    max: float
-
-
 def _quartile(s: np.ndarray, q: float) -> np.ndarray:
     """``np.quantile(s, q, axis=-1)`` of rows s already sorted along the
     last axis: numpy's linear interpolation between the two order
@@ -134,9 +123,9 @@ def _quartile(s: np.ndarray, q: float) -> np.ndarray:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
-def _order_stats(values: np.ndarray) -> tuple:
-    """(median, q1, q3, min, max) of each row of ``values`` (rows, n), from
-    one sort.
+def order_stats(values: np.ndarray) -> tuple:
+    """(median, q1, q3, min, max) of each row of ``values`` (..., n), from
+    one sort: five arrays of the leading shape, which has at least one axis.
 
     Each is bitwise what ``np.median``, ``np.quantile(..., [0.25, 0.75])``,
     ``min`` and ``max`` give, without those calls, which import numpy.ma:
@@ -153,37 +142,6 @@ def _order_stats(values: np.ndarray) -> tuple:
     for stat in stats:
         np.copyto(stat, s[..., -1], where=nan)
     return (*stats, s[..., -1])
-
-
-def _summaries(methods: tuple, values: np.ndarray) -> list:
-    """One MethodSummary per row of ``values`` (rows, reps), row i scored
-    by ``methods[i % len(methods)]``.
-
-    A row's statistics are bitwise those of its values alone
-    (``_order_stats``).
-    """
-    median, q1, q3, lo, hi = _order_stats(values)
-    return [
-        MethodSummary(
-            method=methods[i % len(methods)],
-            values=v,
-            median=float(median[i]),
-            q1=float(q1[i]),
-            q3=float(q3[i]),
-            min=float(lo[i]),
-            max=float(hi[i]),
-        )
-        for i, v in enumerate(values)
-    ]
-
-
-@dataclass(frozen=True)
-class McReport:
-    """Per-method replicate scores of one (model, H) cell of a run."""
-
-    model: int
-    H: int
-    summaries: dict  # method -> MethodSummary
 
 
 def _chunk_size(n: int, p: int, H: int) -> int:
@@ -309,14 +267,16 @@ def run_grid(
     methods: tuple = METHODS,
     standardize: bool = False,
     p: int = MODEL_P,
-) -> list:
-    """One report per (model, H) cell, models outer and H inner, in the
-    order given (repeats included).
+) -> np.ndarray:
+    """The R^2 scores of the grid, an array of shape (len(models),
+    len(h_grid), len(methods), reps): element [i, j, k, r] scores method
+    ``methods[k]`` on replicate r of model ``models[i]`` at H =
+    ``h_grid[j]``, the axes in the order given (repeats included).
 
     ``models`` are ids from ``MODEL_IDS``, each drawn with x ~ N(0, I_p)
     and the index direction e_1, so the response depends on x[0] alone.
     Replicate r of every cell is drawn once from ``model_streams(seed,
-    r)``, so each cell's report is the same as a run of that cell alone.
+    r)``, so each cell's scores are the same as a run of that cell alone.
     A failing replicate aborts the whole run with its index attached;
     nothing is skipped silently.
     """
@@ -356,19 +316,9 @@ def run_grid(
             out.extend(r2_single(lead, true_basis).reshape(-1, chunk))
         return out
 
-    summaries = _summaries(
-        methods, np.stack(_run_chunks(reps, n, p, seed, slicings, scores, buffers))
+    return np.stack(_run_chunks(reps, n, p, seed, slicings, scores, buffers)).reshape(
+        len(models), len(h_grid), len(methods), reps
     )
-    k = len(methods)
-    cells = [(model, H) for model in models for H in h_grid]
-    return [
-        McReport(
-            model=model,
-            H=H,
-            summaries={s.method: s for s in summaries[c * k:(c + 1) * k]},
-        )
-        for c, (model, H) in enumerate(cells)
-    ]
 
 
 @dataclass(frozen=True)
@@ -470,7 +420,7 @@ def bias_sweep(
     for n in n_grid:
         h_grid = [n // c for c in c_grid]
         levels = _null_levels(n, h_grid, p, reps, seed)
-        medians = _order_stats(np.stack(levels))[0]
+        medians = order_stats(np.stack(levels))[0]
         for i, (c, H) in enumerate(zip(c_grid, h_grid)):
             raw_level, cor_level, raw_err, cor_err = levels[4 * i:4 * i + 4]
             rows.append(

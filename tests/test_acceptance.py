@@ -23,6 +23,7 @@ import pytest
 import slicesdr
 from slicesdr import (
     DEFAULT_SEED,
+    METHODS,
     bias_sweep,
     correction_coefficients,
     inv_sqrt,
@@ -33,6 +34,7 @@ from slicesdr import (
     slice_stats,
     sym_eig,
 )
+from slicesdr.simulation import order_stats
 from oracles import eigen_perturb_first_order, trace_correlation
 from test_estimators import exact_corrected_mean, exact_lambda_mean
 
@@ -70,11 +72,14 @@ def _verdict(criterion: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def grid_medians():
     """Full benchmark grid, 200 replicates per cell, fixed default seed."""
-    out = {}
-    for report in run_grid(REFERENCE_MEDIANS, H_GRID, 480, 200, seed=DEFAULT_SEED):
-        for method, summary in report.summaries.items():
-            out[(report.model, method, report.H)] = summary.median
-    return out
+    scores = run_grid(REFERENCE_MEDIANS, H_GRID, 480, 200, seed=DEFAULT_SEED)
+    medians = order_stats(scores)[0]
+    return {
+        (model, method, H): float(medians[i, j, k])
+        for i, model in enumerate(REFERENCE_MEDIANS)
+        for j, H in enumerate(H_GRID)
+        for k, method in enumerate(METHODS)
+    }
 
 
 def test_acceptance_1_reference_grid_medians(grid_medians):

@@ -599,6 +599,72 @@ class TestTable1:
         assert code == 0
         assert capsys.readouterr().out == expected
 
+    #: ``table1 --models 3,1 --H 24,2 --n 240 --reps 4 --seed 1729`` in csv:
+    #: the rows sort by model, then METHODS order, then H.
+    UNSORTED_GRID_CSV = (
+        "model,method,H,min,q1,median,q3,max,reps\n"
+        "1,save,2,0.0011182524592371085,0.13253513827103583,0.18191330570433906,"
+        "0.26415849215760506,0.49417643502929226,4\n"
+        "1,save,24,0.0003678577501641795,0.00047298285229478254,"
+        "0.00075624995372245243,0.0016979980565163318,0.0037785661627455632,4\n"
+        "1,sir,2,0.80914405442178894,0.86811514969047943,0.90172587810153515,"
+        "0.92550055379333618,0.95496349090426247,4\n"
+        "1,sir,24,0.9186229546499789,0.94243878029582162,0.95261699601430405,"
+        "0.95644405428629209,0.96120640759265186,4\n"
+        "1,csave,2,0.0012603625267159355,0.22471810646781043,0.43393271026857561,"
+        "0.57034533759743899,0.57539715212282794,4\n"
+        "1,csave,24,0.0097418867011647217,0.012192044670811416,0.30675319372527599,"
+        "0.66450024481771641,0.8565081089012907,4\n"
+        "3,save,2,0.013898977250318186,0.063361141667556437,0.098263263023791084,"
+        "0.15442069163520233,0.26764877781797036,4\n"
+        "3,save,24,0.093753564242380752,0.27347399198718975,0.35451365476365809,"
+        "0.39702931958907234,0.46117775348071904,4\n"
+        "3,sir,2,0.099449106216004057,0.10847256134347801,0.16401791090701301,"
+        "0.28887851284411931,0.50584772509230702,4\n"
+        "3,sir,24,0.00021365775963113696,0.0073005253965247388,0.02027710762065843,"
+        "0.033498277294701194,0.041318907281322016,4\n"
+        "3,csave,2,0.0015483173925704048,0.020952526472869198,0.046998109112308457,"
+        "0.12246635466244153,0.29013855247482179,4\n"
+        "3,csave,24,0.11593556550080517,0.29009357330522861,0.5418336346539655,"
+        "0.77031476481228323,0.87469597904544949,4\n"
+    )
+
+    def test_unsorted_grid_bytes(self, capsys):
+        # csv and json rows come sorted, json meta keeps the grids as given,
+        # and the human table keeps the given order of models and H
+        argv = ["table1", "--models", "3,1", "--H", "24,2", "--n", "240",
+                "--reps", "4", "--seed", "1729"]
+        assert main(argv + ["--out", "csv"]) == 0
+        assert capsys.readouterr().out == self.UNSORTED_GRID_CSV
+        header, *lines = self.UNSORTED_GRID_CSV.splitlines()
+        rows = []
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            rows.append({"model": int(row["model"]), "method": row["method"],
+                         "H": int(row["H"]),
+                         **{k: float(row[k]) for k in ("median", "q1", "q3", "min", "max")},
+                         "reps": int(row["reps"])})
+        meta = {"command": "table1", "version": slicesdr.__version__, "seed": 1729,
+                "models": [3, 1], "p": 10, "H": [24, 2], "n": 240, "reps": 4,
+                "methods": ["save", "sir", "csave"], "standardize": False}
+        assert main(argv + ["--out", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            {"meta": meta, "results": rows}, indent=2
+        ) + "\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "model 3 (n=240, reps=4)\n"
+            "  method    H=24       H=2     \n"
+            "  save       0.3545    0.0983\n"
+            "  sir        0.0203    0.1640\n"
+            "  csave      0.5418    0.0470\n"
+            "model 1 (n=240, reps=4)\n"
+            "  method    H=24       H=2     \n"
+            "  save       0.0008    0.1819\n"
+            "  sir        0.9526    0.9017\n"
+            "  csave      0.3068    0.4339\n"
+        )
+
     def test_repeated_cells_keep_their_rows(self, capsys):
         doc = run_json(
             capsys,
@@ -704,7 +770,7 @@ print(json.dumps(loaded))
 
 def test_no_command_imports_numpy_ma(tmp_path):
     # numpy.ma costs a process about 1.3 MiB of resident memory and
-    # 11-17 ms to import; the summaries and the discrete slicer take their
+    # 11-17 ms to import; the grid statistics and the discrete slicer take their
     # order statistics from one sort instead
     csv = write_model_csv(tmp_path, model_id=2, n=200)
     commands = [
@@ -757,9 +823,9 @@ class TestParser:
     def test_patched_command_helpers_are_reached(self, monkeypatch):
         main(["--version"])  # the parser exists before the patch
         reached = []
-        monkeypatch.setattr("slicesdr.cli.run_grid", lambda *grid: reached.append(grid))
-        with pytest.raises(TypeError):  # the stub returns no reports
-            main(["simulate", "--model", "1", "--n", "40", "--reps", "1"])
+        monkeypatch.setattr("slicesdr.cli.run_grid",
+                            lambda *grid: reached.append(grid) or np.zeros((1, 1, 3, 1)))
+        assert main(["simulate", "--model", "1", "--n", "40", "--reps", "1"]) == 0
         assert [models for models, *_ in reached] == [[1]]
 
 

@@ -139,6 +139,24 @@ class TestDirectionsToXScale:
         ):
             directions_to_x_scale(np.zeros((2, 1)), np.eye(2))
 
+    @pytest.mark.parametrize("betas_z, root, message", [
+        (np.ones(3), np.eye(10),
+         r"cov_inv_sqrt of shape \(10, 10\) does not fit directions of shape \(3,\)"),
+        (np.ones((3, 1)), np.eye(4),
+         r"cov_inv_sqrt of shape \(4, 4\) does not fit directions of shape \(3, 1\)"),
+        (np.ones((2, 1)), np.ones((2, 3)),
+         r"cov_inv_sqrt of shape \(2, 3\) does not fit directions of shape \(2, 1\)"),
+        (np.ones((2, 2, 1)), np.eye(2),
+         r"cov_inv_sqrt of shape \(2, 2\) does not fit directions of shape \(2, 2, 1\)"),
+    ], ids=["short", "column", "wide-root", "3-d"])
+    def test_shape_mismatch_rejected(self, betas_z, root, message):
+        # numpy's matmul raised a bare ValueError, or broadcast a 3-d stack
+        with pytest.raises(
+            InvalidArgument,
+            match=f"^{message}; need \\(p, p\\) for \\(p,\\) or \\(p, k\\) directions$",
+        ):
+            directions_to_x_scale(betas_z, root)
+
     def test_result_keeps_the_shape_of_the_directions(self):
         # a (p,) direction maps to a (p,) unit direction, a (p, k) stack
         # column by column to a (p, k) stack

@@ -395,6 +395,14 @@ class TestCdrBasis:
         with pytest.raises(InvalidArgument, match="^k must be an integer, got True$"):
             cdr_basis(self.make(np.eye(3)), True, self.root())
 
+    def test_root_of_another_dimension_rejected(self):
+        with pytest.raises(
+            InvalidArgument,
+            match=r"^cov_inv_sqrt of shape \(4, 4\) does not fit directions of "
+                  r"shape \(3, 1\); need \(p, p\) for \(p,\) or \(p, k\) directions$",
+        ):
+            cdr_basis(self.make(np.diag([3.0, 2.0, 1.0])), 1, np.eye(4))
+
 
 def test_unknown_method_rejected():
     rng = np.random.default_rng(2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slicesdr import r2_single
-from slicesdr.errors import NumericalError
+from slicesdr.errors import InvalidArgument, NumericalError
 from oracles import trace_correlation
 
 
@@ -51,6 +51,18 @@ class TestR2Single:
         with pytest.raises(NumericalError,
                            match=r"^basis \(3, 4\) has more columns than rows$"):
             r2_single(e(0), np.eye(3, 4))
+
+    @pytest.mark.parametrize("beta_hat, message", [
+        # a (p, 1) column, as cdr_basis returns at k = 1, scored 1.0 ten
+        # times against e_1; its true R^2 is 0.1
+        (np.ones((10, 1)) / np.sqrt(10),
+         r"beta_hat of shape \(10, 1\) needs a last axis of 10, the rows of true_basis"),
+        (np.ones(3),
+         r"beta_hat of shape \(3,\) needs a last axis of 10, the rows of true_basis"),
+    ], ids=["column", "short"])
+    def test_shape_mismatch_rejected(self, beta_hat, message):
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            r2_single(beta_hat, np.eye(10)[0])
 
     def test_rank_deficient_basis_rejected(self):
         basis = np.column_stack([e(0), e(0)])

@@ -44,8 +44,9 @@ def model_data(model, n, streams):
 
 
 def one_cell(model, H, **kwargs):
-    """The report of a one-cell grid: a single Monte Carlo run."""
-    return run_grid([model], [H], **kwargs)[0]
+    """The (methods, reps) scores of a one-cell grid: a single Monte Carlo
+    run."""
+    return run_grid([model], [H], **kwargs)[0, 0]
 
 
 class _ZeroStream:
@@ -140,42 +141,36 @@ class TestRunMc:
     def test_report_determinism(self):
         r1 = self.run()
         r2 = self.run()
-        for m in METHODS:
-            np.testing.assert_array_equal(
-                r1.summaries[m].values, r2.summaries[m].values
-            )
-            assert r1.summaries[m].median == r2.summaries[m].median
+        np.testing.assert_array_equal(r1, r2)
+        np.testing.assert_array_equal(simulation.order_stats(r1)[0],
+                                      simulation.order_stats(r2)[0])
 
     def test_substream_independence(self):
         # replicate r's score is the same whether reps=3 or reps=6 run
         r_small = self.run(reps=3)
         r_big = self.run(reps=6)
-        for m in METHODS:
-            np.testing.assert_array_equal(
-                r_small.summaries[m].values, r_big.summaries[m].values[:3]
-            )
+        np.testing.assert_array_equal(r_small, r_big[:, :3])
 
     def test_reps_one(self):
         r = self.run(reps=1)
-        s = r.summaries["save"]
-        assert s.values.size == 1
-        assert s.median == s.min == s.max
+        s = r[[METHODS.index("save")]]
+        assert s.size == 1
+        median, _, _, lo, hi = simulation.order_stats(s)
+        assert median == lo == hi
 
     def test_method_subset(self):
         r = self.run(methods=("sir",))
-        assert set(r.summaries) == {"sir"}
+        assert r.shape == (1, 6)
 
     def test_standardized_and_raw_paths_close(self):
         raw = self.run(n=400, reps=4, standardize=False)
         std = self.run(n=400, reps=4, standardize=True)
-        for m in METHODS:
-            assert abs(raw.summaries[m].median - std.summaries[m].median) < 0.5
+        medians = simulation.order_stats(raw)[0], simulation.order_stats(std)[0]
+        assert np.all(np.abs(medians[0] - medians[1]) < 0.5)
 
     def test_scores_in_unit_interval(self):
-        r = self.run()
-        for m in METHODS:
-            v = r.summaries[m].values
-            assert np.all(v >= -1e-12) and np.all(v <= 1.0 + 1e-12)
+        v = self.run()
+        assert np.all(v >= -1e-12) and np.all(v <= 1.0 + 1e-12)
 
     def test_replicate_failure_carries_index(self, monkeypatch):
         # collinear predictors make standardization fail inside the stacked
@@ -248,20 +243,27 @@ def mixes_zero_signs(row):
 class TestOrderStats:
     @pytest.mark.parametrize("n", range(1, 26))
     def test_bitwise_numpy_statistics(self, n):
+        # the rows as a (rows, n) matrix, and stacked (5, 25, n) as the
+        # CLI passes run_grid's scores
         rows = order_stat_rows(n)
         with np.errstate(invalid="ignore"):  # inf - inf, as numpy's own
-            got = simulation._order_stats(rows)
+            flat = simulation.order_stats(rows)
+            stacked = simulation.order_stats(rows.reshape(5, 25, n))
+            assert [s.shape for s in stacked] == [(5, 25)] * 5
+            stacked = [s.reshape(-1) for s in stacked]
             for i, row in enumerate(rows):
                 want = (np.median(row), *np.quantile(row, [0.25, 0.75]),
                         row.min(), row.max())
-                for g, w in zip(got, want):
-                    if mixes_zero_signs(row) and w == 0:
-                        # numpy's zero then takes the sign of whichever zero
-                        # its partition or reduction leaves in place:
-                        # np.min([0.0, -0.0]) is -0.0, np.min([-0.0, 0.0]) 0.0
-                        assert g[i] == 0
-                    else:
-                        assert g[i].view(np.int64) == np.float64(w).view(np.int64), row
+                for got in (flat, stacked):
+                    for g, w in zip(got, want):
+                        if mixes_zero_signs(row) and w == 0:
+                            # numpy's zero then takes the sign of whichever
+                            # zero its partition or reduction leaves in place:
+                            # np.min([0.0, -0.0]) is -0.0, np.min([-0.0, 0.0]) 0.0
+                            assert g[i] == 0
+                        else:
+                            assert (g[i].view(np.int64)
+                                    == np.float64(w).view(np.int64)), row
 
 
 class TestBiasSweep:
@@ -330,10 +332,10 @@ class TestBiasSweep:
                           seed=np.int64(1), p=np.int64(1))
         assert rows == bias_sweep([400], [2], reps=2, seed=1, p=1)
         assert type(rows[0].n) is int and type(rows[0].c) is int
-        reports = run_grid([np.int64(1)], [np.int32(2)], n=np.int64(40),
-                           reps=np.int64(2), seed=np.uint8(1), p=np.int64(3))
+        scores = run_grid([np.int64(1)], [np.int32(2)], n=np.int64(40),
+                          reps=np.int64(2), seed=np.uint8(1), p=np.int64(3))
         want = run_grid([1], [2], n=40, reps=2, seed=1, p=3)
-        np.testing.assert_array_equal(grid_values(reports), grid_values(want))
+        np.testing.assert_array_equal(scores, want)
 
 
 class TestSweepEngine:
@@ -489,7 +491,7 @@ class TestWorkBuffers:
             return row_bytes(bias_sweep([401], [2, 3], reps=3, seed=3, p=1))
 
         def grid():
-            return grid_values(run_grid([1], (2, 24), 120, 3, seed=3))
+            return run_grid([1], (2, 24), 120, 3, seed=3)
 
         want = sweep(), grid()
         real = slicing._key_order
@@ -577,10 +579,10 @@ class TestChunkedEngine:
     def test_matches_per_replicate_oracle(self, model_id, n, H, standardize):
         cell = dict(model=model_id, H=H, n=n, reps=7, seed=model_id,
                     standardize=standardize)
-        report = one_cell(**cell)
+        scores = one_cell(**cell)
         for method, want in oracle_scores(cell).items():
             np.testing.assert_allclose(
-                report.summaries[method].values, want, rtol=0, atol=1e-12
+                scores[METHODS.index(method)], want, rtol=0, atol=1e-12
             )
 
     def test_chunk_size_follows_the_shapes(self):
@@ -595,14 +597,11 @@ class TestChunkedEngine:
         runs = []
         for size in (1, cell["reps"]):
             fixed_chunk(monkeypatch, size)
-            report = one_cell(**cell)
-            runs.append(np.stack([report.summaries[m].values for m in METHODS]))
+            runs.append(one_cell(**cell))
         np.testing.assert_array_equal(runs[0], runs[1])
         monkeypatch.undo()
-        report = one_cell(**cell)  # derived chunk size, 6 here
-        np.testing.assert_array_equal(
-            runs[0], np.stack([report.summaries[m].values for m in METHODS])
-        )
+        # derived chunk size, 6 here
+        np.testing.assert_array_equal(runs[0], one_cell(**cell))
 
     def test_sweep_rows_bitwise_equal_across_chunk_sizes(self, monkeypatch):
         # p = 3, and p = 1 at an n with a remainder, whose one-replicate
@@ -641,13 +640,6 @@ class TestChunkedEngine:
         assert peak <= 1.25 * budget, (peak, budget)
 
 
-def grid_values(reports):
-    """(cell, method, replicate) scores of a list of reports."""
-    return np.stack([
-        [s.values for s in r.summaries.values()] for r in reports
-    ])
-
-
 class TestGridEngine:
     MODELS = list(simulation.MODEL_IDS)
 
@@ -657,61 +649,54 @@ class TestGridEngine:
         # replicates make a full chunk of 10 and a short one, and H=96
         # slices each in sub-chunks of 5
         h_grid = (2, 7, 96)
-        reports = run_grid(self.MODELS, h_grid, 487, 12, seed=4,
-                           standardize=standardize)
-        cells = [(m, H) for m in self.MODELS for H in h_grid]
-        assert [(r.model, r.H) for r in reports] == cells
-        for report, (model, H) in zip(reports, cells):
-            alone = one_cell(model, H, n=487, reps=12, seed=4, standardize=standardize)
-            assert (report.model, report.H) == (alone.model, alone.H)
-            for m in METHODS:
-                np.testing.assert_array_equal(
-                    report.summaries[m].values, alone.summaries[m].values
-                )
+        scores = run_grid(self.MODELS, h_grid, 487, 12, seed=4,
+                          standardize=standardize)
+        assert scores.shape == (len(self.MODELS), len(h_grid), len(METHODS), 12)
+        for i, model in enumerate(self.MODELS):
+            for j, H in enumerate(h_grid):
+                alone = one_cell(model, H, n=487, reps=12, seed=4,
+                                 standardize=standardize)
+                np.testing.assert_array_equal(scores[i, j], alone)
 
     @pytest.mark.parametrize("standardize", [False, True])
     def test_scores_bitwise_equal_across_chunk_sizes(self, monkeypatch, standardize):
         args = (self.MODELS[2:4], (2, 24, 96), 480, 11)
-        want = grid_values(run_grid(*args, seed=6, standardize=standardize))
+        want = run_grid(*args, seed=6, standardize=standardize)
         for size in (1, 11):
             fixed_chunk(monkeypatch, size)
-            got = grid_values(run_grid(*args, seed=6, standardize=standardize))
+            got = run_grid(*args, seed=6, standardize=standardize)
             np.testing.assert_array_equal(got, want)
 
     def test_repeated_and_reordered_cells_are_kept(self):
-        reports = run_grid([1, 1], (2, 2), 120, 4, seed=9)
-        assert [(r.model, r.H) for r in reports] == [(1, 2)] * 4
-        values = grid_values(reports)
-        for v in values[1:]:
-            np.testing.assert_array_equal(v, values[0])
+        scores = run_grid([1, 1], (2, 2), 120, 4, seed=9)
+        assert scores.shape == (2, 2, len(METHODS), 4)
+        for cell in scores.reshape(4, len(METHODS), 4)[1:]:
+            np.testing.assert_array_equal(cell, scores[0, 0])
         swapped = run_grid([3, 1], (96, 2), 480, 3, seed=9)
         ordered = run_grid([1, 3], (2, 96), 480, 3, seed=9)
-        assert [(r.model, r.H) for r in swapped] == [
-            (3, 96), (3, 2), (1, 96), (1, 2)
-        ]
-        np.testing.assert_array_equal(
-            grid_values(swapped), grid_values(ordered)[[3, 2, 1, 0]]
-        )
+        assert swapped.shape == (2, 2, len(METHODS), 3)
+        np.testing.assert_array_equal(swapped, ordered[::-1, ::-1])
 
     @pytest.mark.parametrize("reps", [1, 2, 3, 7, 10, 11])
     def test_summaries_equal_per_cell_statistics(self, reps):
-        # medians and quartiles come from one call over all cells; each must
-        # be bitwise what the same call gives on the cell's own values
-        reports = run_grid(self.MODELS, (2, 24), 120, reps, seed=reps)
-        for report in reports:
-            for m in METHODS:
-                s = report.summaries[m]
-                assert s.method == m and s.values.shape == (reps,)
-                assert s.median == float(np.median(s.values))
-                assert s.q1 == float(np.quantile(s.values, 0.25))
-                assert s.q3 == float(np.quantile(s.values, 0.75))
-                assert (s.min, s.max) == (s.values.min(), s.values.max())
+        # medians and quartiles come from one call over the whole score
+        # array, as the CLI takes them; each must be bitwise what numpy
+        # gives on the cell's own values
+        scores = run_grid(self.MODELS, (2, 24), 120, reps, seed=reps)
+        assert scores.shape == (len(self.MODELS), 2, len(METHODS), reps)
+        median, q1, q3, lo, hi = simulation.order_stats(scores)
+        for cell in np.ndindex(scores.shape[:-1]):
+            v = scores[cell]
+            assert median[cell] == float(np.median(v))
+            assert q1[cell] == float(np.quantile(v, 0.25))
+            assert q3[cell] == float(np.quantile(v, 0.75))
+            assert (lo[cell], hi[cell]) == (v.min(), v.max())
 
     @pytest.mark.parametrize("n, standardize", [(480, False), (487, True)])
     def test_scores_keep_the_bits_of_sym_eig(self, n, standardize, monkeypatch):
         def scores():
-            return grid_values(run_grid(self.MODELS, (2, 6, 24, 96), n, 10, seed=5,
-                                        standardize=standardize))
+            return run_grid(self.MODELS, (2, 6, 24, 96), n, 10, seed=5,
+                            standardize=standardize)
 
         got = scores()
         monkeypatch.setattr(simulation, "_leading_vectors",

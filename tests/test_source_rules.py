@@ -101,7 +101,7 @@ def test_no_catch_all_except():
 #: the order statistics through ``np.ma.isMaskedArray``, and ``np.unique``
 #: without counts or indexes and ``np.unique_values`` through
 #: ``np.ma.is_masked``; the rest of the unique family goes with them.
-#: ``simulation._order_stats`` and ``slicing.slice_discrete`` take the same
+#: ``simulation.order_stats`` and ``slicing.slice_discrete`` take the same
 #: results from one sort.
 LOAD_NUMPY_MA = {
     "median", "quantile", "percentile",
@@ -283,8 +283,6 @@ def test_settable_parameters_are_the_listed_ones():
 DATACLASSES = [
     "estimators:CdrBasis",
     "linalg:EigenResult",
-    "simulation:McReport",
-    "simulation:MethodSummary",
     "simulation:SweepRow",
     "slicing:SliceAssignment",
     "slicing:SliceStats",
@@ -300,6 +298,45 @@ def test_dataclasses_are_the_listed_ones():
         and "dataclass" in map(_decorator_name, node.decorator_list)
     ]
     assert sorted(found) == sorted(DATACLASSES)
+
+
+#: Every name in ``slicesdr.__all__``: each is public API that a caller
+#: may import, which shows here when it is added or removed.
+PUBLIC_NAMES = [
+    "__version__",
+    "CdrBasis",
+    "DEFAULT_SEED",
+    "EigenResult",
+    "METHODS",
+    "SliceAssignment",
+    "SliceStats",
+    "SweepRow",
+    "bias_sweep",
+    "candidate_matrix",
+    "cdr_basis",
+    "correction_coefficients",
+    "csave_matrix",
+    "directions_to_x_scale",
+    "ensure_symmetric",
+    "inv_sqrt",
+    "lambda_corrected",
+    "load_csv",
+    "model_streams",
+    "negative_eigenvalue_count",
+    "r2_single",
+    "run_grid",
+    "save_matrix",
+    "sir_matrix",
+    "slice_discrete",
+    "slice_equal_count",
+    "slice_stats",
+    "standardize",
+    "sym_eig",
+]
+
+
+def test_public_names_are_the_listed_ones():
+    assert sorted(slicesdr.__all__) == sorted(PUBLIC_NAMES)
 
 
 #: Every private name that a package module takes from another one, as

@@ -32,7 +32,6 @@ from .linalg import (
 from .metrics import r2_single
 from .simulation import (
     DEFAULT_SEED,
-    SweepRow,
     bias_sweep,
     model_streams,
     run_grid,
@@ -53,7 +52,6 @@ __all__ = [
     "METHODS",
     "SliceAssignment",
     "SliceStats",
-    "SweepRow",
     "bias_sweep",
     "candidate_matrix",
     "cdr_basis",

@@ -11,34 +11,36 @@ replicates run.
 grid of (model, H) cells and returns the scores as one array of shape
 (models, H, methods, reps), each axis in the order given; a single run is
 a one-cell grid.  ``order_stats`` gives the median, quartiles and range
-of each cell in one call.  ``bias_sweep`` tracks the raw and
-corrected slice-covariance-square estimators on a pure-noise model where
-the estimand is known exactly.  ``check_grid`` and ``check_sweep`` hold
-the argument checks of the two engines, which call them first; the CLI
-calls them before it checks ``--output``.
+of each cell in one call.  ``bias_sweep`` tracks the raw and corrected
+slice-covariance-square estimators on a pure-noise model where the
+estimand is known exactly, and returns their per-replicate levels and
+errors as one array of shape (n grid, c grid, 4, reps).  ``check_grid``
+and ``check_sweep`` hold the argument checks of the two engines, which
+call them first; the CLI calls them before it checks ``--output``.
 
 Both engines run one loop, ``_run_chunks``, which draws the predictors x
 and noise eps of replicates one by one into the rows of two chunk buffers,
 a chunk holding as many replicates as the largest ``_chunk_size`` over the
 H grid, and hands each chunk to the engine's stacked pass, which only
-scores it.  Each response of a chunk is sorted once, because the slice
-order does not depend on H; every H then slices the chunk in sub-chunks of
-its own ``_chunk_size`` (``_stats_by_H``), so its slice stacks stay within
-that bound.  The grid draws replicate r once for all its cells, since x
-and eps depend only on (seed, r, n, p); its pass forms u = x beta for the
-chunk, under ``standardize`` whitens each replicate's x into a buffer of
-its own, and forms each model's response from the shared u and eps; each
-model's candidates over all H and methods go through one eigen and one
-scoring call.  The sweep draws replicate r once per n for every c of the
-row, and eps is its response.  Each engine call reuses one set of work
-buffers (``slicing._Buffers``) for the draws, the sort and the slice
-moments of every replicate.
+scores it: the pass returns one array whose last axis is the chunk's
+replicates, and the loop joins the chunks along that axis.  Each response
+of a chunk is sorted once, because the slice order does not depend on H;
+every H then slices the chunk in sub-chunks of its own ``_chunk_size``
+(``_stats_by_H``), so its slice stacks stay within that bound.  The grid
+draws replicate r once for all its cells, since x and eps depend only on
+(seed, r, n, p); its pass forms u = x beta for the chunk, under
+``standardize`` whitens each replicate's x into a buffer of its own, and
+forms each model's response from the shared u and eps; each model's
+candidates over all H and methods go through one eigen and one scoring
+call.  The sweep draws replicate r once per n for every c of the row, and
+eps is its response.  Each engine call reuses one set of work buffers
+(``slicing._Buffers``) for the draws, the sort and the slice moments of
+every replicate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,9 +77,6 @@ MODEL_IDS = tuple(_RESPONSES)
 
 #: Predictor dimension p of the benchmark models in the paper's grid.
 MODEL_P = 10
-
-#: Dimensions p of the null-model sweep.
-SWEEP_P = (1, 2, 3)
 
 
 def model_streams(seed: int, replicate: int) -> tuple:
@@ -125,7 +124,7 @@ def _quartile(s: np.ndarray, q: float) -> np.ndarray:
 
 def order_stats(values: np.ndarray) -> tuple:
     """(median, q1, q3, min, max) of each row of ``values`` (..., n), from
-    one sort: five arrays of the leading shape, which has at least one axis.
+    one sort: five arrays of the leading shape, 0-d for a single row.
 
     Each is bitwise what ``np.median``, ``np.quantile(..., [0.25, 0.75])``,
     ``min`` and ``max`` give, without those calls, which import numpy.ma:
@@ -134,14 +133,17 @@ def order_stats(values: np.ndarray) -> tuple:
     five.  A zero result of a row that holds both -0.0 and 0.0 may carry
     either sign, as numpy's own does.
     """
+    if np.ndim(values) == 0 or np.shape(values)[-1] == 0:
+        raise InvalidArgument(
+            f"need rows of at least one value, got shape {np.shape(values)}"
+        )
     s = np.sort(values, axis=-1)
     n = s.shape[-1]
     median = s[..., (n - 1) // 2:n // 2 + 1].mean(axis=-1)
     stats = (median, _quartile(s, 0.25), _quartile(s, 0.75), s[..., 0])
-    nan = np.isnan(s[..., -1])  # a NaN sorts last
-    for stat in stats:
-        np.copyto(stat, s[..., -1], where=nan)
-    return (*stats, s[..., -1])
+    top = s[..., -1]
+    nan = np.isnan(top)  # a NaN sorts last
+    return (*(np.where(nan, top, stat) for stat in stats), top)
 
 
 def _chunk_size(n: int, p: int, H: int) -> int:
@@ -154,18 +156,18 @@ def _chunk_size(n: int, p: int, H: int) -> int:
 
 
 def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
-                stacked_pass, buffers) -> list:
-    """Per-replicate results of replicates 0..reps-1, in chunks of the
-    largest chunk size over ``slicings``.
+                stacked_pass, buffers) -> np.ndarray:
+    """The results of replicates 0..reps-1, in chunks of the largest chunk
+    size over ``slicings``: one array whose last axis is the replicates.
 
     Replicate r's predictors and noise are drawn from
     ``model_streams(seed, r)`` into row i of the chunk buffers x
     (chunk, n, p) and eps (chunk, n).  ``stacked_pass(x, eps)`` scores a
-    chunk and returns a tuple of fresh per-replicate result arrays, each
-    concatenated over the chunks in replicate order; it must be a pure
-    function of (x, eps), since a failing chunk is rerun one replicate at a
-    time, so the error names the first replicate that fails on its own.
-    Only a slicesdr error is wrapped in ``SimulationError``; any other
+    chunk and returns a fresh array whose last axis is the chunk's
+    replicates, and the chunks are joined along it in replicate order.  It
+    must be a pure function of (x, eps), since a failing chunk is rerun one
+    replicate at a time, so the error names the first replicate that fails
+    on its own.  Only a slicesdr error is wrapped in ``SimulationError``; any other
     exception is a bug and propagates unchanged.
     """
     chunk = max(size for _, size in slicings)
@@ -187,7 +189,7 @@ def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
             raise SimulationError(
                 f"replicates {block[0]}..{block[-1]} failed: {e}"
             ) from e
-    return [np.concatenate(column) for column in zip(*results)]
+    return np.concatenate(results, axis=-1)
 
 
 def _slicings(n: int, p: int, h_grid: list) -> list:
@@ -289,8 +291,8 @@ def run_grid(
     buffers = _Buffers()
 
     def scores(x, eps):
-        out = []
         chunk = x.shape[0]
+        out = np.empty((len(models), len(h_grid), len(methods), chunk))
         u = np.matmul(x, beta, out=buffers.get("u", (chunk, n)))
         z, back = x, None
         if standardize:
@@ -299,7 +301,7 @@ def run_grid(
             for i in range(chunk):
                 z[i], back[i] = _standardize(x[i])
         cands = np.empty((len(h_grid), len(methods), chunk, p, p))
-        for model in models:
+        for m, model in enumerate(models):
             y = _RESPONSES[model](u, eps)
             for i, part, stats in _stats_by_H(z, y, slicings, buffers):
                 for j, method in enumerate(methods):
@@ -313,34 +315,16 @@ def run_grid(
                     np.broadcast_to(back, cands.shape).reshape(-1, p, p),
                     lead,
                 )
-            out.extend(r2_single(lead, true_basis).reshape(-1, chunk))
+            out[m] = r2_single(lead, true_basis).reshape(out.shape[1:])
         return out
 
-    return np.stack(_run_chunks(reps, n, p, seed, slicings, scores, buffers)).reshape(
-        len(models), len(h_grid), len(methods), reps
-    )
+    return _run_chunks(reps, n, p, seed, slicings, scores, buffers)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Error statistics of the raw and corrected estimators at one (n, c)."""
-
-    n: int
-    c: int
-    H: int
-    reps: int
-    mean_lambda_raw: float
-    mean_lambda_corrected: float
-    mean_abs_err_raw: float
-    median_abs_err_raw: float
-    mean_abs_err_corrected: float
-    median_abs_err_corrected: float
-
-
-def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
+def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> np.ndarray:
     """Per-replicate trace levels and Frobenius errors of the raw and
-    corrected estimators on pure noise, where the true target is I_p: four
-    rows per H of ``h_grid``, in order.
+    corrected estimators on pure noise, where the true target is I_p: an
+    array of shape (len(h_grid), 4, reps).
     """
     eye = np.eye(p)
     slicings = _slicings(n, p, h_grid)
@@ -356,7 +340,7 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> list:
                 np.linalg.norm(lam - eye, axis=(-2, -1)),
                 np.linalg.norm(cor - eye, axis=(-2, -1)),
             )
-        return tuple(out.reshape(-1, z.shape[0]))
+        return out
 
     return _run_chunks(reps, n, p, seed, slicings, levels, buffers)
 
@@ -377,10 +361,8 @@ def check_sweep(n_grid, c_grid, reps: int, seed: int, p: int) -> None:
     if seed < 0:
         raise InvalidArgument("seed must be non-negative")
     check_integer("p", p)
-    if p not in SWEEP_P:
-        raise InvalidArgument(
-            f"null-model sweep supports p in {SWEEP_P[0]}..{SWEEP_P[-1]}"
-        )
+    if p < 1:
+        raise InvalidArgument("p must be >= 1")
     for n in n_grid:
         check_integer("n", n)
         for c in c_grid:
@@ -402,39 +384,21 @@ def bias_sweep(
     reps: int,
     seed: int = DEFAULT_SEED,
     p: int = 1,
-) -> list:
+) -> np.ndarray:
     """Null-model error sweep of the raw vs corrected estimators.
 
     For each (n, c) the pure-noise model (z independent of y) is replicated
-    ``reps`` times; the estimand is exactly I_p, so the rows report the
-    scalar level (trace / p) of each estimator plus the mean and median
-    Frobenius-norm errors.  Degenerate designs are rejected: fewer than two
+    ``reps`` times; the estimand is exactly I_p.  Returns an array of shape
+    (len(n_grid), len(c_grid), 4, reps): element [i, j, k, r] is, on
+    replicate r at n = ``n_grid[i]`` and c = ``c_grid[j]``, statistic k of
+    the raw level (trace / p), the corrected level, the raw Frobenius error
+    and the corrected Frobenius error, the grids in the order given
+    (repeats included).  Degenerate designs are rejected: fewer than two
     slices, or H = n // c slices that hold n // H != c points (possible only
     when n < c^2), to which the c-point correction would not apply.
     """
     n_grid, c_grid = list(n_grid), list(c_grid)
     check_sweep(n_grid, c_grid, reps, seed, p)
-    # the rows hold Python ints, also for numpy integers
-    n_grid, c_grid = [int(v) for v in n_grid], [int(v) for v in c_grid]
-    rows = []
-    for n in n_grid:
-        h_grid = [n // c for c in c_grid]
-        levels = _null_levels(n, h_grid, p, reps, seed)
-        medians = order_stats(np.stack(levels))[0]
-        for i, (c, H) in enumerate(zip(c_grid, h_grid)):
-            raw_level, cor_level, raw_err, cor_err = levels[4 * i:4 * i + 4]
-            rows.append(
-                SweepRow(
-                    n=n,
-                    c=c,
-                    H=H,
-                    reps=reps,
-                    mean_lambda_raw=float(np.mean(raw_level)),
-                    mean_lambda_corrected=float(np.mean(cor_level)),
-                    mean_abs_err_raw=float(np.mean(raw_err)),
-                    median_abs_err_raw=float(medians[4 * i + 2]),
-                    mean_abs_err_corrected=float(np.mean(cor_err)),
-                    median_abs_err_corrected=float(medians[4 * i + 3]),
-                )
-            )
-    return rows
+    return np.stack(
+        [_null_levels(n, [n // c for c in c_grid], p, reps, seed) for n in n_grid]
+    )

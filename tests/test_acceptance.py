@@ -134,8 +134,8 @@ def test_acceptance_3_null_model_calibration():
     slice means, terms that do not vanish at fixed c.
     """
     raw_target, cor_target = exact_lambda_mean(2), exact_corrected_mean(2)
-    rows = bias_sweep([20000], [2], reps=100, seed=DEFAULT_SEED, p=1)
-    raw, cor = rows[0].mean_lambda_raw, rows[0].mean_lambda_corrected
+    levels = bias_sweep([20000], [2], reps=100, seed=DEFAULT_SEED, p=1)
+    raw, cor = (float(v) for v in levels[0, 0, :2].mean(axis=-1))
     raw_ok = abs(raw - raw_target) <= 0.1
     cor_ok = abs(cor - cor_target) <= 0.05
     _verdict(
@@ -164,23 +164,24 @@ def test_acceptance_4_fixed_c_sweep():
     n=6400.
     """
     limit = exact_corrected_mean(4) - 1.0
-    rows = bias_sweep([400, 1600, 6400], [4], reps=100, seed=DEFAULT_SEED, p=1)
-    raw_ok = all(r.median_abs_err_raw > 0.5 for r in rows)
-    below_raw_ok = all(
-        r.median_abs_err_corrected < r.median_abs_err_raw for r in rows
+    n_grid = [400, 1600, 6400]
+    levels = bias_sweep(n_grid, [4], reps=100, seed=DEFAULT_SEED, p=1)
+    # median |raw - 1| and median |corrected - 1| at each n
+    raw_err, cor_err = (
+        [float(v) for v in m] for m in order_stats(levels[:, 0, 2:])[0].T
     )
+    raw_ok = all(r > 0.5 for r in raw_err)
+    below_raw_ok = all(c < r for c, r in zip(cor_err, raw_err))
     limit_misses = [
-        f"n={r.n}: {r.median_abs_err_corrected:.4f} not in "
-        f"{limit:.4f} +/- {0.1 * np.sqrt(400 / r.n):.4f}"
-        for r in rows
-        if abs(r.median_abs_err_corrected - limit) > 0.1 * np.sqrt(400 / r.n)
+        f"n={n}: {c:.4f} not in {limit:.4f} +/- {0.1 * np.sqrt(400 / n):.4f}"
+        for n, c in zip(n_grid, cor_err)
+        if abs(c - limit) > 0.1 * np.sqrt(400 / n)
     ]
     _verdict(
         "acceptance 4: fixed-c sweep",
         raw_ok and below_raw_ok and not limit_misses,
-        f"median raw errors {[round(r.median_abs_err_raw, 3) for r in rows]}, "
-        f"median corrected errors "
-        f"{[round(r.median_abs_err_corrected, 3) for r in rows]} "
+        f"median raw errors {[round(r, 3) for r in raw_err]}, "
+        f"median corrected errors {[round(c, 3) for c in cor_err]} "
         f"(exact limit {limit:.3f})",
     )
     assert raw_ok, "median |raw - 1| fell to 0.5 or below at some n"
@@ -352,6 +353,11 @@ def test_acceptance_8_json_determinism(tmp_path):
         "sweep-p2": [
             "sweep", "--mode", "bias", "--n-grid", "20000", "--c-grid", "2,3",
             "--reps", "10", "--p", "2", "--seed", str(DEFAULT_SEED), "--out", "json",
+        ],
+        # p = 10: chunks of 4 replicates, which c = 2 slices in sub-chunks of 2
+        "sweep-p10": [
+            "sweep", "--mode", "bias", "--n-grid", "4000", "--c-grid", "2,4",
+            "--reps", "10", "--p", "10", "--seed", str(DEFAULT_SEED), "--out", "json",
         ],
     }
     # the child imports the same slicesdr as this process, whether it was

@@ -703,20 +703,42 @@ class TestSweep:
         assert [r["n"] for r in doc["results"]] == [200, 400]
 
     def test_human_rows_bytes(self, capsys):
-        expected = (
-            "n=400  c=2  H=200  reps=4  mean_lambda_raw=3.2118  "
-            "mean_lambda_corrected=2.8103  mean_abs_err_raw=2.2118  "
-            "median_abs_err_raw=1.8251  mean_abs_err_corrected=1.8103  "
-            "median_abs_err_corrected=1.4720\n"
-            "n=400  c=3  H=133  reps=4  mean_lambda_raw=1.8918  "
-            "mean_lambda_corrected=1.7639  mean_abs_err_raw=0.8918  "
-            "median_abs_err_raw=0.8512  mean_abs_err_corrected=0.7639  "
-            "median_abs_err_corrected=0.7246\n"
-        )
-        code = main(["sweep", "--mode", "bias", "--n-grid", "400",
-                     "--c-grid", "2,3", "--reps", "4"])
-        assert code == 0
-        assert capsys.readouterr().out == expected
+        argv = ["sweep", "--mode", "bias", "--n-grid", "400", "--reps", "4"]
+        expected = {
+            ("--c-grid", "2,3"): (
+                "n=400  c=2  H=200  reps=4  mean_lambda_raw=3.2118  "
+                "mean_lambda_corrected=2.8103  mean_abs_err_raw=2.2118  "
+                "median_abs_err_raw=1.8251  mean_abs_err_corrected=1.8103  "
+                "median_abs_err_corrected=1.4720\n"
+                "n=400  c=3  H=133  reps=4  mean_lambda_raw=1.8918  "
+                "mean_lambda_corrected=1.7639  mean_abs_err_raw=0.8918  "
+                "median_abs_err_raw=0.8512  mean_abs_err_corrected=0.7639  "
+                "median_abs_err_corrected=0.7246\n"
+            ),
+            ("--c-grid", "2,3", "--p", "2"): (
+                "n=400  c=2  H=200  reps=4  mean_lambda_raw=3.9652  "
+                "mean_lambda_corrected=3.4695  mean_abs_err_raw=4.3223  "
+                "median_abs_err_raw=4.1080  mean_abs_err_corrected=3.6104  "
+                "median_abs_err_corrected=3.4219\n"
+                "n=400  c=3  H=133  reps=4  mean_lambda_raw=2.6387  "
+                "mean_lambda_corrected=2.4147  mean_abs_err_raw=2.3760  "
+                "median_abs_err_raw=2.4614  mean_abs_err_corrected=2.0594  "
+                "median_abs_err_corrected=2.1392\n"
+            ),
+            ("--c-grid", "2,4", "--p", "10"): (
+                "n=400  c=2  H=200  reps=4  mean_lambda_raw=11.6564  "
+                "mean_lambda_corrected=10.1994  mean_abs_err_raw=35.4656  "
+                "median_abs_err_raw=35.4257  mean_abs_err_corrected=30.6572  "
+                "median_abs_err_corrected=30.6224\n"
+                "n=400  c=4  H=100  reps=4  mean_lambda_raw=4.6642  "
+                "mean_lambda_corrected=3.5785  mean_abs_err_raw=12.2081  "
+                "median_abs_err_raw=12.4439  mean_abs_err_corrected=8.7511  "
+                "median_abs_err_corrected=8.8938\n"
+            ),
+        }
+        for flags, text in expected.items():
+            assert main(argv + list(flags)) == 0
+            assert capsys.readouterr().out == text, flags
 
     def test_empty_grid_is_usage_error(self, capsys):
         assert main(["sweep", "--mode", "bias", "--n-grid", ","]) == 2

@@ -1,7 +1,7 @@
 """Monte Carlo harness tests: determinism, substreams, model generators,
 and the chunked replicate engine against a per-replicate oracle."""
 
-import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -11,6 +11,7 @@ from slicesdr import (
     METHODS,
     bias_sweep,
     candidate_matrix,
+    correction_coefficients,
     model_streams,
     r2_single,
     run_grid,
@@ -20,7 +21,7 @@ from slicesdr import (
     sym_eig,
 )
 from slicesdr import simulation, slicing
-from slicesdr.cli import main
+from slicesdr.cli import _sweep_rows, main
 from slicesdr.errors import (
     InvalidArgument,
     NumericalError,
@@ -264,31 +265,66 @@ class TestOrderStats:
                         else:
                             assert (g[i].view(np.int64)
                                     == np.float64(w).view(np.int64)), row
+                # one row alone gives 0-d results, bitwise its (1, n) results
+                alone = simulation.order_stats(row)
+                as_matrix = simulation.order_stats(row[None])
+                assert [a.shape for a in alone] == [()] * 5
+                for a, m in zip(alone, as_matrix):
+                    assert a.tobytes() == m[0].tobytes(), row
+        for values in (np.float64(1.0), np.empty(0), np.empty((3, 0))):
+            with pytest.raises(InvalidArgument, match=(
+                rf"^need rows of at least one value, got shape "
+                rf"{re.escape(str(np.shape(values)))}$"
+            )):
+                simulation.order_stats(values)
 
 
 class TestBiasSweep:
     def test_medians_are_numpy_medians(self):
-        rows = bias_sweep([400, 600], [2, 4], reps=7, seed=5)
-        for n, row in zip([400, 400, 600, 600], rows):
-            levels = simulation._null_levels(n, [row.H], 1, 7, 5)
-            assert row.median_abs_err_raw == float(np.median(levels[2]))
-            assert row.median_abs_err_corrected == float(np.median(levels[3]))
+        # the CLI's rows: np.mean and np.median of each (n, c, statistic) row
+        n_grid, c_grid = [400, 600], [2, 4]
+        levels = bias_sweep(n_grid, c_grid, reps=7, seed=5)
+        rows = iter(_sweep_rows(n_grid, c_grid, levels))
+        for n in n_grid:
+            for c in c_grid:
+                alone = simulation._null_levels(n, [n // c], 1, 7, 5)[0]
+                row = next(rows)
+                assert [row[f] for f in ("n", "c", "H", "reps")] == [n, c, n // c, 7]
+                assert row["median_abs_err_raw"] == float(np.median(alone[2]))
+                assert row["median_abs_err_corrected"] == float(np.median(alone[3]))
+                means = ("mean_lambda_raw", "mean_lambda_corrected",
+                         "mean_abs_err_raw", "mean_abs_err_corrected")
+                for k, name in enumerate(means):
+                    assert row[name] == float(np.mean(alone[k]))
 
     def test_row_shape_and_determinism(self):
-        rows = bias_sweep([400], [4], reps=5, seed=3)
-        assert len(rows) == 1
-        r = rows[0]
-        assert (r.n, r.c, r.H, r.reps) == (400, 4, 100, 5)
-        rows2 = bias_sweep([400], [4], reps=5, seed=3)
-        assert rows == rows2
+        levels = bias_sweep([400], [4], reps=5, seed=3)
+        assert levels.shape == (1, 1, 4, 5) and levels.dtype == np.float64
+        levels2 = bias_sweep([400], [4], reps=5, seed=3)
+        assert np.array_equal(levels, levels2)
 
     def test_null_levels_match_exact_theory(self):
         # E[raw] = 1 + 2/(c-1), E[corrected] = (c^3(c+1) - 3(c-1)^3) /
         # (c^2((c-1)^2+1)); both verified to ~2 decimals at modest reps
-        rows = bias_sweep([2000], [4], reps=30, seed=7)
-        r = rows[0]
-        assert r.mean_lambda_raw == pytest.approx(1 + 2 / 3, abs=0.08)
-        assert r.mean_lambda_corrected == pytest.approx(239 / 160, abs=0.08)
+        raw, cor = bias_sweep([2000], [4], reps=30, seed=7)[0, 0, :2].mean(axis=-1)
+        assert raw == pytest.approx(1 + 2 / 3, abs=0.08)
+        assert cor == pytest.approx(239 / 160, abs=0.08)
+
+    @pytest.mark.parametrize("p", [4, 10])
+    def test_null_levels_match_exact_theory_at_larger_p(self, p):
+        # The covariance S of c Gaussian points in R^p has E[S^2] =
+        # (1 + (p+1)/(c-1)) I, and V has mean (p+2)((c-1)/c)^2 I, so the
+        # exact levels are raw = 1 + (p+1)/(c-1) and corrected =
+        # a raw - b (p+2)((c-1)/c)^2; each mean lies within 4 standard errors
+        c_grid = [2, 4]
+        levels = bias_sweep([2000], c_grid, reps=30, seed=7, p=p)[0]
+        for c, (raw, cor) in zip(c_grid, levels[:, :2]):
+            a, b = correction_coefficients(c)
+            want_raw = 1 + (p + 1) / (c - 1)
+            want_cor = a * want_raw - b * (p + 2) * ((c - 1) / c) ** 2
+            for got, want in ((raw, want_raw), (cor, want_cor)):
+                se = got.std(ddof=1) / np.sqrt(got.size)
+                assert abs(got.mean() - want) <= 4 * se, (c, got.mean(), want, se)
 
     def test_degenerate_designs_rejected(self):
         with pytest.raises(InvalidArgument, match=r"^n=100, c=100 gives H=1 < 2 slices$"):
@@ -299,10 +335,10 @@ class TestBiasSweep:
             bias_sweep([100], [1], reps=2)
 
     def test_p_bounds(self):
-        with pytest.raises(InvalidArgument):
-            bias_sweep([100], [4], reps=2, p=4)
-        rows = bias_sweep([120], [4], reps=2, p=2)
-        assert rows[0].H == 30
+        with pytest.raises(InvalidArgument, match=r"^p must be >= 1$"):
+            bias_sweep([100], [4], reps=2, p=0)
+        levels = bias_sweep([120], [4], reps=2, p=2)
+        assert levels.shape == (1, 1, 4, 2)
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -327,11 +363,10 @@ class TestBiasSweep:
                 check(**sweep)
 
     def test_numpy_integers_are_integers(self):
-        # numpy integers pass the checks, and the rows keep Python ints
-        rows = bias_sweep(np.array([400]), np.array([2]), reps=np.int64(2),
-                          seed=np.int64(1), p=np.int64(1))
-        assert rows == bias_sweep([400], [2], reps=2, seed=1, p=1)
-        assert type(rows[0].n) is int and type(rows[0].c) is int
+        # numpy integers pass the checks and give the levels of Python ints
+        levels = bias_sweep(np.array([400]), np.array([2]), reps=np.int64(2),
+                            seed=np.int64(1), p=np.int64(1))
+        assert np.array_equal(levels, bias_sweep([400], [2], reps=2, seed=1, p=1))
         scores = run_grid([np.int64(1)], [np.int32(2)], n=np.int64(40),
                           reps=np.int64(2), seed=np.uint8(1), p=np.int64(3))
         want = run_grid([1], [2], n=40, reps=2, seed=1, p=3)
@@ -341,29 +376,30 @@ class TestBiasSweep:
 class TestSweepEngine:
     """One draw and one sort per replicate and n, shared by every c."""
 
-    @pytest.mark.parametrize("p", simulation.SWEEP_P)
+    @pytest.mark.parametrize("p", (1, 2, 3))
     @pytest.mark.parametrize("n", [600, 401])  # 401 % 2 and 401 % 3 != 0
     def test_row_of_cs_bitwise_equal_separate_sweeps(self, p, n):
         # at p = 3 the chunk is 3 replicates and c = 2 slices it in
         # sub-chunks of 2; 7 replicates leave a short last chunk
-        rows = bias_sweep([n], [2, 3], reps=7, seed=5, p=p)
-        alone = bias_sweep([n], [2], reps=7, seed=5, p=p) + bias_sweep(
-            [n], [3], reps=7, seed=5, p=p
+        levels = bias_sweep([n], [2, 3], reps=7, seed=5, p=p)
+        alone = np.concatenate(
+            [bias_sweep([n], [2], reps=7, seed=5, p=p),
+             bias_sweep([n], [3], reps=7, seed=5, p=p)], axis=1
         )
-        assert rows == alone
-        assert [(r.n, r.c, r.H) for r in rows] == [(n, 2, n // 2), (n, 3, n // 3)]
+        assert np.array_equal(levels, alone)
+        assert levels.shape == (1, 2, 4, 7)
 
-    @pytest.mark.parametrize("p", simulation.SWEEP_P)
+    @pytest.mark.parametrize("p", (1, 2, 3))
     def test_repeated_and_reordered_cs_are_kept(self, p):
-        rows = bias_sweep([401, 1000], [3, 2, 3], reps=5, seed=8, p=p)
-        assert [(r.n, r.c) for r in rows] == [
-            (401, 3), (401, 2), (401, 3), (1000, 3), (1000, 2), (1000, 3)
-        ]
-        assert rows[0] == rows[2] and rows[3] == rows[5]
-        assert rows[:3] == bias_sweep([401], [3, 2, 3], reps=5, seed=8, p=p)
-        assert rows[1] == bias_sweep([401], [2], reps=5, seed=8, p=p)[0]
+        levels = bias_sweep([401, 1000], [3, 2, 3], reps=5, seed=8, p=p)
+        assert levels.shape == (2, 3, 4, 5)
+        assert np.array_equal(levels[:, 0], levels[:, 2])
+        row = bias_sweep([401], [3, 2, 3], reps=5, seed=8, p=p)
+        assert np.array_equal(levels[:1], row)
+        cell = bias_sweep([401], [2], reps=5, seed=8, p=p)
+        assert np.array_equal(levels[0, 1], cell[0, 0])
 
-    @pytest.mark.parametrize("p", simulation.SWEEP_P)
+    @pytest.mark.parametrize("p", (1, 2, 3))
     def test_later_degenerate_pair_fails_before_any_draw(self, monkeypatch, p):
         drawn = []
         real = simulation._draw
@@ -441,23 +477,23 @@ class TestWorkBuffers:
 
     def test_sweep_over_growing_and_shrinking_sizes(self):
         n_grid, c_grid = [2003, 401, 2003], [3, 2]
-        rows = bias_sweep(n_grid, c_grid, reps=5, seed=3, p=1)
-        per_n = [
-            r for n in n_grid for r in bias_sweep([n], c_grid, reps=5, seed=3, p=1)
-        ]
-        per_cell = [
-            bias_sweep([n], [c], reps=5, seed=3, p=1)[0] for n in n_grid for c in c_grid
-        ]
-        assert row_bytes(rows) == row_bytes(per_n) == row_bytes(per_cell)
+        levels = bias_sweep(n_grid, c_grid, reps=5, seed=3, p=1)
+        per_n = np.concatenate([bias_sweep([n], c_grid, reps=5, seed=3, p=1)
+                                for n in n_grid])
+        per_cell = np.array([
+            [bias_sweep([n], [c], reps=5, seed=3, p=1)[0, 0] for c in c_grid]
+            for n in n_grid
+        ])
+        assert levels.tobytes() == per_n.tobytes() == per_cell.tobytes()
 
-    @pytest.mark.parametrize("p", simulation.SWEEP_P)
+    @pytest.mark.parametrize("p", (1, 2, 3))
     def test_sweep_bitwise_equal_with_reduceat_means(self, monkeypatch, p):
         # runs of c <= 4 are summed into views of the shared means buffer;
         # a view that outlived its H or its run would change a row
         grid = dict(n_grid=[2003, 401, 2003], c_grid=[2, 3, 4, 5], reps=3, p=p)
-        rows = bias_sweep(**grid)
+        levels = bias_sweep(**grid)
         monkeypatch.setattr(simulation, "slice_stats", reduceat_slice_stats)
-        assert row_bytes(rows) == row_bytes(bias_sweep(**grid))
+        assert levels.tobytes() == bias_sweep(**grid).tobytes()
 
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
         # the benchmark tracer counts these calls by wrapping the names;
@@ -488,7 +524,7 @@ class TestWorkBuffers:
         # an index is not strictly rising, so stable_order falls back to
         # the stable argsort and every result keeps its bits
         def sweep():
-            return row_bytes(bias_sweep([401], [2, 3], reps=3, seed=3, p=1))
+            return bias_sweep([401], [2, 3], reps=3, seed=3, p=1).tobytes()
 
         def grid():
             return run_grid([1], (2, 24), 120, 3, seed=3)
@@ -550,11 +586,6 @@ def fixed_chunk(monkeypatch, size):
     monkeypatch.setattr(simulation, "_chunk_size", lambda n, p, H: size)
 
 
-def row_bytes(rows) -> bytes:
-    """The fields of sweep rows as float64 bytes."""
-    return np.array([dataclasses.astuple(r) for r in rows], dtype=float).tobytes()
-
-
 def poison_replicate(monkeypatch, rep):
     """Make the rep-th draw carry a NaN predictor."""
     real = simulation._draw
@@ -607,17 +638,16 @@ class TestChunkedEngine:
         # p = 3, and p = 1 at an n with a remainder, whose one-replicate
         # chunks (the derived size) pass views of the draws, not stacked copies
         for p, n_grid, c_grid in ((3, [401, 1000], [2, 4]), (1, [2003], [2, 3])):
-            rows = []
+            levels = []
             for size in (1, 7):
                 fixed_chunk(monkeypatch, size)
-                rows.append(bias_sweep(n_grid, c_grid, reps=7, seed=3, p=p))
-            assert rows[0] == rows[1]
-            assert row_bytes(rows[0]) == row_bytes(rows[1])
+                levels.append(bias_sweep(n_grid, c_grid, reps=7, seed=3, p=p))
+            assert np.array_equal(levels[0], levels[1])
+            assert levels[0].tobytes() == levels[1].tobytes()
         monkeypatch.undo()
         assert simulation._chunk_size(2003, 1, 2003 // 3) == 1
-        assert row_bytes(bias_sweep([2003], [2, 3], reps=7, seed=3, p=1)) == row_bytes(
-            rows[0]
-        )
+        assert (bias_sweep([2003], [2, 3], reps=7, seed=3, p=1).tobytes()
+                == levels[0].tobytes())
 
     def test_poisoned_replicate_in_later_chunk_is_named(self, monkeypatch):
         # replicate 7 sits in the third chunk of 3; its x carries a NaN

@@ -283,7 +283,6 @@ def test_settable_parameters_are_the_listed_ones():
 DATACLASSES = [
     "estimators:CdrBasis",
     "linalg:EigenResult",
-    "simulation:SweepRow",
     "slicing:SliceAssignment",
     "slicing:SliceStats",
 ]
@@ -310,7 +309,6 @@ PUBLIC_NAMES = [
     "METHODS",
     "SliceAssignment",
     "SliceStats",
-    "SweepRow",
     "bias_sweep",
     "candidate_matrix",
     "cdr_basis",

@@ -24,9 +24,13 @@ a chunk holding as many replicates as the largest ``_chunk_size`` over the
 H grid, and hands each chunk to the engine's stacked pass, which only
 scores it: the pass returns one array whose last axis is the chunk's
 replicates, and the loop joins the chunks along that axis.  Each response
-of a chunk is sorted once, because the slice order does not depend on H;
-every H then slices the chunk in sub-chunks of its own ``_chunk_size``
-(``_stats_by_H``), so its slice stacks stay within that bound.  The grid
+of a chunk is sorted once, because the slice order does not depend on H,
+and each chunk's z is checked for non-finite values once; every H then
+slices the chunk in sub-chunks of its own ``_chunk_size`` (``_stats_by_H``),
+so its slice stacks stay within that bound.  What depends only on an H's
+bounds (counts, weights, runs of equal-size slices) is one slice plan per
+H per engine call (``_slicings``), and each sub-chunk gathers its rows of
+the chunk through the flat index of the one sort.  The grid
 draws replicate r once for all its cells, since x and eps depend only on
 (seed, r, n, p); its pass forms u = x beta for the chunk, under
 ``standardize`` whitens each replicate's x into a buffer of its own, and
@@ -45,16 +49,16 @@ import math
 import numpy as np
 
 from .data import standardize as _standardize
-from .errors import InvalidArgument, SimulationError, SlicesdrError
+from .errors import InvalidArgument, NumericalError, SimulationError, SlicesdrError
 from .estimators import METHODS, candidate_matrix, lambda_corrected
 from .linalg import _leading_vectors
 from .metrics import r2_single
 from .slicing import (
-    _assignment,
     _Buffers,
+    _slice_moments,
+    _SlicePlan,
     check_integer,
     equal_count_bounds,
-    slice_stats,
     stable_order,
 )
 
@@ -193,8 +197,10 @@ def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
 
 
 def _slicings(n: int, p: int, h_grid: list) -> list:
-    """The slice bounds and ``_chunk_size`` of each H of ``h_grid``."""
-    return [(equal_count_bounds(n, H), _chunk_size(n, p, H)) for H in h_grid]
+    """The slice plan (``slicing._SlicePlan``) and ``_chunk_size`` of each H
+    of ``h_grid``, made once per engine call."""
+    return [(_SlicePlan(equal_count_bounds(n, H)), _chunk_size(n, p, H))
+            for H in h_grid]
 
 
 def _stats_by_H(z, y, slicings: list, buffers: _Buffers):
@@ -202,14 +208,21 @@ def _stats_by_H(z, y, slicings: list, buffers: _Buffers):
     chunk z (chunk, n, p) at the i-th H of ``slicings``, whose responses
     y (chunk, n) are sorted once for every H.  Each stats lives in
     ``buffers`` until the next is made.
+
+    z is checked for non-finite values once, and each (H, part) gathers its
+    rows of the whole chunk's z through the flat index of the sorted order,
+    which ``stable_order`` leaves in the "index" buffer.
     """
-    order = stable_order(y, buffers)
-    for i, (bounds, size) in enumerate(slicings):
+    # NaN or infinity would show in the minimum or the maximum.
+    if not (np.isfinite(z.min(initial=0.0)) and np.isfinite(z.max(initial=0.0))):
+        raise NumericalError("z has non-finite entries")
+    stable_order(y, buffers)
+    index = buffers.get("index", y.shape, np.intp)
+    rows = z.reshape(-1, z.shape[-1])
+    for i, (plan, size) in enumerate(slicings):
         for lo in range(0, z.shape[0], size):
             part = slice(lo, lo + size)
-            yield i, part, slice_stats(
-                z[part], _assignment(order[part], bounds), buffers=buffers
-            )
+            yield i, part, _slice_moments(rows, index[part], plan, buffers)
 
 
 def check_grid(models, h_grid, n: int, reps: int, seed: int, methods,
@@ -333,13 +346,13 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> np.ndarr
     def levels(z, y):
         out = np.empty((len(h_grid), 4, z.shape[0]))
         for i, part, stats in _stats_by_H(z, y, slicings, buffers):
-            lam, cor = stats.cov_square, lambda_corrected(stats)
-            out[i, :, part] = (
-                np.trace(lam, axis1=-2, axis2=-1) / p,
-                np.trace(cor, axis1=-2, axis2=-1) / p,
-                np.linalg.norm(lam - eye, axis=(-2, -1)),
-                np.linalg.norm(cor - eye, axis=(-2, -1)),
-            )
+            for k, m in enumerate((stats.cov_square, lambda_corrected(stats))):
+                np.trace(m, axis1=-2, axis2=-1, out=out[i, k, part])
+                # the Frobenius norm as np.linalg.norm forms it, bit for bit
+                d = np.subtract(m, eye)
+                np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=(-2, -1)),
+                        out=out[i, k + 2, part])
+        out[:, :2] /= p
         return out
 
     return _run_chunks(reps, n, p, seed, slicings, levels, buffers)

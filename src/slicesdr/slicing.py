@@ -3,12 +3,18 @@
 Continuous responses get equal-count slices over the sorted order (the last
 slice absorbs any remainder); discrete responses get one slice per distinct
 value.  A slice assignment is a permutation of the observations in slice
-order plus the offsets where each slice starts.
+order plus the offsets where each slice starts.  The sorted order is
+``stable_order``: a float sort of keys that carry each value's column in
+their low bits, checked, with the stable argsort as its fallback.
 
 ``slice_stats`` gathers the rows into slice order once and returns every
 moment the estimators use: per-slice means and unbiased covariances S_h
 (dividing by c_h - 1), the pooled moments M = sum_h p_h S_h and
 L = sum_h p_h S_h^2, and the pooled within-slice fourth-moment matrix V.
+It checks its arguments and hands them to one core, ``_slice_moments``,
+with the slice plan of the bounds (``_SlicePlan``: counts, weights and
+runs of equal-size slices); the Monte Carlo engines build each plan once
+per call and call the core directly.
 
 Both take a leading batch axis: a stack of R responses of shape (R, n)
 gives R orders over shared slice bounds, and a stack z of shape (R, n, p)
@@ -53,12 +59,13 @@ class SliceAssignment:
         if np.diff(bounds).min() < 2:
             raise DataError("every slice needs at least 2 members")
         _check_order(order)
-        _fill(self, order, bounds)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def counts(self) -> np.ndarray:
-        """(H,) slice sizes, ``np.diff(bounds)`` without its wrapper's cost,
-        which ``slice_stats`` pays on every call."""
+        """(H,) slice sizes, ``np.diff(bounds)`` without its wrapper's cost;
+        a slice plan (``_SlicePlan``) derives them once per set of bounds."""
         return self.bounds[1:] - self.bounds[:-1]
 
     @property
@@ -68,12 +75,6 @@ class SliceAssignment:
     @property
     def n(self) -> int:
         return int(self.order.shape[-1])
-
-
-def _fill(a: SliceAssignment, order, bounds) -> SliceAssignment:
-    object.__setattr__(a, "order", order)
-    object.__setattr__(a, "bounds", bounds)
-    return a
 
 
 def _check_order(order: np.ndarray) -> None:
@@ -86,14 +87,6 @@ def _check_order(order: np.ndarray) -> None:
     seen[_flat_index(order)] = True
     if not seen.all():
         raise InvalidArgument("order must be a permutation of 0..n-1")
-
-
-def _assignment(order: np.ndarray, bounds: np.ndarray) -> SliceAssignment:
-    """The SliceAssignment of a permutation ``order`` that ``stable_order``
-    returned and of ``equal_count_bounds``, checked no further: the engines
-    sort each response once and pair it with each H's bounds, which their
-    argument checks have already passed."""
-    return _fill(object.__new__(SliceAssignment), order, bounds)
 
 
 class _Buffers:
@@ -130,24 +123,23 @@ def _flat_index(order: np.ndarray, out=None) -> np.ndarray:
 
 def _key_order(y: np.ndarray, key: np.ndarray) -> np.ndarray:
     """A sorting order of each row of a float64 y, ties in any order, from
-    a value sort of one packed uint64 key per entry, formed in ``key``
-    (uint64, y's shape), whose intp view is returned.
+    a float sort of one key per entry, formed in ``key`` (uint64, y's
+    shape), whose intp view is returned.
 
-    The key is the order-preserving bit image of the float (every bit of a
-    negative value flipped, the sign bit of a non-negative one set) with
-    its low ceil(log2 n) bits overwritten by the column index, which the
-    sorted keys give back.  Values that agree above those bits are ordered
-    by column, so the result sorts y only where no two values of a row are
-    that close; ``stable_order`` checks it.
+    The key is y's bit pattern with its low ceil(log2 n) bits overwritten
+    by the column index, which the sorted keys give back.  Clearing low
+    mantissa bits rounds toward zero, which keeps the order of either sign,
+    so the float64 view of the keys sorts values that differ above those
+    bits as the values do; values that agree above them, and ±inf and NaN,
+    whose keys are NaN or lose their index to the sort, come out in an
+    order that ``stable_order`` checks.  numpy sorts float64 faster than
+    uint64.
     """
     n = y.shape[-1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    np.right_shift(y.view(np.int64), 63, out=key.view(np.int64))  # all ones where y < 0
-    key |= np.uint64(1 << 63)
-    key ^= y.view(np.uint64)
-    key &= ~low
+    np.bitwise_and(y.view(np.uint64), ~low, out=key)
     key |= np.arange(n, dtype=np.uint64)
-    key.sort(axis=-1)
+    key.view(np.float64).sort(axis=-1)
     key &= low
     return key.view(np.intp)
 
@@ -165,15 +157,17 @@ def stable_order(y: np.ndarray, buffers: _Buffers | None = None) -> np.ndarray:
     """``np.argsort(y, axis=-1, kind="stable")`` of y as float64, bit for
     bit, at the cost of one fast sort when no row of y has ties.
 
-    Rows of up to ``_KEY_SORT_MAX_N`` values take a value sort of packed
-    keys (``_key_order``), longer ones the default argsort; both are
-    several times faster than the stable argsort but may order equal or
-    nearly equal values either way.  When every sorted row is strictly
-    increasing the permutation is unique, so the sorts agree; a row with a
-    tie, a -0.0 / 0.0 pair, a NaN or two values the keys could not tell
-    apart out of order fails that test and the whole batch is sorted again
-    with the stable sort.  With ``buffers`` the key-sorted order lives in
-    them (see ``_Buffers``).
+    Rows of up to ``_KEY_SORT_MAX_N`` values take a float sort of keys
+    (``_key_order``), longer ones the default argsort; both are several
+    times faster than the stable argsort but may order equal or nearly
+    equal values either way.  When every sorted row is strictly increasing
+    the permutation is unique, so the sorts agree; a row with a tie, a
+    -0.0 / 0.0 pair, a NaN, an infinity the keys lost or two values the
+    keys could not tell apart out of order fails that test and the whole
+    batch is sorted again with the stable sort.  With ``buffers`` the
+    key-sorted order lives in them (see ``_Buffers``), and either way their
+    "index" array holds the flat index (``_flat_index``) of the order
+    returned, which the engines gather with.
     """
     y = np.asarray(y, dtype=float)
     buffers = buffers or _Buffers()
@@ -182,13 +176,16 @@ def stable_order(y: np.ndarray, buffers: _Buffers | None = None) -> np.ndarray:
     else:
         order = np.argsort(y, axis=-1)
     index = _flat_index(order, buffers.get("index", y.shape, np.intp))
-    # A sort's indexes are in range, so "clip" only skips the bounds check,
-    # which would copy the result through a temporary.
+    # Every index is in range (a NaN key that the sort rewrites gives back
+    # column 0), so "clip" only skips the bounds check, which would copy the
+    # result through a temporary.
     ys = np.take(y, index, out=buffers.get("floats", y.shape), mode="clip")
     rising = buffers.get("rising", ys[..., 1:].shape, bool)
     if np.greater(ys[..., 1:], ys[..., :-1], out=rising).all():
         return order
-    return np.argsort(y, axis=-1, kind="stable")
+    order = np.argsort(y, axis=-1, kind="stable")
+    _flat_index(order, out=index)
+    return order
 
 
 def _finite_response(y) -> np.ndarray:
@@ -229,6 +226,7 @@ def check_integer(name: str, value) -> None:
 def equal_count_bounds(n: int, H: int) -> np.ndarray:
     """Offsets of H equal-count slices of n sorted points: slices 1..H-1
     hold c = floor(n/H) points and the last slice the remainder."""
+    check_integer("n", n)
     check_integer("H", H)
     if H < 1:
         raise InvalidArgument(f"H must be >= 1, got {H}")
@@ -297,13 +295,39 @@ class SliceStats:
 
 def _runs(counts: np.ndarray) -> tuple:
     """(first, stop) slice indices of each run of adjacent equal-size slices
-    of ``counts``, the units that ``slice_stats`` batches.
+    of ``counts``, the units that ``_slice_moments`` batches.
 
     Equal-count slicing gives at most two runs: H - 1 slices of c points
     and the last slice with the remainder.
     """
     cuts = [0, *((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist(), counts.size]
     return tuple(zip(cuts[:-1], cuts[1:]))
+
+
+class _SlicePlan:
+    """What the slice moments need of one set of slice bounds, derived once:
+    the counts c_h, the weights p_h = c_h / n, and for each run of adjacent
+    equal-size slices (``_runs``) the tuple (lo, hi, c, first, stop, starts,
+    weight): its slices lo..hi-1 of c points each, which sit at
+    ``order[first:stop]``, the starts of those slices relative to first,
+    and their weight c / n.
+
+    An engine call builds one plan per H and hands it to every replicate's
+    ``_slice_moments``; ``slice_stats`` builds one per call.  A grouping of
+    equal-size slices that are not adjacent would go here too.
+    """
+
+    __slots__ = ("counts", "weights", "runs")
+
+    def __init__(self, bounds: np.ndarray):
+        n = int(bounds[-1])
+        self.counts = bounds[1:] - bounds[:-1]
+        self.weights = self.counts / n
+        runs = []
+        for lo, hi in _runs(self.counts):
+            c, first = int(self.counts[lo]), int(bounds[lo])
+            runs.append((lo, hi, c, first, int(bounds[hi]), bounds[lo:hi] - first, c / n))
+        self.runs = tuple(runs)
 
 
 def _gram(a: np.ndarray, out=None) -> np.ndarray:
@@ -411,7 +435,10 @@ def slice_stats(
     ``_POSITION_SUM_MAX_C`` points are summed by position in reduceat's own
     order (``_position_sum``), so every mean is reduceat's bit for bit, as
     ``TestPositionSum`` in tests/test_slicing.py pins.
-    Each call derives the counts and their runs (``_runs``) from the bounds.
+    Each call checks its arguments, builds the plan of the bounds
+    (``_SlicePlan``) and the flat index of the order, and hands them to
+    ``_slice_moments``, which the engines call directly with one plan per
+    H and the index that ``stable_order`` leaves.
     A run of k adjacent slices of m points is one (..., k, m, p) block whose
     covariances come from one stacked product, so the (n, p, p) outer
     products are never formed; the same block viewed as (..., k p, p) gives
@@ -421,7 +448,7 @@ def slice_stats(
     view with the unit axis dropped (``_flat_run``): a slice's covariance is
     its sum of squared deviations, added in the lane order of the block's
     einsum (``_lane_sum``, pinned by ``TestLaneSum``).
-    With ``buffers`` the weights, means and covariances live in them (see
+    With ``buffers`` the means and covariances live in them (see
     ``_Buffers``); M, L and V are always fresh.
     """
     z = np.asarray(z, dtype=float)
@@ -435,7 +462,6 @@ def slice_stats(
     # NaN or infinity would show in the minimum or the maximum.
     if not (np.isfinite(z.min(initial=0.0)) and np.isfinite(z.max(initial=0.0))):
         raise NumericalError("z has non-finite entries")
-    batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
     order = assignment.order
     if order.shape != z.shape[:-1]:
         try:
@@ -445,37 +471,43 @@ def slice_stats(
                 f"order of shape {order.shape} does not fit z of shape {z.shape}"
             ) from None
     index = _flat_index(order, buffers.get("index", order.shape, np.intp))
-    # The order is a permutation (``SliceAssignment`` checks one it is given,
-    # and ``stable_order`` returns one), so "clip" only skips the bounds
-    # check, which would copy the gather through a temporary.
-    zs = np.take(
-        z.reshape(order.size, p), index, axis=0,
-        out=buffers.get("zs", order.shape + (p,)), mode="clip",
-    )
-    counts, bounds = assignment.counts, assignment.bounds
-    H = counts.size
+    return _slice_moments(z.reshape(order.size, z.shape[-1]), index,
+                          _SlicePlan(assignment.bounds), buffers)
+
+
+def _slice_moments(z: np.ndarray, index: np.ndarray, plan: _SlicePlan,
+                   buffers: _Buffers) -> SliceStats:
+    """The ``slice_stats`` of the rows ``index`` (..., n) of a finite 2-d z
+    (rows, p), each row of ``index`` one replicate's rows in slice order,
+    sliced by ``plan``; nothing is checked.  The counts and weights are the
+    plan's, and the means and covariances live in ``buffers``.
+    """
+    batch, n, p = index.shape[:-1], index.shape[-1], z.shape[-1]
+    # The index rows are permutations of rows of z (``SliceAssignment``
+    # checks an order it is given, and ``stable_order`` returns one), so
+    # "clip" only skips the bounds check, which would copy the gather
+    # through a temporary.
+    zs = np.take(z, index, axis=0, out=buffers.get("zs", index.shape + (p,)),
+                 mode="clip")
+    H = plan.counts.size
     means = buffers.get("means", batch + (H, p))
     covs = buffers.get("covs", batch + (H, p, p))
-    norms = buffers.get("floats", order.shape)  # scratch, then ||d|| of each d
+    norms = buffers.get("floats", index.shape)  # scratch, then ||d|| of each d
     mean_cov = np.zeros(batch + (p, p))
     cov_square = np.zeros(batch + (p, p))
-    for lo, hi in _runs(counts):
-        c = counts[lo]
-        first, stop = bounds[lo], bounds[hi]
+    for lo, hi, c, first, stop, starts, weight in plan.runs:
         out = covs[..., lo:hi, :, :]
         if p == 1 and c <= _POSITION_SUM_MAX_C:
             _flat_run(zs[..., first:stop, 0], means[..., lo:hi, 0], out[..., 0, 0],
                       norms[..., first:stop])
         else:
             run = zs[..., first:stop, :]
-            block = run.reshape(batch + (hi - lo, int(c), p))
-            m = np.add.reduceat(run, bounds[lo:hi] - first, axis=-2,
-                                out=means[..., lo:hi, :])
+            block = run.reshape(batch + (hi - lo, c, p))
+            m = np.add.reduceat(run, starts, axis=-2, out=means[..., lo:hi, :])
             m /= c
             block -= m[..., None, :]  # deviations, in place
             _gram(block, out=out)
         out /= c - 1
-        weight = c / n
         mean_cov += weight * out.sum(axis=-3)
         # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B.
         cov_square += weight * _gram(out.reshape(batch + ((hi - lo) * p, p)))
@@ -489,10 +521,10 @@ def slice_stats(
         scale = np.abs(zs[..., 0], out=norms)
     zs *= scale[..., None]
     return SliceStats(
-        counts=counts,
+        counts=plan.counts,
         means=means,
         covs=covs,
-        weights=np.divide(counts, n, out=buffers.get("weights", (H,))),
+        weights=plan.weights,
         fourth=_gram(zs) / n,
         mean_cov=mean_cov,
         cov_square=cov_square,

@@ -1,6 +1,7 @@
 """Monte Carlo harness tests: determinism, substreams, model generators,
 and the chunked replicate engine against a per-replicate oracle."""
 
+import dataclasses
 import re
 import sys
 
@@ -429,14 +430,14 @@ class TestSweepEngine:
     def test_chunk_that_fails_only_whole_names_its_replicates(self, monkeypatch):
         # chunks of 2 at p = 3, c = 2; stats fail on a batch of two replicates
         # but on neither alone, so the error names the whole chunk
-        real = simulation.slice_stats
+        real = simulation._slice_moments
 
-        def batch_only(z, assignment, **kwargs):
-            if z.shape[0] > 1:
+        def batch_only(z, index, plan, buffers):
+            if index.shape[0] > 1:
                 raise NumericalError("batch of replicates")
-            return real(z, assignment, **kwargs)
+            return real(z, index, plan, buffers)
 
-        monkeypatch.setattr(simulation, "slice_stats", batch_only)
+        monkeypatch.setattr(simulation, "_slice_moments", batch_only)
         with pytest.raises(SimulationError,
                            match=r"^replicates 0\.\.1 failed: batch of replicates$"):
             bias_sweep([401], [2], reps=3, seed=1, p=3)
@@ -463,13 +464,13 @@ class TestWorkBuffers:
     def test_replicates_share_the_stats_buffers(self, monkeypatch):
         # stats made in an engine's buffers hold until its next slice call
         made = []
-        real = simulation.slice_stats
+        real = simulation._slice_moments
 
-        def kept(*args, **kwargs):
-            made.append(real(*args, **kwargs))
+        def kept(*args):
+            made.append(real(*args))
             return made[-1]
 
-        monkeypatch.setattr(simulation, "slice_stats", kept)
+        monkeypatch.setattr(simulation, "_slice_moments", kept)
         bias_sweep([2003], [2, 3], reps=3, seed=3, p=1)
         assert len(made) == 6
         for stats in made[1:]:
@@ -492,16 +493,24 @@ class TestWorkBuffers:
         # a view that outlived its H or its run would change a row
         grid = dict(n_grid=[2003, 401, 2003], c_grid=[2, 3, 4, 5], reps=3, p=p)
         levels = bias_sweep(**grid)
-        monkeypatch.setattr(simulation, "slice_stats", reduceat_slice_stats)
+
+        def reduceat_moments(z, index, plan, buffers):
+            # the engine's gathered rows, in slice order already
+            order = np.arange(index.shape[-1])
+            bounds = np.append(0, np.cumsum(plan.counts))
+            a = slicing.SliceAssignment(order=order, bounds=bounds)
+            return reduceat_slice_stats(z[index], a)
+
+        monkeypatch.setattr(simulation, "_slice_moments", reduceat_moments)
         assert levels.tobytes() == bias_sweep(**grid).tobytes()
 
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
-        # the benchmark tracer counts these calls by wrapping the names;
-        # each response is sorted once for all its H, and each model gets
-        # one eigen call; the sweep makes none, and neither engine checks
-        # the orders that stable_order returns
+        # wrapping the names counts these calls: one slice-moments core call
+        # per (H, sub-chunk), each response is sorted once for all its H,
+        # and each model gets one eigen call; the sweep makes none, and
+        # neither engine checks the orders that stable_order returns
         calls = {}
-        targets = [(simulation, "slice_stats"), (simulation, "stable_order"),
+        targets = [(simulation, "_slice_moments"), (simulation, "stable_order"),
                    (simulation, "_leading_vectors"), (slicing, "_check_order")]
         for module, name in targets:
             real = getattr(module, name)
@@ -513,10 +522,10 @@ class TestWorkBuffers:
             monkeypatch.setattr(module, name, counted)
         assert main(["sweep", "--mode", "bias", "--n-grid", "20000", "--c-grid", "2,3",
                      "--reps", "10", "--p", "1", "--out", "json"]) == 0
-        assert calls == {"slice_stats": 20, "stable_order": 10}
+        assert calls == {"_slice_moments": 20, "stable_order": 10}
         calls.clear()
         assert main(["table1", "--reps", "10", "--n", "480", "--out", "json"]) == 0
-        assert calls == {"slice_stats": 25, "stable_order": 5, "_leading_vectors": 5}
+        assert calls == {"_slice_moments": 25, "stable_order": 5, "_leading_vectors": 5}
         capsys.readouterr()
 
     def test_a_key_order_that_is_no_permutation_falls_back(self, monkeypatch):
@@ -599,6 +608,70 @@ def poison_replicate(monkeypatch, rep):
         return x, eps
 
     monkeypatch.setattr(simulation, "_draw", poisoned)
+
+
+def assert_stats_bytes_equal(got, want):
+    """Every field of two SliceStats holds the same shape, dtype and bytes."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.shape == b.shape and a.dtype == b.dtype, field.name
+        assert a.tobytes() == b.tobytes(), field.name
+
+
+class TestEngineSliceMoments:
+    """The engines' slice moments (one sort per chunk, one plan per H, the
+    core on the chunk's flat index) are the public ``slice_stats`` of each
+    part, byte for byte."""
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 10))
+    @pytest.mark.parametrize("n, h_grid", [
+        (487, [487 // c for c in (2, 3, 4, 5)]),    # p = 1: flat runs of c <= 4,
+        (2003, [2003 // c for c in (2, 3, 4, 5)]),  # reduceat at c = 5 and p > 1
+        (480, [96, 24]),  # chunks of 10 at p = 10, which H = 96 splits in two
+    ])
+    def test_parts_equal_public_slice_stats(self, p, n, h_grid):
+        rng = np.random.default_rng(n + p)
+        slicings = simulation._slicings(n, p, h_grid)
+        chunk = max(size for _, size in slicings)
+        z, y = rng.standard_normal((chunk, n, p)), rng.standard_normal((chunk, n))
+        parts = []
+        for i, part, stats in simulation._stats_by_H(z, y, slicings, slicing._Buffers()):
+            want = slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
+            assert_stats_bytes_equal(stats, want)
+            parts.append((i, part.indices(chunk)))
+        assert parts == [(i, (lo, min(lo + size, chunk), 1))
+                         for i, (_, size) in enumerate(slicings)
+                         for lo in range(0, chunk, size)]
+
+    def test_tied_responses_take_the_stable_sort_in_both_engines(self, monkeypatch):
+        # noise rounded to one decimal ties every sweep response and puts
+        # +-0.0 ties into model 3's u * eps, so each chunk's sort falls back
+        # to the stable argsort; the parts still equal the public path
+        real_draw, real_stats = simulation._draw, simulation._stats_by_H
+        checked = []
+
+        def tied(streams, out):
+            x, eps = real_draw(streams, out)
+            np.round(eps, 1, out=eps)
+            return x, eps
+
+        def checking(z, y, slicings, buffers):
+            assert not (np.diff(np.sort(y, axis=-1)) > 0).all()
+            for i, part, stats in real_stats(z, y, slicings, buffers):
+                H = slicings[i][0].counts.size
+                assert_stats_bytes_equal(
+                    stats, slice_stats(z[part], slice_equal_count(y[part], H))
+                )
+                checked.append(H)
+                yield i, part, stats
+
+        monkeypatch.setattr(simulation, "_draw", tied)
+        monkeypatch.setattr(simulation, "_stats_by_H", checking)
+        bias_sweep([401], [2, 3], reps=3, seed=3, p=2)
+        assert checked == [200, 133] * 2  # chunks of 2 and 1
+        checked.clear()
+        run_grid([3], [6, 24], 120, 7, seed=3)
+        assert checked == [6, 24, 24]  # one chunk of 7; H = 24 in parts of 5
 
 
 class TestChunkedEngine:

@@ -99,9 +99,15 @@ def adjacent_floats(start: float, m: int) -> np.ndarray:
 
 def assert_stable(y):
     want = np.argsort(y, axis=-1, kind="stable")
-    got = stable_order(y)
+    buffers = slicing._Buffers()
+    got = stable_order(y, buffers)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+    # the engines gather through the flat index that stable_order leaves,
+    # after the key sort and after the stable fallback alike
+    np.testing.assert_array_equal(
+        buffers.get("index", got.shape, np.intp), slicing._flat_index(got)
+    )
 
 
 class TestStableOrder:
@@ -152,6 +158,7 @@ class TestStableOrder:
         np.testing.assert_array_equal(
             stable_order(y), np.concatenate([np.arange(1, 64, 2), np.arange(0, 64, 2)])
         )
+        assert_stable(y)
         np.testing.assert_array_equal(stable_order(np.zeros(64)), np.arange(64))
 
     @settings(max_examples=80, deadline=None)
@@ -192,6 +199,12 @@ class TestStableOrder:
         assert not (np.diff(y[1][slicing._key_order(y, key)[1]]) > 0).all()
         assert_stable(y)
         assert_stable(y[:, ::-1])
+        # from -1.0 away from zero the doubles fall too; there the keys are
+        # the values, which sort them, and reversed they fall back
+        y[1] = adjacent_floats(-1.0, n)
+        assert (y[1][slicing._key_order(y, key)[1]] == np.sort(y[1])).all()
+        assert_stable(y)
+        assert_stable(y[:, ::-1])
         y[0, -1] = y[0, 0]  # a tie in the other row
         assert_stable(y)
 
@@ -226,6 +239,21 @@ class TestStableOrder:
     def test_signed_zeros_and_nan_keep_row_order(self):
         y = np.array([np.nan, 0.0, -0.0, 1.0, np.nan, -0.0])
         np.testing.assert_array_equal(stable_order(y), [1, 2, 5, 3, 0, 4])
+        # the keys of a float sort near zero, at the infinities and among
+        # subnormals: -0.0 and 0.0 next to negatives, alone and as a pair
+        for row in ([-0.0, -1e-300, -3.0, 2.0], [0.0, -1e-300, -5e-324, 2.0],
+                    [-1e-300, -0.0, -5e-324, 0.0, -2.0, 0.5],
+                    [5e-324, -1e-310, 3e-320, -5e-324, 2.5e-308, 1e-315, -2e-320,
+                     1.0, -1.0]):
+            assert_stable(np.array(row))
+            assert_stable(np.array(row[::-1]))
+        rng = np.random.default_rng(21)
+        for cols, values in (([0], [np.inf]), ([7], [np.inf]), ([7], [-np.inf]),
+                             ([0, 7], [-np.inf, np.inf]), ([3, 30], [np.inf, -np.inf])):
+            y = rng.standard_normal(40)
+            y[cols] = values
+            assert_stable(y)
+            assert_stable(y[::-1])
 
     def test_ties_straddling_a_slice_boundary_follow_row_order(self):
         # the two 1.0s straddle the boundary between the 2-point slices:
@@ -424,9 +452,12 @@ class TestSliceStats:
              InvalidArgument, "H must be an integer, got 2.5"),
             (lambda a: slicing.equal_count_bounds(12, np.float64(3)),
              InvalidArgument, "H must be an integer, got np.float64(3.0)"),
+            (lambda a: slicing.equal_count_bounds(7.5, 2),
+             InvalidArgument, "n must be an integer, got 7.5"),
         ],
         ids=["float-order", "zero-slices", "z-1d", "decreasing-bounds",
-             "decreasing-unsigned-bounds", "float-slices", "numpy-float-slices"],
+             "decreasing-unsigned-bounds", "float-slices", "numpy-float-slices",
+             "float-n"],
     )
     def test_invalid_arguments_rejected(self, call, error, message):
         a = slice_equal_count(np.arange(12.0), 3)

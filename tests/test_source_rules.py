@@ -343,7 +343,8 @@ def test_public_names_are_the_listed_ones():
 PRIVATE_IMPORTS = [
     "simulation <- linalg._leading_vectors",
     "simulation <- slicing._Buffers",
-    "simulation <- slicing._assignment",
+    "simulation <- slicing._SlicePlan",
+    "simulation <- slicing._slice_moments",
 ]
 
 

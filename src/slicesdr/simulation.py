@@ -23,15 +23,13 @@ and noise eps of replicates one by one into the rows of two chunk buffers,
 a chunk holding as many replicates as the largest ``_chunk_size`` over the
 H grid, and hands each chunk to the engine's stacked pass, which only
 scores it: the pass returns one array whose last axis is the chunk's
-replicates, and the loop joins the chunks along that axis.  Each response
-of a chunk is sorted once, because the slice order does not depend on H,
-and each chunk's z is checked for non-finite values once; every H then
-slices the chunk in sub-chunks of its own ``_chunk_size`` (``_stats_by_H``),
-so its slice stacks stay within that bound.  What depends only on an H's
-bounds (counts, weights, runs of equal-size slices) is one slice plan per
-H per engine call (``_slicings``), and each sub-chunk gathers its rows of
-the chunk through the flat index of the one sort.  The grid
-draws replicate r once for all its cells, since x and eps depend only on
+replicates, and the loop joins the chunks along that axis.  The pass
+slices the chunk at every H through the engine call's one
+``slicing._SliceGrid``, which checks the chunk's z for non-finite values
+once, sorts each response once, because the slice order does not depend
+on H, and slices each H in sub-chunks of its own ``_chunk_size``, so its
+slice stacks stay within that bound.  The grid draws replicate r once for
+all its cells, since x and eps depend only on
 (seed, r, n, p); its pass forms u = x beta for the chunk, under
 ``standardize`` whitens each replicate's x into a buffer of its own, and
 forms each model's response from the shared u and eps; each model's
@@ -49,18 +47,11 @@ import math
 import numpy as np
 
 from .data import standardize as _standardize
-from .errors import InvalidArgument, NumericalError, SimulationError, SlicesdrError
+from .errors import InvalidArgument, SimulationError, SlicesdrError
 from .estimators import METHODS, candidate_matrix, lambda_corrected
 from .linalg import _leading_vectors
 from .metrics import r2_single
-from .slicing import (
-    _Buffers,
-    _slice_moments,
-    _SlicePlan,
-    check_integer,
-    equal_count_bounds,
-    stable_order,
-)
+from .slicing import _Buffers, _SliceGrid, check_integer
 
 #: Fixed default master seed for every CLI entry point (never time-derived).
 DEFAULT_SEED = 1729
@@ -159,10 +150,10 @@ def _chunk_size(n: int, p: int, H: int) -> int:
     return max(1, min(p, n // H))
 
 
-def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
+def _run_chunks(reps: int, n: int, p: int, seed: int, chunk: int,
                 stacked_pass, buffers) -> np.ndarray:
-    """The results of replicates 0..reps-1, in chunks of the largest chunk
-    size over ``slicings``: one array whose last axis is the replicates.
+    """The results of replicates 0..reps-1, in chunks of ``chunk``: one
+    array whose last axis is the replicates.
 
     Replicate r's predictors and noise are drawn from
     ``model_streams(seed, r)`` into row i of the chunk buffers x
@@ -174,7 +165,6 @@ def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
     on its own.  Only a slicesdr error is wrapped in ``SimulationError``; any other
     exception is a bug and propagates unchanged.
     """
-    chunk = max(size for _, size in slicings)
     results = []
     for lo in range(0, reps, chunk):
         block = range(lo, min(lo + chunk, reps))
@@ -194,35 +184,6 @@ def _run_chunks(reps: int, n: int, p: int, seed: int, slicings: list,
                 f"replicates {block[0]}..{block[-1]} failed: {e}"
             ) from e
     return np.concatenate(results, axis=-1)
-
-
-def _slicings(n: int, p: int, h_grid: list) -> list:
-    """The slice plan (``slicing._SlicePlan``) and ``_chunk_size`` of each H
-    of ``h_grid``, made once per engine call."""
-    return [(_SlicePlan(equal_count_bounds(n, H)), _chunk_size(n, p, H))
-            for H in h_grid]
-
-
-def _stats_by_H(z, y, slicings: list, buffers: _Buffers):
-    """(i, part, stats): the slice moments of the replicates ``part`` of a
-    chunk z (chunk, n, p) at the i-th H of ``slicings``, whose responses
-    y (chunk, n) are sorted once for every H.  Each stats lives in
-    ``buffers`` until the next is made.
-
-    z is checked for non-finite values once, and each (H, part) gathers its
-    rows of the whole chunk's z through the flat index of the sorted order,
-    which ``stable_order`` leaves in the "index" buffer.
-    """
-    # NaN or infinity would show in the minimum or the maximum.
-    if not (np.isfinite(z.min(initial=0.0)) and np.isfinite(z.max(initial=0.0))):
-        raise NumericalError("z has non-finite entries")
-    stable_order(y, buffers)
-    index = buffers.get("index", y.shape, np.intp)
-    rows = z.reshape(-1, z.shape[-1])
-    for i, (plan, size) in enumerate(slicings):
-        for lo in range(0, z.shape[0], size):
-            part = slice(lo, lo + size)
-            yield i, part, _slice_moments(rows, index[part], plan, buffers)
 
 
 def check_grid(models, h_grid, n: int, reps: int, seed: int, methods,
@@ -300,7 +261,7 @@ def run_grid(
     beta = np.zeros(p)
     beta[0] = 1.0
     true_basis = beta[:, None]
-    slicings = _slicings(n, p, h_grid)
+    slicings = _SliceGrid(n, h_grid, [_chunk_size(n, p, H) for H in h_grid])
     buffers = _Buffers()
 
     def scores(x, eps):
@@ -316,7 +277,7 @@ def run_grid(
         cands = np.empty((len(h_grid), len(methods), chunk, p, p))
         for m, model in enumerate(models):
             y = _RESPONSES[model](u, eps)
-            for i, part, stats in _stats_by_H(z, y, slicings, buffers):
+            for i, part, stats in slicings.moments(z, y, buffers):
                 for j, method in enumerate(methods):
                     cands[i, j, part] = candidate_matrix(method, stats)
             # One eigen call per model, for the one column R^2 reads.
@@ -331,7 +292,7 @@ def run_grid(
             out[m] = r2_single(lead, true_basis).reshape(out.shape[1:])
         return out
 
-    return _run_chunks(reps, n, p, seed, slicings, scores, buffers)
+    return _run_chunks(reps, n, p, seed, slicings.chunk, scores, buffers)
 
 
 def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> np.ndarray:
@@ -340,12 +301,12 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> np.ndarr
     array of shape (len(h_grid), 4, reps).
     """
     eye = np.eye(p)
-    slicings = _slicings(n, p, h_grid)
+    slicings = _SliceGrid(n, h_grid, [_chunk_size(n, p, H) for H in h_grid])
     buffers = _Buffers()
 
     def levels(z, y):
         out = np.empty((len(h_grid), 4, z.shape[0]))
-        for i, part, stats in _stats_by_H(z, y, slicings, buffers):
+        for i, part, stats in slicings.moments(z, y, buffers):
             for k, m in enumerate((stats.cov_square, lambda_corrected(stats))):
                 np.trace(m, axis1=-2, axis2=-1, out=out[i, k, part])
                 # the Frobenius norm as np.linalg.norm forms it, bit for bit
@@ -355,7 +316,7 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> np.ndarr
         out[:, :2] /= p
         return out
 
-    return _run_chunks(reps, n, p, seed, slicings, levels, buffers)
+    return _run_chunks(reps, n, p, seed, slicings.chunk, levels, buffers)
 
 
 def check_sweep(n_grid, c_grid, reps: int, seed: int, p: int) -> None:

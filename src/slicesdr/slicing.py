@@ -13,8 +13,9 @@ moment the estimators use: per-slice means and unbiased covariances S_h
 L = sum_h p_h S_h^2, and the pooled within-slice fourth-moment matrix V.
 It checks its arguments and hands them to one core, ``_slice_moments``,
 with the slice plan of the bounds (``_SlicePlan``: counts, weights and
-runs of equal-size slices); the Monte Carlo engines build each plan once
-per call and call the core directly.
+runs of equal-size slices).  The Monte Carlo engines slice a chunk of
+replicates at every H of a grid through ``_SliceGrid``: one plan per H per
+engine call, and one check of z and one sort of each response for all H.
 
 Both take a leading batch axis: a stack of R responses of shape (R, n)
 gives R orders over shared slice bounds, and a stack z of shape (R, n, p)
@@ -167,7 +168,7 @@ def stable_order(y: np.ndarray, buffers: _Buffers | None = None) -> np.ndarray:
     batch is sorted again with the stable sort.  With ``buffers`` the
     key-sorted order lives in them (see ``_Buffers``), and either way their
     "index" array holds the flat index (``_flat_index``) of the order
-    returned, which the engines gather with.
+    returned, which ``_SliceGrid`` gathers with.
     """
     y = np.asarray(y, dtype=float)
     buffers = buffers or _Buffers()
@@ -312,9 +313,9 @@ class _SlicePlan:
     ``order[first:stop]``, the starts of those slices relative to first,
     and their weight c / n.
 
-    An engine call builds one plan per H and hands it to every replicate's
-    ``_slice_moments``; ``slice_stats`` builds one per call.  A grouping of
-    equal-size slices that are not adjacent would go here too.
+    ``_SliceGrid`` builds one plan per H for a whole engine call;
+    ``slice_stats`` builds one per call.  A grouping of equal-size slices
+    that are not adjacent would go here too.
     """
 
     __slots__ = ("counts", "weights", "runs")
@@ -416,12 +417,14 @@ def _flat_run(run, means, sums, squares) -> None:
     _lane_sum(squares, out=sums)
 
 
-def slice_stats(
-    z,
-    assignment: SliceAssignment,
-    *,
-    buffers: _Buffers | None = None,
-) -> SliceStats:
+def _check_finite(z: np.ndarray) -> None:
+    """Raise NumericalError unless every entry of z is finite."""
+    # NaN or infinity would show in the minimum or the maximum.
+    if not (np.isfinite(z.min(initial=0.0)) and np.isfinite(z.max(initial=0.0))):
+        raise NumericalError("z has non-finite entries")
+
+
+def slice_stats(z, assignment: SliceAssignment) -> SliceStats:
     """Slice moments of the rows of z, from one gather into slice order.
 
     ``z`` has shape (n, p) or (..., n, p) and must be finite; a 1-d order
@@ -437,8 +440,8 @@ def slice_stats(
     ``TestPositionSum`` in tests/test_slicing.py pins.
     Each call checks its arguments, builds the plan of the bounds
     (``_SlicePlan``) and the flat index of the order, and hands them to
-    ``_slice_moments``, which the engines call directly with one plan per
-    H and the index that ``stable_order`` leaves.
+    ``_slice_moments``, which ``_SliceGrid`` calls with one plan per H and
+    the index that ``stable_order`` leaves.
     A run of k adjacent slices of m points is one (..., k, m, p) block whose
     covariances come from one stacked product, so the (n, p, p) outer
     products are never formed; the same block viewed as (..., k p, p) gives
@@ -448,8 +451,7 @@ def slice_stats(
     view with the unit axis dropped (``_flat_run``): a slice's covariance is
     its sum of squared deviations, added in the lane order of the block's
     einsum (``_lane_sum``, pinned by ``TestLaneSum``).
-    With ``buffers`` the means and covariances live in them (see
-    ``_Buffers``); M, L and V are always fresh.
+    Every array returned is fresh.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim < 2:
@@ -458,10 +460,7 @@ def slice_stats(
         raise InvalidArgument(
             f"assignment covers {assignment.n} rows but z has {z.shape[-2]}"
         )
-    buffers = buffers or _Buffers()
-    # NaN or infinity would show in the minimum or the maximum.
-    if not (np.isfinite(z.min(initial=0.0)) and np.isfinite(z.max(initial=0.0))):
-        raise NumericalError("z has non-finite entries")
+    _check_finite(z)
     order = assignment.order
     if order.shape != z.shape[:-1]:
         try:
@@ -470,9 +469,8 @@ def slice_stats(
             raise InvalidArgument(
                 f"order of shape {order.shape} does not fit z of shape {z.shape}"
             ) from None
-    index = _flat_index(order, buffers.get("index", order.shape, np.intp))
-    return _slice_moments(z.reshape(order.size, z.shape[-1]), index,
-                          _SlicePlan(assignment.bounds), buffers)
+    return _slice_moments(z.reshape(order.size, z.shape[-1]), _flat_index(order),
+                          _SlicePlan(assignment.bounds), _Buffers())
 
 
 def _slice_moments(z: np.ndarray, index: np.ndarray, plan: _SlicePlan,
@@ -529,3 +527,36 @@ def _slice_moments(z: np.ndarray, index: np.ndarray, plan: _SlicePlan,
         mean_cov=mean_cov,
         cov_square=cov_square,
     )
+
+
+class _SliceGrid:
+    """Equal-count slicings of n points at each H of ``h_grid``, built once
+    per engine call: a slice plan per H, and ``sizes[i]``, how many
+    replicates the i-th H slices at a time; ``chunk``, the largest, is how
+    many one call of ``moments`` takes."""
+
+    __slots__ = ("plans", "sizes", "chunk")
+
+    def __init__(self, n: int, h_grid: list, sizes: list):
+        self.plans = [_SlicePlan(equal_count_bounds(n, H)) for H in h_grid]
+        self.sizes = sizes
+        self.chunk = max(sizes)
+
+    def moments(self, z: np.ndarray, y: np.ndarray, buffers: _Buffers):
+        """(i, part, stats): the slice moments of the replicates ``part`` of
+        a chunk z (chunk, n, p) at the i-th H, whose responses y (chunk, n)
+        are sorted once for every H.  Each stats lives in ``buffers`` until
+        the next is made.
+
+        z is checked for non-finite values once, and each (H, part) gathers
+        its rows of the whole chunk's z through the flat index of the sorted
+        order, which ``stable_order`` leaves in the "index" buffer.
+        """
+        _check_finite(z)
+        stable_order(y, buffers)
+        index = buffers.get("index", y.shape, np.intp)
+        rows = z.reshape(-1, z.shape[-1])
+        for i, (plan, size) in enumerate(zip(self.plans, self.sizes)):
+            for lo in range(0, z.shape[0], size):
+                part = slice(lo, lo + size)
+                yield i, part, _slice_moments(rows, index[part], plan, buffers)

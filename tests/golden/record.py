@@ -51,10 +51,12 @@ _EACH_FORMAT = (
     "table1 --reps 6 --n 240 --standardize",
     "simulate --model 3 --n 200 --slices 10 --reps 9",
     "simulate --model 2 --n 200 --slices 10 --reps 9 --quantiles --standardize",
-    *(f"estimate --input EST.csv --y y --method {m} --k 2" for m in ("sir", "save", "csave")),
+    *(f"estimate --input EST.csv --y y --method {m} --k {k}"
+      for k in (2, 1) for m in ("sir", "save", "csave")),
 )
 
-#: Usage errors, help and the large-p sweeps, each run once as written.
+#: Usage and input errors, help and the large-p sweeps, each run once as
+#: written.
 _AS_WRITTEN = (
     "sweep --mode bias --n-grid 100 --c-grid 1",
     "sweep --mode bias --n-grid 10 --c-grid 4 --reps 2",
@@ -67,9 +69,14 @@ _AS_WRITTEN = (
     "sweep --mode bias --p -1",
     "sweep --mode bias --n-grid 4000 --c-grid 2,4 --reps 10 --p 4 --out json",
     "sweep --mode bias --n-grid 4000 --c-grid 2,4 --reps 10 --p 10 --out json",
+    "estimate --input MISSING.csv --y y",
+    "estimate --input EST.csv --y nope",
+    "estimate --input EST.csv --y y --slices 200",
+    "estimate --input EST.csv --y y --k 6",
+    "estimate --input EST.csv --y y --output missing-dir/o.json",
 )
 
-#: The 62 argvs of the corpus, in order.
+#: The 76 argvs of the corpus, in order.
 ARGVS = [
     *(f"{cmd} --out {fmt}".split() for cmd in _EACH_FORMAT for fmt in _FORMATS),
     *(cmd.split() for cmd in _AS_WRITTEN),

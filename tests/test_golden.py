@@ -11,6 +11,10 @@ records the corpus; a change that alters an output re-records it.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,8 +74,8 @@ def replay(entries, same_build: bool) -> tuple:
 
 def test_corpus_holds_the_recorded_argvs():
     assert [entry["argv"] for entry in CORPUS["entries"]] == record.ARGVS
-    assert len(record.ARGVS) == 62
-    assert sum("json" in entry for entry in CORPUS["entries"]) == 19
+    assert len(record.ARGVS) == 76
+    assert sum("json" in entry for entry in CORPUS["entries"]) == 22
 
 
 def test_cli_output_matches_the_corpus(capsys):
@@ -87,6 +91,32 @@ def test_cli_output_matches_the_corpus(capsys):
                 f" numbers within {JSON_TOLERANCE}; not compared byte for byte:"
                 f" {len(unchecked)} argvs"
             )
+    assert not mismatches, mismatches
+
+
+#: Replays the corpus in a fresh interpreter and prints, as JSON, whether
+#: its build is the recording one, the mismatches and the unchecked argvs.
+_REPLAY_SCRIPT = """
+import json
+from test_golden import CORPUS, record, replay
+same_build = record.fingerprint() == CORPUS["fingerprint"]
+print(json.dumps([same_build, *replay(CORPUS["entries"], same_build)]))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: BLAS runs one thread in-process already")
+def test_cli_output_matches_the_corpus_at_one_blas_thread():
+    # the in-process replay runs at the default thread count; a BLAS call
+    # whose bits depend on its threads fails one of the two replays
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", _REPLAY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    same_build, mismatches, _ = json.loads(proc.stdout)
+    assert same_build == (record.fingerprint() == CORPUS["fingerprint"])
     assert not mismatches, mismatches
 
 

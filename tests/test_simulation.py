@@ -430,14 +430,14 @@ class TestSweepEngine:
     def test_chunk_that_fails_only_whole_names_its_replicates(self, monkeypatch):
         # chunks of 2 at p = 3, c = 2; stats fail on a batch of two replicates
         # but on neither alone, so the error names the whole chunk
-        real = simulation._slice_moments
+        real = slicing._slice_moments
 
         def batch_only(z, index, plan, buffers):
             if index.shape[0] > 1:
                 raise NumericalError("batch of replicates")
             return real(z, index, plan, buffers)
 
-        monkeypatch.setattr(simulation, "_slice_moments", batch_only)
+        monkeypatch.setattr(slicing, "_slice_moments", batch_only)
         with pytest.raises(SimulationError,
                            match=r"^replicates 0\.\.1 failed: batch of replicates$"):
             bias_sweep([401], [2], reps=3, seed=1, p=3)
@@ -464,13 +464,13 @@ class TestWorkBuffers:
     def test_replicates_share_the_stats_buffers(self, monkeypatch):
         # stats made in an engine's buffers hold until its next slice call
         made = []
-        real = simulation._slice_moments
+        real = slicing._slice_moments
 
         def kept(*args):
             made.append(real(*args))
             return made[-1]
 
-        monkeypatch.setattr(simulation, "_slice_moments", kept)
+        monkeypatch.setattr(slicing, "_slice_moments", kept)
         bias_sweep([2003], [2, 3], reps=3, seed=3, p=1)
         assert len(made) == 6
         for stats in made[1:]:
@@ -501,7 +501,7 @@ class TestWorkBuffers:
             a = slicing.SliceAssignment(order=order, bounds=bounds)
             return reduceat_slice_stats(z[index], a)
 
-        monkeypatch.setattr(simulation, "_slice_moments", reduceat_moments)
+        monkeypatch.setattr(slicing, "_slice_moments", reduceat_moments)
         assert levels.tobytes() == bias_sweep(**grid).tobytes()
 
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
@@ -510,7 +510,7 @@ class TestWorkBuffers:
         # and each model gets one eigen call; the sweep makes none, and
         # neither engine checks the orders that stable_order returns
         calls = {}
-        targets = [(simulation, "_slice_moments"), (simulation, "stable_order"),
+        targets = [(slicing, "_slice_moments"), (slicing, "stable_order"),
                    (simulation, "_leading_vectors"), (slicing, "_check_order")]
         for module, name in targets:
             real = getattr(module, name)
@@ -631,23 +631,24 @@ class TestEngineSliceMoments:
     ])
     def test_parts_equal_public_slice_stats(self, p, n, h_grid):
         rng = np.random.default_rng(n + p)
-        slicings = simulation._slicings(n, p, h_grid)
-        chunk = max(size for _, size in slicings)
+        sizes = [simulation._chunk_size(n, p, H) for H in h_grid]
+        slicings = slicing._SliceGrid(n, h_grid, sizes)
+        chunk = slicings.chunk
         z, y = rng.standard_normal((chunk, n, p)), rng.standard_normal((chunk, n))
         parts = []
-        for i, part, stats in simulation._stats_by_H(z, y, slicings, slicing._Buffers()):
+        for i, part, stats in slicings.moments(z, y, slicing._Buffers()):
             want = slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
             assert_stats_bytes_equal(stats, want)
             parts.append((i, part.indices(chunk)))
         assert parts == [(i, (lo, min(lo + size, chunk), 1))
-                         for i, (_, size) in enumerate(slicings)
+                         for i, size in enumerate(sizes)
                          for lo in range(0, chunk, size)]
 
     def test_tied_responses_take_the_stable_sort_in_both_engines(self, monkeypatch):
         # noise rounded to one decimal ties every sweep response and puts
         # +-0.0 ties into model 3's u * eps, so each chunk's sort falls back
         # to the stable argsort; the parts still equal the public path
-        real_draw, real_stats = simulation._draw, simulation._stats_by_H
+        real_draw, real_moments = simulation._draw, slicing._SliceGrid.moments
         checked = []
 
         def tied(streams, out):
@@ -655,10 +656,10 @@ class TestEngineSliceMoments:
             np.round(eps, 1, out=eps)
             return x, eps
 
-        def checking(z, y, slicings, buffers):
+        def checking(slicings, z, y, buffers):
             assert not (np.diff(np.sort(y, axis=-1)) > 0).all()
-            for i, part, stats in real_stats(z, y, slicings, buffers):
-                H = slicings[i][0].counts.size
+            for i, part, stats in real_moments(slicings, z, y, buffers):
+                H = slicings.plans[i].counts.size
                 assert_stats_bytes_equal(
                     stats, slice_stats(z[part], slice_equal_count(y[part], H))
                 )
@@ -666,12 +667,26 @@ class TestEngineSliceMoments:
                 yield i, part, stats
 
         monkeypatch.setattr(simulation, "_draw", tied)
-        monkeypatch.setattr(simulation, "_stats_by_H", checking)
+        monkeypatch.setattr(slicing._SliceGrid, "moments", checking)
         bias_sweep([401], [2, 3], reps=3, seed=3, p=2)
         assert checked == [200, 133] * 2  # chunks of 2 and 1
         checked.clear()
         run_grid([3], [6, 24], 120, 7, seed=3)
         assert checked == [6, 24, 24]  # one chunk of 7; H = 24 in parts of 5
+
+
+    @pytest.mark.parametrize("engine", [
+        lambda: run_grid([1, 3], (2, 24), 120, 5, seed=2),
+        lambda: bias_sweep([401], [2, 3], reps=5, seed=2, p=3),
+    ], ids=["run_grid", "bias_sweep"])
+    def test_non_finite_z_fails_its_replicate(self, monkeypatch, engine):
+        # each chunk's z is checked once, before it is sliced at any H; the
+        # replicate that fails alone is named, with the check's error as cause
+        poison_replicate(monkeypatch, 2)
+        with pytest.raises(SimulationError) as raised:
+            engine()
+        assert str(raised.value) == "replicate 2 failed: z has non-finite entries"
+        assert isinstance(raised.value.__cause__, NumericalError)
 
 
 class TestChunkedEngine:

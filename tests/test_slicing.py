@@ -103,7 +103,7 @@ def assert_stable(y):
     got = stable_order(y, buffers)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
-    # the engines gather through the flat index that stable_order leaves,
+    # _SliceGrid gathers through the flat index that stable_order leaves,
     # after the key sort and after the stable fallback alike
     np.testing.assert_array_equal(
         buffers.get("index", got.shape, np.intp), slicing._flat_index(got)
@@ -513,12 +513,11 @@ def loop_oracle(z, a):
             mean_cov, cov_square)
 
 
-def reduceat_slice_stats(z, a, *, buffers=None):
+def reduceat_slice_stats(z, a):
     """``slice_stats`` with every slice mean from one ``np.add.reduceat``
     over the gathered rows, divided by the counts; its deviation,
     covariance and pooling steps are ``slice_stats``' own.  The bitwise
-    reference for both of ``slice_stats``' mean paths.  ``buffers`` is
-    ignored, so every array is fresh."""
+    reference for both of ``slice_stats``' mean paths."""
     z = np.asarray(z, dtype=float)
     batch, n, p = z.shape[:-2], z.shape[-2], z.shape[-1]
     order = np.broadcast_to(a.order, z.shape[:-1])
@@ -857,14 +856,15 @@ class TestWorkBuffers:
             y = rng.standard_normal(shape)
             if H == 13:
                 y[0, 5] = y[0, 9]
-            order = stable_order(y, buffers)
-            np.testing.assert_array_equal(order, stable_order(y))
+            np.testing.assert_array_equal(stable_order(y, buffers), stable_order(y))
             z = rng.standard_normal(shape + (2,)) * 1e3
-            bounds = slicing.equal_count_bounds(shape[1], H)
-            a = SliceAssignment(order=order.copy(), bounds=bounds)
-            got = stats_arrays(slice_stats(z, a, buffers=buffers))
-            for name, want in stats_arrays(slice_stats(z, a)).items():
-                assert got[name].tobytes() == want.tobytes(), (shape, H, name)
+            grid = slicing._SliceGrid(shape[1], [H], [shape[0]])
+            (i, part, stats), = grid.moments(z, y, buffers)
+            assert (i, part) == (0, slice(0, shape[0]))
+            got = stats_arrays(stats)
+            want = stats_arrays(slice_stats(z, slice_equal_count(y, H)))
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (shape, H, name)
 
 
 @st_.composite

@@ -237,7 +237,6 @@ SETTABLE_PARAMETERS = [
     "slicing:_flat_index(out)",
     "slicing:stable_order(buffers)",
     "slicing:_gram(out)",
-    "slicing:slice_stats(buffers)",
 ]
 
 
@@ -343,8 +342,7 @@ def test_public_names_are_the_listed_ones():
 PRIVATE_IMPORTS = [
     "simulation <- linalg._leading_vectors",
     "simulation <- slicing._Buffers",
-    "simulation <- slicing._SlicePlan",
-    "simulation <- slicing._slice_moments",
+    "simulation <- slicing._SliceGrid",
 ]
 
 

@@ -35,7 +35,9 @@ all its cells, since x and eps depend only on
 forms each model's response from the shared u and eps; each model's
 candidates over all H and methods go through one eigen and one scoring
 call.  The sweep draws replicate r once per n for every c of the row, and
-eps is its response.  Each engine call reuses one set of work buffers
+eps is its response; its pass keeps each replicate's L and a(c) L - b(c) V,
+and the levels and errors of all replicates are formed once per call.
+Each engine call reuses one set of work buffers
 (``slicing._Buffers``) for the draws, the sort and the slice moments of
 every replicate.
 """
@@ -299,24 +301,30 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> np.ndarr
     """Per-replicate trace levels and Frobenius errors of the raw and
     corrected estimators on pure noise, where the true target is I_p: an
     array of shape (len(h_grid), 4, reps).
+
+    The pass keeps each replicate's L and a(c) L - b(c) V in a
+    (len(h_grid), 2, p, p, chunk) stack, and the levels and errors of the
+    whole (len(h_grid), 2, reps, p, p) stack are formed once per call.  That
+    stack is made C-contiguous first, so each matrix's trace and Frobenius
+    sum are those of the matrix alone, bit for bit.
     """
-    eye = np.eye(p)
     slicings = _SliceGrid(n, h_grid, [_chunk_size(n, p, H) for H in h_grid])
     buffers = _Buffers()
 
-    def levels(z, y):
-        out = np.empty((len(h_grid), 4, z.shape[0]))
+    def matrices(z, y):
+        out = np.empty((len(h_grid), 2, z.shape[0], p, p))
         for i, part, stats in slicings.moments(z, y, buffers):
-            for k, m in enumerate((stats.cov_square, lambda_corrected(stats))):
-                np.trace(m, axis1=-2, axis2=-1, out=out[i, k, part])
-                # the Frobenius norm as np.linalg.norm forms it, bit for bit
-                d = np.subtract(m, eye)
-                np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=(-2, -1)),
-                        out=out[i, k + 2, part])
-        out[:, :2] /= p
-        return out
+            out[i, 0, part] = stats.cov_square
+            out[i, 1, part] = lambda_corrected(stats)
+        return out.transpose(0, 1, 3, 4, 2)  # the replicates last
 
-    return _run_chunks(reps, n, p, seed, slicings.chunk, levels, buffers)
+    mats = _run_chunks(reps, n, p, seed, slicings.chunk, matrices, buffers)
+    mats = np.ascontiguousarray(mats.transpose(0, 1, 4, 2, 3))
+    # the Frobenius norm as np.linalg.norm forms it, bit for bit
+    d = np.subtract(mats, np.eye(p))
+    errors = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=(-2, -1)))
+    levels = np.trace(mats, axis1=-2, axis2=-1) / p
+    return np.concatenate([levels, errors], axis=1)
 
 
 def check_sweep(n_grid, c_grid, reps: int, seed: int, p: int) -> None:

@@ -99,10 +99,11 @@ class _Buffers:
     small.  A function that takes buffers overwrites the arrays it gets from
     them, so what it returns is valid until its next call with the same
     buffers.  Called without buffers, it makes a new ``_Buffers``, whose
-    arrays are fresh.  The names "index" and "floats" hold scratch that no
-    result refers to, so every function here shares them.  An engine makes
-    its own per call; a module-level instance would break the purity and
-    thread safety of the engines.
+    arrays are fresh.  The name "floats" holds scratch that no result
+    refers to, so every function here shares it; "index" holds the flat
+    index of the last ``stable_order``, which ``_SliceGrid`` reads.  An
+    engine makes its own per call; a module-level instance would break the
+    purity and thread safety of the engines.
     """
 
     def __init__(self):
@@ -168,15 +169,21 @@ def stable_order(y: np.ndarray, buffers: _Buffers | None = None) -> np.ndarray:
     batch is sorted again with the stable sort.  With ``buffers`` the
     key-sorted order lives in them (see ``_Buffers``), and either way their
     "index" array holds the flat index (``_flat_index``) of the order
-    returned, which ``_SliceGrid`` gathers with.
+    returned, which ``_SliceGrid`` gathers with.  A single row's order is
+    its own flat index, so its keys are sorted in "index" itself and the
+    key-sorted order returned is that array, with no flat-index pass.
     """
     y = np.asarray(y, dtype=float)
     buffers = buffers or _Buffers()
-    if y.shape[-1] <= _KEY_SORT_MAX_N:
-        order = _key_order(y, buffers.get("key", y.shape, np.uint64))
+    index = buffers.get("index", y.shape, np.intp)
+    keyed = y.shape[-1] <= _KEY_SORT_MAX_N
+    if keyed and y.size == y.shape[-1]:
+        # One row's order is its own flat index, so its keys sort in "index".
+        order = _key_order(y, index.view(np.uint64))
     else:
-        order = np.argsort(y, axis=-1)
-    index = _flat_index(order, buffers.get("index", y.shape, np.intp))
+        order = (_key_order(y, buffers.get("key", y.shape, np.uint64)) if keyed
+                 else np.argsort(y, axis=-1))
+        _flat_index(order, out=index)
     # Every index is in range (a NaN key that the sort rewrites gives back
     # column 0), so "clip" only skips the bounds check, which would copy the
     # result through a temporary.
@@ -404,11 +411,12 @@ def _flat_run(run, means, sums, squares) -> None:
     deviations from the slice means, written to ``means`` (..., k), and
     ``sums`` (..., k) gets the sum of squared deviations of each slice, the
     unscaled covariance, in einsum's own lane order; ``squares``
-    (..., k c) is scratch for the squares.
+    (..., k c) gets the squared deviations, from which ``_slice_moments``
+    forms V.
     """
     c = run.shape[-1] // means.shape[-1]
     block = run.reshape(means.shape + (c,))
-    points = np.moveaxis(block, -1, 0)
+    points = block.transpose(-1, *range(block.ndim - 1))  # np.moveaxis(block, -1, 0)
     _position_sum(points, out=means)
     means /= c
     for point in points:  # one strided pass each beats a broadcast
@@ -446,7 +454,8 @@ def slice_stats(z, assignment: SliceAssignment) -> SliceStats:
     covariances come from one stacked product, so the (n, p, p) outer
     products are never formed; the same block viewed as (..., k p, p) gives
     the run's share of L = sum_h p_h S_h^2 in one more product.  V averages
-    ||d||^2 d d^T over all n deviations.
+    ||d||^2 d d^T over all n deviations; at p = 1 that is (d^2)^2, formed
+    from the squared deviations the runs leave (pinned by ``TestAbsScale``).
     At p = 1 a run of m up to ``_POSITION_SUM_MAX_C`` points is a (..., k, m)
     view with the unit axis dropped (``_flat_run``): a slice's covariance is
     its sum of squared deviations, added in the lane order of the block's
@@ -490,7 +499,8 @@ def _slice_moments(z: np.ndarray, index: np.ndarray, plan: _SlicePlan,
     H = plan.counts.size
     means = buffers.get("means", batch + (H, p))
     covs = buffers.get("covs", batch + (H, p, p))
-    norms = buffers.get("floats", index.shape)  # scratch, then ||d|| of each d
+    # scratch, then ||d|| of each deviation d at p > 1 and d^2 at p = 1
+    norms = buffers.get("floats", index.shape)
     mean_cov = np.zeros(batch + (p, p))
     cov_square = np.zeros(batch + (p, p))
     for lo, hi, c, first, stop, starts, weight in plan.runs:
@@ -505,19 +515,23 @@ def _slice_moments(z: np.ndarray, index: np.ndarray, plan: _SlicePlan,
             m /= c
             block -= m[..., None, :]  # deviations, in place
             _gram(block, out=out)
+            if p == 1:  # the squares V needs, as ``_flat_run`` leaves them
+                np.multiply(run[..., 0], run[..., 0], out=norms[..., first:stop])
         out /= c - 1
         mean_cov += weight * out.sum(axis=-3)
         # S_h is symmetric, so B^T B sums S_h^2 over the run's stacked B.
         cov_square += weight * _gram(out.reshape(batch + ((hi - lo) * p, p)))
-    # Scale each deviation d by ||d|| in place: the sum of ||d||^2 d d^T is
-    # then one product of the scaled deviations with themselves.  At p = 1
-    # ||d|| = |d|, which sqrt(d^2) gives bit for bit unless d^2 under- or
-    # overflows; there V's term (d |d|)^2 is 0 or inf either way.
+    # At p > 1 scale each deviation d by ||d|| in place: the sum of
+    # ||d||^2 d d^T is then one product of the scaled deviations with
+    # themselves.  At p = 1 it is the product of the squares d^2 that the
+    # runs left in ``norms`` with themselves: d |d| is +-d^2 rounded once,
+    # so (d |d|)^2 and (d^2)^2 are the same float, under- and overflow
+    # included, and einsum adds them in the same order.
     if p > 1:
         scale = np.sqrt(np.einsum("...i,...i->...", zs, zs, out=norms), out=norms)
+        zs *= scale[..., None]
     else:
-        scale = np.abs(zs[..., 0], out=norms)
-    zs *= scale[..., None]
+        zs = norms[..., None]
     return SliceStats(
         counts=plan.counts,
         means=means,

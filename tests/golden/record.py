@@ -47,9 +47,11 @@ _EACH_FORMAT = (
     "sweep --mode bias --n-grid 401,401 --c-grid 3,3,2 --reps 4 --p 2",
     "sweep --mode bias --n-grid 400 --c-grid 2,3 --reps 1",
     "sweep --mode bias --n-grid 20000 --c-grid 2,3 --reps 10 --p 1",
+    "sweep --mode bias --n-grid 4000,401 --c-grid 5,8,20 --reps 4 --p 1",
     "table1 --reps 6 --n 240",
     "table1 --reps 6 --n 240 --standardize",
     "simulate --model 3 --n 200 --slices 10 --reps 9",
+    "simulate --model 3 --n 200 --slices 10 --reps 9 --quantiles",
     "simulate --model 2 --n 200 --slices 10 --reps 9 --quantiles --standardize",
     *(f"estimate --input EST.csv --y y --method {m} --k {k}"
       for k in (2, 1) for m in ("sir", "save", "csave")),
@@ -76,7 +78,7 @@ _AS_WRITTEN = (
     "estimate --input EST.csv --y y --output missing-dir/o.json",
 )
 
-#: The 76 argvs of the corpus, in order.
+#: The 82 argvs of the corpus, in order.
 ARGVS = [
     *(f"{cmd} --out {fmt}".split() for cmd in _EACH_FORMAT for fmt in _FORMATS),
     *(cmd.split() for cmd in _AS_WRITTEN),

@@ -13,6 +13,7 @@ from slicesdr import (
     bias_sweep,
     candidate_matrix,
     correction_coefficients,
+    lambda_corrected,
     model_streams,
     r2_single,
     run_grid,
@@ -326,6 +327,30 @@ class TestBiasSweep:
             for got, want in ((raw, want_raw), (cor, want_cor)):
                 se = got.std(ddof=1) / np.sqrt(got.size)
                 assert abs(got.mean() - want) <= 4 * se, (c, got.mean(), want, se)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 10])
+    def test_levels_bitwise_equal_the_public_api(self, p):
+        # Each replicate rebuilt from public calls: its draws, equal-count
+        # slices of its noise, lambda_corrected, trace / p and the Frobenius
+        # norm of each matrix alone.  401 and 2003 leave a remainder slice at
+        # every c here, and c = 5 takes the general slice path at p = 1.
+        n_grid, c_grid, reps, seed = [401, 2003], [2, 3, 5], 4, 11
+        levels = bias_sweep(n_grid, c_grid, reps=reps, seed=seed, p=p)
+        want = np.empty_like(levels)
+        eye = np.eye(p)
+        for i, n in enumerate(n_grid):
+            for r in range(reps):
+                x_gen, eps_gen = model_streams(seed, r)
+                x, eps = x_gen.standard_normal((n, p)), eps_gen.standard_normal(n)
+                for j, c in enumerate(c_grid):
+                    stats = slice_stats(x, slice_equal_count(eps, n // c))
+                    assert stats.counts[-1] > c  # the remainder slice
+                    for k, m in enumerate((stats.cov_square, lambda_corrected(stats))):
+                        want[i, j, k, r] = np.trace(m) / p
+                        # with axis, norm forms the sum as the engine does;
+                        # without it, it takes a BLAS dot
+                        want[i, j, k + 2, r] = np.linalg.norm(m - eye, axis=(-2, -1))
+        assert levels.tobytes() == want.tobytes()
 
     def test_degenerate_designs_rejected(self):
         with pytest.raises(InvalidArgument, match=r"^n=100, c=100 gives H=1 < 2 slices$"):
@@ -723,9 +748,11 @@ class TestChunkedEngine:
         np.testing.assert_array_equal(runs[0], one_cell(**cell))
 
     def test_sweep_rows_bitwise_equal_across_chunk_sizes(self, monkeypatch):
-        # p = 3, and p = 1 at an n with a remainder, whose one-replicate
-        # chunks (the derived size) pass views of the draws, not stacked copies
-        for p, n_grid, c_grid in ((3, [401, 1000], [2, 4]), (1, [2003], [2, 3])):
+        # p = 3, 4 and 10, and p = 1 at an n with a remainder, whose
+        # one-replicate chunks (the derived size) pass views of the draws,
+        # not stacked copies
+        for p, n_grid, c_grid in ((3, [401, 1000], [2, 4]), (4, [401, 1000], [2, 4]),
+                                  (10, [401, 1000], [2, 4]), (1, [2003], [2, 3])):
             levels = []
             for size in (1, 7):
                 fixed_chunk(monkeypatch, size)

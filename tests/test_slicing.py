@@ -642,15 +642,18 @@ def extreme_deviations(rng, shape):
 
 
 class TestAbsScale:
-    """At p = 1, ``slice_stats`` scales V's deviations by |d| where the
-    reference takes sqrt(d^2); the two agree bit for bit, also where d^2
-    under- or overflows."""
+    """At p = 1, ``slice_stats`` forms V's terms as (d^2)^2 from the squared
+    deviations, where the reference scales each d by sqrt(d^2) and squares
+    the product.  d |d| is +-d^2 rounded once and d sqrt(d^2) equals it, so
+    the forms agree bit for bit, also where d^2 under- or overflows."""
 
     def test_scaled_values_and_squares(self):
         d = extreme_deviations(np.random.default_rng(67), 200_000)
         with np.errstate(over="ignore"):
             got, want = d * np.abs(d), d * np.sqrt(d * d)
-            for a, b in ((got, want), (got * got, want * want)):
+            squares = d * d
+            for a, b in ((got, want), (got * got, want * want),
+                         (np.abs(got), squares), (squares * squares, want * want)):
                 np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
     @pytest.mark.parametrize("c", [2, 3, 5])

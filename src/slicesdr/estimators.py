@@ -11,8 +11,10 @@ fourth-moment matrix V:
 * ``lambda_corrected`` -- the debiased slice-covariance square a L - b V
 * ``csave_matrix`` -- bias-corrected SAVE: I - 2 M + (a L - b V)
 
-``candidate_matrix`` maps a method name from ``METHODS`` to its matrix; the
-CLI and the Monte Carlo harness both dispatch through it.
+``candidate_matrix`` maps a method name from ``METHODS`` to its matrix, as
+the CLI asks for it; ``_write_candidates`` writes several methods' matrices
+of one stats into an array, forming the I - 2 M that SAVE and CSAVE share
+once, as the Monte Carlo harness asks for them.
 
 Slice averages use the observed weights p_h = c_h / n; the correction
 coefficients (a, b) use the global slice size c = floor(n / H), since they
@@ -61,9 +63,14 @@ def sir_matrix(stats: SliceStats) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0  # the product is symmetric to rounding only
 
 
+def _identity_minus_2m(stats: SliceStats) -> np.ndarray:
+    """I - 2 M, the part that SAVE and CSAVE share."""
+    return np.eye(stats.p) - 2.0 * stats.mean_cov
+
+
 def save_matrix(stats: SliceStats) -> np.ndarray:
     """Estimated E[(I - Cov(z|Y))^2]: sum_h p_h (I - S_h)^2 = I - 2 M + L."""
-    return np.eye(stats.p) - 2.0 * stats.mean_cov + stats.cov_square
+    return _identity_minus_2m(stats) + stats.cov_square
 
 
 def correction_coefficients(c: int) -> tuple[float, float]:
@@ -93,7 +100,7 @@ def csave_matrix(stats: SliceStats) -> np.ndarray:
     eigenvalue, and negative tail eigenvalues are surfaced as a diagnostic,
     not clipped.
     """
-    return np.eye(stats.p) - 2.0 * stats.mean_cov + lambda_corrected(stats)
+    return _identity_minus_2m(stats) + lambda_corrected(stats)
 
 
 def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:
@@ -107,6 +114,24 @@ def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:
     if method == "csave":
         return csave_matrix(stats)
     raise InvalidArgument(f"unknown method {method!r}; valid: {METHODS}")
+
+
+def _write_candidates(methods, stats: SliceStats, out: np.ndarray) -> None:
+    """Write the candidate matrix of ``methods[j]`` into ``out[j]``, for
+    ``out`` of shape (len(methods), ..., p, p): bitwise what
+    ``candidate_matrix`` gives, with I - 2 M formed once for SAVE and CSAVE
+    and their sums written in place."""
+    shared = None
+    for method, cand in zip(methods, out):
+        if method == "sir":
+            cand[...] = sir_matrix(stats)
+            continue
+        if method not in ("save", "csave"):
+            raise InvalidArgument(f"unknown method {method!r}; valid: {METHODS}")
+        if shared is None:
+            shared = _identity_minus_2m(stats)
+        added = stats.cov_square if method == "save" else lambda_corrected(stats)
+        np.add(shared, added, out=cand)
 
 
 def cdr_basis(eig: linalg.EigenResult, k: int, cov_inv_sqrt) -> CdrBasis:

@@ -28,10 +28,13 @@ REL_FLOOR = 1e-10
 def ensure_symmetric(m) -> np.ndarray:
     """Validate and symmetrize a matrix or a stack of matrices.
 
-    Accepts anything array-like of shape (..., p, p), checks that each
-    matrix is finite and symmetric within ``SYMMETRY_TOL * (1 + max|entry|)``
-    of that matrix, and returns the exactly symmetric average (m + m^T) / 2.
-    Raises NumericalError if any matrix fails.
+    Accepts anything array-like of shape (..., p, p) and checks that each
+    matrix is finite.  Input whose bits equal its transpose's, as every
+    Gram product's do, comes back as a fresh copy, with no tolerance pass.
+    Other input must be symmetric within ``SYMMETRY_TOL * (1 + max|entry|)``
+    of each matrix, and comes back as the exactly symmetric average
+    m / 2 + m^T / 2, which is (m + m^T) / 2 bit for bit in the normal range
+    and does not overflow.  Raises NumericalError if any matrix fails.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -41,10 +44,16 @@ def ensure_symmetric(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericalError("matrix has non-finite entries")
     at = a.swapaxes(-1, -2)
+    # compared bit for bit: -0.0 == 0.0, but their average is 0.0
+    bits = a.view(np.int64)
+    if (bits == bits.swapaxes(-1, -2)).all():
+        return a.copy()  # (a + a^T) / 2 bit for bit, wherever that is finite
     scale = 1.0 + np.abs(a).max(axis=(-2, -1))
-    if np.any(np.abs(a - at).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
+    with np.errstate(over="ignore"):  # a difference past the largest float fails
+        asymmetry = np.abs(a - at).max(axis=(-2, -1))
+    if np.any(asymmetry > SYMMETRY_TOL * scale):
         raise NumericalError("matrix is not symmetric within tolerance")
-    return (a + at) / 2.0
+    return a / 2.0 + at / 2.0
 
 
 def _eigh(m) -> tuple:

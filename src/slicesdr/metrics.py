@@ -11,6 +11,8 @@ import numpy as np
 from .errors import InvalidArgument, NumericalError
 
 _RANK_TOL = 1e-10
+#: Smallest positive normal float; a squared norm below it lost bits.
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 def _orthonormalize(basis) -> np.ndarray:
@@ -38,7 +40,10 @@ def r2_single(beta_hat, true_basis):
     A vector beta_hat gives a float; a stack of shape (..., p) gives an
     array of scores, one per row, each row scored on its own.  The last
     axis of beta_hat must match the p rows of true_basis, so a (p, 1)
-    column is refused rather than read as p vectors of length 1.
+    column is refused rather than read as p vectors of length 1.  A row
+    whose squared norm under- or overflows is scored scaled by an exact
+    power of two, so it gets its score rather than NaN or a few bits of
+    it.
     """
     b = np.asarray(beta_hat, dtype=float)
     if b.ndim < 2:
@@ -56,6 +61,21 @@ def r2_single(beta_hat, true_basis):
             f"{basis.shape[0]}, the rows of true_basis"
         )
     q = _orthonormalize(basis)
-    proj = np.einsum("ik,...i->...k", q, b)
-    r2 = np.einsum("...k,...k->...", proj, proj) / np.einsum("...i,...i->...", b, b)
+    num, den = _projection_and_norm(q, b)
+    off = (den < _NORMAL_MIN) | (den == np.inf)
+    if off.any():
+        # A squared norm that overflows or underflows, to 0 or into the
+        # subnormals, would give inf/inf, 0/0 or a ratio of a few bits:
+        # those rows are scored again scaled by a power of two, which is
+        # exact, and every other row keeps its bits.
+        num, den, rows = np.array(num), np.array(den), b[off]
+        _, exponent = np.frexp(np.abs(rows).max(axis=-1))
+        num[off], den[off] = _projection_and_norm(q, np.ldexp(rows, -exponent[:, None]))
+    r2 = num / den
     return float(r2) if r2.ndim == 0 else r2
+
+
+def _projection_and_norm(q: np.ndarray, b: np.ndarray) -> tuple:
+    """(||q^T b||^2, ||b||^2) of each row of b, for orthonormal columns q."""
+    proj = np.einsum("ik,...i->...k", q, b)
+    return np.einsum("...k,...k->...", proj, proj), np.einsum("...i,...i->...", b, b)

@@ -32,11 +32,14 @@ slice stacks stay within that bound.  The grid draws replicate r once for
 all its cells, since x and eps depend only on
 (seed, r, n, p); its pass forms u = x beta for the chunk, under
 ``standardize`` whitens each replicate's x into a buffer of its own, and
-forms each model's response from the shared u and eps; each model's
-candidates over all H and methods go through one eigen and one scoring
-call.  The sweep draws replicate r once per n for every c of the row, and
-eps is its response; its pass keeps each replicate's L and a(c) L - b(c) V,
-and the levels and errors of all replicates are formed once per call.
+forms each model's response from the shared u, its powers (``_Powers``:
+one u ** 3 for models 1 and 4) and eps; z is checked once for all models,
+the candidates of all methods of a slicing share one I - 2 M, and each
+model's candidates over all H and methods go through one eigen and one
+scoring call.  The sweep draws replicate r once per n for every c of the
+row, and eps is its response; its pass keeps each replicate's L and
+a(c) L - b(c) V, and the levels and errors of all replicates are formed
+once per call.
 Each engine call reuses one set of work buffers
 (``slicing._Buffers``) for the draws, the sort and the slice moments of
 every replicate.
@@ -50,7 +53,7 @@ import numpy as np
 
 from .data import standardize as _standardize
 from .errors import InvalidArgument, SimulationError, SlicesdrError
-from .estimators import METHODS, candidate_matrix, lambda_corrected
+from .estimators import METHODS, _write_candidates, lambda_corrected
 from .linalg import _leading_vectors
 from .metrics import r2_single
 from .slicing import _Buffers, _SliceGrid, check_integer
@@ -61,19 +64,34 @@ DEFAULT_SEED = 1729
 _ROLE_X = 0
 _ROLE_EPS = 1
 
-#: Response y = f(u, eps) of each benchmark model, keyed by model id.
+#: Response y = f(u, eps) of each benchmark model, keyed by model id, where
+#: ``u[k]`` is u ** k (``_Powers``).
 _RESPONSES = {
-    1: lambda u, eps: u ** 3 + eps,
-    2: lambda u, eps: u ** 2 + eps,
-    3: lambda u, eps: u * eps,
-    4: lambda u, eps: u ** 3 + u * eps,
-    5: lambda u, eps: np.cos(u) + eps,
+    1: lambda u, eps: u[3] + eps,
+    2: lambda u, eps: u[2] + eps,
+    3: lambda u, eps: u[1] * eps,
+    4: lambda u, eps: u[3] + u[1] * eps,
+    5: lambda u, eps: np.cos(u[1]) + eps,
 }
 
 MODEL_IDS = tuple(_RESPONSES)
 
 #: Predictor dimension p of the benchmark models in the paper's grid.
 MODEL_P = 10
+
+
+class _Powers(dict):
+    """The powers u ** k of an index u, keyed by k, each formed on first use
+    and then kept: models 1 and 4 of one chunk share one u ** 3, and a grid
+    without them forms none.  u ** 3 is libm's pow, rounded once; u * u * u
+    would round twice."""
+
+    def __init__(self, u: np.ndarray):
+        super().__init__({1: u})
+
+    def __missing__(self, k: int) -> np.ndarray:
+        power = self[k] = self[1] ** k
+        return power
 
 
 def model_streams(seed: int, replicate: int) -> tuple:
@@ -255,8 +273,10 @@ def run_grid(
     and the index direction e_1, so the response depends on x[0] alone.
     Replicate r of every cell is drawn once from ``model_streams(seed,
     r)``, so each cell's scores are the same as a run of that cell alone.
-    A failing replicate aborts the whole run with its index attached;
-    nothing is skipped silently.
+    What the cells of a chunk share is formed once: the index u, u ** 3
+    when model 1 or 4 is in the grid, the z check for all models, and
+    per slicing the I - 2 M of SAVE and CSAVE.  A failing replicate aborts
+    the whole run with its index attached; nothing is skipped silently.
     """
     models, h_grid = list(models), list(h_grid)
     check_grid(models, h_grid, n, reps, seed, methods, standardize, p)
@@ -277,11 +297,11 @@ def run_grid(
             for i in range(chunk):
                 z[i], back[i] = _standardize(x[i])
         cands = np.empty((len(h_grid), len(methods), chunk, p, p))
-        for m, model in enumerate(models):
-            y = _RESPONSES[model](u, eps)
-            for i, part, stats in slicings.moments(z, y, buffers):
-                for j, method in enumerate(methods):
-                    cands[i, j, part] = candidate_matrix(method, stats)
+        powers = _Powers(u)
+        responses = (_RESPONSES[model](powers, eps) for model in models)
+        for m, slicings_of_y in enumerate(slicings.moments(z, responses, buffers)):
+            for i, part, stats in slicings_of_y:
+                _write_candidates(methods, stats, cands[i, :, part])
             # One eigen call per model, for the one column R^2 reads.
             lead = _leading_vectors(cands.reshape(-1, p, p))
             if back is not None:
@@ -313,7 +333,8 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> np.ndarr
 
     def matrices(z, y):
         out = np.empty((len(h_grid), 2, z.shape[0], p, p))
-        for i, part, stats in slicings.moments(z, y, buffers):
+        (slicings_of_y,) = slicings.moments(z, [y], buffers)
+        for i, part, stats in slicings_of_y:
             out[i, 0, part] = stats.cov_square
             out[i, 1, part] = lambda_corrected(stats)
         return out.transpose(0, 1, 3, 4, 2)  # the replicates last

@@ -53,6 +53,10 @@ _EACH_FORMAT = (
     "simulate --model 3 --n 200 --slices 10 --reps 9",
     "simulate --model 3 --n 200 --slices 10 --reps 9 --quantiles",
     "simulate --model 2 --n 200 --slices 10 --reps 9 --quantiles --standardize",
+    *(f"simulate --model {m} --n 200 --slices 10 --reps 9" for m in (1, 4)),
+    "simulate --model 1 --n 200 --slices 10 --reps 9 --methods sir",
+    "simulate --model 4 --n 200 --slices 10 --reps 9 --methods csave,sir",
+    "table1 --reps 4 --n 240 --models 2,5",
     *(f"estimate --input EST.csv --y y --method {m} --k {k}"
       for k in (2, 1) for m in ("sir", "save", "csave")),
 )
@@ -78,7 +82,7 @@ _AS_WRITTEN = (
     "estimate --input EST.csv --y y --output missing-dir/o.json",
 )
 
-#: The 82 argvs of the corpus, in order.
+#: The 97 argvs of the corpus, in order.
 ARGVS = [
     *(f"{cmd} --out {fmt}".split() for cmd in _EACH_FORMAT for fmt in _FORMATS),
     *(cmd.split() for cmd in _AS_WRITTEN),

@@ -23,7 +23,7 @@ from conftest import traced_peak
 def write_model_csv(tmp_path, model_id, n=480, seed=314, name="data.csv"):
     p = simulation.MODEL_P
     x, eps = simulation._draw(model_streams(seed, 0), (np.empty((n, p)), np.empty(n)))
-    y = simulation._RESPONSES[model_id](x @ np.eye(p)[0], eps)
+    y = simulation._RESPONSES[model_id](simulation._Powers(x @ np.eye(p)[0]), eps)
     path = tmp_path / name
     header = ["y"] + [f"x{j}" for j in range(p)]
     lines = [",".join(header)]

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from slicesdr import (
+    METHODS,
     candidate_matrix,
     cdr_basis,
     correction_coefficients,
@@ -34,6 +35,7 @@ from slicesdr import (
     sym_eig,
 )
 from slicesdr.errors import AmbiguousDimensionWarning, InvalidArgument
+from slicesdr.estimators import _write_candidates
 from slicesdr.slicing import SliceAssignment
 
 
@@ -407,10 +409,25 @@ class TestCdrBasis:
 def test_unknown_method_rejected():
     rng = np.random.default_rng(2)
     _, st = sorted_stats(rng.standard_normal((12, 2)), rng.standard_normal(12), 3)
-    with pytest.raises(
-        InvalidArgument, match=r"^unknown method 'pca'; valid: \('save', 'sir', 'csave'\)$"
-    ):
+    message = r"^unknown method 'pca'; valid: \('save', 'sir', 'csave'\)$"
+    with pytest.raises(InvalidArgument, match=message):
         candidate_matrix("pca", st)
+    with pytest.raises(InvalidArgument, match=message):
+        _write_candidates(("sir", "pca"), st, np.empty((2, 2, 2)))
+
+
+@pytest.mark.parametrize("methods", [
+    METHODS, ("csave", "sir"), ("sir",), ("save",), ("csave", "save"),
+])
+def test_written_candidates_are_candidate_matrix_bitwise(methods):
+    # one I - 2M for SAVE and CSAVE, their sums written in place
+    rng = np.random.default_rng(4)
+    z, y = rng.standard_normal((3, 97, 4)), rng.standard_normal((3, 97))
+    st = slice_stats(z, slice_equal_count(y, 7))
+    out = np.full((len(methods), 3, 4, 4), np.nan)
+    _write_candidates(methods, st, out)
+    for method, got in zip(methods, out):
+        assert got.tobytes() == candidate_matrix(method, st).tobytes(), method
 
 
 def test_negative_eigenvalue_count():

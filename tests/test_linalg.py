@@ -111,6 +111,57 @@ class TestEnsureSymmetric:
         with pytest.raises(NumericalError, match=message):
             ensure_symmetric(m)
 
+    def test_exactly_symmetric_input_comes_back_as_a_fresh_copy(self):
+        # a Gram product, as every candidate and covariance is, with
+        # subnormal and -0.0 entries: the copy is bitwise the average
+        a = np.random.default_rng(3).standard_normal((4, 6, 5))
+        m = a.swapaxes(-1, -2) @ a
+        m[0, 1, 2] = m[0, 2, 1] = 5e-324
+        m[1, 0, 3] = m[1, 3, 0] = -0.0
+        out = ensure_symmetric(m)
+        assert not np.shares_memory(out, m)
+        assert out.tobytes() == ((m + m.swapaxes(-1, -2)) / 2.0).tobytes()
+        # -0.0 == 0.0, but the average of the two is 0.0
+        signed = np.array([[1.0, -0.0], [0.0, 1.0]])
+        assert ensure_symmetric(signed).tobytes() == np.eye(2).tobytes()
+
+    def test_near_symmetric_input_keeps_the_bits_of_the_average(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((3, 4, 4))
+        m = m + m.swapaxes(-1, -2)
+        m[..., 0, 1] += 2e-12  # within tolerance, not exact
+        out = ensure_symmetric(m)
+        assert out.tobytes() == ((m + m.swapaxes(-1, -2)) / 2.0).tobytes()
+        np.testing.assert_array_equal(out, out.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("m", [
+        [[1e308, 1.0], [1.0, 2.0]],
+        [[1e308, 1.0], [1.0 + 2.0 ** -52, 2.0]],  # within tolerance
+        [[-1e308, 1e308], [1e308, 1e308]],
+    ], ids=["exact", "near", "off-diagonal"])
+    def test_finite_input_near_the_largest_float_stays_finite(self, m):
+        # (m + m^T) / 2 overflowed to inf here, and eigh then gave NaN
+        out = ensure_symmetric(m)
+        np.testing.assert_array_equal(out, out.T)
+        np.testing.assert_array_equal(np.diag(out), np.diag(m))
+        assert np.isfinite(out).all() and np.isfinite(sym_eig(m).values).all()
+
+    def test_large_eigenvalues_are_solved(self):
+        values = sym_eig([[1e308, 1.0], [1.0, 2.0]]).values
+        np.testing.assert_allclose(values, [1e308, 2.0], rtol=1e-15)
+        root = inv_sqrt(np.diag([1e308, 1e300]))
+        np.testing.assert_allclose(root, np.diag([1e-154, 1e-150]), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[1.0, np.nan], [np.nan, 1.0]], NONFINITE),
+        ([[1.0, 1.0], [1.0, np.inf]], NONFINITE),
+        ([[1.0, 0.5], [0.0, 1.0]], ASYMMETRIC),
+        ([[1.0, 1e308], [-1e308, 1.0]], ASYMMETRIC),  # a - a^T overflows
+    ], ids=["nan", "inf", "asymmetric", "overflowing-asymmetry"])
+    def test_bad_input_keeps_its_message(self, bad, message):
+        with pytest.raises(NumericalError, match=message):
+            ensure_symmetric(bad)
+
 
 class TestBatched:
     def stack(self, rng, R=6, p=5):

@@ -90,6 +90,33 @@ class TestR2SingleBatched:
         want = [r2_single(b, basis) for b in betas]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310, 1e300, 1e-158, 1e-161])
+    def test_squared_norm_out_of_range_is_rescaled(self, scale):
+        # ||b||^2 overflows or underflows: inf/inf and 0/0 gave NaN, and a
+        # subnormal one 0.0990 for 0.1 at 1e-161
+        assert r2_single([scale, scale], [1.0, 0.0]) == 0.5
+        assert r2_single([scale, -3 * scale], [1.0, 0.0]) == pytest.approx(0.1, rel=1e-15)
+
+    def test_rescaling_leaves_other_rows_their_bits(self):
+        rng = np.random.default_rng(11)
+        vecs = rng.standard_normal((6, 5, 5))
+        vecs[1, :, 0] *= 1e200
+        vecs[4, :, 0] *= 1e-200
+        basis = rng.standard_normal((5, 2))
+        lead = vecs[..., 0]  # strided rows, as the grid scores them
+        got = r2_single(lead, basis)
+        q = np.linalg.qr(basis)[0]
+        proj = np.einsum("ik,...i->...k", q, lead)
+        with np.errstate(invalid="ignore"):
+            want = np.einsum("...k,...k->...", proj, proj) / np.einsum(
+                "...i,...i->...", lead, lead)
+        keep = [0, 2, 3, 5]
+        assert got[keep].tobytes() == want[keep].tobytes()
+        for r in (1, 4):
+            assert np.isnan(want[r])
+            assert got[r] == pytest.approx(r2_single(vecs[r, :, 0] / vecs[r, 0, 0], basis),
+                                           rel=1e-14)
+
     def test_one_zero_row_rejected(self):
         betas = np.array([e(0), np.zeros(3), e(2)])
         with pytest.raises(NumericalError, match="^beta_hat is the zero vector$"):

@@ -43,7 +43,7 @@ def model_data(model, n, streams):
     """Predictors x and response y of a benchmark model: the engines' draw
     and response."""
     x, eps = simulation._draw(streams, (np.empty((n, E1.size)), np.empty(n)))
-    return x, simulation._RESPONSES[model](x @ E1, eps)
+    return x, simulation._RESPONSES[model](simulation._Powers(x @ E1), eps)
 
 
 def one_cell(model, H, **kwargs):
@@ -661,7 +661,8 @@ class TestEngineSliceMoments:
         chunk = slicings.chunk
         z, y = rng.standard_normal((chunk, n, p)), rng.standard_normal((chunk, n))
         parts = []
-        for i, part, stats in slicings.moments(z, y, slicing._Buffers()):
+        (slicings_of_y,) = slicings.moments(z, [y], slicing._Buffers())
+        for i, part, stats in slicings_of_y:
             want = slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
             assert_stats_bytes_equal(stats, want)
             parts.append((i, part.indices(chunk)))
@@ -673,7 +674,7 @@ class TestEngineSliceMoments:
         # noise rounded to one decimal ties every sweep response and puts
         # +-0.0 ties into model 3's u * eps, so each chunk's sort falls back
         # to the stable argsort; the parts still equal the public path
-        real_draw, real_moments = simulation._draw, slicing._SliceGrid.moments
+        real_draw, real_slicings = simulation._draw, slicing._SliceGrid._slicings
         checked = []
 
         def tied(streams, out):
@@ -681,9 +682,10 @@ class TestEngineSliceMoments:
             np.round(eps, 1, out=eps)
             return x, eps
 
-        def checking(slicings, z, y, buffers):
+        def checking(slicings, rows, y, buffers):
             assert not (np.diff(np.sort(y, axis=-1)) > 0).all()
-            for i, part, stats in real_moments(slicings, z, y, buffers):
+            z = rows.reshape(y.shape + rows.shape[-1:])
+            for i, part, stats in real_slicings(slicings, rows, y, buffers):
                 H = slicings.plans[i].counts.size
                 assert_stats_bytes_equal(
                     stats, slice_stats(z[part], slice_equal_count(y[part], H))
@@ -692,7 +694,7 @@ class TestEngineSliceMoments:
                 yield i, part, stats
 
         monkeypatch.setattr(simulation, "_draw", tied)
-        monkeypatch.setattr(slicing._SliceGrid, "moments", checking)
+        monkeypatch.setattr(slicing._SliceGrid, "_slicings", checking)
         bias_sweep([401], [2, 3], reps=3, seed=3, p=2)
         assert checked == [200, 133] * 2  # chunks of 2 and 1
         checked.clear()
@@ -822,6 +824,48 @@ class TestGridEngine:
         assert swapped.shape == (2, 2, len(METHODS), 3)
         np.testing.assert_array_equal(swapped, ordered[::-1, ::-1])
 
+    def test_model_subsets_equal_their_rows_of_the_full_grid(self):
+        # models 1 and 4 share one u ** 3 per chunk, SAVE and CSAVE one
+        # I - 2M per slicing: neither may depend on which models or methods
+        # run, or in which order
+        args = ((2, 6, 24, 96), 480, 11)
+        full = run_grid(self.MODELS, *args, seed=8)
+        for models in ([1, 4], [4, 1], [2, 5], [1]):
+            got = run_grid(models, *args, seed=8)
+            assert got.tobytes() == full[[m - 1 for m in models]].tobytes(), models
+        methods = ("csave", "sir")
+        got = run_grid([4, 1], *args, seed=8, methods=methods)
+        want = full[[3, 0]][:, :, [METHODS.index(m) for m in methods]]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("models, powers", [
+        ([1, 2, 3, 4, 5], [3, 2]),
+        ([4, 1], [3]),
+        ([2, 5], [2]),
+        ([3], []),
+    ])
+    def test_each_power_is_formed_once_per_chunk(self, monkeypatch, models, powers):
+        formed, real = [], simulation._Powers.__missing__
+
+        def recording(self, k):
+            formed.append(k)
+            return real(self, k)
+
+        monkeypatch.setattr(simulation._Powers, "__missing__", recording)
+        run_grid(models, (2, 24), 120, 12, seed=1)  # chunks of 10 and 2
+        assert formed == powers * 2
+
+    def test_z_is_checked_once_per_chunk_for_every_model(self, monkeypatch):
+        checked, real = [], slicing._check_finite
+
+        def counting(z):
+            checked.append(z.shape)
+            real(z)
+
+        monkeypatch.setattr(slicing, "_check_finite", counting)
+        run_grid(self.MODELS, (2, 24), 120, 12, seed=1)
+        assert checked == [(10, 120, 10), (2, 120, 10)]
+
     @pytest.mark.parametrize("reps", [1, 2, 3, 7, 10, 11])
     def test_summaries_equal_per_cell_statistics(self, reps):
         # medians and quartiles come from one call over the whole score
@@ -853,17 +897,16 @@ class TestGridEngine:
         ("asymmetric", "matrix is not symmetric within tolerance"),
     ], ids=["nan", "asymmetric"])
     def test_bad_candidates_are_invalid_matrices(self, bad, message, monkeypatch):
-        real = simulation.candidate_matrix
+        real = simulation._write_candidates
 
-        def poisoned(method, stats):
-            m = real(method, stats)
+        def poisoned(methods, stats, out):
+            real(methods, stats, out)
             if bad == "nan":
-                m[..., 0, 0] = np.nan
+                out[..., 0, 0] = np.nan
             else:
-                m[..., 0, 1] += 1e-3
-            return m
+                out[..., 0, 1] += 1e-3
 
-        monkeypatch.setattr(simulation, "candidate_matrix", poisoned)
+        monkeypatch.setattr(simulation, "_write_candidates", poisoned)
         with pytest.raises(SimulationError,
                            match=f"^replicate 0 failed: {message}$") as info:
             run_grid([1], (2, 6), 60, 3, seed=3)
@@ -873,10 +916,10 @@ class TestGridEngine:
     def test_bug_in_a_replicate_propagates_unwrapped(self, monkeypatch):
         # only a slicesdr error is a failed replicate; any other exception
         # is a bug and keeps its class, so the CLI ends with its traceback
-        def broken(method, stats):
+        def broken(methods, stats, out):
             raise IndexError("bug in candidate code")
 
-        monkeypatch.setattr(simulation, "candidate_matrix", broken)
+        monkeypatch.setattr(simulation, "_write_candidates", broken)
         with pytest.raises(IndexError, match="^bug in candidate code$"):
             run_grid([1], (2,), 40, 2)
         with pytest.raises(IndexError, match="^bug in candidate code$"):

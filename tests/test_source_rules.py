@@ -340,6 +340,7 @@ def test_public_names_are_the_listed_ones():
 #: "importer <- module.name": each is a coupling between the internals of
 #: two modules, which shows here when it is added or removed.
 PRIVATE_IMPORTS = [
+    "simulation <- estimators._write_candidates",
     "simulation <- linalg._leading_vectors",
     "simulation <- slicing._Buffers",
     "simulation <- slicing._SliceGrid",

@@ -11,10 +11,11 @@ fourth-moment matrix V:
 * ``lambda_corrected`` -- the debiased slice-covariance square a L - b V
 * ``csave_matrix`` -- bias-corrected SAVE: I - 2 M + (a L - b V)
 
-``candidate_matrix`` maps a method name from ``METHODS`` to its matrix, as
-the CLI asks for it; ``_write_candidates`` writes several methods' matrices
-of one stats into an array, forming the I - 2 M that SAVE and CSAVE share
-once, as the Monte Carlo harness asks for them.
+``_write_candidates`` is the one map from a method name of ``METHODS`` to
+its matrix: it writes several methods' matrices of one stats into an array,
+forming the I - 2 M that SAVE and CSAVE share once, as the Monte Carlo
+harness asks for them.  ``candidate_matrix`` asks it for one method, as the
+CLI does.
 
 Slice averages use the observed weights p_h = c_h / n; the correction
 coefficients (a, b) use the global slice size c = floor(n / H), since they
@@ -105,22 +106,16 @@ def csave_matrix(stats: SliceStats) -> np.ndarray:
 
 def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:
     """The candidate matrix of ``method``, one of METHODS."""
-    # Resolve the estimator by module-global name on every call, so a
-    # profiler that rebinds these names (perfbench's tracer) sees the call.
-    if method == "sir":
-        return sir_matrix(stats)
-    if method == "save":
-        return save_matrix(stats)
-    if method == "csave":
-        return csave_matrix(stats)
-    raise InvalidArgument(f"unknown method {method!r}; valid: {METHODS}")
+    out = np.empty((1, *stats.mean_cov.shape))
+    _write_candidates((method,), stats, out)
+    return out[0]
 
 
 def _write_candidates(methods, stats: SliceStats, out: np.ndarray) -> None:
     """Write the candidate matrix of ``methods[j]`` into ``out[j]``, for
-    ``out`` of shape (len(methods), ..., p, p): bitwise what
-    ``candidate_matrix`` gives, with I - 2 M formed once for SAVE and CSAVE
-    and their sums written in place."""
+    ``out`` of shape (len(methods), ..., p, p).  SAVE and CSAVE share one
+    I - 2 M, and their sums are written in place: bitwise what
+    ``save_matrix`` and ``csave_matrix`` evaluate."""
     shared = None
     for method, cand in zip(methods, out):
         if method == "sir":

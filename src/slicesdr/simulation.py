@@ -68,7 +68,7 @@ _ROLE_EPS = 1
 #: ``u[k]`` is u ** k (``_Powers``).
 _RESPONSES = {
     1: lambda u, eps: u[3] + eps,
-    2: lambda u, eps: u[2] + eps,
+    2: lambda u, eps: u[1] ** 2 + eps,
     3: lambda u, eps: u[1] * eps,
     4: lambda u, eps: u[3] + u[1] * eps,
     5: lambda u, eps: np.cos(u[1]) + eps,
@@ -84,7 +84,8 @@ class _Powers(dict):
     """The powers u ** k of an index u, keyed by k, each formed on first use
     and then kept: models 1 and 4 of one chunk share one u ** 3, and a grid
     without them forms none.  u ** 3 is libm's pow, rounded once; u * u * u
-    would round twice."""
+    would round twice.  Model 2 alone squares u, so it forms u[1] ** 2 and
+    keeps nothing."""
 
     def __init__(self, u: np.ndarray):
         super().__init__({1: u})
@@ -297,10 +298,11 @@ def run_grid(
             for i in range(chunk):
                 z[i], back[i] = _standardize(x[i])
         cands = np.empty((len(h_grid), len(methods), chunk, p, p))
+        slicings.check(z)  # once for all models
         powers = _Powers(u)
-        responses = (_RESPONSES[model](powers, eps) for model in models)
-        for m, slicings_of_y in enumerate(slicings.moments(z, responses, buffers)):
-            for i, part, stats in slicings_of_y:
+        for m, model in enumerate(models):
+            y = _RESPONSES[model](powers, eps)
+            for i, part, stats in slicings.moments(z, y, buffers):
                 _write_candidates(methods, stats, cands[i, :, part])
             # One eigen call per model, for the one column R^2 reads.
             lead = _leading_vectors(cands.reshape(-1, p, p))
@@ -333,8 +335,8 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> np.ndarr
 
     def matrices(z, y):
         out = np.empty((len(h_grid), 2, z.shape[0], p, p))
-        (slicings_of_y,) = slicings.moments(z, [y], buffers)
-        for i, part, stats in slicings_of_y:
+        slicings.check(z)
+        for i, part, stats in slicings.moments(z, y, buffers):
             out[i, 0, part] = stats.cov_square
             out[i, 1, part] = lambda_corrected(stats)
         return out.transpose(0, 1, 3, 4, 2)  # the replicates last

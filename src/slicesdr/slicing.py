@@ -556,30 +556,27 @@ class _SliceGrid:
         self.sizes = sizes
         self.chunk = max(sizes)
 
-    def moments(self, z: np.ndarray, ys, buffers: _Buffers):
-        """For each response y (chunk, n) of the iterable ``ys`` in turn, the
-        slicings of a chunk z (chunk, n, p) by y: an iterator of (i, part,
-        stats), the slice moments of the replicates ``part`` at the i-th H.
-        Each y is sorted once for every H, when its iterator starts, so each
-        iterator is run out before the next is taken; each stats lives in
-        ``buffers`` until the next is made.
-
-        z is checked for non-finite values once, for every y, and each
-        (H, part) gathers its rows of the whole chunk's z through the flat
-        index of the sorted order, which ``stable_order`` leaves in the
-        "index" buffer.
-        """
+    @staticmethod
+    def check(z: np.ndarray) -> None:
+        """Raise NumericalError unless the chunk z is finite.  ``moments``
+        takes z as checked, so a pass checks each chunk once, however many
+        responses it slices z by."""
         _check_finite(z)
-        rows = z.reshape(-1, z.shape[-1])
-        for y in ys:
-            yield self._slicings(rows, y, buffers)
 
-    def _slicings(self, rows: np.ndarray, y: np.ndarray, buffers: _Buffers):
-        """The (i, part, stats) of ``moments`` for one y, on the chunk's
-        rows (chunk n, p)."""
+    def moments(self, z: np.ndarray, y: np.ndarray, buffers: _Buffers):
+        """(i, part, stats): the slice moments of the replicates ``part`` of
+        a chunk z (chunk, n, p) at the i-th H, whose responses y (chunk, n)
+        are sorted once for every H.  Each stats lives in ``buffers`` until
+        the next is made.
+
+        z must have passed ``check``.  Each (H, part) gathers its rows of
+        the whole chunk's z through the flat index of the sorted order,
+        which ``stable_order`` leaves in the "index" buffer.
+        """
         stable_order(y, buffers)
         index = buffers.get("index", y.shape, np.intp)
+        rows = z.reshape(-1, z.shape[-1])
         for i, (plan, size) in enumerate(zip(self.plans, self.sizes)):
-            for lo in range(0, y.shape[0], size):
+            for lo in range(0, z.shape[0], size):
                 part = slice(lo, lo + size)
                 yield i, part, _slice_moments(rows, index[part], plan, buffers)

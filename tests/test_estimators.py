@@ -416,18 +416,24 @@ def test_unknown_method_rejected():
         _write_candidates(("sir", "pca"), st, np.empty((2, 2, 2)))
 
 
+_NAMED = {"sir": sir_matrix, "save": save_matrix, "csave": csave_matrix}
+
+
 @pytest.mark.parametrize("methods", [
     METHODS, ("csave", "sir"), ("sir",), ("save",), ("csave", "save"),
 ])
-def test_written_candidates_are_candidate_matrix_bitwise(methods):
-    # one I - 2M for SAVE and CSAVE, their sums written in place
+def test_written_candidates_are_the_named_estimators_bitwise(methods):
+    # one I - 2M for SAVE and CSAVE, their sums written in place: the bits
+    # of the formulas that save_matrix and csave_matrix state
     rng = np.random.default_rng(4)
     z, y = rng.standard_normal((3, 97, 4)), rng.standard_normal((3, 97))
     st = slice_stats(z, slice_equal_count(y, 7))
     out = np.full((len(methods), 3, 4, 4), np.nan)
     _write_candidates(methods, st, out)
     for method, got in zip(methods, out):
-        assert got.tobytes() == candidate_matrix(method, st).tobytes(), method
+        want = _NAMED[method](st)
+        assert got.tobytes() == want.tobytes(), method
+        assert candidate_matrix(method, st).tobytes() == want.tobytes(), method
 
 
 def test_negative_eigenvalue_count():

@@ -862,8 +862,7 @@ class TestWorkBuffers:
             np.testing.assert_array_equal(stable_order(y, buffers), stable_order(y))
             z = rng.standard_normal(shape + (2,)) * 1e3
             grid = slicing._SliceGrid(shape[1], [H], [shape[0]])
-            (slicings_of_y,) = grid.moments(z, [y], buffers)
-            (i, part, stats), = slicings_of_y
+            (i, part, stats), = grid.moments(z, y, buffers)
             assert (i, part) == (0, slice(0, shape[0]))
             got = stats_arrays(stats)
             want = stats_arrays(slice_stats(z, slice_equal_count(y, H)))

@@ -25,6 +25,8 @@ from .errors import CsvFormatError, DataError, InvalidArgument, NumericalError
 
 # OpenBLAS runs a gemm on one thread while m*n*k stays under 65536*4.
 _WHITEN_BLOCK = 2**18
+#: Smallest positive normal float; a squared norm below it lost bits.
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 def standardize(x) -> tuple:
@@ -66,6 +68,11 @@ def directions_to_x_scale(betas_z, cov_inv_sqrt) -> np.ndarray:
 
     Applies cov^{-1/2} to a (p,) direction or to each column of a (p, k)
     stack and renormalizes to unit length; the result has the input's shape.
+    A column whose squared norm under- or overflows, as it does when the
+    predictors' scale is near the ends of the float range, is scaled by an
+    exact power of two before it is normalized, and every other column
+    keeps the bits of ``np.linalg.norm``'s normalization.  A direction that
+    comes out zero or not finite raises NumericalError.
     """
     betas_z = np.asarray(betas_z, dtype=float)
     root = np.asarray(cov_inv_sqrt, dtype=float)
@@ -75,7 +82,18 @@ def directions_to_x_scale(betas_z, cov_inv_sqrt) -> np.ndarray:
             f"shape {betas_z.shape}; need (p, p) for (p,) or (p, k) directions"
         )
     out = root @ betas_z
-    norms = np.linalg.norm(out, axis=0)
+    cols = out.reshape(out.shape[0], -1)  # a view: (p, 1) for a (p,) direction
+    # an overflowing column is rescaled, and one that holds inf is rejected
+    with np.errstate(over="ignore"):
+        square = np.add.reduce(cols * cols, axis=0)  # as np.linalg.norm sums
+        off = (square < _NORMAL_MIN) | (square == np.inf)
+        if off.any():
+            _, exponent = np.frexp(np.abs(cols[:, off]).max(axis=0))
+            cols[:, off] = np.ldexp(cols[:, off], -exponent)
+            square[off] = np.add.reduce(cols[:, off] * cols[:, off], axis=0)
+    norms = np.sqrt(square.reshape(out.shape[1:]))
+    if not np.isfinite(norms).all():
+        raise NumericalError("a direction is not finite under cov^{-1/2}")
     if np.any(norms <= 1e-300):
         raise NumericalError("a direction collapsed to zero under cov^{-1/2}")
     return out / norms

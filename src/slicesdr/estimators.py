@@ -11,11 +11,14 @@ fourth-moment matrix V:
 * ``lambda_corrected`` -- the debiased slice-covariance square a L - b V
 * ``csave_matrix`` -- bias-corrected SAVE: I - 2 M + (a L - b V)
 
-``_write_candidates`` is the one map from a method name of ``METHODS`` to
-its matrix: it writes several methods' matrices of one stats into an array,
-forming the I - 2 M that SAVE and CSAVE share once, as the Monte Carlo
-harness asks for them.  ``candidate_matrix`` asks it for one method, as the
-CLI does.
+Two writes map a method name of ``METHODS`` to its matrix, and they are
+the only code that does: ``_write_slice_means`` writes SIR's from the slice
+means of one stats, and ``_write_pooled`` writes SAVE's and CSAVE's from
+stacks of pooled moments (M, L, V), forming the I - 2 M they share once.
+``candidate_matrix`` runs both for one method of one stats, as the CLI
+does; ``_write_candidates`` runs both for every method over one model's
+slicings at every H, as the Monte Carlo harness does, so SAVE and CSAVE
+take one write for all H.
 
 Slice averages use the observed weights p_h = c_h / n; the correction
 coefficients (a, b) use the global slice size c = floor(n / H), since they
@@ -64,14 +67,14 @@ def sir_matrix(stats: SliceStats) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0  # the product is symmetric to rounding only
 
 
-def _identity_minus_2m(stats: SliceStats) -> np.ndarray:
+def _identity_minus_2m(mean_cov: np.ndarray) -> np.ndarray:
     """I - 2 M, the part that SAVE and CSAVE share."""
-    return np.eye(stats.p) - 2.0 * stats.mean_cov
+    return np.eye(mean_cov.shape[-1]) - 2.0 * mean_cov
 
 
 def save_matrix(stats: SliceStats) -> np.ndarray:
     """Estimated E[(I - Cov(z|Y))^2]: sum_h p_h (I - S_h)^2 = I - 2 M + L."""
-    return _identity_minus_2m(stats) + stats.cov_square
+    return _identity_minus_2m(stats.mean_cov) + stats.cov_square
 
 
 def correction_coefficients(c: int) -> tuple[float, float]:
@@ -83,13 +86,19 @@ def correction_coefficients(c: int) -> tuple[float, float]:
     return c * (c - 1) / denom, (c - 1) / denom
 
 
+def _debiased(cov_square: np.ndarray, fourth: np.ndarray, a, b) -> np.ndarray:
+    """a L - b V, for weights (a, b) that are floats or arrays broadcasting
+    over L and V: each entry is the same two products and one difference."""
+    return a * cov_square - b * fourth
+
+
 def lambda_corrected(stats: SliceStats) -> np.ndarray:
     """Debiased slice-covariance square a(c) L - b(c) V.
 
     c = floor(n / H) is the global slice size of the stats.
     """
-    a, b = correction_coefficients(stats.n // stats.H)
-    return a * stats.cov_square - b * stats.fourth
+    return _debiased(stats.cov_square, stats.fourth,
+                     *correction_coefficients(stats.n // stats.H))
 
 
 def csave_matrix(stats: SliceStats) -> np.ndarray:
@@ -101,32 +110,68 @@ def csave_matrix(stats: SliceStats) -> np.ndarray:
     eigenvalue, and negative tail eigenvalues are surfaced as a diagnostic,
     not clipped.
     """
-    return _identity_minus_2m(stats) + lambda_corrected(stats)
+    return _identity_minus_2m(stats.mean_cov) + lambda_corrected(stats)
 
 
 def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:
     """The candidate matrix of ``method``, one of METHODS."""
     out = np.empty((1, *stats.mean_cov.shape))
-    _write_candidates((method,), stats, out)
+    _write_slice_means((method,), stats, out)
+    _write_pooled((method,), (stats.mean_cov, stats.cov_square, stats.fourth),
+                  correction_coefficients(stats.n // stats.H), out)
     return out[0]
 
 
-def _write_candidates(methods, stats: SliceStats, out: np.ndarray) -> None:
-    """Write the candidate matrix of ``methods[j]`` into ``out[j]``, for
-    ``out`` of shape (len(methods), ..., p, p).  SAVE and CSAVE share one
-    I - 2 M, and their sums are written in place: bitwise what
-    ``save_matrix`` and ``csave_matrix`` evaluate."""
-    shared = None
+def _write_slice_means(methods, stats: SliceStats, out: np.ndarray) -> None:
+    """Write SIR's candidate of ``stats`` into ``out[j]`` for the j with
+    ``methods[j]`` == "sir"; every other ``out[j]`` is left as it is."""
     for method, cand in zip(methods, out):
         if method == "sir":
             cand[...] = sir_matrix(stats)
+
+
+def _write_pooled(methods, pooled, coefficients, out: np.ndarray) -> None:
+    """Write SAVE's and CSAVE's candidates into ``out[j]`` for the j whose
+    ``methods[j]`` names one, from ``pooled`` = (M, L, V), stacks of the
+    shape of ``out[j]``, and ``coefficients`` = (a, b) of a L - b V, floats
+    or arrays that broadcast over the stacks.  The two share one I - 2 M,
+    and their sums are written in place: bitwise what ``save_matrix`` and
+    ``csave_matrix`` evaluate.  SIR's ``out[j]`` is left as it is, and a
+    name outside ``METHODS`` raises InvalidArgument."""
+    mean_cov, cov_square, fourth = pooled
+    shared = None
+    for method, cand in zip(methods, out):
+        if method == "sir":
             continue
         if method not in ("save", "csave"):
             raise InvalidArgument(f"unknown method {method!r}; valid: {METHODS}")
         if shared is None:
-            shared = _identity_minus_2m(stats)
-        added = stats.cov_square if method == "save" else lambda_corrected(stats)
+            shared = _identity_minus_2m(mean_cov)
+        added = (cov_square if method == "save"
+                 else _debiased(cov_square, fourth, *coefficients))
         np.add(shared, added, out=cand)
+
+
+def _write_candidates(methods, parts, coefficients, out: np.ndarray) -> None:
+    """Write the candidates of one model's slicings at every H into ``out``
+    (len(methods), len(H grid), chunk, p, p): ``out[j, i, part]`` is the
+    matrix of ``methods[j]`` on the stats of each (i, part, stats) of
+    ``parts``, the i-th H and the replicates ``part`` of the chunk, as
+    ``_SliceGrid.moments`` yields them.  ``coefficients`` = (a, b) hold the
+    a(c) and b(c) of each H, shaped (len(H grid), 1, 1, 1).
+
+    SIR's candidate is written from each stats while its slice means, which
+    differ in length across H, are in the buffers; the pooled moments of
+    every (i, part) are kept in one (3, len(H grid), chunk, p, p) stack, so
+    SAVE and CSAVE take one write for all H.
+    """
+    pooled = np.empty((3,) + out.shape[1:])
+    for i, part, stats in parts:
+        _write_slice_means(methods, stats, out[:, i, part])
+        pooled[0, i, part] = stats.mean_cov
+        pooled[1, i, part] = stats.cov_square
+        pooled[2, i, part] = stats.fourth
+    _write_pooled(methods, pooled, coefficients, out)
 
 
 def cdr_basis(eig: linalg.EigenResult, k: int, cov_inv_sqrt) -> CdrBasis:

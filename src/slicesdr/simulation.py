@@ -33,13 +33,15 @@ all its cells, since x and eps depend only on
 (seed, r, n, p); its pass forms u = x beta for the chunk, under
 ``standardize`` whitens each replicate's x into a buffer of its own, and
 forms each model's response from the shared u, its powers (``_Powers``:
-one u ** 3 for models 1 and 4) and eps; z is checked once for all models,
-the candidates of all methods of a slicing share one I - 2 M, and each
-model's candidates over all H and methods go through one eigen and one
-scoring call.  The sweep draws replicate r once per n for every c of the
-row, and eps is its response; its pass keeps each replicate's L and
-a(c) L - b(c) V, and the levels and errors of all replicates are formed
-once per call.
+one u ** 3 for models 1 and 4) and eps; z is checked once for all models.
+Each model's candidates over all H and methods are written by one
+``estimators._write_candidates`` call: SIR's from each slicing, and SAVE's
+and CSAVE's in one write over the pooled moments of every slicing, with one
+I - 2 M; they go through one eigen call and one scoring call against e_1,
+which is orthonormalized once per engine call.  The sweep draws replicate
+r once per n for every c of the row, and eps is its response; its pass
+keeps each replicate's L and a(c) L - b(c) V, and the levels and errors of
+all replicates are formed once per call.
 Each engine call reuses one set of work buffers
 (``slicing._Buffers``) for the draws, the sort and the slice moments of
 every replicate.
@@ -53,9 +55,10 @@ import numpy as np
 
 from .data import standardize as _standardize
 from .errors import InvalidArgument, SimulationError, SlicesdrError
-from .estimators import METHODS, _write_candidates, lambda_corrected
+from .estimators import (METHODS, _write_candidates, correction_coefficients,
+                         lambda_corrected)
 from .linalg import _leading_vectors
-from .metrics import r2_single
+from .metrics import _orthonormalize, _r2_rows
 from .slicing import _Buffers, _SliceGrid, check_integer
 
 #: Fixed default master seed for every CLI entry point (never time-derived).
@@ -275,15 +278,22 @@ def run_grid(
     Replicate r of every cell is drawn once from ``model_streams(seed,
     r)``, so each cell's scores are the same as a run of that cell alone.
     What the cells of a chunk share is formed once: the index u, u ** 3
-    when model 1 or 4 is in the grid, the z check for all models, and
-    per slicing the I - 2 M of SAVE and CSAVE.  A failing replicate aborts
-    the whole run with its index attached; nothing is skipped silently.
+    when model 1 or 4 is in the grid, and the z check for all models.  Each
+    model writes its candidates at every H in one call: SIR's from each
+    slicing, and SAVE's and CSAVE's in one write over the stacked pooled
+    moments, with one I - 2 M and the a(c), b(c) of each H, which are
+    formed once per call, as is the orthonormal basis of e_1 that every
+    score is taken against.  A failing replicate aborts the whole run with
+    its index attached; nothing is skipped silently.
     """
     models, h_grid = list(models), list(h_grid)
     check_grid(models, h_grid, n, reps, seed, methods, standardize, p)
     beta = np.zeros(p)
     beta[0] = 1.0
-    true_basis = beta[:, None]
+    basis = _orthonormalize(beta[:, None])  # once for every score of the call
+    # a(c) and b(c) of each H, broadcasting over its (chunk, p, p) stacks
+    coefficients = np.array([correction_coefficients(n // H) for H in h_grid])
+    coefficients = tuple(coefficients.T[..., None, None, None])
     slicings = _SliceGrid(n, h_grid, [_chunk_size(n, p, H) for H in h_grid])
     buffers = _Buffers()
 
@@ -297,13 +307,13 @@ def run_grid(
             back = buffers.get("back", (chunk, p, p))
             for i in range(chunk):
                 z[i], back[i] = _standardize(x[i])
-        cands = np.empty((len(h_grid), len(methods), chunk, p, p))
+        cands = np.empty((len(methods), len(h_grid), chunk, p, p))
         slicings.check(z)  # once for all models
         powers = _Powers(u)
         for m, model in enumerate(models):
             y = _RESPONSES[model](powers, eps)
-            for i, part, stats in slicings.moments(z, y, buffers):
-                _write_candidates(methods, stats, cands[i, :, part])
+            _write_candidates(methods, slicings.moments(z, y, buffers), coefficients,
+                              cands)
             # One eigen call per model, for the one column R^2 reads.
             lead = _leading_vectors(cands.reshape(-1, p, p))
             if back is not None:
@@ -313,7 +323,8 @@ def run_grid(
                     np.broadcast_to(back, cands.shape).reshape(-1, p, p),
                     lead,
                 )
-            out[m] = r2_single(lead, true_basis).reshape(out.shape[1:])
+            # scored in (method, H) order, reported in (H, method) order
+            out[m] = _r2_rows(lead, basis).reshape(cands.shape[:3]).swapaxes(0, 1)
         return out
 
     return _run_chunks(reps, n, p, seed, slicings.chunk, scores, buffers)

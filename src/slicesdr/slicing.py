@@ -217,10 +217,18 @@ def slice_equal_count(y, H: int) -> SliceAssignment:
     the last axis.  Sorting is stable, so ties keep their original order
     and tied values can fall on either side of a slice boundary by their
     row position.  Slices 1..H-1 hold exactly c points; the last slice
-    absorbs the remainder (it can be larger than c, never smaller).
+    absorbs the remainder (it can be larger than c, never smaller).  A
+    constant row raises DataError: its slices would follow the row order
+    alone, and so would any direction estimated from them.
     """
     y = _finite_response(np.atleast_1d(y))
     bounds = equal_count_bounds(y.shape[-1], H)
+    constant = y.min(axis=-1) == y.max(axis=-1)
+    if constant.any():
+        at = tuple(int(i) for i in np.argwhere(constant)[0])
+        row = "" if y.ndim == 1 else f" row {at[0] if y.ndim == 2 else at}"
+        raise DataError(f"response{row} is constant: its equal-count slices would"
+                        " follow the row order alone")
     return SliceAssignment(order=stable_order(y), bounds=bounds)
 
 

@@ -57,12 +57,16 @@ _EACH_FORMAT = (
     "simulate --model 1 --n 200 --slices 10 --reps 9 --methods sir",
     "simulate --model 4 --n 200 --slices 10 --reps 9 --methods csave,sir",
     "table1 --reps 4 --n 240 --models 2,5",
+    "simulate --model 2 --n 200 --slices 40 --reps 9 --methods csave,save",
+    "simulate --model 5 --n 200 --slices 10 --reps 9 --methods save --standardize",
+    "table1 --reps 4 --n 240 --models 4,3 --H 96,6",
+    "table1 --models 3,1 --H 24,2 --n 240 --reps 4 --seed 1729",
     *(f"estimate --input EST.csv --y y --method {m} --k {k}"
       for k in (2, 1) for m in ("sir", "save", "csave")),
 )
 
-#: Usage and input errors, help and the large-p sweeps, each run once as
-#: written.
+#: Usage and input errors, help, the large-p sweeps and the default
+#: (human) output of a grid and of small sweeps, each run once as written.
 _AS_WRITTEN = (
     "sweep --mode bias --n-grid 100 --c-grid 1",
     "sweep --mode bias --n-grid 10 --c-grid 4 --reps 2",
@@ -80,9 +84,12 @@ _AS_WRITTEN = (
     "estimate --input EST.csv --y y --slices 200",
     "estimate --input EST.csv --y y --k 6",
     "estimate --input EST.csv --y y --output missing-dir/o.json",
+    "table1 --models 1,3 --H 2,96 --n 192 --reps 3",
+    *(f"sweep --mode bias --n-grid 400 --reps 4 --c-grid {flags}"
+      for flags in ("2,3", "2,3 --p 2", "2,4 --p 10")),
 )
 
-#: The 97 argvs of the corpus, in order.
+#: The 113 argvs of the corpus, in order.
 ARGVS = [
     *(f"{cmd} --out {fmt}".split() for cmd in _EACH_FORMAT for fmt in _FORMATS),
     *(cmd.split() for cmd in _AS_WRITTEN),

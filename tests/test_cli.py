@@ -209,6 +209,35 @@ class TestEstimate:
         )
         assert doc["meta"]["p"] == 10
 
+    @pytest.mark.parametrize("method", ["sir", "save", "csave"])
+    def test_constant_response_is_data_error(self, tmp_path, capsys, method):
+        # equal-count slices of a constant y follow the row order, and so
+        # did the direction printed at exit 0
+        rng = np.random.default_rng(13)
+        path = write_xy_csv(tmp_path / "flat_y.csv", rng.standard_normal((60, 3)),
+                            np.full(60, 4.0))
+        assert main(["estimate", "--input", path, "--y", "y", "--method", method]) == 3
+        assert capsys.readouterr() == (
+            "", "error: response is constant: its equal-count slices would follow "
+                "the row order alone\n")
+
+    def test_tiny_predictor_scale_keeps_its_directions(self, tmp_path, capsys):
+        # every column x 1e-155: the x-scale norms overflowed and betas_x
+        # came out [0, -0, 0] at exit 0, with an overflow RuntimeWarning
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((100, 3))
+        argv = ["--y", "y", "--method", "sir", "--out", "json"]
+        want = run_json(capsys, ["estimate", "--input",
+                                 write_xy_csv(tmp_path / "unit.csv", x, x[:, 0]), *argv])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_json(capsys, ["estimate", "--input",
+                                    write_xy_csv(tmp_path / "tiny.csv", x * 1e-155, x[:, 0]),
+                                    *argv])
+        np.testing.assert_allclose(got["results"]["betas_x"], want["results"]["betas_x"],
+                                   rtol=0, atol=1e-12)
+        assert abs(got["results"]["betas_x"][0][0]) > 0.99
+
     def test_constant_predictor_is_numerical_error(self, tmp_path, capsys):
         rows = ["y,x1,x2"] + [f"{i},{i % 7},1.0" for i in range(40)]
         path = tmp_path / "flat.csv"
@@ -580,91 +609,6 @@ class TestTable1:
         for method in ("save", "sir", "csave"):
             assert method in out
 
-    def test_human_grid_bytes(self, capsys):
-        # the exact rendered grid, header padding included
-        expected = (
-            "model 1 (n=192, reps=3)\n"
-            "  method    H=2        H=96    \n"
-            "  save       0.1664    0.0012\n"
-            "  sir        0.9198    0.7030\n"
-            "  csave      0.3229    0.0013\n"
-            "model 3 (n=192, reps=3)\n"
-            "  method    H=2        H=96    \n"
-            "  save       0.0654    0.0764\n"
-            "  sir        0.3887    0.1255\n"
-            "  csave      0.0169    0.0779\n"
-        )
-        code = main(["table1", "--models", "1,3", "--H", "2,96", "--n", "192",
-                     "--reps", "3"])
-        assert code == 0
-        assert capsys.readouterr().out == expected
-
-    #: ``table1 --models 3,1 --H 24,2 --n 240 --reps 4 --seed 1729`` in csv:
-    #: the rows sort by model, then METHODS order, then H.
-    UNSORTED_GRID_CSV = (
-        "model,method,H,min,q1,median,q3,max,reps\n"
-        "1,save,2,0.0011182524592371085,0.13253513827103583,0.18191330570433906,"
-        "0.26415849215760506,0.49417643502929226,4\n"
-        "1,save,24,0.0003678577501641795,0.00047298285229478254,"
-        "0.00075624995372245243,0.0016979980565163318,0.0037785661627455632,4\n"
-        "1,sir,2,0.80914405442178894,0.86811514969047943,0.90172587810153515,"
-        "0.92550055379333618,0.95496349090426247,4\n"
-        "1,sir,24,0.9186229546499789,0.94243878029582162,0.95261699601430405,"
-        "0.95644405428629209,0.96120640759265186,4\n"
-        "1,csave,2,0.0012603625267159355,0.22471810646781043,0.43393271026857561,"
-        "0.57034533759743899,0.57539715212282794,4\n"
-        "1,csave,24,0.0097418867011647217,0.012192044670811416,0.30675319372527599,"
-        "0.66450024481771641,0.8565081089012907,4\n"
-        "3,save,2,0.013898977250318186,0.063361141667556437,0.098263263023791084,"
-        "0.15442069163520233,0.26764877781797036,4\n"
-        "3,save,24,0.093753564242380752,0.27347399198718975,0.35451365476365809,"
-        "0.39702931958907234,0.46117775348071904,4\n"
-        "3,sir,2,0.099449106216004057,0.10847256134347801,0.16401791090701301,"
-        "0.28887851284411931,0.50584772509230702,4\n"
-        "3,sir,24,0.00021365775963113696,0.0073005253965247388,0.02027710762065843,"
-        "0.033498277294701194,0.041318907281322016,4\n"
-        "3,csave,2,0.0015483173925704048,0.020952526472869198,0.046998109112308457,"
-        "0.12246635466244153,0.29013855247482179,4\n"
-        "3,csave,24,0.11593556550080517,0.29009357330522861,0.5418336346539655,"
-        "0.77031476481228323,0.87469597904544949,4\n"
-    )
-
-    def test_unsorted_grid_bytes(self, capsys):
-        # csv and json rows come sorted, json meta keeps the grids as given,
-        # and the human table keeps the given order of models and H
-        argv = ["table1", "--models", "3,1", "--H", "24,2", "--n", "240",
-                "--reps", "4", "--seed", "1729"]
-        assert main(argv + ["--out", "csv"]) == 0
-        assert capsys.readouterr().out == self.UNSORTED_GRID_CSV
-        header, *lines = self.UNSORTED_GRID_CSV.splitlines()
-        rows = []
-        for line in lines:
-            row = dict(zip(header.split(","), line.split(",")))
-            rows.append({"model": int(row["model"]), "method": row["method"],
-                         "H": int(row["H"]),
-                         **{k: float(row[k]) for k in ("median", "q1", "q3", "min", "max")},
-                         "reps": int(row["reps"])})
-        meta = {"command": "table1", "version": slicesdr.__version__, "seed": 1729,
-                "models": [3, 1], "p": 10, "H": [24, 2], "n": 240, "reps": 4,
-                "methods": ["save", "sir", "csave"], "standardize": False}
-        assert main(argv + ["--out", "json"]) == 0
-        assert capsys.readouterr().out == json.dumps(
-            {"meta": meta, "results": rows}, indent=2
-        ) + "\n"
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (
-            "model 3 (n=240, reps=4)\n"
-            "  method    H=24       H=2     \n"
-            "  save       0.3545    0.0983\n"
-            "  sir        0.0203    0.1640\n"
-            "  csave      0.5418    0.0470\n"
-            "model 1 (n=240, reps=4)\n"
-            "  method    H=24       H=2     \n"
-            "  save       0.0008    0.1819\n"
-            "  sir        0.9526    0.9017\n"
-            "  csave      0.3068    0.4339\n"
-        )
-
     def test_repeated_cells_keep_their_rows(self, capsys):
         doc = run_json(
             capsys,
@@ -701,44 +645,6 @@ class TestSweep:
              "--c-grid", "4", "--reps", "3", "--out", "json"],
         )
         assert [r["n"] for r in doc["results"]] == [200, 400]
-
-    def test_human_rows_bytes(self, capsys):
-        argv = ["sweep", "--mode", "bias", "--n-grid", "400", "--reps", "4"]
-        expected = {
-            ("--c-grid", "2,3"): (
-                "n=400  c=2  H=200  reps=4  mean_lambda_raw=3.2118  "
-                "mean_lambda_corrected=2.8103  mean_abs_err_raw=2.2118  "
-                "median_abs_err_raw=1.8251  mean_abs_err_corrected=1.8103  "
-                "median_abs_err_corrected=1.4720\n"
-                "n=400  c=3  H=133  reps=4  mean_lambda_raw=1.8918  "
-                "mean_lambda_corrected=1.7639  mean_abs_err_raw=0.8918  "
-                "median_abs_err_raw=0.8512  mean_abs_err_corrected=0.7639  "
-                "median_abs_err_corrected=0.7246\n"
-            ),
-            ("--c-grid", "2,3", "--p", "2"): (
-                "n=400  c=2  H=200  reps=4  mean_lambda_raw=3.9652  "
-                "mean_lambda_corrected=3.4695  mean_abs_err_raw=4.3223  "
-                "median_abs_err_raw=4.1080  mean_abs_err_corrected=3.6104  "
-                "median_abs_err_corrected=3.4219\n"
-                "n=400  c=3  H=133  reps=4  mean_lambda_raw=2.6387  "
-                "mean_lambda_corrected=2.4147  mean_abs_err_raw=2.3760  "
-                "median_abs_err_raw=2.4614  mean_abs_err_corrected=2.0594  "
-                "median_abs_err_corrected=2.1392\n"
-            ),
-            ("--c-grid", "2,4", "--p", "10"): (
-                "n=400  c=2  H=200  reps=4  mean_lambda_raw=11.6564  "
-                "mean_lambda_corrected=10.1994  mean_abs_err_raw=35.4656  "
-                "median_abs_err_raw=35.4257  mean_abs_err_corrected=30.6572  "
-                "median_abs_err_corrected=30.6224\n"
-                "n=400  c=4  H=100  reps=4  mean_lambda_raw=4.6642  "
-                "mean_lambda_corrected=3.5785  mean_abs_err_raw=12.2081  "
-                "median_abs_err_raw=12.4439  mean_abs_err_corrected=8.7511  "
-                "median_abs_err_corrected=8.8938\n"
-            ),
-        }
-        for flags, text in expected.items():
-            assert main(argv + list(flags)) == 0
-            assert capsys.readouterr().out == text, flags
 
     def test_empty_grid_is_usage_error(self, capsys):
         assert main(["sweep", "--mode", "bias", "--n-grid", ","]) == 2

@@ -168,6 +168,33 @@ class TestDirectionsToXScale:
         assert stack.shape == (2, 2)
         np.testing.assert_allclose(stack, np.column_stack([one, [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("scale", [2.0**-520, 1e-155, 1e-300, 1e155, 1e300])
+    def test_extreme_columns_are_rescaled_and_others_keep_their_bits(self, scale):
+        # a squared norm that under- or overflowed gave 0 or inf, and the
+        # direction came out zero (with an overflow warning) or NaN
+        rng = np.random.default_rng(8)
+        root = inv_sqrt(np.cov(rng.standard_normal((50, 4)), rowvar=False))
+        bz = rng.standard_normal((4, 3))
+        want = directions_to_x_scale(bz, root)
+        bz[:, 2] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = directions_to_x_scale(bz, root)
+        out = root @ bz
+        assert got[:, :2].tobytes() == (
+            out[:, :2] / np.linalg.norm(out[:, :2], axis=0)).tobytes()
+        np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_direction_rejected(self, bad):
+        # an inf norm divided every entry to 0 or NaN, and a NaN one passed
+        root = np.eye(3)
+        root[1, 1] = bad
+        with pytest.raises(
+            NumericalError, match=r"^a direction is not finite under cov\^\{-1/2\}$"
+        ):
+            directions_to_x_scale(np.array([[0.6], [0.8], [0.0]]), root)
+
     @pytest.mark.parametrize("betas_z", [[0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]])
     def test_collapsed_direction_is_named_at_either_shape(self, betas_z):
         with pytest.raises(

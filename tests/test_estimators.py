@@ -413,7 +413,8 @@ def test_unknown_method_rejected():
     with pytest.raises(InvalidArgument, match=message):
         candidate_matrix("pca", st)
     with pytest.raises(InvalidArgument, match=message):
-        _write_candidates(("sir", "pca"), st, np.empty((2, 2, 2)))
+        _write_candidates(("sir", "pca"), [(0, slice(None), st)], (1.0, 1.0),
+                          np.empty((2, 1, 1, 2, 2)))
 
 
 _NAMED = {"sir": sir_matrix, "save": save_matrix, "csave": csave_matrix}
@@ -423,17 +424,25 @@ _NAMED = {"sir": sir_matrix, "save": save_matrix, "csave": csave_matrix}
     METHODS, ("csave", "sir"), ("sir",), ("save",), ("csave", "save"),
 ])
 def test_written_candidates_are_the_named_estimators_bitwise(methods):
-    # one I - 2M for SAVE and CSAVE, their sums written in place: the bits
-    # of the formulas that save_matrix and csave_matrix state
+    # one model's slicings at two H, the second in parts of 2 and 1, as the
+    # grid writes them: SIR from each stats, and SAVE and CSAVE in one write
+    # over the pooled stacks of both H, with one I - 2M and per-H (a, b),
+    # which are the bits of the formulas save_matrix and csave_matrix state
     rng = np.random.default_rng(4)
     z, y = rng.standard_normal((3, 97, 4)), rng.standard_normal((3, 97))
-    st = slice_stats(z, slice_equal_count(y, 7))
-    out = np.full((len(methods), 3, 4, 4), np.nan)
-    _write_candidates(methods, st, out)
-    for method, got in zip(methods, out):
-        want = _NAMED[method](st)
-        assert got.tobytes() == want.tobytes(), method
-        assert candidate_matrix(method, st).tobytes() == want.tobytes(), method
+    h_grid, parts = (7, 13), [(0, slice(0, 3)), (1, slice(0, 2)), (1, slice(2, 3))]
+    stats = [slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
+             for i, part in parts]
+    coefficients = np.array([correction_coefficients(97 // H) for H in h_grid])
+    coefficients = tuple(coefficients.T[..., None, None, None])
+    out = np.full((len(methods), len(h_grid), 3, 4, 4), np.nan)
+    _write_candidates(methods, [(i, part, st) for (i, part), st in zip(parts, stats)],
+                      coefficients, out)
+    for (i, part), st in zip(parts, stats):
+        for method, got in zip(methods, out[:, i, part]):
+            want = _NAMED[method](st)
+            assert got.tobytes() == want.tobytes(), method
+            assert candidate_matrix(method, st).tobytes() == want.tobytes(), method
 
 
 def test_negative_eigenvalue_count():

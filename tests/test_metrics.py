@@ -5,6 +5,7 @@ import pytest
 
 from slicesdr import r2_single
 from slicesdr.errors import InvalidArgument, NumericalError
+from slicesdr.metrics import _orthonormalize, _r2_rows
 from oracles import trace_correlation
 
 
@@ -116,6 +117,28 @@ class TestR2SingleBatched:
             assert np.isnan(want[r])
             assert got[r] == pytest.approx(r2_single(vecs[r, :, 0] / vecs[r, 0, 0], basis),
                                            rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_scorer_over_a_basis_factored_once_is_r2_single_bitwise(self, k):
+        # the grid orthonormalizes its basis once per call and scores every
+        # model's rows through the scorer behind r2_single
+        rng = np.random.default_rng(12)
+        vecs = rng.standard_normal((7, 6, 6))
+        for r, scale in ((1, 1e200), (2, 1e-200), (4, 1e-310), (5, 2.0**600)):
+            vecs[r, :, 0] *= scale
+        basis = rng.standard_normal((6, k))
+        lead = vecs[..., 0]  # strided rows, as the grid scores them
+        q = _orthonormalize(basis)
+        got = _r2_rows(lead, q)
+        assert got.tobytes() == r2_single(lead, basis).tobytes()
+        for row, score in zip(lead, got):
+            assert _r2_rows(row, q) == score == r2_single(row, basis)
+        for bad, message in ((np.nan, "beta_hat is not finite"),
+                             (0.0, "beta_hat is the zero vector")):
+            rows = lead.copy()
+            rows[3] *= bad
+            with pytest.raises(NumericalError, match=f"^{message}$"):
+                _r2_rows(rows, q)
 
     def test_one_zero_row_rejected(self):
         betas = np.array([e(0), np.zeros(3), e(2)])

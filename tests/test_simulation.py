@@ -22,7 +22,7 @@ from slicesdr import (
     standardize,
     sym_eig,
 )
-from slicesdr import simulation, slicing
+from slicesdr import estimators, simulation, slicing
 from slicesdr.cli import _sweep_rows, main
 from slicesdr.errors import (
     InvalidArgument,
@@ -532,11 +532,14 @@ class TestWorkBuffers:
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
         # wrapping the names counts these calls: one slice-moments core call
         # per (H, sub-chunk), each response is sorted once for all its H,
-        # and each model gets one eigen call; the sweep makes none, and
-        # neither engine checks the orders that stable_order returns
+        # and each model of a chunk gets one pooled SAVE / CSAVE write and
+        # one eigen call, and the grid orthonormalizes e_1 once per call;
+        # the sweep makes none of the last three, and neither engine checks
+        # the orders that stable_order returns
         calls = {}
         targets = [(slicing, "_slice_moments"), (slicing, "stable_order"),
-                   (simulation, "_leading_vectors"), (slicing, "_check_order")]
+                   (simulation, "_leading_vectors"), (slicing, "_check_order"),
+                   (estimators, "_write_pooled"), (simulation, "_orthonormalize")]
         for module, name in targets:
             real = getattr(module, name)
 
@@ -550,8 +553,14 @@ class TestWorkBuffers:
         assert calls == {"_slice_moments": 20, "stable_order": 10}
         calls.clear()
         assert main(["table1", "--reps", "10", "--n", "480", "--out", "json"]) == 0
-        assert calls == {"_slice_moments": 25, "stable_order": 5, "_leading_vectors": 5}
+        assert calls == {"_slice_moments": 25, "stable_order": 5, "_leading_vectors": 5,
+                         "_write_pooled": 5, "_orthonormalize": 1}
         capsys.readouterr()
+        calls.clear()
+        # three chunks of 10, 10 and 5 replicates, each sliced whole at H = 6
+        run_grid([2, 5], [6], 60, 25, seed=4, methods=("csave", "sir"))
+        assert calls == {"_slice_moments": 6, "stable_order": 6, "_leading_vectors": 6,
+                         "_write_pooled": 6, "_orthonormalize": 1}
 
     def test_a_key_order_that_is_no_permutation_falls_back(self, monkeypatch):
         # the engines trust stable_order's result: a key sort that repeats
@@ -897,8 +906,8 @@ class TestGridEngine:
     def test_bad_candidates_are_invalid_matrices(self, bad, message, monkeypatch):
         real = simulation._write_candidates
 
-        def poisoned(methods, stats, out):
-            real(methods, stats, out)
+        def poisoned(methods, parts, coefficients, out):
+            real(methods, parts, coefficients, out)
             if bad == "nan":
                 out[..., 0, 0] = np.nan
             else:
@@ -914,7 +923,7 @@ class TestGridEngine:
     def test_bug_in_a_replicate_propagates_unwrapped(self, monkeypatch):
         # only a slicesdr error is a failed replicate; any other exception
         # is a bug and keeps its class, so the CLI ends with its traceback
-        def broken(methods, stats, out):
+        def broken(methods, parts, coefficients, out):
             raise IndexError("bug in candidate code")
 
         monkeypatch.setattr(simulation, "_write_candidates", broken)

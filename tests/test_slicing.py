@@ -77,6 +77,20 @@ class TestEqualCount:
             slice_equal_count(rows, 2)
 
 
+    @pytest.mark.parametrize("y, row", [
+        (np.full(8, 2.5), ""),
+        (np.array([0.0, -0.0, 0.0, -0.0]), ""),  # -0.0 and 0.0 are one value
+        (np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0]]), " row 1"),
+        (np.ones((2, 3, 4)), " row (0, 0)"),
+    ])
+    def test_constant_response_rejected(self, y, row):
+        # its slices, and any direction fitted from them, follow the row order
+        with pytest.raises(DataError, match=f"^response{re.escape(row)} is constant: its "
+                                            "equal-count slices would follow the row "
+                                            "order alone$"):
+            slice_equal_count(y, 2)
+
+
 #: Few distinct values, so that drawn rows often tie; -0.0 and 0.0 compare
 #: equal, NaN sorts last but fails every comparison (a negative-signed NaN
 #: too, whose bit image sorts below -inf), and the subnormals +-5e-324 sit

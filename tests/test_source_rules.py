@@ -342,6 +342,8 @@ def test_public_names_are_the_listed_ones():
 PRIVATE_IMPORTS = [
     "simulation <- estimators._write_candidates",
     "simulation <- linalg._leading_vectors",
+    "simulation <- metrics._orthonormalize",
+    "simulation <- metrics._r2_rows",
     "simulation <- slicing._Buffers",
     "simulation <- slicing._SliceGrid",
 ]

@@ -11,14 +11,16 @@ fourth-moment matrix V:
 * ``lambda_corrected`` -- the debiased slice-covariance square a L - b V
 * ``csave_matrix`` -- bias-corrected SAVE: I - 2 M + (a L - b V)
 
-Two writes map a method name of ``METHODS`` to its matrix, and they are
-the only code that does: ``_write_slice_means`` writes SIR's from the slice
-means of one stats, and ``_write_pooled`` writes SAVE's and CSAVE's from
-stacks of pooled moments (M, L, V), forming the I - 2 M they share once.
-``candidate_matrix`` runs both for one method of one stats, as the CLI
-does; ``_write_candidates`` runs both for every method over one model's
-slicings at every H, as the Monte Carlo harness does, so SAVE and CSAVE
-take one write for all H.
+One writer, ``_write_candidates``, maps a method name of ``METHODS`` to
+its matrix, and it is the only code that does or that states the SAVE and
+CSAVE sums: from stacks of the pooled moments (M, L, V) over H and
+replicates it writes SAVE and CSAVE once, with one I - 2 M they share,
+and SIR once per H from that H's slice means and weights (``_between``,
+which ``sir_matrix`` calls too).  ``candidate_matrix``, ``save_matrix``
+and ``csave_matrix`` run it on a one-H stack of one stats, as the CLI
+does; the Monte Carlo harness runs it once per model and chunk on the
+arrays of ``slicing._SliceGrid.moments``, so SAVE and CSAVE take one write
+for all H.
 
 Slice averages use the observed weights p_h = c_h / n; the correction
 coefficients (a, b) use the global slice size c = floor(n / H), since they
@@ -61,20 +63,21 @@ class CdrBasis:
     ambiguous: bool          # k-th and (k+1)-th eigenvalues tied
 
 
-def sir_matrix(stats: SliceStats) -> np.ndarray:
-    """Estimated Cov(E(z|Y)): the exactly-PSD sum_h p_h m_h m_h^T."""
-    m = stats.means.swapaxes(-1, -2) @ (stats.weights[:, None] * stats.means)
+def _between(means: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The exactly-PSD sum_h p_h m_h m_h^T of slice means (..., H, p) and
+    weights (H,)."""
+    m = means.swapaxes(-1, -2) @ (weights[:, None] * means)
     return (m + m.swapaxes(-1, -2)) / 2.0  # the product is symmetric to rounding only
 
 
-def _identity_minus_2m(mean_cov: np.ndarray) -> np.ndarray:
-    """I - 2 M, the part that SAVE and CSAVE share."""
-    return np.eye(mean_cov.shape[-1]) - 2.0 * mean_cov
+def sir_matrix(stats: SliceStats) -> np.ndarray:
+    """Estimated Cov(E(z|Y)): the exactly-PSD sum_h p_h m_h m_h^T."""
+    return _between(stats.means, stats.weights)
 
 
 def save_matrix(stats: SliceStats) -> np.ndarray:
     """Estimated E[(I - Cov(z|Y))^2]: sum_h p_h (I - S_h)^2 = I - 2 M + L."""
-    return _identity_minus_2m(stats.mean_cov) + stats.cov_square
+    return candidate_matrix("save", stats)
 
 
 def correction_coefficients(c: int) -> tuple[float, float]:
@@ -110,68 +113,48 @@ def csave_matrix(stats: SliceStats) -> np.ndarray:
     eigenvalue, and negative tail eigenvalues are surfaced as a diagnostic,
     not clipped.
     """
-    return _identity_minus_2m(stats.mean_cov) + lambda_corrected(stats)
+    return candidate_matrix("csave", stats)
 
 
 def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:
     """The candidate matrix of ``method``, one of METHODS."""
-    out = np.empty((1, *stats.mean_cov.shape))
-    _write_slice_means((method,), stats, out)
-    _write_pooled((method,), (stats.mean_cov, stats.cov_square, stats.fourth),
-                  correction_coefficients(stats.n // stats.H), out)
-    return out[0]
+    out = np.empty((1, 1, *stats.mean_cov.shape))
+    pooled = (stats.mean_cov[None], stats.cov_square[None], stats.fourth[None])
+    _write_candidates((method,), pooled, [(stats.means, stats.weights)],
+                      correction_coefficients(stats.n // stats.H), out)
+    return out[0, 0]
 
 
-def _write_slice_means(methods, stats: SliceStats, out: np.ndarray) -> None:
-    """Write SIR's candidate of ``stats`` into ``out[j]`` for the j with
-    ``methods[j]`` == "sir"; every other ``out[j]`` is left as it is."""
-    for method, cand in zip(methods, out):
-        if method == "sir":
-            cand[...] = sir_matrix(stats)
+def _write_candidates(methods, pooled, slice_means, coefficients,
+                      out: np.ndarray) -> None:
+    """Write the candidates of slicings at one or more H into ``out``
+    (len(methods), len(H grid), ...): ``out[j, i]`` is the matrix of
+    ``methods[j]`` at the i-th H.  ``pooled`` = (M, L, V) are stacks of the
+    shape of ``out[j]``, ``slice_means[i]`` is the i-th H's (means,
+    weights), and ``coefficients`` = (a, b) of a L - b V are floats or
+    arrays that broadcast over the stacks, such as (len(H grid), 1, 1, 1)
+    arrays of each H's a(c) and b(c).
 
-
-def _write_pooled(methods, pooled, coefficients, out: np.ndarray) -> None:
-    """Write SAVE's and CSAVE's candidates into ``out[j]`` for the j whose
-    ``methods[j]`` names one, from ``pooled`` = (M, L, V), stacks of the
-    shape of ``out[j]``, and ``coefficients`` = (a, b) of a L - b V, floats
-    or arrays that broadcast over the stacks.  The two share one I - 2 M,
-    and their sums are written in place: bitwise what ``save_matrix`` and
-    ``csave_matrix`` evaluate.  SIR's ``out[j]`` is left as it is, and a
-    name outside ``METHODS`` raises InvalidArgument."""
+    SIR is written once per H, SAVE and CSAVE once over the stacks, from
+    one I - 2 M they share, with their sums written in place.  Every entry
+    takes the same operations in the same order at any stack shape, so each
+    H's candidates are bitwise those of ``candidate_matrix`` on that H's
+    stats alone.  A name outside ``METHODS`` raises InvalidArgument.
+    """
     mean_cov, cov_square, fourth = pooled
     shared = None
     for method, cand in zip(methods, out):
         if method == "sir":
+            for row, (means, weights) in zip(cand, slice_means):
+                row[...] = _between(means, weights)
             continue
         if method not in ("save", "csave"):
             raise InvalidArgument(f"unknown method {method!r}; valid: {METHODS}")
         if shared is None:
-            shared = _identity_minus_2m(mean_cov)
+            shared = np.eye(mean_cov.shape[-1]) - 2.0 * mean_cov
         added = (cov_square if method == "save"
                  else _debiased(cov_square, fourth, *coefficients))
         np.add(shared, added, out=cand)
-
-
-def _write_candidates(methods, parts, coefficients, out: np.ndarray) -> None:
-    """Write the candidates of one model's slicings at every H into ``out``
-    (len(methods), len(H grid), chunk, p, p): ``out[j, i, part]`` is the
-    matrix of ``methods[j]`` on the stats of each (i, part, stats) of
-    ``parts``, the i-th H and the replicates ``part`` of the chunk, as
-    ``_SliceGrid.moments`` yields them.  ``coefficients`` = (a, b) hold the
-    a(c) and b(c) of each H, shaped (len(H grid), 1, 1, 1).
-
-    SIR's candidate is written from each stats while its slice means, which
-    differ in length across H, are in the buffers; the pooled moments of
-    every (i, part) are kept in one (3, len(H grid), chunk, p, p) stack, so
-    SAVE and CSAVE take one write for all H.
-    """
-    pooled = np.empty((3,) + out.shape[1:])
-    for i, part, stats in parts:
-        _write_slice_means(methods, stats, out[:, i, part])
-        pooled[0, i, part] = stats.mean_cov
-        pooled[1, i, part] = stats.cov_square
-        pooled[2, i, part] = stats.fourth
-    _write_pooled(methods, pooled, coefficients, out)
 
 
 def cdr_basis(eig: linalg.EigenResult, k: int, cov_inv_sqrt) -> CdrBasis:

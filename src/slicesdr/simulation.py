@@ -20,31 +20,33 @@ call them first; the CLI calls them before it checks ``--output``.
 
 Both engines run one loop, ``_run_chunks``, which draws the predictors x
 and noise eps of replicates one by one into the rows of two chunk buffers,
-a chunk holding as many replicates as the largest ``_chunk_size`` over the
-H grid, and hands each chunk to the engine's stacked pass, which only
-scores it: the pass returns one array whose last axis is the chunk's
-replicates, and the loop joins the chunks along that axis.  The pass
-slices the chunk at every H through the engine call's one
-``slicing._SliceGrid``, which checks the chunk's z for non-finite values
-once, sorts each response once, because the slice order does not depend
-on H, and slices each H in sub-chunks of its own ``_chunk_size``, so its
-slice stacks stay within that bound.  The grid draws replicate r once for
-all its cells, since x and eps depend only on
-(seed, r, n, p); its pass forms u = x beta for the chunk, under
-``standardize`` whitens each replicate's x into a buffer of its own, and
-forms each model's response from the shared u, its powers (``_Powers``:
-one u ** 3 for models 1 and 4) and eps; z is checked once for all models.
-Each model's candidates over all H and methods are written by one
-``estimators._write_candidates`` call: SIR's from each slicing, and SAVE's
-and CSAVE's in one write over the pooled moments of every slicing, with one
-I - 2 M; they go through one eigen call and one scoring call against e_1,
-which is orthonormalized once per engine call.  The sweep draws replicate
-r once per n for every c of the row, and eps is its response; its pass
-keeps each replicate's L and a(c) L - b(c) V, and the levels and errors of
-all replicates are formed once per call.
-Each engine call reuses one set of work buffers
-(``slicing._Buffers``) for the draws, the sort and the slice moments of
-every replicate.
+a chunk holding as many replicates as the largest sub-chunk size
+(``slicing._chunk_size``) over the H grid, and hands each chunk to the
+engine's stacked pass, which only scores it: the pass returns one array
+whose last axis is the chunk's replicates, and the loop joins the chunks
+along that axis.  The pass slices the chunk at every H through the engine
+call's one ``slicing._SliceGrid``, which sorts each response once, because
+the slice order does not depend on H, slices each H in sub-chunks of its
+own size, so its slice stacks stay within that bound, and returns plain
+arrays: a (3, len(H grid), chunk, p, p) stack of M, L and V and each H's
+slice means and weights.  The pass checks the chunk's z for non-finite
+values once (``_SliceGrid.check``), and the a(c), b(c) of each H are
+formed once per call (``_coefficients``).  The grid draws replicate r once
+for all its cells, since x and eps depend only on (seed, r, n, p); its
+pass forms u = x beta for the chunk, under ``standardize`` whitens each
+replicate's x into a buffer of its own, and forms each model's response
+from the shared u, its powers (``_Powers``: one u ** 3 for models 1 and 4)
+and eps.  Each model's candidates over all H and methods are written from
+those arrays by one ``estimators._write_candidates`` call, which names the
+methods: SIR's once per H, and SAVE's and CSAVE's in one write over the
+stack, with one I - 2 M; they go through one eigen call and one scoring
+call against e_1, which is orthonormalized once per engine call.  The
+sweep draws replicate r once per n for every c of the row, and eps is its
+response; its pass takes L and a(c) L - b(c) V over the whole stack, and
+the levels and errors of all replicates are formed once per call.
+Each engine call reuses one set of work buffers (``slicing._Buffers``)
+for the draws, and its slice grid one for the sort and the slice moments
+of every replicate.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ import numpy as np
 
 from .data import standardize as _standardize
 from .errors import InvalidArgument, SimulationError, SlicesdrError
-from .estimators import (METHODS, _write_candidates, correction_coefficients,
-                         lambda_corrected)
+from .estimators import (METHODS, _debiased, _write_candidates,
+                         correction_coefficients)
 from .linalg import _leading_vectors
 from .metrics import _orthonormalize, _r2_rows
 from .slicing import _Buffers, _SliceGrid, check_integer
@@ -165,13 +167,12 @@ def order_stats(values: np.ndarray) -> tuple:
     return (*(np.where(nan, top, stat) for stat in stats), top)
 
 
-def _chunk_size(n: int, p: int, H: int) -> int:
-    """Replicates per stacked pass.
-
-    Keeps the (chunk, n, p) data and (chunk, H, p, p) covariance stacks at
-    no more than n * p**2 floats each: chunk <= p and chunk * H <= n.
-    """
-    return max(1, min(p, n // H))
+def _coefficients(n: int, h_grid: list) -> tuple:
+    """The a(c) and b(c) of each H at c = n // H, as two (len(h_grid), 1,
+    1, 1) arrays that broadcast over the (len(h_grid), chunk, p, p) stacks
+    of ``_SliceGrid.moments``."""
+    coefficients = np.array([correction_coefficients(n // H) for H in h_grid])
+    return tuple(coefficients.T[..., None, None, None])
 
 
 def _run_chunks(reps: int, n: int, p: int, seed: int, chunk: int,
@@ -279,11 +280,11 @@ def run_grid(
     r)``, so each cell's scores are the same as a run of that cell alone.
     What the cells of a chunk share is formed once: the index u, u ** 3
     when model 1 or 4 is in the grid, and the z check for all models.  Each
-    model writes its candidates at every H in one call: SIR's from each
-    slicing, and SAVE's and CSAVE's in one write over the stacked pooled
-    moments, with one I - 2 M and the a(c), b(c) of each H, which are
-    formed once per call, as is the orthonormal basis of e_1 that every
-    score is taken against.  A failing replicate aborts the whole run with
+    model writes its candidates at every H in one call: SIR's once per H
+    from its slice means, and SAVE's and CSAVE's in one write over the
+    stacked pooled moments, with one I - 2 M and the a(c), b(c) of each H,
+    which are formed once per call, as is the orthonormal basis of e_1
+    that every score is taken against.  A failing replicate aborts the whole run with
     its index attached; nothing is skipped silently.
     """
     models, h_grid = list(models), list(h_grid)
@@ -291,10 +292,8 @@ def run_grid(
     beta = np.zeros(p)
     beta[0] = 1.0
     basis = _orthonormalize(beta[:, None])  # once for every score of the call
-    # a(c) and b(c) of each H, broadcasting over its (chunk, p, p) stacks
-    coefficients = np.array([correction_coefficients(n // H) for H in h_grid])
-    coefficients = tuple(coefficients.T[..., None, None, None])
-    slicings = _SliceGrid(n, h_grid, [_chunk_size(n, p, H) for H in h_grid])
+    coefficients = _coefficients(n, h_grid)
+    slicings = _SliceGrid(n, p, h_grid)
     buffers = _Buffers()
 
     def scores(x, eps):
@@ -312,8 +311,7 @@ def run_grid(
         powers = _Powers(u)
         for m, model in enumerate(models):
             y = _RESPONSES[model](powers, eps)
-            _write_candidates(methods, slicings.moments(z, y, buffers), coefficients,
-                              cands)
+            _write_candidates(methods, *slicings.moments(z, y), coefficients, cands)
             # One eigen call per model, for the one column R^2 reads.
             lead = _leading_vectors(cands.reshape(-1, p, p))
             if back is not None:
@@ -335,24 +333,23 @@ def _null_levels(n: int, h_grid: list, p: int, reps: int, seed: int) -> np.ndarr
     corrected estimators on pure noise, where the true target is I_p: an
     array of shape (len(h_grid), 4, reps).
 
-    The pass keeps each replicate's L and a(c) L - b(c) V in a
-    (len(h_grid), 2, p, p, chunk) stack, and the levels and errors of the
+    The pass forms L and a(c) L - b(c) V of every H and replicate of a
+    chunk at once, from the stack that ``_SliceGrid.moments`` returns, into
+    a (len(h_grid), 2, p, p, chunk) view, and the levels and errors of the
     whole (len(h_grid), 2, reps, p, p) stack are formed once per call.  That
     stack is made C-contiguous first, so each matrix's trace and Frobenius
     sum are those of the matrix alone, bit for bit.
     """
-    slicings = _SliceGrid(n, h_grid, [_chunk_size(n, p, H) for H in h_grid])
-    buffers = _Buffers()
+    coefficients = _coefficients(n, h_grid)
+    slicings = _SliceGrid(n, p, h_grid)
 
     def matrices(z, y):
-        out = np.empty((len(h_grid), 2, z.shape[0], p, p))
         slicings.check(z)
-        for i, part, stats in slicings.moments(z, y, buffers):
-            out[i, 0, part] = stats.cov_square
-            out[i, 1, part] = lambda_corrected(stats)
+        _, cov_square, fourth = slicings.moments(z, y)[0]
+        out = np.stack((cov_square, _debiased(cov_square, fourth, *coefficients)), 1)
         return out.transpose(0, 1, 3, 4, 2)  # the replicates last
 
-    mats = _run_chunks(reps, n, p, seed, slicings.chunk, matrices, buffers)
+    mats = _run_chunks(reps, n, p, seed, slicings.chunk, matrices, _Buffers())
     mats = np.ascontiguousarray(mats.transpose(0, 1, 4, 2, 3))
     # the Frobenius norm as np.linalg.norm forms it, bit for bit
     d = np.subtract(mats, np.eye(p))

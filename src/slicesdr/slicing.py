@@ -13,9 +13,14 @@ moment the estimators use: per-slice means and unbiased covariances S_h
 L = sum_h p_h S_h^2, and the pooled within-slice fourth-moment matrix V.
 It checks its arguments and hands them to one core, ``_slice_moments``,
 with the slice plan of the bounds (``_SlicePlan``: counts, weights and
-runs of equal-size slices).  The Monte Carlo engines slice a chunk of
-replicates at every H of a grid through ``_SliceGrid``: one plan per H per
-engine call, and one check of z and one sort of each response for all H.
+runs of equal-size slices).  The core writes M, L, V and the slice means
+into arrays its caller gives and returns the covariances; ``slice_stats``
+gives it fresh arrays and is the only code that builds a ``SliceStats``.
+The Monte Carlo engines slice a chunk of replicates at every H of a grid
+through ``_SliceGrid``: one plan and one sub-chunk size (``_chunk_size``)
+per H per engine call, one sort of each response for all H, and plain
+arrays back, a (3, len(H grid), chunk, p, p) stack of M, L and V and each
+H's slice means and weights.
 
 Both take a leading batch axis: a stack of R responses of shape (R, n)
 gives R orders over shared slice bounds, and a stack z of shape (R, n, p)
@@ -101,9 +106,10 @@ class _Buffers:
     buffers.  Called without buffers, it makes a new ``_Buffers``, whose
     arrays are fresh.  The name "floats" holds scratch that no result
     refers to, so every function here shares it; "index" holds the flat
-    index of the last ``stable_order``, which ``_SliceGrid`` reads.  An
-    engine makes its own per call; a module-level instance would break the
-    purity and thread safety of the engines.
+    index of the last ``stable_order``, which ``_SliceGrid`` reads.  Each
+    ``_SliceGrid`` owns one for its sorts and slice moments, and an engine
+    makes one per call for its draws; a module-level instance would break
+    the purity and thread safety of the engines.
     """
 
     def __init__(self):
@@ -456,8 +462,9 @@ def slice_stats(z, assignment: SliceAssignment) -> SliceStats:
     ``TestPositionSum`` in tests/test_slicing.py pins.
     Each call checks its arguments, builds the plan of the bounds
     (``_SlicePlan``) and the flat index of the order, and hands them to
-    ``_slice_moments``, which ``_SliceGrid`` calls with one plan per H and
-    the index that ``stable_order`` leaves.
+    ``_slice_moments`` with fresh arrays for the moments, which
+    ``_SliceGrid`` calls with one plan per H, the index that
+    ``stable_order`` leaves and views of its stacks.
     A run of k adjacent slices of m points is one (..., k, m, p) block whose
     covariances come from one stacked product, so the (n, p, p) outer
     products are never formed; the same block viewed as (..., k p, p) gives
@@ -486,16 +493,25 @@ def slice_stats(z, assignment: SliceAssignment) -> SliceStats:
             raise InvalidArgument(
                 f"order of shape {order.shape} does not fit z of shape {z.shape}"
             ) from None
-    return _slice_moments(z.reshape(order.size, z.shape[-1]), _flat_index(order),
-                          _SlicePlan(assignment.bounds), _Buffers())
+    plan, batch, p = _SlicePlan(assignment.bounds), order.shape[:-1], z.shape[-1]
+    mean_cov, cov_square, fourth = pooled = [np.empty(batch + (p, p)) for _ in range(3)]
+    means = np.empty(batch + (plan.counts.size, p))
+    covs = _slice_moments(z.reshape(order.size, p), _flat_index(order), plan,
+                          _Buffers(), pooled, means)
+    return SliceStats(counts=plan.counts, means=means, covs=covs,
+                      weights=plan.weights, fourth=fourth, mean_cov=mean_cov,
+                      cov_square=cov_square)
 
 
 def _slice_moments(z: np.ndarray, index: np.ndarray, plan: _SlicePlan,
-                   buffers: _Buffers) -> SliceStats:
-    """The ``slice_stats`` of the rows ``index`` (..., n) of a finite 2-d z
+                   buffers: _Buffers, pooled, means: np.ndarray) -> np.ndarray:
+    """The slice moments of the rows ``index`` (..., n) of a finite 2-d z
     (rows, p), each row of ``index`` one replicate's rows in slice order,
-    sliced by ``plan``; nothing is checked.  The counts and weights are the
-    plan's, and the means and covariances live in ``buffers``.
+    sliced by ``plan``; nothing is checked.  M, L and V are written into
+    the three arrays of ``pooled`` (each (..., p, p), views of one stack or
+    arrays of their own) and the slice means into ``means`` (..., H, p);
+    the slice covariances (..., H, p, p) are returned, and live in
+    ``buffers``.
     """
     batch, n, p = index.shape[:-1], index.shape[-1], z.shape[-1]
     # The index rows are permutations of rows of z (``SliceAssignment``
@@ -504,13 +520,12 @@ def _slice_moments(z: np.ndarray, index: np.ndarray, plan: _SlicePlan,
     # through a temporary.
     zs = np.take(z, index, axis=0, out=buffers.get("zs", index.shape + (p,)),
                  mode="clip")
-    H = plan.counts.size
-    means = buffers.get("means", batch + (H, p))
-    covs = buffers.get("covs", batch + (H, p, p))
+    covs = buffers.get("covs", batch + (plan.counts.size, p, p))
     # scratch, then ||d|| of each deviation d at p > 1 and d^2 at p = 1
     norms = buffers.get("floats", index.shape)
-    mean_cov = np.zeros(batch + (p, p))
-    cov_square = np.zeros(batch + (p, p))
+    mean_cov, cov_square, fourth = pooled
+    mean_cov[...] = 0.0
+    cov_square[...] = 0.0
     for lo, hi, c, first, stop, starts, weight in plan.runs:
         out = covs[..., lo:hi, :, :]
         if p == 1 and c <= _POSITION_SUM_MAX_C:
@@ -540,29 +555,36 @@ def _slice_moments(z: np.ndarray, index: np.ndarray, plan: _SlicePlan,
         zs *= scale[..., None]
     else:
         zs = norms[..., None]
-    return SliceStats(
-        counts=plan.counts,
-        means=means,
-        covs=covs,
-        weights=plan.weights,
-        fourth=_gram(zs) / n,
-        mean_cov=mean_cov,
-        cov_square=cov_square,
-    )
+    _gram(zs, out=fourth)
+    fourth /= n
+    return covs
+
+
+def _chunk_size(n: int, p: int, H: int) -> int:
+    """Replicates that ``_SliceGrid`` slices at a time at H.
+
+    Keeps the (chunk, n, p) data and (chunk, H, p, p) covariance stacks at
+    no more than n * p**2 floats each: chunk <= p and chunk * H <= n.
+    """
+    return max(1, min(p, n // H))
 
 
 class _SliceGrid:
-    """Equal-count slicings of n points at each H of ``h_grid``, built once
-    per engine call: a slice plan per H, and ``sizes[i]``, how many
-    replicates the i-th H slices at a time; ``chunk``, the largest, is how
-    many one call of ``moments`` takes."""
+    """Equal-count slicings of n points in p dimensions at each H of
+    ``h_grid``, built once per engine call: a slice plan per H, and
+    ``sizes[i]``, how many replicates the i-th H slices at a time
+    (``_chunk_size``); ``chunk``, the largest, is how many one call of
+    ``moments`` takes.  The grid owns the work buffers of its sorts and
+    slice moments, so what ``moments`` returns holds until its next call.
+    """
 
-    __slots__ = ("plans", "sizes", "chunk")
+    __slots__ = ("plans", "sizes", "chunk", "buffers")
 
-    def __init__(self, n: int, h_grid: list, sizes: list):
+    def __init__(self, n: int, p: int, h_grid: list):
         self.plans = [_SlicePlan(equal_count_bounds(n, H)) for H in h_grid]
-        self.sizes = sizes
-        self.chunk = max(sizes)
+        self.sizes = [_chunk_size(n, p, H) for H in h_grid]
+        self.chunk = max(self.sizes)
+        self.buffers = _Buffers()
 
     @staticmethod
     def check(z: np.ndarray) -> None:
@@ -571,20 +593,30 @@ class _SliceGrid:
         responses it slices z by."""
         _check_finite(z)
 
-    def moments(self, z: np.ndarray, y: np.ndarray, buffers: _Buffers):
-        """(i, part, stats): the slice moments of the replicates ``part`` of
-        a chunk z (chunk, n, p) at the i-th H, whose responses y (chunk, n)
-        are sorted once for every H.  Each stats lives in ``buffers`` until
-        the next is made.
+    def moments(self, z: np.ndarray, y: np.ndarray) -> tuple:
+        """(pooled, slice_means): the slice moments of a chunk z
+        (chunk, n, p) at every H, whose responses y (chunk, n) are sorted
+        once for every H.  ``pooled`` is a (3, len(h_grid), chunk, p, p)
+        stack of M, L and V, and ``slice_means[i]`` is the i-th H's
+        (means (chunk, H, p), weights (H,)).
 
-        z must have passed ``check``.  Each (H, part) gathers its rows of
-        the whole chunk's z through the flat index of the sorted order,
-        which ``stable_order`` leaves in the "index" buffer.
+        z must have passed ``check``.  Each H slices the chunk in parts of
+        ``sizes[i]`` replicates, and each part gathers its rows of the whole
+        chunk's z through the flat index of the sorted order, which
+        ``stable_order`` leaves in the "index" buffer.
         """
+        buffers = self.buffers
         stable_order(y, buffers)
         index = buffers.get("index", y.shape, np.intp)
-        rows = z.reshape(-1, z.shape[-1])
+        chunk, p = z.shape[0], z.shape[-1]
+        rows = z.reshape(-1, p)
+        pooled = buffers.get("pooled", (3, len(self.plans), chunk, p, p))
+        slice_means = []
         for i, (plan, size) in enumerate(zip(self.plans, self.sizes)):
-            for lo in range(0, z.shape[0], size):
+            means = buffers.get(f"means {i}", (chunk, plan.counts.size, p))
+            for lo in range(0, chunk, size):
                 part = slice(lo, lo + size)
-                yield i, part, _slice_moments(rows, index[part], plan, buffers)
+                _slice_moments(rows, index[part], plan, buffers, pooled[:, i, part],
+                               means[part])
+            slice_means.append((means, plan.weights))
+        return pooled, slice_means

@@ -63,6 +63,10 @@ _EACH_FORMAT = (
     "table1 --models 3,1 --H 24,2 --n 240 --reps 4 --seed 1729",
     *(f"estimate --input EST.csv --y y --method {m} --k {k}"
       for k in (2, 1) for m in ("sir", "save", "csave")),
+    "table1 --reps 10 --n 480",
+    "simulate --model 1 --p 1 --n 200 --slices 10 --reps 9",
+    "simulate --model 3 --p 2 --n 201 --slices 40 --reps 9 --quantiles",
+    "sweep --mode bias --n-grid 2003 --c-grid 3,4 --reps 5 --p 2",
 )
 
 #: Usage and input errors, help, the large-p sweeps and the default
@@ -89,7 +93,7 @@ _AS_WRITTEN = (
       for flags in ("2,3", "2,3 --p 2", "2,4 --p 10")),
 )
 
-#: The 113 argvs of the corpus, in order.
+#: The 125 argvs of the corpus, in order.
 ARGVS = [
     *(f"{cmd} --out {fmt}".split() for cmd in _EACH_FORMAT for fmt in _FORMATS),
     *(cmd.split() for cmd in _AS_WRITTEN),

@@ -412,9 +412,10 @@ def test_unknown_method_rejected():
     message = r"^unknown method 'pca'; valid: \('save', 'sir', 'csave'\)$"
     with pytest.raises(InvalidArgument, match=message):
         candidate_matrix("pca", st)
+    pooled = (st.mean_cov[None], st.cov_square[None], st.fourth[None])
     with pytest.raises(InvalidArgument, match=message):
-        _write_candidates(("sir", "pca"), [(0, slice(None), st)], (1.0, 1.0),
-                          np.empty((2, 1, 1, 2, 2)))
+        _write_candidates(("sir", "pca"), pooled, [(st.means, st.weights)], (1.0, 1.0),
+                          np.empty((2, 1, 2, 2)))
 
 
 _NAMED = {"sir": sir_matrix, "save": save_matrix, "csave": csave_matrix}
@@ -425,19 +426,25 @@ _NAMED = {"sir": sir_matrix, "save": save_matrix, "csave": csave_matrix}
 ])
 def test_written_candidates_are_the_named_estimators_bitwise(methods):
     # one model's slicings at two H, the second in parts of 2 and 1, as the
-    # grid writes them: SIR from each stats, and SAVE and CSAVE in one write
-    # over the pooled stacks of both H, with one I - 2M and per-H (a, b),
-    # which are the bits of the formulas save_matrix and csave_matrix state
+    # grid's slice pass stacks them: SIR once per H over the chunk's means,
+    # and SAVE and CSAVE in one write over the pooled stack of both H, with
+    # one I - 2M and per-H (a, b), which are the bits of the formulas
+    # sir_matrix, save_matrix and csave_matrix state
     rng = np.random.default_rng(4)
     z, y = rng.standard_normal((3, 97, 4)), rng.standard_normal((3, 97))
     h_grid, parts = (7, 13), [(0, slice(0, 3)), (1, slice(0, 2)), (1, slice(2, 3))]
     stats = [slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
              for i, part in parts]
+    pooled = np.full((3, len(h_grid), 3, 4, 4), np.nan)
+    slice_means = [(np.full((3, H, 4), np.nan), np.full(H, np.nan)) for H in h_grid]
+    for (i, part), st in zip(parts, stats):
+        pooled[:, i, part] = st.mean_cov, st.cov_square, st.fourth
+        slice_means[i][0][part] = st.means
+        slice_means[i][1][...] = st.weights
     coefficients = np.array([correction_coefficients(97 // H) for H in h_grid])
     coefficients = tuple(coefficients.T[..., None, None, None])
     out = np.full((len(methods), len(h_grid), 3, 4, 4), np.nan)
-    _write_candidates(methods, [(i, part, st) for (i, part), st in zip(parts, stats)],
-                      coefficients, out)
+    _write_candidates(methods, pooled, slice_means, coefficients, out)
     for (i, part), st in zip(parts, stats):
         for method, got in zip(methods, out[:, i, part]):
             want = _NAMED[method](st)

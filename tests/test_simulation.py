@@ -1,7 +1,6 @@
 """Monte Carlo harness tests: determinism, substreams, model generators,
 and the chunked replicate engine against a per-replicate oracle."""
 
-import dataclasses
 import re
 import sys
 
@@ -22,7 +21,7 @@ from slicesdr import (
     standardize,
     sym_eig,
 )
-from slicesdr import estimators, simulation, slicing
+from slicesdr import simulation, slicing
 from slicesdr.cli import _sweep_rows, main
 from slicesdr.errors import (
     InvalidArgument,
@@ -32,7 +31,8 @@ from slicesdr.errors import (
     UsageError,
 )
 from conftest import traced_peak
-from test_slicing import reduceat_slice_stats
+from test_slicing import (assert_part_is_public, grid_part, grid_parts,
+                          reduceat_slice_stats)
 
 
 #: The index direction e_1 of every benchmark model at the default p.
@@ -192,7 +192,7 @@ class TestRunMc:
     def test_failure_past_the_first_chunk_names_its_replicate(self, monkeypatch):
         # chunks of 4 at n = 62, p = 4 (H = 2), which H = 31 scores in
         # sub-chunks of 2; only replicate 5, in the second chunk, is collinear
-        assert simulation._chunk_size(62, 4, 2) == 4
+        assert slicing._chunk_size(62, 4, 2) == 4
         real = simulation._draw
         drawn = []
 
@@ -457,10 +457,10 @@ class TestSweepEngine:
         # but on neither alone, so the error names the whole chunk
         real = slicing._slice_moments
 
-        def batch_only(z, index, plan, buffers):
+        def batch_only(z, index, *args):
             if index.shape[0] > 1:
                 raise NumericalError("batch of replicates")
-            return real(z, index, plan, buffers)
+            return real(z, index, *args)
 
         monkeypatch.setattr(slicing, "_slice_moments", batch_only)
         with pytest.raises(SimulationError,
@@ -487,19 +487,22 @@ class TestWorkBuffers:
             assert eps.tobytes() == eps_gen.standard_normal(n).tobytes()
 
     def test_replicates_share_the_stats_buffers(self, monkeypatch):
-        # stats made in an engine's buffers hold until its next slice call
+        # the slice covariances of an engine call live in its grid's buffers
+        # until its next slice call, and each H's means in a buffer of its own
         made = []
         real = slicing._slice_moments
 
         def kept(*args):
-            made.append(real(*args))
-            return made[-1]
+            made.append((real(*args), args[-1]))
+            return made[-1][0]
 
         monkeypatch.setattr(slicing, "_slice_moments", kept)
         bias_sweep([2003], [2, 3], reps=3, seed=3, p=1)
         assert len(made) == 6
-        for stats in made[1:]:
-            assert np.shares_memory(stats.covs, made[0].covs)
+        for k, (covs, means) in enumerate(made):
+            assert np.shares_memory(covs, made[0][0])
+            assert np.shares_memory(means, made[k % 2][1])
+        assert not np.shares_memory(made[0][1], made[1][1])
 
     def test_sweep_over_growing_and_shrinking_sizes(self):
         n_grid, c_grid = [2003, 401, 2003], [3, 2]
@@ -519,12 +522,16 @@ class TestWorkBuffers:
         grid = dict(n_grid=[2003, 401, 2003], c_grid=[2, 3, 4, 5], reps=3, p=p)
         levels = bias_sweep(**grid)
 
-        def reduceat_moments(z, index, plan, buffers):
+        def reduceat_moments(z, index, plan, buffers, pooled, means):
             # the engine's gathered rows, in slice order already
             order = np.arange(index.shape[-1])
             bounds = np.append(0, np.cumsum(plan.counts))
             a = slicing.SliceAssignment(order=order, bounds=bounds)
-            return reduceat_slice_stats(z[index], a)
+            st = reduceat_slice_stats(z[index], a)
+            for out, moment in zip(pooled, (st.mean_cov, st.cov_square, st.fourth)):
+                out[...] = moment
+            means[...] = st.means
+            return st.covs
 
         monkeypatch.setattr(slicing, "_slice_moments", reduceat_moments)
         assert levels.tobytes() == bias_sweep(**grid).tobytes()
@@ -532,14 +539,14 @@ class TestWorkBuffers:
     def test_engines_slice_through_the_module_globals(self, monkeypatch, capsys):
         # wrapping the names counts these calls: one slice-moments core call
         # per (H, sub-chunk), each response is sorted once for all its H,
-        # and each model of a chunk gets one pooled SAVE / CSAVE write and
-        # one eigen call, and the grid orthonormalizes e_1 once per call;
-        # the sweep makes none of the last three, and neither engine checks
-        # the orders that stable_order returns
+        # and each model of a chunk gets one candidate write and one eigen
+        # call, and the grid orthonormalizes e_1 once per call; the sweep
+        # makes none of the last three, and neither engine checks the
+        # orders that stable_order returns
         calls = {}
         targets = [(slicing, "_slice_moments"), (slicing, "stable_order"),
                    (simulation, "_leading_vectors"), (slicing, "_check_order"),
-                   (estimators, "_write_pooled"), (simulation, "_orthonormalize")]
+                   (simulation, "_write_candidates"), (simulation, "_orthonormalize")]
         for module, name in targets:
             real = getattr(module, name)
 
@@ -554,13 +561,13 @@ class TestWorkBuffers:
         calls.clear()
         assert main(["table1", "--reps", "10", "--n", "480", "--out", "json"]) == 0
         assert calls == {"_slice_moments": 25, "stable_order": 5, "_leading_vectors": 5,
-                         "_write_pooled": 5, "_orthonormalize": 1}
+                         "_write_candidates": 5, "_orthonormalize": 1}
         capsys.readouterr()
         calls.clear()
         # three chunks of 10, 10 and 5 replicates, each sliced whole at H = 6
         run_grid([2, 5], [6], 60, 25, seed=4, methods=("csave", "sir"))
         assert calls == {"_slice_moments": 6, "stable_order": 6, "_leading_vectors": 6,
-                         "_write_pooled": 6, "_orthonormalize": 1}
+                         "_write_candidates": 6, "_orthonormalize": 1}
 
     def test_a_key_order_that_is_no_permutation_falls_back(self, monkeypatch):
         # the engines trust stable_order's result: a key sort that repeats
@@ -626,7 +633,7 @@ def oracle_scores(cell):
 
 
 def fixed_chunk(monkeypatch, size):
-    monkeypatch.setattr(simulation, "_chunk_size", lambda n, p, H: size)
+    monkeypatch.setattr(slicing, "_chunk_size", lambda n, p, H: size)
 
 
 def poison_replicate(monkeypatch, rep):
@@ -644,14 +651,6 @@ def poison_replicate(monkeypatch, rep):
     monkeypatch.setattr(simulation, "_draw", poisoned)
 
 
-def assert_stats_bytes_equal(got, want):
-    """Every field of two SliceStats holds the same shape, dtype and bytes."""
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert a.shape == b.shape and a.dtype == b.dtype, field.name
-        assert a.tobytes() == b.tobytes(), field.name
-
-
 class TestEngineSliceMoments:
     """The engines' slice moments (one sort per chunk, one plan per H, the
     core on the chunk's flat index) are the public ``slice_stats`` of each
@@ -663,20 +662,27 @@ class TestEngineSliceMoments:
         (2003, [2003 // c for c in (2, 3, 4, 5)]),  # reduceat at c = 5 and p > 1
         (480, [96, 24]),  # chunks of 10 at p = 10, which H = 96 splits in two
     ])
-    def test_parts_equal_public_slice_stats(self, p, n, h_grid):
+    def test_parts_equal_public_slice_stats(self, monkeypatch, p, n, h_grid):
+        # the slice covariances, which the engines never read, are the
+        # core's return value, recorded here part by part
         rng = np.random.default_rng(n + p)
-        sizes = [simulation._chunk_size(n, p, H) for H in h_grid]
-        slicings = slicing._SliceGrid(n, h_grid, sizes)
+        slicings = slicing._SliceGrid(n, p, h_grid)
         chunk = slicings.chunk
         z, y = rng.standard_normal((chunk, n, p)), rng.standard_normal((chunk, n))
-        parts = []
-        for i, part, stats in slicings.moments(z, y, slicing._Buffers()):
+        real, covs = slicing._slice_moments, []
+
+        def recording(*args):
+            covs.append((args[1].shape[0], real(*args).copy()))
+            return covs[-1][1]
+
+        monkeypatch.setattr(slicing, "_slice_moments", recording)
+        pooled, slice_means = slicings.moments(z, y)
+        parts = grid_parts(slicings, chunk)
+        assert [size for size, _ in covs] == [len(range(chunk)[part]) for _, part in parts]
+        for (i, part), (_, got_covs) in zip(parts, covs):
             want = slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
-            assert_stats_bytes_equal(stats, want)
-            parts.append((i, part.indices(chunk)))
-        assert parts == [(i, (lo, min(lo + size, chunk), 1))
-                         for i, size in enumerate(sizes)
-                         for lo in range(0, chunk, size)]
+            assert_part_is_public(grid_part(pooled, slice_means, i, part), want)
+            assert got_covs.tobytes() == want.covs.tobytes()
 
     def test_tied_responses_take_the_stable_sort_in_both_engines(self, monkeypatch):
         # noise rounded to one decimal ties every sweep response and puts
@@ -690,15 +696,15 @@ class TestEngineSliceMoments:
             np.round(eps, 1, out=eps)
             return x, eps
 
-        def checking(slicings, z, y, buffers):
+        def checking(slicings, z, y):
             assert not (np.diff(np.sort(y, axis=-1)) > 0).all()
-            for i, part, stats in real_moments(slicings, z, y, buffers):
+            pooled, slice_means = real_moments(slicings, z, y)
+            for i, part in grid_parts(slicings, z.shape[0]):
                 H = slicings.plans[i].counts.size
-                assert_stats_bytes_equal(
-                    stats, slice_stats(z[part], slice_equal_count(y[part], H))
-                )
+                want = slice_stats(z[part], slice_equal_count(y[part], H))
+                assert_part_is_public(grid_part(pooled, slice_means, i, part), want)
                 checked.append(H)
-                yield i, part, stats
+            return pooled, slice_means
 
         monkeypatch.setattr(simulation, "_draw", tied)
         monkeypatch.setattr(slicing._SliceGrid, "moments", checking)
@@ -708,6 +714,26 @@ class TestEngineSliceMoments:
         run_grid([3], [6, 24], 120, 7, seed=3)
         assert checked == [6, 24, 24]  # one chunk of 7; H = 24 in parts of 5
 
+    @pytest.mark.parametrize("engine", [
+        lambda: run_grid([1, 2, 3, 4, 5], (2, 7, 24), 203, 7, seed=2, standardize=True),
+        lambda: run_grid([3], (6,), 60, 3, seed=2, methods=("sir",)),
+        lambda: bias_sweep([2003, 401], [2, 3, 5], reps=3, seed=2, p=1),
+        lambda: bias_sweep([401], [2, 3], reps=3, seed=2, p=3),
+    ], ids=["run_grid", "run_grid_sir", "bias_sweep_p1", "bias_sweep_p3"])
+    def test_engines_build_no_slice_stats(self, monkeypatch, engine):
+        # the engines hand the estimators arrays; only the public
+        # slice_stats builds a SliceStats, which the spy sees
+        made, real = [], slicing.SliceStats.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(type(self))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(slicing.SliceStats, "__init__", spy)
+        engine()
+        assert made == []
+        slice_stats(np.ones((4, 1)), slice_equal_count(np.arange(4.0), 2))
+        assert made == [slicing.SliceStats]
 
     @pytest.mark.parametrize("engine", [
         lambda: run_grid([1, 3], (2, 24), 120, 5, seed=2),
@@ -739,10 +765,10 @@ class TestChunkedEngine:
             )
 
     def test_chunk_size_follows_the_shapes(self):
-        assert simulation._chunk_size(480, 10, 96) == 5
-        assert simulation._chunk_size(480, 10, 24) == 10
-        assert simulation._chunk_size(20000, 1, 10000) == 1
-        assert simulation._chunk_size(3, 10, 2) == 1
+        assert slicing._chunk_size(480, 10, 96) == 5
+        assert slicing._chunk_size(480, 10, 24) == 10
+        assert slicing._chunk_size(20000, 1, 10000) == 1
+        assert slicing._chunk_size(3, 10, 2) == 1
 
     @pytest.mark.parametrize("standardize", [False, True])
     def test_scores_bitwise_equal_across_chunk_sizes(self, monkeypatch, standardize):
@@ -769,7 +795,7 @@ class TestChunkedEngine:
             assert np.array_equal(levels[0], levels[1])
             assert levels[0].tobytes() == levels[1].tobytes()
         monkeypatch.undo()
-        assert simulation._chunk_size(2003, 1, 2003 // 3) == 1
+        assert slicing._chunk_size(2003, 1, 2003 // 3) == 1
         assert (bias_sweep([2003], [2, 3], reps=7, seed=3, p=1).tobytes()
                 == levels[0].tobytes())
 
@@ -788,7 +814,7 @@ class TestChunkedEngine:
         # (n, p, p) outer products of a chunk, or keeping several covariance
         # stacks alive, goes past 1.25 times that budget.
         n, p, reps = 480, 10, 10
-        chunk = simulation._chunk_size(n, p, H)
+        chunk = slicing._chunk_size(n, p, H)
         budget = 8 * chunk * (2 * n * p + 2 * H * p * p)
         peak = traced_peak(lambda: one_cell(1, H, n=n, reps=reps, seed=3, p=p))
         assert peak <= 1.25 * budget, (peak, budget)
@@ -906,8 +932,8 @@ class TestGridEngine:
     def test_bad_candidates_are_invalid_matrices(self, bad, message, monkeypatch):
         real = simulation._write_candidates
 
-        def poisoned(methods, parts, coefficients, out):
-            real(methods, parts, coefficients, out)
+        def poisoned(methods, pooled, slice_means, coefficients, out):
+            real(methods, pooled, slice_means, coefficients, out)
             if bad == "nan":
                 out[..., 0, 0] = np.nan
             else:
@@ -923,7 +949,7 @@ class TestGridEngine:
     def test_bug_in_a_replicate_propagates_unwrapped(self, monkeypatch):
         # only a slicesdr error is a failed replicate; any other exception
         # is a bug and keeps its class, so the CLI ends with its traceback
-        def broken(methods, parts, coefficients, out):
+        def broken(methods, pooled, slice_means, coefficients, out):
             raise IndexError("bug in candidate code")
 
         monkeypatch.setattr(simulation, "_write_candidates", broken)
@@ -1026,7 +1052,7 @@ class TestGridEngine:
         # temporaries of about four copies of it.  Stacking every model's
         # candidates into one eigen call goes past 1.25 times that budget.
         n, p, h_grid = 480, 10, (2, 6, 24, 96)
-        sizes = [simulation._chunk_size(n, p, H) for H in h_grid]
+        sizes = [slicing._chunk_size(n, p, H) for H in h_grid]
         chunk = max(sizes)
         slice_bytes = max(s * (n * p + 2 * H * p * p) for s, H in zip(sizes, h_grid))
         cand_bytes = len(h_grid) * len(METHODS) * chunk * p * p

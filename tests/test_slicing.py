@@ -827,6 +827,59 @@ def stats_arrays(st):
     return {f.name: getattr(st, f.name) for f in dataclasses.fields(st)}
 
 
+def grid_parts(grid, chunk):
+    """(i, part) of each slice-moments call that ``grid.moments`` makes on a
+    chunk of ``chunk`` replicates, in its order: the i-th H in parts of
+    ``grid.sizes[i]``."""
+    return [(i, slice(lo, lo + size)) for i, size in enumerate(grid.sizes)
+            for lo in range(0, chunk, size)]
+
+
+def grid_part(pooled, slice_means, i, part):
+    """What ``_SliceGrid.moments`` returned for the replicates ``part`` at
+    the i-th H, by the names of the ``SliceStats`` fields."""
+    means, weights = slice_means[i]
+    mean_cov, cov_square, fourth = pooled[:, i, part]
+    return dict(means=means[part], weights=weights, mean_cov=mean_cov,
+                cov_square=cov_square, fourth=fourth)
+
+
+def assert_part_is_public(got, want):
+    """Each array of ``got`` (``grid_part``) has the shape, dtype and bytes
+    of the same field of the SliceStats ``want``."""
+    for name, a in got.items():
+        b = getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestSliceGrid:
+    """``_SliceGrid.moments`` returns one (3, H grid, chunk, p, p) stack of
+    M, L and V and each H's means and weights, each part of them the
+    public ``slice_stats`` of that part, bit for bit."""
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 10))
+    def test_stack_and_means_equal_public_slice_stats(self, p):
+        # n = 203 leaves a remainder in the last slice at every H; from
+        # p = 3 on, H = 101 slices the chunk in parts of 2 (and H = 67 in
+        # parts of 3 at p = 10), which no H can do at p <= 2
+        n, h_grid = 203, [2, 67, 8, 101]
+        grid = slicing._SliceGrid(n, p, h_grid)
+        assert grid.sizes == [min(p, n // H) for H in h_grid]
+        rng = np.random.default_rng(p)
+        chunk = grid.chunk
+        z = rng.standard_normal((chunk, n, p)) * 1e3 + 7.0
+        y = rng.standard_normal((chunk, n))
+        grid.check(z)
+        pooled, slice_means = grid.moments(z, y)
+        assert pooled.shape == (3, len(h_grid), chunk, p, p)
+        assert [means.shape for means, _ in slice_means] == [(chunk, H, p) for H in h_grid]
+        assert any(size < chunk for size in grid.sizes) == (p > 2)
+        for i, part in grid_parts(grid, chunk):
+            want = slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
+            assert_part_is_public(grid_part(pooled, slice_means, i, part), want)
+
+
 class TestWorkBuffers:
     """Public calls return arrays of their own; engine calls that share
     ``slicing._Buffers`` give the same bits as fresh calls."""
@@ -865,23 +918,21 @@ class TestWorkBuffers:
         assert not np.shares_memory(first, second)
 
     def test_shared_buffers_give_the_bits_of_fresh_calls(self):
-        # sizes grow, shrink and grow again; a tie sends one y through the
-        # stable fallback
+        # chunks grow, shrink and grow again in one grid's buffers; a tie
+        # sends one y through the stable fallback
         rng = np.random.default_rng(23)
-        buffers = slicing._Buffers()
-        for shape, H in (((2, 90), 9), ((1, 40), 13), ((3, 90), 30), ((2, 90), 4)):
-            y = rng.standard_normal(shape)
-            if H == 13:
+        h_grid = (9, 13, 30, 4)
+        grid = slicing._SliceGrid(90, 2, h_grid)
+        for chunk in (2, 1, 3, 2):
+            y = rng.standard_normal((chunk, 90))
+            if chunk == 1:
                 y[0, 5] = y[0, 9]
-            np.testing.assert_array_equal(stable_order(y, buffers), stable_order(y))
-            z = rng.standard_normal(shape + (2,)) * 1e3
-            grid = slicing._SliceGrid(shape[1], [H], [shape[0]])
-            (i, part, stats), = grid.moments(z, y, buffers)
-            assert (i, part) == (0, slice(0, shape[0]))
-            got = stats_arrays(stats)
-            want = stats_arrays(slice_stats(z, slice_equal_count(y, H)))
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes(), (shape, H, name)
+            np.testing.assert_array_equal(stable_order(y, grid.buffers), stable_order(y))
+            z = rng.standard_normal((chunk, 90, 2)) * 1e3
+            pooled, slice_means = grid.moments(z, y)
+            for i, part in grid_parts(grid, chunk):
+                want = slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
+                assert_part_is_public(grid_part(pooled, slice_means, i, part), want)
 
 
 @st_.composite

@@ -298,6 +298,30 @@ def test_dataclasses_are_the_listed_ones():
     assert sorted(found) == sorted(DATACLASSES)
 
 
+#: Every definition that builds a ``SliceStats``, as "module:definition":
+#: the public ``slice_stats`` alone, so the engines' slice pass hands the
+#: estimators arrays, and a stats object per slicing does not come back.
+SLICE_STATS_BUILDERS = [
+    "slicing:slice_stats",
+]
+
+
+def _called_name(node: ast.Call):
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_slice_stats_are_built_only_by_the_public_call():
+    found = [
+        f"{path.stem}:{getattr(stmt, 'name', '<module>')}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for stmt in _parse(path).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and _called_name(node) == "SliceStats"
+    ]
+    assert found == SLICE_STATS_BUILDERS
+
+
 #: Every name in ``slicesdr.__all__``: each is public API that a caller
 #: may import, which shows here when it is added or removed.
 PUBLIC_NAMES = [
@@ -340,6 +364,7 @@ def test_public_names_are_the_listed_ones():
 #: "importer <- module.name": each is a coupling between the internals of
 #: two modules, which shows here when it is added or removed.
 PRIVATE_IMPORTS = [
+    "simulation <- estimators._debiased",
     "simulation <- estimators._write_candidates",
     "simulation <- linalg._leading_vectors",
     "simulation <- metrics._orthonormalize",

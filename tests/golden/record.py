@@ -2,7 +2,8 @@
 
 Each argv of ``ARGVS`` runs in-process through ``slicesdr.cli.main`` with
 ``COLUMNS=80`` (argparse wraps its help to the terminal width) in a
-scratch directory that holds ``EST.csv`` (see ``write_est_csv``).  The
+scratch directory that holds ``EST.csv``, ``TIES.csv`` and ``CONST.csv``
+(see ``write_est_csv``, ``write_ties_csv`` and ``write_const_csv``).  The
 corpus keeps, per argv, the exit code and the sha256 of stdout and of
 stderr, plus the parsed stdout of every ``--out json`` argv, so that a
 build whose numbers may differ in the last bits can still be compared.
@@ -67,6 +68,8 @@ _EACH_FORMAT = (
     "simulate --model 1 --p 1 --n 200 --slices 10 --reps 9",
     "simulate --model 3 --p 2 --n 201 --slices 40 --reps 9 --quantiles",
     "sweep --mode bias --n-grid 2003 --c-grid 3,4 --reps 5 --p 2",
+    *(f"estimate --input TIES.csv --y y --method {m}" for m in ("sir", "save", "csave")),
+    "simulate --model 4 --n 200 --slices 10 --reps 9 --quantiles --standardize",
 )
 
 #: Usage and input errors, help, the large-p sweeps and the default
@@ -91,9 +94,10 @@ _AS_WRITTEN = (
     "table1 --models 1,3 --H 2,96 --n 192 --reps 3",
     *(f"sweep --mode bias --n-grid 400 --reps 4 --c-grid {flags}"
       for flags in ("2,3", "2,3 --p 2", "2,4 --p 10")),
+    "estimate --input CONST.csv --y y",
 )
 
-#: The 125 argvs of the corpus, in order.
+#: The 138 argvs of the corpus, in order.
 ARGVS = [
     *(f"{cmd} --out {fmt}".split() for cmd in _EACH_FORMAT for fmt in _FORMATS),
     *(cmd.split() for cmd in _AS_WRITTEN),
@@ -108,6 +112,27 @@ def write_est_csv(path: Path) -> None:
     y = x[:, 0] ** 3 + x[:, 1] * rng.standard_normal(300)
     np.savetxt(path, np.column_stack([y, x]), delimiter=",", fmt="%.17g",
                header="y,x1,x2,x3,x4,x5", comments="")
+
+
+def write_ties_csv(path: Path) -> None:
+    """A 300-row CSV whose y takes 12 values, -6 to 5 (-0.0 and 0.0 among
+    them), so that ties straddle the slice boundaries and the sort of y
+    falls back to the stable argsort: y = 2 x1 + x2 eps rounded and
+    clipped, five standard normal predictors, from
+    ``np.random.default_rng(6)``."""
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((300, 5))
+    y = np.clip(np.round(2 * x[:, 0] + x[:, 1] * rng.standard_normal(300)), -6, 5)
+    np.savetxt(path, np.column_stack([y, x]), delimiter=",", fmt="%.17g",
+               header="y,x1,x2,x3,x4,x5", comments="")
+
+
+def write_const_csv(path: Path) -> None:
+    """A 60-row CSV whose y is constant (1.5), which ``estimate`` refuses,
+    with three standard normal predictors from ``np.random.default_rng(7)``."""
+    x = np.random.default_rng(7).standard_normal((60, 3))
+    np.savetxt(path, np.column_stack([np.full(60, 1.5), x]), delimiter=",",
+               fmt="%.17g", header="y,x1,x2,x3", comments="")
 
 
 def fingerprint() -> dict:
@@ -137,10 +162,13 @@ def sha256(text: str) -> str:
 
 @contextlib.contextmanager
 def replay_directory():
-    """A scratch working directory holding EST.csv, with COLUMNS=80."""
+    """A scratch working directory holding EST.csv, TIES.csv and CONST.csv,
+    with COLUMNS=80."""
     cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     with tempfile.TemporaryDirectory() as tmp:
         write_est_csv(Path(tmp) / "EST.csv")
+        write_ties_csv(Path(tmp) / "TIES.csv")
+        write_const_csv(Path(tmp) / "CONST.csv")
         os.chdir(tmp)
         os.environ["COLUMNS"] = "80"
         try:

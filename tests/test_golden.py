@@ -74,8 +74,8 @@ def replay(entries, same_build: bool) -> tuple:
 
 def test_corpus_holds_the_recorded_argvs():
     assert [entry["argv"] for entry in CORPUS["entries"]] == record.ARGVS
-    assert len(record.ARGVS) == 125
-    assert sum("json" in entry for entry in CORPUS["entries"]) == 37
+    assert len(record.ARGVS) == 138
+    assert sum("json" in entry for entry in CORPUS["entries"]) == 41
 
 
 def test_cli_output_matches_the_corpus(capsys):

@@ -17,11 +17,8 @@ from .estimators import (
     candidate_matrix,
     cdr_basis,
     correction_coefficients,
-    csave_matrix,
     lambda_corrected,
     negative_eigenvalue_count,
-    save_matrix,
-    sir_matrix,
 )
 from .linalg import (
     EigenResult,
@@ -37,10 +34,9 @@ from .simulation import (
     run_grid,
 )
 from .slicing import (
-    SliceAssignment,
     SliceStats,
-    slice_discrete,
-    slice_equal_count,
+    discrete_bounds,
+    equal_count_bounds,
     slice_stats,
 )
 
@@ -50,15 +46,15 @@ __all__ = [
     "DEFAULT_SEED",
     "EigenResult",
     "METHODS",
-    "SliceAssignment",
     "SliceStats",
     "bias_sweep",
     "candidate_matrix",
     "cdr_basis",
     "correction_coefficients",
-    "csave_matrix",
     "directions_to_x_scale",
+    "discrete_bounds",
     "ensure_symmetric",
+    "equal_count_bounds",
     "inv_sqrt",
     "lambda_corrected",
     "load_csv",
@@ -66,10 +62,6 @@ __all__ = [
     "negative_eigenvalue_count",
     "r2_single",
     "run_grid",
-    "save_matrix",
-    "sir_matrix",
-    "slice_discrete",
-    "slice_equal_count",
     "slice_stats",
     "standardize",
     "sym_eig",

@@ -49,7 +49,7 @@ from .simulation import (
     order_stats,
     run_grid,
 )
-from .slicing import slice_equal_count, slice_stats
+from .slicing import equal_count_bounds, slice_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,7 +134,7 @@ def _cmd_estimate(args) -> int:
         )
     z, root = standardize(x)
     del x  # nothing reads x after whitening; free it before the slice gather
-    stats = slice_stats(z, slice_equal_count(y, H))
+    stats = slice_stats(z, y, equal_count_bounds(n, H))
     eig = sym_eig(candidate_matrix(args.method, stats))
     basis = cdr_basis(eig, args.k, root)
     negative = negative_eigenvalue_count(eig) if args.method == "csave" else None

@@ -6,21 +6,22 @@ central dimension-reduction subspace.  Each is a closed form in the pooled
 moments of the slice stats, M = sum_h p_h S_h, L = sum_h p_h S_h^2 and the
 fourth-moment matrix V:
 
-* ``sir_matrix``   -- between-slice means,  sum_h p_h m_h m_h^T
-* ``save_matrix``  -- sum_h p_h (I - S_h)^2 = I - 2 M + L
-* ``lambda_corrected`` -- the debiased slice-covariance square a L - b V
-* ``csave_matrix`` -- bias-corrected SAVE: I - 2 M + (a L - b V)
+* ``"sir"``   -- between-slice means,  sum_h p_h m_h m_h^T
+* ``"save"``  -- sum_h p_h (I - S_h)^2 = I - 2 M + L
+* ``"csave"`` -- bias-corrected SAVE: I - 2 M + (a L - b V)
+
+and ``lambda_corrected`` is the debiased slice-covariance square a L - b V
+on its own.
 
 One writer, ``_write_candidates``, maps a method name of ``METHODS`` to
 its matrix, and it is the only code that does or that states the SAVE and
 CSAVE sums: from stacks of the pooled moments (M, L, V) over H and
 replicates it writes SAVE and CSAVE once, with one I - 2 M they share,
-and SIR once per H from that H's slice means and weights (``_between``,
-which ``sir_matrix`` calls too).  ``candidate_matrix``, ``save_matrix``
-and ``csave_matrix`` run it on a one-H stack of one stats, as the CLI
-does; the Monte Carlo harness runs it once per model and chunk on the
-arrays of ``slicing._SliceGrid.moments``, so SAVE and CSAVE take one write
-for all H.
+and SIR once per H from that H's slice means and weights (``_between``).
+``candidate_matrix(method, stats)``, the one public call, runs it on a
+one-H stack of one stats, as the CLI does; the Monte Carlo harness runs it
+once per model and chunk on the arrays of ``slicing._SliceGrid.moments``,
+so SAVE and CSAVE take one write for all H.
 
 Slice averages use the observed weights p_h = c_h / n; the correction
 coefficients (a, b) use the global slice size c = floor(n / H), since they
@@ -70,16 +71,6 @@ def _between(means: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0  # the product is symmetric to rounding only
 
 
-def sir_matrix(stats: SliceStats) -> np.ndarray:
-    """Estimated Cov(E(z|Y)): the exactly-PSD sum_h p_h m_h m_h^T."""
-    return _between(stats.means, stats.weights)
-
-
-def save_matrix(stats: SliceStats) -> np.ndarray:
-    """Estimated E[(I - Cov(z|Y))^2]: sum_h p_h (I - S_h)^2 = I - 2 M + L."""
-    return candidate_matrix("save", stats)
-
-
 def correction_coefficients(c: int) -> tuple[float, float]:
     """Scalar weights (a, b) of the debiased combination a*L - b*V."""
     check_integer("c", c)
@@ -104,20 +95,19 @@ def lambda_corrected(stats: SliceStats) -> np.ndarray:
                      *correction_coefficients(stats.n // stats.H))
 
 
-def csave_matrix(stats: SliceStats) -> np.ndarray:
-    """Bias-corrected SAVE: I - 2 M + (a L - b V).
-
-    a(c) and b(c) debias the unbiased (c - 1) slice covariances that
-    ``slice_stats`` forms.  The result is symmetric but can be indefinite
-    in finite samples: directions are ranked later by algebraically largest
-    eigenvalue, and negative tail eigenvalues are surfaced as a diagnostic,
-    not clipped.
-    """
-    return candidate_matrix("csave", stats)
-
-
 def candidate_matrix(method: str, stats: SliceStats) -> np.ndarray:
-    """The candidate matrix of ``method``, one of METHODS."""
+    """The candidate matrix of ``method``, one of METHODS:
+
+    * ``"sir"``, estimated Cov(E(z|Y)): the exactly-PSD sum_h p_h m_h m_h^T;
+    * ``"save"``, estimated E[(I - Cov(z|Y))^2]:
+      sum_h p_h (I - S_h)^2 = I - 2 M + L;
+    * ``"csave"``, bias-corrected SAVE: I - 2 M + (a L - b V).  a(c) and
+      b(c) debias the unbiased (c - 1) slice covariances that
+      ``slice_stats`` forms.  The result is symmetric but can be indefinite
+      in finite samples: directions are ranked later by algebraically
+      largest eigenvalue, and negative tail eigenvalues are surfaced as a
+      diagnostic, not clipped.
+    """
     out = np.empty((1, 1, *stats.mean_cov.shape))
     pooled = (stats.mean_cov[None], stats.cov_square[None], stats.fourth[None])
     _write_candidates((method,), pooled, [(stats.means, stats.weights)],

@@ -1,21 +1,25 @@
 """Partition observations into slices by the response, and slice moments.
 
-Continuous responses get equal-count slices over the sorted order (the last
-slice absorbs any remainder); discrete responses get one slice per distinct
-value.  A slice assignment is a permutation of the observations in slice
-order plus the offsets where each slice starts.  The sorted order is
+A slicing is a response y and its bounds, the offsets where each slice
+starts in the stable sort of y: slice h holds the observations at sorted
+positions bounds[h]..bounds[h + 1] - 1, tied values in row order.
+Continuous responses get equal-count slices (``equal_count_bounds``: the
+last slice absorbs any remainder); discrete responses get one slice per
+distinct value (``discrete_bounds``).  The sorted order is
 ``stable_order``: a float sort of keys that carry each value's column in
-their low bits, checked, with the stable argsort as its fallback.
+their low bits, checked, with the stable argsort as its fallback.  It is
+always derived from y, never taken from a caller, so it needs no check.
 
-``slice_stats`` gathers the rows into slice order once and returns every
-moment the estimators use: per-slice means and unbiased covariances S_h
-(dividing by c_h - 1), the pooled moments M = sum_h p_h S_h and
-L = sum_h p_h S_h^2, and the pooled within-slice fourth-moment matrix V.
-It checks its arguments and hands them to one core, ``_slice_moments``,
-with the slice plan of the bounds (``_SlicePlan``: counts, weights and
-runs of equal-size slices).  The core writes M, L, V and the slice means
-into arrays its caller gives and returns the covariances; ``slice_stats``
-gives it fresh arrays and is the only code that builds a ``SliceStats``.
+``slice_stats(z, y, bounds)`` sorts y, gathers the rows of z into slice
+order once and returns every moment the estimators use: per-slice means
+and unbiased covariances S_h (dividing by c_h - 1), the pooled moments
+M = sum_h p_h S_h and L = sum_h p_h S_h^2, and the pooled within-slice
+fourth-moment matrix V.  It checks its arguments and hands the flat index
+of the sorted order to one core, ``_slice_moments``, with the slice plan
+of the bounds (``_SlicePlan``: counts, weights and runs of equal-size
+slices).  The core writes M, L, V and the slice means into arrays its
+caller gives and returns the covariances; ``slice_stats`` gives it fresh
+arrays and is the only code that builds a ``SliceStats``.
 The Monte Carlo engines slice a chunk of replicates at every H of a grid
 through ``_SliceGrid``: one plan and one sub-chunk size (``_chunk_size``)
 per H per engine call, one sort of each response for all H, and plain
@@ -35,64 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InvalidArgument, NumericalError
-
-
-@dataclass(frozen=True)
-class SliceAssignment:
-    """A partition of observation indices into H response-ordered slices.
-
-    Slice h holds the observations ``order[..., bounds[h]:bounds[h + 1]]``;
-    a batched order of shape (..., n) holds one permutation per row, all
-    sharing the bounds.
-    """
-
-    order: np.ndarray   # (..., n) permutations of 0..n-1, in slice order
-    bounds: np.ndarray  # (H + 1,) offsets into order, from 0 to n
-
-    def __post_init__(self):
-        order = np.asarray(self.order)
-        bounds = np.asarray(self.bounds)
-        if order.ndim < 1 or bounds.ndim != 1 or not (
-            np.issubdtype(order.dtype, np.integer)
-            and np.issubdtype(bounds.dtype, np.integer)
-        ):
-            raise InvalidArgument("order and bounds must be integer arrays, bounds 1-d")
-        if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != order.shape[-1]:
-            raise InvalidArgument("bounds must run from 0 to len(order)")
-        # compared, not differenced: unsigned differences wrap around
-        if (bounds[1:] < bounds[:-1]).any():
-            raise InvalidArgument("bounds must not decrease")
-        if np.diff(bounds).min() < 2:
-            raise DataError("every slice needs at least 2 members")
-        _check_order(order)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "bounds", bounds)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """(H,) slice sizes, ``np.diff(bounds)`` without its wrapper's cost;
-        a slice plan (``_SlicePlan``) derives them once per set of bounds."""
-        return self.bounds[1:] - self.bounds[:-1]
-
-    @property
-    def H(self) -> int:
-        return int(self.bounds.size - 1)
-
-    @property
-    def n(self) -> int:
-        return int(self.order.shape[-1])
-
-
-def _check_order(order: np.ndarray) -> None:
-    """Raise unless each row of an integer (..., n) order is a permutation
-    of 0..n-1."""
-    n = order.shape[-1]
-    if order.min() < 0 or order.max() >= n:
-        raise InvalidArgument("order must be a permutation of 0..n-1")
-    seen = np.zeros(order.size, dtype=bool)
-    seen[_flat_index(order)] = True
-    if not seen.all():
-        raise InvalidArgument("order must be a permutation of 0..n-1")
 
 
 class _Buffers:
@@ -216,28 +162,6 @@ def _finite_response(y) -> np.ndarray:
     return y
 
 
-def slice_equal_count(y, H: int) -> SliceAssignment:
-    """Assign sorted observations to H slices of c = floor(n/H) points.
-
-    ``y`` has shape (n,) or (..., n); each row is sorted on its own along
-    the last axis.  Sorting is stable, so ties keep their original order
-    and tied values can fall on either side of a slice boundary by their
-    row position.  Slices 1..H-1 hold exactly c points; the last slice
-    absorbs the remainder (it can be larger than c, never smaller).  A
-    constant row raises DataError: its slices would follow the row order
-    alone, and so would any direction estimated from them.
-    """
-    y = _finite_response(np.atleast_1d(y))
-    bounds = equal_count_bounds(y.shape[-1], H)
-    constant = y.min(axis=-1) == y.max(axis=-1)
-    if constant.any():
-        at = tuple(int(i) for i in np.argwhere(constant)[0])
-        row = "" if y.ndim == 1 else f" row {at[0] if y.ndim == 2 else at}"
-        raise DataError(f"response{row} is constant: its equal-count slices would"
-                        " follow the row order alone")
-    return SliceAssignment(order=stable_order(y), bounds=bounds)
-
-
 def check_integer(name: str, value) -> None:
     """Raise InvalidArgument naming ``name`` unless ``value`` is an int or a
     numpy integer; a bool is not taken for one."""
@@ -257,18 +181,15 @@ def equal_count_bounds(n: int, H: int) -> np.ndarray:
     return np.append(np.arange(H) * (n // H), n)
 
 
-def slice_discrete(y) -> SliceAssignment:
-    """One slice per distinct response value, ordered by ascending value;
-    -0.0 and 0.0 are one value.
+def discrete_bounds(y) -> np.ndarray:
+    """Bounds of one slice per distinct value of a 1-d response, in
+    ascending order of value; -0.0 and 0.0 are one value.
 
-    The order is the stable argsort of y, and the slices are the runs of
-    equal values in the sorted y.
+    The slices are the runs of equal values in the sorted y.
     """
     if np.ndim(y) != 1:
         raise InvalidArgument(f"y must be 1-d, got shape {np.shape(y)}")
-    y = _finite_response(y)
-    order = np.argsort(y, kind="stable")
-    ys = y[order]
+    ys = np.sort(_finite_response(y))
     edges = np.ones(ys.size + 1, dtype=bool)
     np.not_equal(ys[1:], ys[:-1], out=edges[1:-1])
     bounds = np.flatnonzero(edges)
@@ -280,7 +201,7 @@ def slice_discrete(y) -> SliceAssignment:
     thin = ys[bounds[:-1][counts < 2]]
     if thin.size:
         raise DataError(f"response value {float(thin[0])!r} appears only once")
-    return SliceAssignment(order=order, bounds=bounds)
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -446,58 +367,55 @@ def _check_finite(z: np.ndarray) -> None:
         raise NumericalError("z has non-finite entries")
 
 
-def slice_stats(z, assignment: SliceAssignment) -> SliceStats:
-    """Slice moments of the rows of z, from one gather into slice order.
+def slice_stats(z, y, bounds) -> SliceStats:
+    """Slice moments of the rows of z, sliced by the response y at
+    ``bounds``, from one gather into slice order.
 
-    ``z`` has shape (n, p) or (..., n, p) and must be finite; a 1-d order
-    in ``assignment`` is shared by every row of the batch.  Two passes over
-    each slice: the first forms the mean, the second the covariance
-    S_h = sum_j d_hj d_hj^T / (c_h - 1) from the deviations
-    d_hj = z_hj - mean_h.
-    Summing deviations rather than raw products keeps S_h accurate when
-    the data sit far from the origin (Chan, Golub & LeVeque 1983).
-    The means come from ``np.add.reduceat``; at p = 1 slices of at most
-    ``_POSITION_SUM_MAX_C`` points are summed by position in reduceat's own
-    order (``_position_sum``), so every mean is reduceat's bit for bit, as
-    ``TestPositionSum`` in tests/test_slicing.py pins.
-    Each call checks its arguments, builds the plan of the bounds
-    (``_SlicePlan``) and the flat index of the order, and hands them to
-    ``_slice_moments`` with fresh arrays for the moments, which
-    ``_SliceGrid`` calls with one plan per H, the index that
-    ``stable_order`` leaves and views of its stacks.
-    A run of k adjacent slices of m points is one (..., k, m, p) block whose
-    covariances come from one stacked product, so the (n, p, p) outer
-    products are never formed; the same block viewed as (..., k p, p) gives
-    the run's share of L = sum_h p_h S_h^2 in one more product.  V averages
-    ||d||^2 d d^T over all n deviations; at p = 1 that is (d^2)^2, formed
-    from the squared deviations the runs leave (pinned by ``TestAbsScale``).
-    At p = 1 a run of m up to ``_POSITION_SUM_MAX_C`` points is a (..., k, m)
-    view with the unit axis dropped (``_flat_run``): a slice's covariance is
-    its sum of squared deviations, added in the lane order of the block's
-    einsum (``_lane_sum``, pinned by ``TestLaneSum``).
-    Every array returned is fresh.
+    ``y`` has shape (n,) or (..., n) and must be finite and, row by row,
+    not constant; each row is sorted on its own along the last axis with
+    ``stable_order``, so tied values keep their row order and can fall on
+    either side of a slice boundary by their row position.  ``bounds`` is
+    a 1-d integer array from 0 to n that does not decrease, with at least
+    2 members per slice, shared by every row (``equal_count_bounds``,
+    ``discrete_bounds``).  ``z`` has shape (n, p) or (..., n, p) and must
+    be finite; a 1-d y is shared by every row of the batch.  Every array
+    returned is fresh.
     """
+    y = _finite_response(np.atleast_1d(y))
+    n, bounds = y.shape[-1], np.asarray(bounds)
+    if bounds.ndim != 1 or not np.issubdtype(bounds.dtype, np.integer):
+        raise InvalidArgument("bounds must be a 1-d integer array")
+    if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n:
+        raise InvalidArgument("bounds must run from 0 to n, the length of y")
+    # compared, not differenced: unsigned differences wrap around
+    if (bounds[1:] < bounds[:-1]).any():
+        raise InvalidArgument("bounds must not decrease")
+    if np.diff(bounds).min() < 2:
+        raise DataError("every slice needs at least 2 members")
+    constant = y.min(axis=-1) == y.max(axis=-1)
+    if constant.any():
+        at = tuple(int(i) for i in np.argwhere(constant)[0])
+        row = "" if y.ndim == 1 else f" row {at[0] if y.ndim == 2 else at}"
+        raise DataError(f"response{row} is constant: its equal-count slices would"
+                        " follow the row order alone")
     z = np.asarray(z, dtype=float)
     if z.ndim < 2:
         raise InvalidArgument(f"z must have shape (..., n, p), got {z.shape}")
-    if z.shape[-2] != assignment.n:
-        raise InvalidArgument(
-            f"assignment covers {assignment.n} rows but z has {z.shape[-2]}"
-        )
+    if z.shape[-2] != n:
+        raise InvalidArgument(f"y covers {n} rows but z has {z.shape[-2]}")
     _check_finite(z)
-    order = assignment.order
-    if order.shape != z.shape[:-1]:
-        try:
-            order = np.broadcast_to(order, z.shape[:-1])
-        except ValueError:
-            raise InvalidArgument(
-                f"order of shape {order.shape} does not fit z of shape {z.shape}"
-            ) from None
-    plan, batch, p = _SlicePlan(assignment.bounds), order.shape[:-1], z.shape[-1]
+    buffers = _Buffers()
+    try:
+        order = np.broadcast_to(stable_order(y, buffers), z.shape[:-1])
+    except ValueError:
+        raise InvalidArgument(
+            f"y of shape {y.shape} does not fit z of shape {z.shape}"
+        ) from None
+    plan, batch, p = _SlicePlan(bounds), order.shape[:-1], z.shape[-1]
     mean_cov, cov_square, fourth = pooled = [np.empty(batch + (p, p)) for _ in range(3)]
     means = np.empty(batch + (plan.counts.size, p))
     covs = _slice_moments(z.reshape(order.size, p), _flat_index(order), plan,
-                          _Buffers(), pooled, means)
+                          buffers, pooled, means)
     return SliceStats(counts=plan.counts, means=means, covs=covs,
                       weights=plan.weights, fourth=fourth, mean_cov=mean_cov,
                       cov_square=cov_square)
@@ -511,13 +429,35 @@ def _slice_moments(z: np.ndarray, index: np.ndarray, plan: _SlicePlan,
     the three arrays of ``pooled`` (each (..., p, p), views of one stack or
     arrays of their own) and the slice means into ``means`` (..., H, p);
     the slice covariances (..., H, p, p) are returned, and live in
-    ``buffers``.
+    ``buffers``.  ``slice_stats`` calls it with fresh arrays and one plan;
+    ``_SliceGrid`` with one plan per H, the index that ``stable_order``
+    leaves and views of its stacks.
+
+    Two passes over each slice: the first forms the mean, the second the
+    covariance S_h = sum_j d_hj d_hj^T / (c_h - 1) from the deviations
+    d_hj = z_hj - mean_h.
+    Summing deviations rather than raw products keeps S_h accurate when
+    the data sit far from the origin (Chan, Golub & LeVeque 1983).
+    The means come from ``np.add.reduceat``; at p = 1 slices of at most
+    ``_POSITION_SUM_MAX_C`` points are summed by position in reduceat's own
+    order (``_position_sum``), so every mean is reduceat's bit for bit, as
+    ``TestPositionSum`` in tests/test_slicing.py pins.
+    A run of k adjacent slices of m points is one (..., k, m, p) block whose
+    covariances come from one stacked product, so the (n, p, p) outer
+    products are never formed; the same block viewed as (..., k p, p) gives
+    the run's share of L = sum_h p_h S_h^2 in one more product.  V averages
+    ||d||^2 d d^T over all n deviations; at p = 1 that is (d^2)^2, formed
+    from the squared deviations the runs leave (pinned by ``TestAbsScale``).
+    At p = 1 a run of m up to ``_POSITION_SUM_MAX_C`` points is a (..., k, m)
+    view with the unit axis dropped (``_flat_run``): a slice's covariance is
+    its sum of squared deviations, added in the lane order of the block's
+    einsum (``_lane_sum``, pinned by ``TestLaneSum``).
     """
     batch, n, p = index.shape[:-1], index.shape[-1], z.shape[-1]
-    # The index rows are permutations of rows of z (``SliceAssignment``
-    # checks an order it is given, and ``stable_order`` returns one), so
-    # "clip" only skips the bounds check, which would copy the gather
-    # through a temporary.
+    # The index rows are permutations of rows of z (``stable_order``
+    # returns one, and each caller derives its order from it), so "clip"
+    # only skips the bounds check, which would copy the gather through a
+    # temporary.
     zs = np.take(z, index, axis=0, out=buffers.get("zs", index.shape + (p,)),
                  mode="clip")
     covs = buffers.get("covs", batch + (plan.counts.size, p, p))

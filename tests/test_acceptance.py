@@ -25,12 +25,12 @@ from slicesdr import (
     DEFAULT_SEED,
     METHODS,
     bias_sweep,
+    candidate_matrix,
     correction_coefficients,
+    equal_count_bounds,
     inv_sqrt,
     r2_single,
     run_grid,
-    save_matrix,
-    slice_equal_count,
     slice_stats,
     sym_eig,
 )
@@ -209,9 +209,8 @@ def test_acceptance_5_exact_identities():
         cases += 1
         z = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        a = slice_equal_count(y, H)
-        st = slice_stats(z, a)
-        zs = z[a.order]
+        st = slice_stats(z, y, equal_count_bounds(n, H))
+        zs = z[np.argsort(y, kind="stable")]
         acc = np.zeros((p, p))
         for h in range(H):
             rows = zs[h * c:(h + 1) * c]
@@ -230,14 +229,14 @@ def test_acceptance_5_exact_identities():
     # expansion identity: save = I - 2 mean(cov) + mean(cov^2)
     z = rng.standard_normal((36, 3))
     y = rng.standard_normal(36)
-    st = slice_stats(z, slice_equal_count(y, 6))
+    st = slice_stats(z, y, equal_count_bounds(36, 6))
     mean_cov = np.einsum("h,hij->ij", st.weights, st.covs)
     expanded = np.eye(3) - 2 * mean_cov + st.cov_square
-    assert np.abs(save_matrix(st) - expanded).max() <= 1e-12
+    assert np.abs(candidate_matrix("save", st) - expanded).max() <= 1e-12
 
     # pairwise-difference covariance identity
     z = rng.standard_normal((8, 2))
-    st = slice_stats(z, slice_equal_count(np.arange(8.0), 1))
+    st = slice_stats(z, np.arange(8.0), equal_count_bounds(8, 1))
     acc = np.zeros((2, 2))
     for l in range(1, 8):
         for j in range(l):

@@ -683,15 +683,15 @@ class TestSweep:
 #: numpy.ma has been imported by then.
 NUMPY_MA_CHILD = """
 import contextlib, io, json, sys
-from slicesdr import slice_discrete
+from slicesdr import discrete_bounds
 from slicesdr.cli import main
 loaded = {}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     loaded[" ".join(argv)] = "numpy.ma" in sys.modules
-slice_discrete([1.0, 1.0, 2.0, 2.0, 0.0, -0.0])
-loaded["slice_discrete"] = "numpy.ma" in sys.modules
+discrete_bounds([1.0, 1.0, 2.0, 2.0, 0.0, -0.0])
+loaded["discrete_bounds"] = "numpy.ma" in sys.modules
 print(json.dumps(loaded))
 """
 

@@ -24,24 +24,20 @@ from slicesdr import (
     candidate_matrix,
     cdr_basis,
     correction_coefficients,
-    csave_matrix,
     lambda_corrected,
     negative_eigenvalue_count,
-    save_matrix,
-    sir_matrix,
-    slice_equal_count,
+    equal_count_bounds,
     slice_stats,
     standardize,
     sym_eig,
 )
 from slicesdr.errors import AmbiguousDimensionWarning, InvalidArgument
 from slicesdr.estimators import _write_candidates
-from slicesdr.slicing import SliceAssignment
 
 
 def sorted_stats(z, y, H):
-    a = slice_equal_count(y, H)
-    return a, slice_stats(z, a)
+    """The slice stats of z at H equal-count slices of y."""
+    return slice_stats(z, y, equal_count_bounds(np.shape(y)[-1], H))
 
 
 def exact_lambda_mean(c):
@@ -61,16 +57,16 @@ class TestSir:
     def test_zero_between_slice_signal(self):
         # every slice is (v, -v): slice means vanish
         z = np.array([[1.0], [-1.0], [2.0], [-2.0]])
-        _, st = sorted_stats(z, np.array([0.0, 0.1, 1.0, 1.1]), 2)
-        m = sir_matrix(st)
+        st = sorted_stats(z, np.array([0.0, 0.1, 1.0, 1.1]), 2)
+        m = candidate_matrix("sir", st)
         np.testing.assert_allclose(m, np.zeros((1, 1)), atol=1e-14)
 
     def test_scalar_closed_form(self):
         # means -a and +a with equal weights: matrix value a^2
         a = 0.7
         z = np.array([[-a - 0.1], [-a + 0.1], [a - 0.1], [a + 0.1]])
-        _, st = sorted_stats(z, np.arange(4.0), 2)
-        assert sir_matrix(st)[0, 0] == pytest.approx(a * a, abs=1e-12)
+        st = sorted_stats(z, np.arange(4.0), 2)
+        assert candidate_matrix("sir", st)[0, 0] == pytest.approx(a * a, abs=1e-12)
 
     def test_form_agreement_tightens_with_n(self):
         # the two SIR forms differ by O(1/n) at fixed H on standardized data
@@ -82,8 +78,8 @@ class TestSir:
                 x = rng.standard_normal((n, p))
                 y = x[:, 0] + 0.5 * rng.standard_normal(n)
                 z, _ = standardize(x)
-                _, st = sorted_stats(z, y, H)
-                diff = sir_matrix(st) - sir_identity_minus(st)
+                st = sorted_stats(z, y, H)
+                diff = candidate_matrix("sir", st) - sir_identity_minus(st)
                 gaps[n].append(np.linalg.norm(diff))
         assert np.mean(gaps[200]) / np.mean(gaps[2000]) >= 5.0
 
@@ -92,8 +88,8 @@ class TestSir:
         x = rng.standard_normal((120, 4))
         y = x[:, 0] + 0.1 * rng.standard_normal(120)
         z, _ = standardize(x)
-        _, st = sorted_stats(z, y, 6)
-        b1 = sym_eig(sir_matrix(st)).vectors[:, 0]
+        st = sorted_stats(z, y, 6)
+        b1 = sym_eig(candidate_matrix("sir", st)).vectors[:, 0]
         b2 = sym_eig(sir_identity_minus(st)).vectors[:, 0]
         assert abs(b1 @ b2) == pytest.approx(1.0, abs=1e-8)
 
@@ -101,16 +97,14 @@ class TestSir:
         rng = np.random.default_rng(10)
         z = rng.standard_normal((60, 3))
         y = rng.standard_normal(60)
-        a, st = sorted_stats(z, y, 5)
-        m = sir_matrix(st)
+        st = sorted_stats(z, y, 5)
+        m = candidate_matrix("sir", st)
         assert sym_eig(m).values[-1] >= -1e-8 * np.trace(m)
-        # permuting slice labels leaves the weighted sum unchanged
-        slices = [a.order[a.bounds[h]:a.bounds[h + 1]] for h in range(a.H)][::-1]
-        perm = SliceAssignment(
-            order=np.concatenate(slices),
-            bounds=np.concatenate([[0], np.cumsum([len(s) for s in slices])]),
-        )
-        m2 = sir_matrix(slice_stats(z, perm))
+        # permuting slice labels leaves the weighted sum unchanged: slicing
+        # by -y gives the same 5 slices of 12 in reverse order
+        reversed_stats = sorted_stats(z, -y, 5)
+        np.testing.assert_allclose(reversed_stats.means, st.means[::-1], atol=1e-12)
+        m2 = candidate_matrix("sir", reversed_stats)
         np.testing.assert_allclose(m, m2, atol=1e-12)
 
 
@@ -119,14 +113,14 @@ class TestSave:
         # c=2 pairs with difference sqrt(2) have unbiased variance exactly 1
         step = np.sqrt(2.0)
         z = np.array([[0.0], [step], [5.0], [5.0 + step]])
-        _, st = sorted_stats(z, np.arange(4.0), 2)
-        np.testing.assert_allclose(save_matrix(st), [[0.0]], atol=1e-12)
+        st = sorted_stats(z, np.arange(4.0), 2)
+        np.testing.assert_allclose(candidate_matrix("save", st), [[0.0]], atol=1e-12)
 
     def test_scalar_two_slice_value(self):
         # slice variances 0 and 2 with equal weights -> (1 + 1)/2 = 1
         z = np.array([[1.0], [1.0], [0.0], [2.0]])
-        _, st = sorted_stats(z, np.arange(4.0), 2)
-        assert save_matrix(st)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        st = sorted_stats(z, np.arange(4.0), 2)
+        assert candidate_matrix("save", st)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_expansion_identity(self):
         # sum_h p_h (I - S_h)^2 = I - 2 mean(S) + mean(S^2), same divisor
@@ -134,19 +128,19 @@ class TestSave:
         for _ in range(5):
             z = rng.standard_normal((36, 3))
             y = rng.standard_normal(36)
-            _, st = sorted_stats(z, y, 4)
+            st = sorted_stats(z, y, 4)
             resid = np.eye(3) - st.covs
             lhs = sum(w * r @ r for w, r in zip(st.weights, resid))
             mean_cov = np.einsum("h,hij->ij", st.weights, st.covs)
             rhs = np.eye(3) - 2 * mean_cov + st.cov_square
-            np.testing.assert_allclose(save_matrix(st), lhs, atol=1e-12)
+            np.testing.assert_allclose(candidate_matrix("save", st), lhs, atol=1e-12)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_psd(self):
         rng = np.random.default_rng(12)
         z = rng.standard_normal((48, 4))
-        _, st = sorted_stats(z, rng.standard_normal(48), 6)
-        m = save_matrix(st)
+        st = sorted_stats(z, rng.standard_normal(48), 6)
+        m = candidate_matrix("save", st)
         assert sym_eig(m).values[-1] >= -1e-8 * np.trace(m)
 
 
@@ -154,14 +148,14 @@ class TestLambdaN:
     def test_identity_slices(self):
         step = np.sqrt(2.0)
         z = np.array([[0.0], [step], [3.0], [3.0 + step]])
-        _, st = sorted_stats(z, np.arange(4.0), 2)
+        st = sorted_stats(z, np.arange(4.0), 2)
         np.testing.assert_allclose(st.cov_square, [[1.0]], atol=1e-12)
 
     def test_scalar_average_of_squares(self):
         # variances 1 and 3, equal weights -> (1 + 9)/2 = 5
         r = np.sqrt(2.0) / 2
         z = np.array([[-r], [r], [-r * np.sqrt(3)], [r * np.sqrt(3)]])
-        _, st = sorted_stats(z, np.arange(4.0), 2)
+        st = sorted_stats(z, np.arange(4.0), 2)
         assert st.cov_square[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_quadruple_sum_oracle(self):
@@ -178,8 +172,8 @@ class TestLambdaN:
             cases += 1
             z = rng.standard_normal((n, p))
             y = rng.standard_normal(n)
-            a, st = sorted_stats(z, y, H)
-            zs = z[a.order]
+            st = sorted_stats(z, y, H)
+            zs = z[np.argsort(y, kind="stable")]
             acc = np.zeros((p, p))
             for h in range(H):
                 rows = zs[h * c : (h + 1) * c]
@@ -200,13 +194,13 @@ class TestLambdaN:
 class TestVn:
     def test_single_slice_unit_fourth_powers(self):
         z = np.array([[-1.0], [1.0]])
-        a = slice_equal_count(np.array([0.0, 1.0]), 1)
-        assert slice_stats(z, a).fourth[0, 0] == pytest.approx(1.0, abs=1e-14)
+        st = sorted_stats(z, np.array([0.0, 1.0]), 1)
+        assert st.fourth[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_degenerate_spread(self):
         z = np.ones((6, 2))
-        a = slice_equal_count(np.arange(6.0), 3)
-        np.testing.assert_allclose(slice_stats(z, a).fourth, np.zeros((2, 2)), atol=1e-14)
+        st = sorted_stats(z, np.arange(6.0), 3)
+        np.testing.assert_allclose(st.fourth, np.zeros((2, 2)), atol=1e-14)
 
     def test_gaussian_fourth_moment_level(self):
         # pure noise, c = 10: slice deviations are N(0, (c-1)/c), so the
@@ -218,8 +212,7 @@ class TestVn:
             rng = np.random.default_rng(1000 + seed)
             z = rng.standard_normal((n, 1))
             y = rng.standard_normal(n)
-            a = slice_equal_count(y, n // c)
-            vals.append(slice_stats(z, a).fourth[0, 0])
+            vals.append(sorted_stats(z, y, n // c).fourth[0, 0])
         assert np.mean(vals) == pytest.approx(3.0 * ((c - 1) / c) ** 2, abs=0.1)
 
 
@@ -231,7 +224,7 @@ class TestLambdaCorrected:
     def test_zero_inputs(self):
         rng = np.random.default_rng(14)
         y = rng.standard_normal(8)
-        _, st = sorted_stats(np.zeros((8, 2)), y, 4)
+        st = sorted_stats(np.zeros((8, 2)), y, 4)
         out = lambda_corrected(st)
         np.testing.assert_allclose(out, np.zeros((2, 2)), atol=1e-14)
 
@@ -260,7 +253,7 @@ class TestLambdaCorrected:
     def test_uses_global_slice_size(self):
         # n = 23, H = 4: slices of 5, 5, 5, 8 take the c = 23 // 4 = 5 weights
         rng = np.random.default_rng(16)
-        _, st = sorted_stats(rng.standard_normal((23, 2)), rng.standard_normal(23), 4)
+        st = sorted_stats(rng.standard_normal((23, 2)), rng.standard_normal(23), 4)
         a, b = correction_coefficients(5)
         np.testing.assert_array_equal(
             lambda_corrected(st),
@@ -274,15 +267,15 @@ class TestCsave:
         step = np.sqrt(2.0)
         z = np.array([[0.0], [step], [4.0], [4.0 + step], [9.0], [9.0 + step]])
         y = np.arange(6.0)
-        _, st = sorted_stats(z, y, 3)
+        st = sorted_stats(z, y, 3)
         expected = -0.5 * st.fourth
-        np.testing.assert_allclose(csave_matrix(st), expected, atol=1e-12)
+        np.testing.assert_allclose(candidate_matrix("csave", st), expected, atol=1e-12)
 
     def test_assembly_identity(self):
         rng = np.random.default_rng(18)
         z = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
-        _, st = sorted_stats(z, y, 5)
+        st = sorted_stats(z, y, 5)
         c = 40 // 5
         coeff_a, coeff_b = correction_coefficients(c)
         mean_cov = np.einsum("h,hij->ij", st.weights, st.covs)
@@ -292,16 +285,16 @@ class TestCsave:
             + coeff_a * st.cov_square
             - coeff_b * st.fourth
         )
-        np.testing.assert_allclose(csave_matrix(st), manual, atol=1e-13)
+        np.testing.assert_allclose(candidate_matrix("csave", st), manual, atol=1e-13)
 
     def test_large_c_limit_bound(self):
         rng = np.random.default_rng(19)
         n, c = 2000, 1000
         z = rng.standard_normal((n, 2))
         y = rng.standard_normal(n)
-        _, st = sorted_stats(z, y, n // c)
-        cs = csave_matrix(st)
-        sv = save_matrix(st)
+        st = sorted_stats(z, y, n // c)
+        cs = candidate_matrix("csave", st)
+        sv = candidate_matrix("save", st)
         lam = np.linalg.norm(st.cov_square)
         v = np.linalg.norm(st.fourth)
         coeff_a, _ = correction_coefficients(c)
@@ -311,9 +304,10 @@ class TestCsave:
     def test_closed_forms_exactly_symmetric_on_batched_stats(self):
         rng = np.random.default_rng(23)
         for R, n, p, H in ((4, 50, 3, 6), (3, 97, 5, 24), (2, 40, 1, 20)):
-            a = slice_equal_count(rng.standard_normal((R, n)), H)
-            st = slice_stats(3.0 * rng.standard_normal((R, n, p)) + 2.0, a)
-            for m in (save_matrix(st), csave_matrix(st), lambda_corrected(st)):
+            y = rng.standard_normal((R, n))
+            st = sorted_stats(3.0 * rng.standard_normal((R, n, p)) + 2.0, y, H)
+            for m in (candidate_matrix("save", st), candidate_matrix("csave", st),
+                      lambda_corrected(st)):
                 assert m.shape == (R, p, p)
                 assert np.array_equal(m, m.swapaxes(-1, -2))
 
@@ -332,7 +326,7 @@ class TestNullCalibration:
             rng = np.random.default_rng(31000 + seed)
             z = rng.standard_normal((n, 1))
             y = rng.standard_normal(n)
-            _, st = sorted_stats(z, y, n // c)
+            st = sorted_stats(z, y, n // c)
             raw.append(st.cov_square[0, 0])
             cor.append(lambda_corrected(st)[0, 0])
         return np.array(raw), np.array(cor)
@@ -408,7 +402,7 @@ class TestCdrBasis:
 
 def test_unknown_method_rejected():
     rng = np.random.default_rng(2)
-    _, st = sorted_stats(rng.standard_normal((12, 2)), rng.standard_normal(12), 3)
+    st = sorted_stats(rng.standard_normal((12, 2)), rng.standard_normal(12), 3)
     message = r"^unknown method 'pca'; valid: \('save', 'sir', 'csave'\)$"
     with pytest.raises(InvalidArgument, match=message):
         candidate_matrix("pca", st)
@@ -418,7 +412,16 @@ def test_unknown_method_rejected():
                           np.empty((2, 1, 2, 2)))
 
 
-_NAMED = {"sir": sir_matrix, "save": save_matrix, "csave": csave_matrix}
+def named_estimator(method, st):
+    """The candidate of ``method`` from the formula that states it: SIR the
+    symmetrized sum_h p_h m_h m_h^T, SAVE I - 2 M + L and CSAVE
+    I - 2 M + (a L - b V) with a(c), b(c) at c = floor(n / H)."""
+    if method == "sir":
+        m = st.means.swapaxes(-1, -2) @ (st.weights[:, None] * st.means)
+        return (m + m.swapaxes(-1, -2)) / 2.0
+    a, b = correction_coefficients(st.n // st.H)
+    added = st.cov_square if method == "save" else a * st.cov_square - b * st.fourth
+    return (np.eye(st.p) - 2.0 * st.mean_cov) + added
 
 
 @pytest.mark.parametrize("methods", [
@@ -429,12 +432,11 @@ def test_written_candidates_are_the_named_estimators_bitwise(methods):
     # grid's slice pass stacks them: SIR once per H over the chunk's means,
     # and SAVE and CSAVE in one write over the pooled stack of both H, with
     # one I - 2M and per-H (a, b), which are the bits of the formulas
-    # sir_matrix, save_matrix and csave_matrix state
+    # that named_estimator states
     rng = np.random.default_rng(4)
     z, y = rng.standard_normal((3, 97, 4)), rng.standard_normal((3, 97))
     h_grid, parts = (7, 13), [(0, slice(0, 3)), (1, slice(0, 2)), (1, slice(2, 3))]
-    stats = [slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
-             for i, part in parts]
+    stats = [sorted_stats(z[part], y[part], h_grid[i]) for i, part in parts]
     pooled = np.full((3, len(h_grid), 3, 4, 4), np.nan)
     slice_means = [(np.full((3, H, 4), np.nan), np.full(H, np.nan)) for H in h_grid]
     for (i, part), st in zip(parts, stats):
@@ -447,7 +449,7 @@ def test_written_candidates_are_the_named_estimators_bitwise(methods):
     _write_candidates(methods, pooled, slice_means, coefficients, out)
     for (i, part), st in zip(parts, stats):
         for method, got in zip(methods, out[:, i, part]):
-            want = _NAMED[method](st)
+            want = named_estimator(method, st)
             assert got.tobytes() == want.tobytes(), method
             assert candidate_matrix(method, st).tobytes() == want.tobytes(), method
 

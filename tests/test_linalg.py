@@ -11,9 +11,9 @@ import pytest
 from slicesdr import (
     candidate_matrix,
     ensure_symmetric,
+    equal_count_bounds,
     inv_sqrt,
     r2_single,
-    slice_equal_count,
     slice_stats,
     sym_eig,
 )
@@ -247,7 +247,7 @@ class TestLeadingVectors:
         # model 3's y = u eps, at H = 2, 6, 24 as in the grid
         z = rng.standard_normal((20, 480, 10))
         y = z[..., 0] * rng.standard_normal((20, 480))
-        m = np.stack([candidate_matrix("csave", slice_stats(z, slice_equal_count(y, H)))
+        m = np.stack([candidate_matrix("csave", slice_stats(z, y, equal_count_bounds(480, H)))
                       for H in (2, 6, 24)])
         assert (np.linalg.eigvalsh(m)[..., 0] < 0).all()
         self.assert_same_scores(m)

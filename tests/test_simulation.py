@@ -12,11 +12,11 @@ from slicesdr import (
     bias_sweep,
     candidate_matrix,
     correction_coefficients,
+    equal_count_bounds,
     lambda_corrected,
     model_streams,
     r2_single,
     run_grid,
-    slice_equal_count,
     slice_stats,
     standardize,
     sym_eig,
@@ -343,7 +343,7 @@ class TestBiasSweep:
                 x_gen, eps_gen = model_streams(seed, r)
                 x, eps = x_gen.standard_normal((n, p)), eps_gen.standard_normal(n)
                 for j, c in enumerate(c_grid):
-                    stats = slice_stats(x, slice_equal_count(eps, n // c))
+                    stats = slice_stats(x, eps, equal_count_bounds(n, n // c))
                     assert stats.counts[-1] > c  # the remainder slice
                     for k, m in enumerate((stats.cov_square, lambda_corrected(stats))):
                         want[i, j, k, r] = np.trace(m) / p
@@ -526,8 +526,7 @@ class TestWorkBuffers:
             # the engine's gathered rows, in slice order already
             order = np.arange(index.shape[-1])
             bounds = np.append(0, np.cumsum(plan.counts))
-            a = slicing.SliceAssignment(order=order, bounds=bounds)
-            st = reduceat_slice_stats(z[index], a)
+            st = reduceat_slice_stats(z[index], order, bounds)
             for out, moment in zip(pooled, (st.mean_cov, st.cov_square, st.fourth)):
                 out[...] = moment
             means[...] = st.means
@@ -541,12 +540,11 @@ class TestWorkBuffers:
         # per (H, sub-chunk), each response is sorted once for all its H,
         # and each model of a chunk gets one candidate write and one eigen
         # call, and the grid orthonormalizes e_1 once per call; the sweep
-        # makes none of the last three, and neither engine checks the
-        # orders that stable_order returns
+        # makes none of the last three
         calls = {}
         targets = [(slicing, "_slice_moments"), (slicing, "stable_order"),
-                   (simulation, "_leading_vectors"), (slicing, "_check_order"),
-                   (simulation, "_write_candidates"), (simulation, "_orthonormalize")]
+                   (simulation, "_leading_vectors"), (simulation, "_write_candidates"),
+                   (simulation, "_orthonormalize")]
         for module, name in targets:
             real = getattr(module, name)
 
@@ -623,7 +621,7 @@ def oracle_scores(cell):
             z, back = standardize(x)
         else:
             z, back = x, None
-        stats = slice_stats(z, slice_equal_count(y, cell["H"]))
+        stats = slice_stats(z, y, equal_count_bounds(cell["n"], cell["H"]))
         for method in METHODS:
             lead = sym_eig(candidate_matrix(method, stats)).vectors[:, 0]
             if back is not None:
@@ -680,7 +678,7 @@ class TestEngineSliceMoments:
         parts = grid_parts(slicings, chunk)
         assert [size for size, _ in covs] == [len(range(chunk)[part]) for _, part in parts]
         for (i, part), (_, got_covs) in zip(parts, covs):
-            want = slice_stats(z[part], slice_equal_count(y[part], h_grid[i]))
+            want = slice_stats(z[part], y[part], equal_count_bounds(n, h_grid[i]))
             assert_part_is_public(grid_part(pooled, slice_means, i, part), want)
             assert got_covs.tobytes() == want.covs.tobytes()
 
@@ -701,7 +699,7 @@ class TestEngineSliceMoments:
             pooled, slice_means = real_moments(slicings, z, y)
             for i, part in grid_parts(slicings, z.shape[0]):
                 H = slicings.plans[i].counts.size
-                want = slice_stats(z[part], slice_equal_count(y[part], H))
+                want = slice_stats(z[part], y[part], equal_count_bounds(y.shape[-1], H))
                 assert_part_is_public(grid_part(pooled, slice_means, i, part), want)
                 checked.append(H)
             return pooled, slice_means
@@ -732,7 +730,7 @@ class TestEngineSliceMoments:
         monkeypatch.setattr(slicing.SliceStats, "__init__", spy)
         engine()
         assert made == []
-        slice_stats(np.ones((4, 1)), slice_equal_count(np.arange(4.0), 2))
+        slice_stats(np.ones((4, 1)), np.arange(4.0), equal_count_bounds(4, 2))
         assert made == [slicing.SliceStats]
 
     @pytest.mark.parametrize("engine", [

@@ -101,7 +101,7 @@ def test_no_catch_all_except():
 #: the order statistics through ``np.ma.isMaskedArray``, and ``np.unique``
 #: without counts or indexes and ``np.unique_values`` through
 #: ``np.ma.is_masked``; the rest of the unique family goes with them.
-#: ``simulation.order_stats`` and ``slicing.slice_discrete`` take the same
+#: ``simulation.order_stats`` and ``slicing.discrete_bounds`` take the same
 #: results from one sort.
 LOAD_NUMPY_MA = {
     "median", "quantile", "percentile",
@@ -282,7 +282,6 @@ def test_settable_parameters_are_the_listed_ones():
 DATACLASSES = [
     "estimators:CdrBasis",
     "linalg:EigenResult",
-    "slicing:SliceAssignment",
     "slicing:SliceStats",
 ]
 
@@ -311,15 +310,34 @@ def _called_name(node: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_slice_stats_are_built_only_by_the_public_call():
-    found = [
+def _callers(name: str) -> list:
+    """"module:definition" of each call of ``name`` in src/, as a bare
+    name or an attribute, by the top-level definition it sits in."""
+    return [
         f"{path.stem}:{getattr(stmt, 'name', '<module>')}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for stmt in _parse(path).body
         for node in ast.walk(stmt)
-        if isinstance(node, ast.Call) and _called_name(node) == "SliceStats"
+        if isinstance(node, ast.Call) and _called_name(node) == name
     ]
-    assert found == SLICE_STATS_BUILDERS
+
+
+def test_slice_stats_are_built_only_by_the_public_call():
+    assert _callers("SliceStats") == SLICE_STATS_BUILDERS
+
+
+#: Every definition that calls ``argsort``, as "module:definition": the
+#: eigenvalue ranking and ``stable_order``, the one sorter of responses
+#: that every slicing derives its order from, so a second sort of y that
+#: could order ties differently does not come back.
+ARGSORT_CALLERS = [
+    "linalg:sym_eig",
+    "slicing:stable_order",
+]
+
+
+def test_argsort_is_called_only_where_listed():
+    assert sorted(set(_callers("argsort"))) == ARGSORT_CALLERS
 
 
 #: Every name in ``slicesdr.__all__``: each is public API that a caller
@@ -330,15 +348,15 @@ PUBLIC_NAMES = [
     "DEFAULT_SEED",
     "EigenResult",
     "METHODS",
-    "SliceAssignment",
     "SliceStats",
     "bias_sweep",
     "candidate_matrix",
     "cdr_basis",
     "correction_coefficients",
-    "csave_matrix",
     "directions_to_x_scale",
+    "discrete_bounds",
     "ensure_symmetric",
+    "equal_count_bounds",
     "inv_sqrt",
     "lambda_corrected",
     "load_csv",
@@ -346,10 +364,6 @@ PUBLIC_NAMES = [
     "negative_eigenvalue_count",
     "r2_single",
     "run_grid",
-    "save_matrix",
-    "sir_matrix",
-    "slice_discrete",
-    "slice_equal_count",
     "slice_stats",
     "standardize",
     "sym_eig",
